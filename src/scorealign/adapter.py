@@ -10,7 +10,7 @@ the refinement is initially the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,12 +19,10 @@ from .numkit import (
     MlpTape,
     SeededRng,
     ShapeMismatchError,
-    adam_step,
-    AdamState,
+    flatten,
     init_mlp,
     mlp_backward,
     mlp_forward,
-    zeros_mlp,
 )
 from .keyframe import phi_select
 from .losses import reg_loss
@@ -35,21 +33,32 @@ from .losses import reg_loss
 DEFAULT_SHARPNESS = 8.0
 
 
-@dataclass
+@dataclass(eq=False)
 class AdapterParams:
-    mixing_logits: np.ndarray  # (T, K), rows softmax-normalized at use
-    mlp: MlpParams  # shared per-frame refiner, D -> hidden -> D
+    """The adapter's parameters as one flat float64 vector: the (T, K)
+    mixing logits row-major, then the refiner MLP's flat layout.
+    `mixing_logits` and `mlp` are views into it."""
 
-    @property
-    def t_frames(self) -> int:
-        return self.mixing_logits.shape[0]
+    flat: np.ndarray
+    t_frames: int
+    k_frames: int
+    mlp_sizes: tuple[int, ...]
+    mixing_logits: np.ndarray = field(init=False, repr=False)  # rows softmax-normalized at use
+    mlp: MlpParams = field(init=False, repr=False)  # shared per-frame refiner, D -> hidden -> D
 
-    @property
-    def k_frames(self) -> int:
-        return self.mixing_logits.shape[1]
+    def __post_init__(self) -> None:
+        n_logits = self.t_frames * self.k_frames
+        self.mixing_logits = self.flat[:n_logits].reshape(self.t_frames, self.k_frames)
+        self.mlp = MlpParams(self.flat[n_logits:], self.mlp_sizes)
+
+    @classmethod
+    def from_parts(cls, mixing_logits: np.ndarray, mlp: MlpParams) -> "AdapterParams":
+        """Copy mixing logits and a refiner MLP into a new flat vector."""
+        t_frames, k_frames = mixing_logits.shape
+        return cls(flatten([mixing_logits, mlp.flat]), t_frames, k_frames, mlp.sizes)
 
     def copy(self) -> "AdapterParams":
-        return AdapterParams(self.mixing_logits.copy(), self.mlp.copy())
+        return replace(self, flat=self.flat.copy())
 
 
 def interpolation_logits(t_frames: int, k: int, sharpness: float = DEFAULT_SHARPNESS) -> np.ndarray:
@@ -75,10 +84,8 @@ def init_adapter(
 ) -> AdapterParams:
     mlp = init_mlp([feat_dim, hidden, feat_dim], rng)
     # zero output layer: the residual refinement starts as the identity
-    zero_out = zeros_mlp([feat_dim, hidden, feat_dim])
-    mlp.weights[-1] = zero_out.weights[-1]
-    mlp.biases[-1] = zero_out.biases[-1]
-    return AdapterParams(interpolation_logits(t_frames, k, sharpness), mlp)
+    mlp.weights[-1][...] = 0.0
+    return AdapterParams.from_parts(interpolation_logits(t_frames, k, sharpness), mlp)
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -122,41 +129,11 @@ def reconstruct(params: AdapterParams, compressed: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class AdapterGrads:
-    mixing_logits: np.ndarray
-    mlp: MlpParams
-
-    def scale(self, factor: float) -> "AdapterGrads":
-        return AdapterGrads(
-            self.mixing_logits * factor,
-            MlpParams(
-                [w * factor for w in self.mlp.weights],
-                [b * factor for b in self.mlp.biases],
-            ),
-        )
-
-    def add_(self, other: "AdapterGrads") -> None:
-        self.mixing_logits += other.mixing_logits
-        for i in range(len(self.mlp.weights)):
-            self.mlp.weights[i] += other.mlp.weights[i]
-            self.mlp.biases[i] += other.mlp.biases[i]
-
-
-def zeros_grads(params: AdapterParams) -> AdapterGrads:
-    return AdapterGrads(
-        np.zeros_like(params.mixing_logits),
-        MlpParams(
-            [np.zeros_like(w) for w in params.mlp.weights],
-            [np.zeros_like(b) for b in params.mlp.biases],
-        ),
-    )
-
-
 def adapter_backward(
     params: AdapterParams, tape: AdapterTape, grad_out: np.ndarray
-) -> AdapterGrads:
-    """Backprop a (T, D) output gradient to the mixing logits and the MLP."""
+) -> AdapterParams:
+    """Backprop a (T, D) output gradient to the mixing logits and the MLP.
+    The gradient comes back in the parameters' flat layout."""
     if grad_out.shape != tape.base.shape:
         raise ShapeMismatchError(
             f"output grad shape {grad_out.shape} != {tape.base.shape}"
@@ -167,7 +144,7 @@ def adapter_backward(
     # softmax backward per row: s * (g - <g, s>)
     inner = np.sum(grad_mix * tape.mix, axis=1, keepdims=True)
     grad_logits = tape.mix * (grad_mix - inner)
-    return AdapterGrads(grad_logits, mlp_grads)
+    return AdapterParams.from_parts(grad_logits, mlp_grads)
 
 
 def reg_loss_and_grads(
@@ -175,7 +152,7 @@ def reg_loss_and_grads(
     features_batch: list[np.ndarray],
     k: int,
     diversity_weight: float,
-) -> tuple[float, AdapterGrads]:
+) -> tuple[float, AdapterParams]:
     """Reconstruction penalty over a batch: sum of per-sample Euclidean
     reconstruction errors, compressing each sample with the key-frame
     selector (selection indices are constants, no gradient through them).
@@ -183,40 +160,11 @@ def reg_loss_and_grads(
     if not features_batch:
         raise ValueError("regularization needs a nonempty batch")
     total = 0.0
-    grads = zeros_grads(params)
+    grads = replace(params, flat=np.zeros_like(params.flat))
     for features in features_batch:
         compressed = phi_select(features, k, diversity_weight)
         recon, tape = reconstruct_with_tape(params, compressed)
         value, grad_recon = reg_loss(features, recon)
         total += value
-        grads.add_(adapter_backward(params, tape, grad_recon))
+        grads.flat += adapter_backward(params, tape, grad_recon).flat
     return total, grads
-
-
-def adapter_param_dict(params: AdapterParams, prefix: str = "adapter") -> dict[str, np.ndarray]:
-    out = {f"{prefix}.logits": params.mixing_logits}
-    for i, (w, b) in enumerate(zip(params.mlp.weights, params.mlp.biases)):
-        out[f"{prefix}.w{i}"] = w
-        out[f"{prefix}.b{i}"] = b
-    return out
-
-
-def adapter_grad_dict(grads: AdapterGrads, prefix: str = "adapter") -> dict[str, np.ndarray]:
-    out = {f"{prefix}.logits": grads.mixing_logits}
-    for i, (w, b) in enumerate(zip(grads.mlp.weights, grads.mlp.biases)):
-        out[f"{prefix}.w{i}"] = w
-        out[f"{prefix}.b{i}"] = b
-    return out
-
-
-def adapter_train_step(
-    params: AdapterParams,
-    features_batch: list[np.ndarray],
-    k: int,
-    diversity_weight: float,
-    optimizer: AdamState,
-) -> float:
-    """One Adam step on the reconstruction penalty; returns its value."""
-    value, grads = reg_loss_and_grads(params, features_batch, k, diversity_weight)
-    adam_step(optimizer, adapter_param_dict(params), adapter_grad_dict(grads))
-    return value

@@ -21,13 +21,12 @@ from .data import (
     read_report,
 )
 from .memory import BankError, save_bank
-from .metrics import MetricReport
 from .numkit import SeededRng, derive_seed
 from .runner import (
     CheckpointError,
     RunConfig,
     TrainingError,
-    config_hash,
+    build_report,
     evaluate,
     flat_minima_probe,
     load_checkpoint,
@@ -56,26 +55,30 @@ def _run(action):
         sys.exit(EXIT_CONFIG)
 
 
+_RUN_DEFAULTS = RunConfig()
+
+
 def _config_options(fn):
+    d = _RUN_DEFAULTS
     opts = [
-        click.option("--epochs", default=15, show_default=True, help="epochs per task"),
-        click.option("--batch-size", default=3, show_default=True, help="current-data batch size b1"),
-        click.option("--replay-batch-size", default=2, show_default=True, help="replay mini-batch size b2"),
-        click.option("--mse-weight", default=0.05, show_default=True, help="precision-loss weight (lambda)"),
-        click.option("--replay-weight", default=1.0, show_default=True, help="replay-loss weight (alpha)"),
-        click.option("--reg-weight", default=1.0, show_default=True, help="reconstruction-loss weight (beta)"),
-        click.option("--exemplars-per-session", default=16, show_default=True, help="memory quota m per session"),
-        click.option("--keyframes", default=3, show_default=True, help="key frames K kept per stored sample"),
-        click.option("--diversity-weight", default=0.5, show_default=True, help="key-frame diversity weight"),
-        click.option("--learning-rate", default=1e-4, show_default=True),
-        click.option("--weight-decay", default=5e-4, show_default=True),
-        click.option("--frames", default=16, show_default=True, help="canonical frame count T"),
-        click.option("--score-min", default=1.0, show_default=True),
-        click.option("--score-max", default=5.0, show_default=True),
-        click.option("--test-ratio", default=0.2, show_default=True),
-        click.option("--max-train", default=50, show_default=True, help="training-sample cap per session"),
-        click.option("--no-reparam", is_flag=True, help="disable re-parameterized sampling (ablation)"),
-        click.option("--seed", default=0, show_default=True),
+        click.option("--epochs", default=d.epochs, show_default=True, help="epochs per task"),
+        click.option("--batch-size", default=d.batch_size, show_default=True, help="current-data batch size b1"),
+        click.option("--replay-batch-size", default=d.replay_batch_size, show_default=True, help="replay mini-batch size b2"),
+        click.option("--mse-weight", default=d.mse_weight, show_default=True, help="precision-loss weight (lambda)"),
+        click.option("--replay-weight", default=d.replay_weight, show_default=True, help="replay-loss weight (alpha)"),
+        click.option("--reg-weight", default=d.reg_weight, show_default=True, help="reconstruction-loss weight (beta)"),
+        click.option("--exemplars-per-session", default=d.exemplars_per_session, show_default=True, help="memory quota m per session"),
+        click.option("--keyframes", default=d.keyframes, show_default=True, help="key frames K kept per stored sample"),
+        click.option("--diversity-weight", default=d.diversity_weight, show_default=True, help="key-frame diversity weight"),
+        click.option("--learning-rate", default=d.learning_rate, show_default=True),
+        click.option("--weight-decay", default=d.weight_decay, show_default=True),
+        click.option("--frames", default=d.frames, show_default=True, help="canonical frame count T"),
+        click.option("--score-min", default=d.score_range[0], show_default=True),
+        click.option("--score-max", default=d.score_range[1], show_default=True),
+        click.option("--test-ratio", default=d.test_ratio, show_default=True),
+        click.option("--max-train", default=d.max_train_per_session, show_default=True, help="training-sample cap per session"),
+        click.option("--no-reparam", is_flag=True, default=not d.reparam, help="disable re-parameterized sampling (ablation)"),
+        click.option("--seed", default=d.seed, show_default=True),
     ]
     for opt in reversed(opts):
         fn = opt(fn)
@@ -83,26 +86,14 @@ def _config_options(fn):
 
 
 def _make_config(mode: str, kw: dict) -> RunConfig:
-    return RunConfig(
-        mode=mode,
-        epochs=kw["epochs"],
-        batch_size=kw["batch_size"],
-        replay_batch_size=kw["replay_batch_size"],
-        mse_weight=kw["mse_weight"],
-        replay_weight=kw["replay_weight"],
-        reg_weight=kw["reg_weight"],
-        exemplars_per_session=kw["exemplars_per_session"],
-        keyframes=kw["keyframes"],
-        diversity_weight=kw["diversity_weight"],
-        learning_rate=kw["learning_rate"],
-        weight_decay=kw["weight_decay"],
-        frames=kw["frames"],
-        score_range=(kw["score_min"], kw["score_max"]),
-        test_ratio=kw["test_ratio"],
-        max_train_per_session=kw["max_train"],
-        reparam=not kw["no_reparam"],
-        seed=kw["seed"],
-    )
+    """RunConfig from the parsed options; only renamed flags need mapping."""
+    kw = dict(kw)
+    renamed = {
+        "score_range": (kw.pop("score_min"), kw.pop("score_max")),
+        "max_train_per_session": kw.pop("max_train"),
+        "reparam": not kw.pop("no_reparam"),
+    }
+    return RunConfig(mode=mode, **renamed, **kw)
 
 
 def _load(manifest: str, config: RunConfig):
@@ -198,16 +189,7 @@ def eval_cmd(checkpoint_path, manifest, report_out, **kw):
         data = _load(manifest, config)
         test = data.all_test()
         result = evaluate(bundle.model, test, config.score_range)
-        report = MetricReport(
-            mode="eval",
-            seed=config.seed,
-            config_hash=config_hash(config),
-            config=config.to_dict(),
-            sessions=result.sessions,
-            variants=result.variants,
-            pooled=result.pooled,
-        )
-        emit_report(report, report_out)
+        emit_report(build_report(config, "eval", result), report_out)
         click.echo(f"wrote {report_out}")
 
     _run(action)
@@ -234,14 +216,7 @@ def probe_flatness(checkpoint_path, manifest, report_out, radii, draws, **kw):
         table = flat_minima_probe(
             bundle.model, data.sessions, config.mse_weight, radius_list, rng, draws=draws
         )
-        report = MetricReport(
-            mode="probe",
-            seed=config.seed,
-            config_hash=config_hash(config),
-            config=config.to_dict(),
-            flatness=table,
-        )
-        emit_report(report, report_out)
+        emit_report(build_report(config, "probe", flatness=table), report_out)
         click.echo(f"wrote {report_out}")
 
     _run(action)

@@ -170,7 +170,10 @@ def load_manifest(
         if rec["id"] in seen_ids:
             raise ManifestError(f"record {i}: duplicate id '{rec['id']}'")
         seen_ids.add(rec["id"])
-        score = float(rec["score"])
+        try:
+            score = float(rec["score"])
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(f"record {i}: score {rec['score']!r} is not a number") from exc
         if not lo <= score <= hi:
             raise ManifestError(
                 f"record {i}: score {score} outside configured range [{lo}, {hi}]"

@@ -16,26 +16,11 @@ from .numkit import MlpParams, SeededRng, ShapeMismatchError, init_mlp, mlp_forw
 
 
 @dataclass(frozen=True)
-class ScoreDistribution:
-    """Gaussian over the predicted score."""
-
-    mu: float
-    log_var: float
-
-    @property
-    def sigma(self) -> float:
-        return float(np.exp(self.log_var / 2.0))
-
-
-@dataclass(frozen=True)
 class HeadConfig:
-    pooling: str = "mean"
     hidden_sizes: tuple[int, ...] = (64, 32)
     score_range: tuple[float, float] = (1.0, 5.0)
 
     def __post_init__(self) -> None:
-        if self.pooling != "mean":
-            raise ValueError(f"unsupported pooling '{self.pooling}'")
         lo, hi = self.score_range
         if not lo < hi:
             raise ValueError(f"score range must satisfy lo < hi, got {self.score_range}")
@@ -56,20 +41,10 @@ def pool(features: np.ndarray) -> np.ndarray:
     return features.mean(axis=0)
 
 
-def predict_distribution(params: MlpParams, features: np.ndarray) -> ScoreDistribution:
-    pooled = pool(features)
-    out, _ = mlp_forward(params, pooled[None, :])
-    return ScoreDistribution(mu=float(out[0, 0]), log_var=float(out[0, 1]))
-
-
-def reparam_sample(dist: ScoreDistribution, eps: float) -> float:
-    """s_hat = mu + eps * sigma; differentiable in (mu, log_var) for fixed eps."""
-    return dist.mu + eps * dist.sigma
-
-
 def predict_eval(params: MlpParams, features: np.ndarray) -> float:
     """Deterministic evaluation: the distribution mean (eps pinned to 0)."""
-    return predict_distribution(params, features).mu
+    out, _ = mlp_forward(params, pool(features)[None, :])
+    return float(out[0, 0])
 
 
 def batch_sample(
@@ -78,7 +53,8 @@ def batch_sample(
     """Re-parameterized scores for a batch of head outputs.
 
     head_out is the (n, 2) matrix of (mu, log_var) rows. Returns the score
-    vector and the sigma vector (needed for the backward pass).
+    vector and the sigma vector (needed for the backward pass). Each score
+    is mu + eps * sigma, differentiable in (mu, log_var) for fixed eps.
     """
     if head_out.ndim != 2 or head_out.shape[1] != 2:
         raise ShapeMismatchError(f"head output must be (n, 2), got {head_out.shape}")

@@ -108,18 +108,6 @@ def select_key_frames(
     )
 
 
-def selection_objective(
-    features: np.ndarray, indices: tuple[int, ...], diversity_weight: float
-) -> float:
-    """Combined objective of a frame subset: sum of normalized salience
-    minus the weighted sum of pairwise cosine similarities."""
-    features = np.asarray(features, dtype=np.float64)
-    norm_sal = _normalized_salience(salience_scores(features))
-    unit = _unit_rows(features)
-    cos = unit @ unit.T
-    return _subset_objective(list(indices), norm_sal, cos, diversity_weight)
-
-
 def phi_select(features: np.ndarray, k: int, diversity_weight: float) -> np.ndarray:
     """Compress (T, D) to the (K, D) rows of the selected key frames,
     preserving temporal order."""

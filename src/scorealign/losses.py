@@ -8,8 +8,6 @@ correlation and raise DegenerateBatchError for the caller to handle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 VARIANCE_FLOOR = 1e-12
@@ -18,20 +16,6 @@ NORM_FLOOR = 1e-12
 
 class DegenerateBatchError(ValueError):
     """Batch correlation is undefined (too few points or zero variance)."""
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Trade-off weights: lam scales the precision term, alpha the replay
-    term, beta the reconstruction regularizer."""
-
-    lam: float = 0.05
-    alpha: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.lam < 0 or self.alpha < 0 or self.beta < 0:
-            raise ValueError(f"loss weights must be >= 0, got {self}")
 
 
 def _check_lengths(pred: np.ndarray, truth: np.ndarray) -> None:

@@ -168,7 +168,13 @@ class _Reader:
         return struct.unpack("<f", self.take(4, what))[0]
 
     def string(self, what: str) -> str:
-        return self.take(self.u32(f"{what} length"), what).decode("utf-8")
+        raw = self.take(self.u32(f"{what} length"), what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BankError(
+                f"{what} at offset {self.pos - len(raw)} is not valid UTF-8"
+            ) from exc
 
 
 def load_bank(path: str | Path) -> MemoryBank:

@@ -8,7 +8,9 @@ on hidden layers, identity on the output layer.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,43 +72,71 @@ class SeededRng:
         self._gen.bit_generator.state = state
 
 
-@dataclass
+def flatten(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """One new float64 vector holding each array row-major, in order."""
+    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
+
+
+def unflatten(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views into a flat vector, one per shape, in order: the inverse of
+    flatten. Writing through a view writes the vector."""
+    counts = [math.prod(shape) for shape in shapes]
+    if flat.ndim != 1 or flat.size != sum(counts):
+        raise ShapeMismatchError(
+            f"layout holds {sum(counts)} values, vector has shape {flat.shape}"
+        )
+    views, pos = [], 0
+    for shape, count in zip(shapes, counts):
+        views.append(flat[pos : pos + count].reshape(shape))
+        pos += count
+    return views
+
+
+def _mlp_layout(sizes: Sequence[int]) -> list[tuple[int, ...]]:
+    pairs = list(zip(sizes[:-1], sizes[1:]))
+    return pairs + [(fan_out,) for _, fan_out in pairs]
+
+
+@dataclass(eq=False)
 class MlpParams:
-    """Weights (fan_in, fan_out) and biases (fan_out,) per layer."""
+    """An MLP's parameters as one flat float64 vector: every layer's
+    weights (fan_in, fan_out) row-major, then every layer's biases
+    (fan_out,). `weights` and `biases` are views into it."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
+    sizes: tuple[int, ...]
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
-    @property
-    def sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+    def __post_init__(self) -> None:
+        self.sizes = tuple(self.sizes)
+        views = unflatten(self.flat, _mlp_layout(self.sizes))
+        self.weights, self.biases = views[: self.n_layers], views[self.n_layers :]
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.sizes) - 1
 
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.flat.size
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return replace(self, flat=self.flat.copy())
 
 
 def init_mlp(sizes: list[int], rng: SeededRng) -> MlpParams:
     """Scaled-uniform (Glorot) weights, zero biases."""
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    params = zeros_mlp(sizes)
+    for w in params.weights:
+        fan_in, fan_out = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = (rng.uniform(fan_in * fan_out) * 2.0 - 1.0) * bound
-        weights.append(w.reshape(fan_in, fan_out))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases)
+        w[...] = ((rng.uniform(w.size) * 2.0 - 1.0) * bound).reshape(w.shape)
+    return params
 
 
 def zeros_mlp(sizes: list[int]) -> MlpParams:
-    weights = [np.zeros((i, o)) for i, o in zip(sizes[:-1], sizes[1:])]
-    biases = [np.zeros(o) for o in sizes[1:]]
-    return MlpParams(weights, biases)
+    count = sum(math.prod(shape) for shape in _mlp_layout(sizes))
+    return MlpParams(np.zeros(count), sizes)
 
 
 @dataclass
@@ -144,8 +174,8 @@ def mlp_backward(
 ) -> tuple[MlpParams, np.ndarray]:
     """Backprop through a taped forward pass.
 
-    Returns gradients in the same (weights, biases) layout as the params,
-    plus the gradient with respect to the input batch.
+    Returns gradients in the same flat layout as the params, plus the
+    gradient with respect to the input batch.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if len(tape.pre) != params.n_layers:
@@ -158,16 +188,15 @@ def mlp_backward(
             f"{tape.post[-1].shape}"
         )
     last = params.n_layers - 1
-    grads_w: list[np.ndarray] = [None] * params.n_layers  # type: ignore[list-item]
-    grads_b: list[np.ndarray] = [None] * params.n_layers  # type: ignore[list-item]
+    grads = replace(params, flat=np.empty_like(params.flat))
     g = grad_out
     for i in range(last, -1, -1):
         d_pre = g if i == last else g * (tape.pre[i] > 0)
         a_prev = tape.x if i == 0 else tape.post[i - 1]
-        grads_w[i] = a_prev.T @ d_pre
-        grads_b[i] = d_pre.sum(axis=0)
+        np.matmul(a_prev.T, d_pre, out=grads.weights[i])
+        np.sum(d_pre, axis=0, out=grads.biases[i])
         g = d_pre @ params.weights[i].T
-    return MlpParams(grads_w, grads_b), g
+    return grads, g
 
 
 @dataclass
@@ -216,8 +245,3 @@ def adam_step(
         if state.weight_decay != 0.0:
             p *= 1.0 - state.lr * state.weight_decay
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-def gaussian_sample(rng: SeededRng, n: int) -> np.ndarray:
-    """n standard-normal draws from the seeded source."""
-    return rng.normal(n)

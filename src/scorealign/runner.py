@@ -14,17 +14,14 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .adapter import (
-    AdapterGrads,
     AdapterParams,
     adapter_backward,
-    adapter_grad_dict,
-    adapter_param_dict,
     init_adapter,
     reconstruct_with_tape,
     reg_loss_and_grads,
@@ -52,7 +49,7 @@ from .numkit import (
 )
 
 CHECKPOINT_MAGIC = b"ASALCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 MAX_DEGENERATE_FRACTION = 0.05
 
@@ -149,12 +146,8 @@ class ModelState:
     head_config: HeadConfig
 
     def copy(self) -> "ModelState":
-        adam = AdamState(
-            lr=self.adam.lr,
-            beta1=self.adam.beta1,
-            beta2=self.adam.beta2,
-            eps=self.adam.eps,
-            weight_decay=self.adam.weight_decay,
+        adam = replace(
+            self.adam,
             m={k: v.copy() for k, v in self.adam.m.items()},
             v={k: v.copy() for k, v in self.adam.v.items()},
             t=dict(self.adam.t),
@@ -216,39 +209,18 @@ def init_model(feat_dim: int, config: RunConfig) -> ModelState:
     return ModelState(head, adapter, adam, head_config)
 
 
-def _head_param_dict(head: MlpParams) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for i, (w, b) in enumerate(zip(head.weights, head.biases)):
-        out[f"head.w{i}"] = w
-        out[f"head.b{i}"] = b
-    return out
-
-
 def model_param_dict(model: ModelState) -> dict[str, np.ndarray]:
-    out = _head_param_dict(model.head)
-    out.update(adapter_param_dict(model.adapter))
-    return out
+    """The model's two optimizer blocks, each the flat vector its layer
+    arrays are views into."""
+    return {"head": model.head.flat, "adapter": model.adapter.flat}
 
 
-def _accumulate_head(
-    grads: dict[str, np.ndarray], head_grads: MlpParams, scale: float = 1.0
-) -> None:
-    for i, (w, b) in enumerate(zip(head_grads.weights, head_grads.biases)):
-        for key, g in ((f"head.w{i}", w), (f"head.b{i}", b)):
-            if key in grads:
-                grads[key] = grads[key] + scale * g
-            else:
-                grads[key] = scale * g
-
-
-def _accumulate_adapter(
-    grads: dict[str, np.ndarray], adapter_grads: AdapterGrads, scale: float = 1.0
-) -> None:
-    for key, g in adapter_grad_dict(adapter_grads).items():
-        if key in grads:
-            grads[key] = grads[key] + scale * g
-        else:
-            grads[key] = scale * g
+def _accumulate(grads: dict[str, np.ndarray], block: str, g: np.ndarray) -> None:
+    """Add a freshly computed gradient into its block, in arrival order."""
+    if block in grads:
+        grads[block] += g
+    else:
+        grads[block] = g
 
 
 @dataclass
@@ -309,8 +281,7 @@ def _train_on_samples(
                 continue
             grad_out = batch_sample_backward(grad_s, eps, sigma)
             head_grads, _ = mlp_backward(model.head, tape, grad_out)
-            grads: dict[str, np.ndarray] = {}
-            _accumulate_head(grads, head_grads)
+            grads = {"head": head_grads.flat}
             trace.append(value)
             epoch_losses.append(value)
 
@@ -323,7 +294,7 @@ def _train_on_samples(
                     config.keyframes,
                     config.diversity_weight,
                 )
-                _accumulate_adapter(grads, adapter_grads, config.reg_weight)
+                _accumulate(grads, "adapter", config.reg_weight * adapter_grads.flat)
 
             adam_step(model.adam, model_param_dict(model), grads)
             counters.steps += 1
@@ -364,12 +335,12 @@ def _replay_term(
         return
     grad_out = batch_sample_backward(config.replay_weight * grad_s, eps, sigma)
     head_grads, x_grad = mlp_backward(model.head, tape, grad_out)
-    _accumulate_head(grads, head_grads)
+    _accumulate(grads, "head", head_grads.flat)
     t_frames = model.adapter.t_frames
     for i, tape_i in enumerate(recon_tapes):
         # mean pooling spreads the pooled gradient evenly over frames
         grad_recon = np.tile(x_grad[i] / t_frames, (t_frames, 1))
-        _accumulate_adapter(grads, adapter_backward(model.adapter, tape_i, grad_recon))
+        _accumulate(grads, "adapter", adapter_backward(model.adapter, tape_i, grad_recon).flat)
 
 
 def _check_degenerate_fraction(counters: _Counters) -> None:
@@ -426,9 +397,19 @@ def evaluate(
     return EvalResult(sessions, variants, pooled, pairs)
 
 
-def _base_report(config: RunConfig, mode: str) -> MetricReport:
+def build_report(
+    config: RunConfig, mode: str, result: EvalResult | None = None, **fields
+) -> MetricReport:
+    """A report stamped with the run configuration, holding the tables of
+    an evaluation when one is given, plus any other report fields."""
+    if result is not None:
+        fields.update(sessions=result.sessions, variants=result.variants, pooled=result.pooled)
     return MetricReport(
-        mode=mode, seed=config.seed, config_hash=config_hash(config), config=config.to_dict()
+        mode=mode,
+        seed=config.seed,
+        config_hash=config_hash(config),
+        config=config.to_dict(),
+        **fields,
     )
 
 
@@ -457,11 +438,7 @@ def train_joint(
             checkpoint_path, config, model, MemoryBank(), streams, 0, counters, trace
         )
     result = evaluate(model, test, config.score_range)
-    report = _base_report(config, "joint")
-    report.sessions = result.sessions
-    report.variants = result.variants
-    report.pooled = result.pooled
-    report.counters = counters.to_dict()
+    report = build_report(config, "joint", result, counters=counters.to_dict())
     return RunResult(model, MemoryBank(), report, trace, [log])
 
 
@@ -493,7 +470,6 @@ def train_continual(
     sessions' test splits."""
     if not data.sessions:
         raise TrainingError("continual training needs at least one session")
-    feat_dim = data.sessions[0].train[0].features.shape[1]
     notes: list[str] = []
     session_logs: list[SessionState] = []
     trace: list[float] = []
@@ -515,7 +491,10 @@ def train_continual(
         trace = bundle.loss_trace
         notes.append(f"resumed after {start_session} completed sessions")
     else:
-        model = init_model(feat_dim, config)
+        first = data.sessions[0]
+        if not first.train:
+            raise TrainingError(f"session '{first.name}' has no training samples")
+        model = init_model(first.train[0].features.shape[1], config)
         bank = MemoryBank()
         if data.base is not None:
             model, base_log = base_pretrain(config, data.base)
@@ -545,38 +524,22 @@ def train_continual(
             )
     _check_degenerate_fraction(counters)
 
-    test = data.all_test()
-    result = evaluate(model, test, config.score_range)
-    report = _base_report(config, "continual")
-    report.sessions = result.sessions
-    report.variants = result.variants
-    report.pooled = result.pooled
-    report.counters = counters.to_dict()
-    report.counters["bank_floats"] = bank.num_floats()
-    report.counters["bank_bytes"] = bank_file_size(bank)
-    report.notes = notes
+    result = evaluate(model, data.all_test(), config.score_range)
+    report = build_report(
+        config,
+        "continual",
+        result,
+        counters={
+            **counters.to_dict(),
+            "bank_floats": bank.num_floats(),
+            "bank_bytes": bank_file_size(bank),
+        },
+        notes=notes,
+    )
     return RunResult(model, bank, report, trace, session_logs)
 
 
 # --- flat-minima probe ---------------------------------------------------
-
-
-def _flatten_head(head: MlpParams) -> np.ndarray:
-    return np.concatenate(
-        [w.ravel() for w in head.weights] + [b.ravel() for b in head.biases]
-    )
-
-
-def _head_from_flat(template: MlpParams, flat: np.ndarray) -> MlpParams:
-    weights, biases = [], []
-    pos = 0
-    for w in template.weights:
-        weights.append(flat[pos : pos + w.size].reshape(w.shape).copy())
-        pos += w.size
-    for b in template.biases:
-        biases.append(flat[pos : pos + b.size].reshape(b.shape).copy())
-        pos += b.size
-    return MlpParams(weights, biases)
 
 
 def _probe_loss(head: MlpParams, pooled: np.ndarray, scores: np.ndarray, lam: float) -> float:
@@ -600,11 +563,12 @@ def flat_minima_probe(
     re-evaluated on each session's training data. Directions are shared
     across sessions and radii so curves are comparable.
     """
-    flat = _flatten_head(model.head)
+    flat = model.head.flat
     directions = []
     for _ in range(draws):
         d = rng.normal(flat.size)
         directions.append(d / np.sqrt(d @ d))
+    perturbed = model.head.copy()
     per_session: dict[str, dict] = {}
     for session in sessions:
         pooled = np.stack([pool(s.features) for s in session.train])
@@ -614,7 +578,7 @@ def flat_minima_probe(
         for radius in radii:
             total = 0.0
             for d in directions:
-                perturbed = _head_from_flat(model.head, flat + radius * d)
+                np.add(flat, radius * d, out=perturbed.flat)
                 total += _probe_loss(perturbed, pooled, scores, lam) - baseline
             deltas[f"{radius:g}"] = total / draws
         per_session[session.name] = {"baseline_loss": baseline, "mean_delta": deltas}
@@ -688,9 +652,13 @@ def save_checkpoint(
     header = {
         "config_digest": config_hash(config),
         "completed_sessions": completed_sessions,
-        "head_sizes": model.head.sizes,
+        "head_sizes": list(model.head.sizes),
+        "adapter_layout": {
+            "frames": model.adapter.t_frames,
+            "keyframes": model.adapter.k_frames,
+            "mlp_sizes": list(model.adapter.mlp.sizes),
+        },
         "head_config": {
-            "pooling": model.head_config.pooling,
             "hidden_sizes": list(model.head_config.hidden_sizes),
             "score_range": list(model.head_config.score_range),
         },
@@ -725,7 +693,16 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     version, header_len = struct.unpack_from("<IQ", raw, 8)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    header_end = 20 + header_len
+    try:
+        return _decode_checkpoint(raw, 20 + header_len)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+        # ValueError covers undecodable text, bad JSON and mismatched layouts
+        raise CheckpointError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _decode_checkpoint(raw: bytes, header_end: int) -> CheckpointBundle:
     if len(raw) < header_end:
         raise CheckpointError("truncated checkpoint header")
     header = json.loads(raw[20:header_end].decode("utf-8"))
@@ -745,36 +722,31 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     if pos != len(raw):
         raise CheckpointError(f"trailing bytes after checkpoint payload at {pos}")
 
-    sizes = header["head_sizes"]
-    n_layers = len(sizes) - 1
-    head = MlpParams(
-        [arrays[f"head.w{i}"] for i in range(n_layers)],
-        [arrays[f"head.b{i}"] for i in range(n_layers)],
-    )
-    adapter_layers = sorted(
-        int(k[len("adapter.w") :]) for k in arrays if k.startswith("adapter.w")
-    )
+    head = MlpParams(arrays["head"], header["head_sizes"])
+    layout = header["adapter_layout"]
     adapter = AdapterParams(
-        arrays["adapter.logits"],
-        MlpParams(
-            [arrays[f"adapter.w{i}"] for i in adapter_layers],
-            [arrays[f"adapter.b{i}"] for i in adapter_layers],
-        ),
+        arrays["adapter"], layout["frames"], layout["keyframes"], layout["mlp_sizes"]
     )
+    blocks = {"head": head.flat, "adapter": adapter.flat}
     adam_cfg = header["adam"]
+    t = {name: int(steps) for name, steps in adam_cfg["t"].items()}
+    m = {name: arrays[f"adam.m:{name}"] for name in t}
+    v = {name: arrays[f"adam.v:{name}"] for name in t}
+    for name in t:
+        if not blocks[name].shape == m[name].shape == v[name].shape:
+            raise CheckpointError(f"optimizer moments do not match block '{name}'")
     adam = AdamState(
         lr=adam_cfg["lr"],
         beta1=adam_cfg["beta1"],
         beta2=adam_cfg["beta2"],
         eps=adam_cfg["eps"],
         weight_decay=adam_cfg["weight_decay"],
-        m={k[len("adam.m:") :]: v for k, v in arrays.items() if k.startswith("adam.m:")},
-        v={k[len("adam.v:") :]: v for k, v in arrays.items() if k.startswith("adam.v:")},
-        t={k: int(v) for k, v in adam_cfg["t"].items()},
+        m=m,
+        v=v,
+        t=t,
     )
     hc = header["head_config"]
     head_config = HeadConfig(
-        pooling=hc["pooling"],
         hidden_sizes=tuple(hc["hidden_sizes"]),
         score_range=tuple(hc["score_range"]),
     )

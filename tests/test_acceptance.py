@@ -108,20 +108,6 @@ def test_criterion_1_gradient_suite() -> None:
         numeric = central_diff(lambda r: reg_loss(original, r)[0], recon)
         worst = max(worst, max_rel_error(grad, numeric))
 
-    def flatten(p: MlpParams) -> np.ndarray:
-        return np.concatenate([w.ravel() for w in p.weights] + [b.ravel() for b in p.biases])
-
-    def unflatten(template: MlpParams, flat: np.ndarray) -> MlpParams:
-        weights, biases = [], []
-        pos = 0
-        for w in template.weights:
-            weights.append(flat[pos : pos + w.size].reshape(w.shape))
-            pos += w.size
-        for b in template.biases:
-            biases.append(flat[pos : pos + b.size].reshape(b.shape))
-            pos += b.size
-        return MlpParams(weights, biases)
-
     for i in range(20):  # re-parameterized head, end to end
         head = init_mlp([4, 6, 2], SeededRng(500 + i))
         x = rng.normal(size=(3, 4))
@@ -129,7 +115,7 @@ def test_criterion_1_gradient_suite() -> None:
         eps = rng.normal(size=3)
 
         def head_loss(flat: np.ndarray) -> float:
-            out, _ = mlp_forward(unflatten(head, flat), x)
+            out, _ = mlp_forward(MlpParams(flat, head.sizes), x)
             scores, _ = batch_sample(out, eps)
             return combined_loss(scores, truth, 0.05)[0]
 
@@ -137,12 +123,12 @@ def test_criterion_1_gradient_suite() -> None:
         scores, sigma = batch_sample(out, eps)
         _, grad_s = combined_loss(scores, truth, 0.05)
         grads, _ = mlp_backward(head, tape, batch_sample_backward(grad_s, eps, sigma))
-        numeric = central_diff(head_loss, flatten(head))
-        worst = max(worst, max_rel_error(flatten(grads), numeric))
+        numeric = central_diff(head_loss, head.flat)
+        worst = max(worst, max_rel_error(grads.flat, numeric))
 
     for i in range(20):  # adapter: through softmax mixing and the refiner MLP
         t, k, d = 6, 3, 4
-        adapter = AdapterParams(
+        adapter = AdapterParams.from_parts(
             rng.normal(size=(t, k)), init_mlp([d, 5, d], SeededRng(900 + i))
         )
         compressed = rng.normal(size=(k, d))
@@ -153,18 +139,19 @@ def test_criterion_1_gradient_suite() -> None:
         grads = adapter_backward(adapter, tape, grad_recon)
 
         def adapter_loss(logits: np.ndarray) -> float:
-            recon = reconstruct(AdapterParams(logits, adapter.mlp), compressed)
+            recon = reconstruct(AdapterParams.from_parts(logits, adapter.mlp), compressed)
             return reg_loss(original, recon)[0]
 
         numeric = central_diff(adapter_loss, adapter.mixing_logits)
         worst = max(worst, max_rel_error(grads.mixing_logits, numeric))
 
         def adapter_mlp_loss(flat: np.ndarray) -> float:
-            recon = reconstruct(AdapterParams(adapter.mixing_logits, unflatten(adapter.mlp, flat)), compressed)
+            mlp = MlpParams(flat, adapter.mlp.sizes)
+            recon = reconstruct(AdapterParams.from_parts(adapter.mixing_logits, mlp), compressed)
             return reg_loss(original, recon)[0]
 
-        numeric_mlp = central_diff(adapter_mlp_loss, flatten(adapter.mlp))
-        worst = max(worst, max_rel_error(flatten(grads.mlp), numeric_mlp))
+        numeric_mlp = central_diff(adapter_mlp_loss, adapter.mlp.flat)
+        worst = max(worst, max_rel_error(grads.mlp.flat, numeric_mlp))
 
     elapsed = time.perf_counter() - t0
     assert worst < 1e-4, f"worst relative gradient error {worst:.2e}"

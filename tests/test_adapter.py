@@ -6,8 +6,6 @@ import pytest
 from scorealign.adapter import (
     AdapterParams,
     adapter_backward,
-    adapter_param_dict,
-    adapter_train_step,
     init_adapter,
     interpolation_logits,
     reconstruct,
@@ -20,6 +18,7 @@ from scorealign.numkit import (
     MlpParams,
     SeededRng,
     ShapeMismatchError,
+    adam_step,
     init_mlp,
     zeros_mlp,
 )
@@ -44,7 +43,7 @@ def test_sharp_diagonal_identity_configuration_is_exact() -> None:
     t, d = 5, 4
     rng = np.random.default_rng(0)
     x = rng.normal(size=(t, d))
-    params = AdapterParams(interpolation_logits(t, t, sharpness=1000.0), _zero_refiner(d))
+    params = AdapterParams.from_parts(interpolation_logits(t, t, sharpness=1000.0), _zero_refiner(d))
     assert np.array_equal(reconstruct(params, x), x)
 
 
@@ -59,7 +58,7 @@ def test_default_init_is_near_identity_for_k_equals_t() -> None:
 
 def test_single_key_frame_broadcasts_to_all_rows() -> None:
     t, d = 6, 3
-    params = AdapterParams(interpolation_logits(t, 1), _zero_refiner(d))
+    params = AdapterParams.from_parts(interpolation_logits(t, 1), _zero_refiner(d))
     row = np.array([[1.0, -2.0, 0.5]])
     recon = reconstruct(params, row)
     assert recon.shape == (t, d)
@@ -87,7 +86,7 @@ def test_reconstruct_rejects_wrong_shapes() -> None:
 def test_base_rows_are_convex_combinations() -> None:
     rng = SeededRng(4)
     t, k, d = 10, 3, 6
-    params = AdapterParams(
+    params = AdapterParams.from_parts(
         rng.normal(t * k).reshape(t, k), _zero_refiner(d)
     )
     compressed = rng.normal(k * d).reshape(k, d)
@@ -100,7 +99,7 @@ def test_base_rows_are_convex_combinations() -> None:
 def test_gradients_through_mixing_and_refiner_match_finite_differences() -> None:
     rng = SeededRng(5)
     t, k, d = 6, 3, 4
-    params = AdapterParams(
+    params = AdapterParams.from_parts(
         rng.normal(t * k).reshape(t, k), init_mlp([d, 5, d], rng)
     )
     compressed = rng.normal(k * d).reshape(k, d)
@@ -110,15 +109,16 @@ def test_gradients_through_mixing_and_refiner_match_finite_differences() -> None
     grads = adapter_backward(params, tape, direction)
 
     def loss_of_logits(logits: np.ndarray) -> float:
-        probe = AdapterParams(logits, params.mlp)
+        probe = AdapterParams.from_parts(logits, params.mlp)
         return float(np.sum(reconstruct(probe, compressed) * direction))
 
     numeric = central_diff(loss_of_logits, params.mixing_logits)
     assert max_rel_error(grads.mixing_logits, numeric) < 1e-4
 
     def loss_of_w0(w0: np.ndarray) -> float:
-        probe_mlp = MlpParams([w0, params.mlp.weights[1]], [b.copy() for b in params.mlp.biases])
-        probe = AdapterParams(params.mixing_logits, probe_mlp)
+        probe_mlp = params.mlp.copy()
+        probe_mlp.weights[0][...] = w0
+        probe = AdapterParams.from_parts(params.mixing_logits, probe_mlp)
         return float(np.sum(reconstruct(probe, compressed) * direction))
 
     numeric_w0 = central_diff(loss_of_w0, params.mlp.weights[0])
@@ -129,13 +129,13 @@ def test_reg_loss_gradient_through_selection_matches_finite_differences() -> Non
     rng = SeededRng(6)
     t, k, d = 8, 3, 4
     features = rng.normal(t * d).reshape(t, d)
-    params = AdapterParams(rng.normal(t * k).reshape(t, k), init_mlp([d, 5, d], rng))
+    params = AdapterParams.from_parts(rng.normal(t * k).reshape(t, k), init_mlp([d, 5, d], rng))
 
     value, grads = reg_loss_and_grads(params, [features], k, 0.5)
     assert value > 0
 
     def loss_of_logits(logits: np.ndarray) -> float:
-        probe = AdapterParams(logits, params.mlp)
+        probe = AdapterParams.from_parts(logits, params.mlp)
         compressed = phi_select(features, k, 0.5)
         recon = reconstruct(probe, compressed)
         return float(np.sqrt(np.sum((recon - features) ** 2)))
@@ -150,7 +150,8 @@ def test_constant_video_with_identity_adapter_is_a_fixed_point() -> None:
     before = params.copy()
     features = np.full((t, d), 2.5)
     optimizer = AdamState(lr=0.01, weight_decay=0.0)
-    value = adapter_train_step(params, [features], k, 0.5, optimizer)
+    value, grads = reg_loss_and_grads(params, [features], k, 0.5)
+    adam_step(optimizer, {"adapter": params.flat}, {"adapter": grads.flat})
     assert value == 0.0
     assert np.array_equal(params.mixing_logits, before.mixing_logits)
     for w, w0 in zip(params.mlp.weights, before.mlp.weights):
@@ -166,18 +167,12 @@ def test_adapter_learns_sinusoidal_video() -> None:
     params = init_adapter(t, k, d, hidden=32, rng=SeededRng(8))
     optimizer = AdamState(lr=0.01, weight_decay=0.0)
     for _ in range(500):
-        value = adapter_train_step(params, [features], k, 0.5, optimizer)
+        _, grads = reg_loss_and_grads(params, [features], k, 0.5)
+        adam_step(optimizer, {"adapter": params.flat}, {"adapter": grads.flat})
     compressed = phi_select(features, k, 0.5)
     recon = reconstruct(params, compressed)
     rel_error = np.linalg.norm(recon - features) / np.linalg.norm(features)
     assert rel_error < 0.2
-
-
-def test_param_dict_names_all_blocks() -> None:
-    params = init_adapter(8, 3, 4, hidden=6, rng=SeededRng(9))
-    named = adapter_param_dict(params)
-    assert set(named) == {"adapter.logits", "adapter.w0", "adapter.b0", "adapter.w1", "adapter.b1"}
-    assert named["adapter.logits"] is params.mixing_logits
 
 
 def test_reg_loss_empty_batch_rejected() -> None:

@@ -5,8 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from scorealign.cli import main
+from scorealign.cli import _make_config, main
 from scorealign.data import read_report
+from scorealign.runner import RunConfig
 
 SYNTH_ARGS = [
     "synth",
@@ -153,6 +154,51 @@ def test_data_errors_exit_code_three(bench, tmp_path) -> None:
     )
     assert result.exit_code == 3
     assert "outside configured range" in result.output
+
+
+def test_corrupt_checkpoint_exit_code_three(bench, tmp_path) -> None:
+    runner, out = bench
+    ckpt = tmp_path / "run.ckpt"
+    result = runner.invoke(
+        main,
+        [
+            "train",
+            "--manifest", str(out / "manifest.json"),
+            "--report-out", str(tmp_path / "train.json"),
+            "--checkpoint-out", str(ckpt),
+        ]
+        + TRAIN_SPEED_ARGS,
+    )
+    assert result.exit_code == 0, result.output
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(raw[:20] + b"\xff\xfe" + raw[22:])  # header text is no longer UTF-8
+    result = runner.invoke(
+        main,
+        [
+            "eval",
+            "--checkpoint", str(ckpt),
+            "--manifest", str(out / "manifest.json"),
+            "--report-out", str(tmp_path / "eval.json"),
+        ]
+        + TRAIN_SPEED_ARGS,
+    )
+    assert result.exit_code == 3, result.output
+    assert "malformed checkpoint" in result.output
+
+
+def test_config_defaults_are_run_config_defaults(tmp_path) -> None:
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{}")
+    required = {
+        "train": ["--manifest", str(manifest), "--report-out", "r.json"],
+        "eval": ["--checkpoint", str(manifest), "--manifest", str(manifest), "--report-out", "r.json"],
+        "probe-flatness": ["--checkpoint", str(manifest), "--manifest", str(manifest), "--report-out", "r.json"],
+    }
+    config_names = {p.name for p in main.commands["eval"].params} - {"checkpoint_path", "manifest", "report_out"}
+    for name, argv in required.items():
+        ctx = main.commands[name].make_context(name, argv)
+        kw = {k: v for k, v in ctx.params.items() if k in config_names}
+        assert _make_config("continual", kw) == RunConfig(), name
 
 
 def test_config_errors_exit_code_two(bench, tmp_path) -> None:

@@ -24,6 +24,8 @@ from scorealign.data import (
     write_manifest,
 )
 from scorealign.metrics import MetricReport
+from scorealign.memory import BankError, load_bank, save_bank
+from scorealign.runner import CheckpointError, RunConfig, load_checkpoint, train_continual
 
 
 # --- feature codec --------------------------------------------------------
@@ -98,6 +100,33 @@ def test_codec_totality_random_bytes_parse_or_raise_typed(tmp_path) -> None:
         except CodecError:
             continue
         assert out.ndim == 2 and np.all(np.isfinite(out))
+
+    # truncations and byte flips of a real bank file and checkpoint
+    manifest = generate_synthetic(
+        SynthSpec(sessions=2, samples_per_session=12, frames=8, feat_dim=4, seed=3), tmp_path / "s"
+    )
+    config = RunConfig(epochs=1, frames=8, exemplars_per_session=3, hidden_sizes=(4,), adapter_hidden=4)
+    data = load_manifest(manifest, frames=8, score_range=config.score_range, seed=0)
+    ckpt = tmp_path / "run.ckpt"
+    bank = tmp_path / "run.bank"
+    save_bank(train_continual(config, data, checkpoint_path=ckpt).bank, bank)
+    for original, load, error in (
+        (bank.read_bytes(), load_bank, BankError),
+        (ckpt.read_bytes(), load_checkpoint, CheckpointError),
+    ):
+        for i in range(200):
+            raw = bytearray(original)
+            if i % 2 == 0:
+                raw = raw[: int(rng.integers(0, len(raw)))]
+            else:  # half the flips land in the first 2 KiB, where the headers are
+                span = len(raw) if i % 4 == 1 else min(len(raw), 2048)
+                for pos in rng.integers(0, span, size=int(rng.integers(1, 4))):
+                    raw[pos] ^= int(rng.integers(1, 256))
+            path.write_bytes(bytes(raw))
+            try:
+                load(path)
+            except error:
+                continue
 
 
 # --- resampling -----------------------------------------------------------
@@ -232,6 +261,10 @@ def test_manifest_out_of_range_score_rejected(tmp_path) -> None:
     records[0]["score"] = 9.0
     write_manifest(tmp_path / "manifest.json", records)
     with pytest.raises(ManifestError, match="record 0.*outside"):
+        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
+    records[0]["score"] = "high"
+    write_manifest(tmp_path / "manifest.json", records)
+    with pytest.raises(ManifestError, match="record 0.*not a number"):
         load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
 
 

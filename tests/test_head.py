@@ -5,18 +5,21 @@ import pytest
 
 from scorealign.head import (
     HeadConfig,
-    ScoreDistribution,
     batch_sample,
     batch_sample_backward,
     init_head,
     pool,
-    predict_distribution,
     predict_eval,
-    reparam_sample,
 )
 from scorealign.numkit import SeededRng, ShapeMismatchError, mlp_forward, zeros_mlp
 
 from gradcheck import max_rel_error
+
+
+def _head_out(params, features: np.ndarray) -> np.ndarray:
+    """The (1, 2) head output (mu, log_var) of one sample, computed alone."""
+    out, _ = mlp_forward(params, pool(features)[None, :])
+    return out
 
 
 def test_pool_single_frame_is_identity() -> None:
@@ -40,60 +43,64 @@ def test_pool_rejects_empty() -> None:
 
 def test_zero_head_predicts_standard_gaussian() -> None:
     params = zeros_mlp([4, 8, 2])
-    dist = predict_distribution(params, np.ones((3, 4)))
-    assert dist.mu == 0.0
-    assert dist.log_var == 0.0
-    assert dist.sigma == 1.0
-
-
-def test_predict_distribution_deterministic() -> None:
-    rng = SeededRng(0)
-    params = init_head(5, HeadConfig(), rng)
-    features = rng.normal(15).reshape(3, 5)
-    a = predict_distribution(params, features)
-    b = predict_distribution(params, features)
-    assert a == b
+    out = _head_out(params, np.ones((3, 4)))
+    _, sigma = batch_sample(out, np.zeros(1))
+    assert predict_eval(params, np.ones((3, 4))) == 0.0
+    assert out[0, 1] == 0.0
+    assert sigma[0] == 1.0
 
 
 def test_sigma_matches_direct_recomputation() -> None:
     rng = SeededRng(1)
     params = init_head(6, HeadConfig(), rng)
     features = rng.normal(24).reshape(4, 6)
-    dist = predict_distribution(params, features)
-    out, _ = mlp_forward(params, pool(features)[None, :])
-    assert dist.sigma == pytest.approx(float(np.exp(out[0, 1] / 2.0)), rel=1e-15)
+    out = _head_out(params, features)
+    _, sigma = batch_sample(out, np.zeros(1))
+    assert sigma[0] == pytest.approx(float(np.exp(out[0, 1] / 2.0)), rel=1e-15)
 
 
 def test_reparam_sample_exact_cases() -> None:
-    dist = ScoreDistribution(mu=2.0, log_var=2.0 * np.log(0.5))
-    assert reparam_sample(dist, 0.0) == 2.0
-    assert reparam_sample(dist, 1.0) == pytest.approx(2.5, abs=1e-12)
+    out = np.tile([2.0, 2.0 * np.log(0.5)], (2, 1))
+    scores, _ = batch_sample(out, np.array([0.0, 1.0]))
+    assert scores[0] == 2.0
+    assert scores[1] == pytest.approx(2.5, abs=1e-12)
 
 
 def test_reparam_derivatives_match_finite_differences() -> None:
-    eps = 0.7
+    eps = np.array([0.7])
     mu, log_var = 1.3, -0.8
 
     def sample(m, lv):
-        return reparam_sample(ScoreDistribution(mu=m, log_var=lv), eps)
+        return batch_sample(np.array([[m, lv]]), eps)[0][0]
 
     step = 1e-6
     d_mu = (sample(mu + step, log_var) - sample(mu - step, log_var)) / (2 * step)
     d_lv = (sample(mu, log_var + step) - sample(mu, log_var - step)) / (2 * step)
     sigma = np.exp(log_var / 2.0)
+    grad = batch_sample_backward(np.array([1.0]), eps, np.array([sigma]))
     assert max_rel_error(np.array([1.0]), np.array([d_mu])) < 1e-6
-    assert max_rel_error(np.array([eps * sigma / 2.0]), np.array([d_lv])) < 1e-6
+    assert max_rel_error(eps * sigma / 2.0, np.array([d_lv])) < 1e-6
+    assert max_rel_error(grad[0], np.array([d_mu, d_lv])) < 1e-6
 
 
 def test_sampling_statistics_within_one_percent() -> None:
     mu, sigma = 2.0, 0.5
-    dist = ScoreDistribution(mu=mu, log_var=2.0 * np.log(sigma))
     eps = SeededRng(77).normal(100_000)
-    samples = np.array([reparam_sample(dist, e) for e in eps[:100]])
-    # vectorized equivalent for the full draw count
-    samples = mu + eps * sigma
+    samples, _ = batch_sample(np.tile([mu, 2.0 * np.log(sigma)], (eps.size, 1)), eps)
     assert abs(samples.mean() - mu) < 0.01 * mu
     assert abs(samples.std() - sigma) < 0.01 * sigma
+
+
+def test_predict_distribution_deterministic() -> None:
+    rng = SeededRng(0)
+    params = init_head(5, HeadConfig(), rng)
+    features = rng.normal(15).reshape(3, 5)
+    a = _head_out(params, features)
+    b = _head_out(params, features)
+    assert np.array_equal(a, b)
+    eps = np.array([0.4])
+    for x, y in zip(batch_sample(a, eps), batch_sample(b, eps)):
+        assert np.array_equal(x, y)
 
 
 def test_predict_eval_is_mu_and_repeatable() -> None:
@@ -101,9 +108,10 @@ def test_predict_eval_is_mu_and_repeatable() -> None:
     params = init_head(4, HeadConfig(), rng)
     features = rng.normal(8).reshape(2, 4)
     value = predict_eval(params, features)
-    assert value == predict_distribution(params, features).mu
+    out = _head_out(params, features)
+    assert value == out[0, 0]
     assert value == predict_eval(params, features)
-    assert value == reparam_sample(predict_distribution(params, features), 0.0)
+    assert value == batch_sample(out, np.zeros(1))[0][0]
 
 
 def test_batch_sample_matches_per_sample_path() -> None:
@@ -115,9 +123,9 @@ def test_batch_sample_matches_per_sample_path() -> None:
     eps = rng.normal(4)
     scores, sigma = batch_sample(out, eps)
     for i, f in enumerate(feats):
-        dist = predict_distribution(params, f)
-        assert scores[i] == pytest.approx(reparam_sample(dist, eps[i]), rel=1e-14)
-        assert sigma[i] == pytest.approx(dist.sigma, rel=1e-14)
+        one_score, one_sigma = batch_sample(_head_out(params, f), eps[i : i + 1])
+        assert scores[i] == pytest.approx(one_score[0], rel=1e-14)
+        assert sigma[i] == pytest.approx(one_sigma[0], rel=1e-14)
 
 
 def test_batch_sample_backward_formula() -> None:
@@ -132,5 +140,3 @@ def test_batch_sample_backward_formula() -> None:
 def test_head_config_validation() -> None:
     with pytest.raises(ValueError):
         HeadConfig(score_range=(5.0, 1.0))
-    with pytest.raises(ValueError):
-        HeadConfig(pooling="attention")

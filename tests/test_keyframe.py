@@ -10,7 +10,6 @@ from scorealign.keyframe import (
     phi_select,
     salience_scores,
     select_key_frames,
-    selection_objective,
 )
 
 THREE_FRAMES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
@@ -117,15 +116,6 @@ def test_greedy_within_ninety_percent_of_exhaustive() -> None:
         else:
             # k == t leaves no choice: greedy must equal the exhaustive value
             assert greedy_value == pytest.approx(best, abs=1e-12)
-
-
-def test_module_objective_agrees_with_oracle_objective() -> None:
-    rng = np.random.default_rng(3)
-    feats = rng.normal(size=(6, 4))
-    for subset in itertools.combinations(range(6), 3):
-        assert selection_objective(feats, subset, 0.5) == pytest.approx(
-            _oracle_objective(feats, subset, 0.5), abs=1e-12
-        )
 
 
 def test_scaling_features_keeps_selection() -> None:

@@ -5,12 +5,12 @@ import pytest
 
 from scorealign.losses import (
     DegenerateBatchError,
-    LossWeights,
     combined_loss,
     correlation_loss,
     mse_loss,
     reg_loss,
 )
+from scorealign.runner import RunConfig
 
 from gradcheck import central_diff, max_rel_error
 
@@ -170,6 +170,6 @@ def test_reg_loss_shape_mismatch_rejected() -> None:
 
 
 def test_loss_weights_validation() -> None:
-    LossWeights(lam=0.0, alpha=0.0, beta=0.0)
+    RunConfig(mse_weight=0.0, replay_weight=0.0, reg_weight=0.0)
     with pytest.raises(ValueError):
-        LossWeights(lam=-0.1)
+        RunConfig(mse_weight=-0.1)

@@ -215,3 +215,7 @@ def test_bank_file_rejects_corruption(tmp_path) -> None:
     trailing.write_bytes(raw + b"\x00")
     with pytest.raises(BankError, match="trailing"):
         load_bank(trailing)
+    bad_tag = tmp_path / "bad_tag.bin"
+    bad_tag.write_bytes(raw[:20] + b"\xff" + raw[21:])  # first byte of the session tag
+    with pytest.raises(BankError, match="UTF-8"):
+        load_bank(bad_tag)

@@ -11,10 +11,11 @@ from scorealign.numkit import (
     ShapeMismatchError,
     adam_step,
     derive_seed,
-    gaussian_sample,
+    flatten,
     init_mlp,
     mlp_backward,
     mlp_forward,
+    unflatten,
     zeros_mlp,
 )
 
@@ -28,7 +29,7 @@ def test_forward_zero_params_gives_zero_output() -> None:
 
 
 def test_forward_identity_layer_passes_input_through() -> None:
-    params = MlpParams([np.eye(3)], [np.zeros(3)])
+    params = MlpParams(flatten([np.eye(3), np.zeros(3)]), (3, 3))
     x = np.array([[1.0, -2.0, 0.5], [4.0, 0.0, -1.0]])
     out, _ = mlp_forward(params, x)
     assert np.array_equal(out, x)
@@ -38,7 +39,7 @@ def test_forward_hand_example_rectifier_kills_cancelled_units() -> None:
     # weights all one, one hidden rectifier layer of width 2: input [1, -1]
     # cancels to zero pre-activation, so the output is zero
     params = MlpParams(
-        [np.ones((2, 2)), np.ones((2, 1))], [np.zeros(2), np.zeros(1)]
+        flatten([np.ones((2, 2)), np.ones((2, 1)), np.zeros(2), np.zeros(1)]), (2, 2, 1)
     )
     out, tape = mlp_forward(params, np.array([[1.0, -1.0]]))
     assert np.array_equal(tape.pre[0], np.zeros((1, 2)))
@@ -64,29 +65,35 @@ def test_backward_zero_output_grad_gives_zero_grads() -> None:
 
 def test_backward_identity_network_quadratic_loss() -> None:
     # loss = 0.5 * ||out||^2 through an identity layer: input grad == input
-    params = MlpParams([np.eye(4)], [np.zeros(4)])
+    params = MlpParams(flatten([np.eye(4), np.zeros(4)]), (4, 4))
     x = np.array([[1.0, -2.0, 3.0, 0.25]])
     out, tape = mlp_forward(params, x)
     _, x_grad = mlp_backward(params, tape, out)
     assert np.allclose(x_grad, x, atol=0, rtol=0)
 
 
-def _flatten(params: MlpParams) -> np.ndarray:
-    return np.concatenate(
-        [w.ravel() for w in params.weights] + [b.ravel() for b in params.biases]
-    )
+def test_flatten_then_unflatten_returns_views_in_order() -> None:
+    a = np.arange(6.0).reshape(2, 3)
+    b = np.array([7.0, 8.0])
+    flat = flatten([a, b])
+    assert np.array_equal(flat, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0])
+    va, vb = unflatten(flat, [(2, 3), (2,)])
+    assert np.array_equal(va, a) and np.array_equal(vb, b)
+    va[1, 2] = -1.0
+    assert flat[5] == -1.0
+    with pytest.raises(ShapeMismatchError):
+        unflatten(flat, [(2, 3)])
 
 
-def _unflatten(template: MlpParams, flat: np.ndarray) -> MlpParams:
-    weights, biases = [], []
-    pos = 0
-    for w in template.weights:
-        weights.append(flat[pos : pos + w.size].reshape(w.shape))
-        pos += w.size
-    for b in template.biases:
-        biases.append(flat[pos : pos + b.size].reshape(b.shape))
-        pos += b.size
-    return MlpParams(weights, biases)
+def test_mlp_layout_is_all_weights_then_all_biases() -> None:
+    params = init_mlp([3, 4, 2], SeededRng(0))
+    params.biases[0][:] = 1.0
+    expect = flatten([*params.weights, *params.biases])
+    assert np.array_equal(params.flat, expect)
+    assert np.shares_memory(params.weights[1], params.flat)
+    params.flat[:] = 0.0
+    assert all(np.all(w == 0) for w in params.weights)
+    assert all(np.all(b == 0) for b in params.biases)
 
 
 def test_backward_matches_central_differences_on_random_net() -> None:
@@ -96,13 +103,14 @@ def test_backward_matches_central_differences_on_random_net() -> None:
     direction = rng.normal(6).reshape(2, 3)  # fixed linear functional of the output
 
     def loss(flat: np.ndarray) -> float:
-        out, _ = mlp_forward(_unflatten(params, flat), x)
+        out, _ = mlp_forward(MlpParams(flat, params.sizes), x)
         return float(np.sum(out * direction))
 
     out, tape = mlp_forward(params, x)
     grads, x_grad = mlp_backward(params, tape, direction)
-    numeric = central_diff(loss, _flatten(params))
-    assert max_rel_error(_flatten(grads), numeric) < 1e-4
+    assert np.array_equal(grads.flat, flatten([*grads.weights, *grads.biases]))
+    numeric = central_diff(loss, params.flat)
+    assert max_rel_error(grads.flat, numeric) < 1e-4
 
     numeric_x = central_diff(
         lambda xv: float(np.sum(mlp_forward(params, xv)[0] * direction)), x
@@ -166,24 +174,24 @@ def test_adam_second_step_matches_manual_update() -> None:
 
 
 def test_gaussian_sample_empty() -> None:
-    assert gaussian_sample(SeededRng(0), 0).shape == (0,)
+    assert SeededRng(0).normal(0).shape == (0,)
 
 
 def test_gaussian_sample_deterministic_across_fresh_states() -> None:
-    a = gaussian_sample(SeededRng(123), 17)
-    b = gaussian_sample(SeededRng(123), 17)
+    a = SeededRng(123).normal(17)
+    b = SeededRng(123).normal(17)
     assert np.array_equal(a, b)
 
 
 def test_gaussian_sample_moments() -> None:
-    draws = gaussian_sample(SeededRng(2024), 100_000)
+    draws = SeededRng(2024).normal(100_000)
     assert abs(draws.mean()) < 0.01
     assert abs(draws.var() - 1.0) < 0.02
 
 
 def test_gaussian_sample_negative_count_rejected() -> None:
     with pytest.raises(ValueError):
-        gaussian_sample(SeededRng(0), -1)
+        SeededRng(0).normal(-1)
 
 
 def test_rng_state_roundtrip_resumes_stream() -> None:

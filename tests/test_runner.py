@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from scorealign import runner
 from scorealign.data import LoadedData, ScoredSample, SessionData
 from scorealign.head import batch_sample, batch_sample_backward, pool
 from scorealign.losses import combined_loss, correlation_loss
@@ -24,6 +28,7 @@ from scorealign.runner import (
     flat_minima_probe,
     init_model,
     load_checkpoint,
+    model_param_dict,
     train_continual,
     train_joint,
 )
@@ -220,6 +225,13 @@ def test_all_degenerate_fails_loudly() -> None:
         train_continual(_config(replay_weight=0.0, reg_weight=0.0, exemplars_per_session=0), data)
 
 
+def test_first_session_without_training_samples_fails_typed() -> None:
+    data = _dataset(n_sessions=2, n=12)
+    data.sessions[0].train.clear()
+    with pytest.raises(TrainingError, match="s1.*no training samples"):
+        train_continual(_config(), data)
+
+
 def test_trailing_singleton_batches_are_dropped_not_fatal() -> None:
     # 10 train samples with b1 = 3 leaves a singleton every epoch
     session = _session("odd", 12, seed=3)
@@ -385,6 +397,23 @@ def test_checkpoint_rejects_garbage(tmp_path) -> None:
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_version_one_and_missing_header_keys(tmp_path) -> None:
+    path = tmp_path / "run.ckpt"
+    train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
+    raw = path.read_bytes()
+    old = tmp_path / "v1.ckpt"
+    old.write_bytes(raw[:8] + struct.pack("<I", 1) + raw[12:])
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(old)
+    header_len = struct.unpack_from("<Q", raw, 12)[0]
+    header = json.loads(raw[20 : 20 + header_len])
+    for key in ("adam", "adapter_layout", "counters"):
+        text = json.dumps({k: v for k, v in header.items() if k != key}).encode()
+        path.write_bytes(raw[:12] + struct.pack("<Q", len(text)) + text + raw[20 + header_len :])
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
+
+
 # --- oracle floor on easy synthetic data -----------------------------------------
 
 
@@ -422,6 +451,47 @@ def test_joint_training_beats_point_nine_srcc_in_fifteen_epochs(tmp_path) -> Non
     )
     result = train_joint(config, data)
     assert result.report.pooled["srcc_ove"] > 0.9
+
+
+def test_param_blocks_alias_model_weights() -> None:
+    model = init_model(FEAT_DIM, _config())
+    blocks = model_param_dict(model)
+    assert set(blocks) == {"head", "adapter"}
+    head = [*model.head.weights, *model.head.biases]
+    adapter = [model.adapter.mixing_logits, *model.adapter.mlp.weights, *model.adapter.mlp.biases]
+    assert blocks["head"].size == sum(a.size for a in head)
+    assert blocks["adapter"].size == sum(a.size for a in adapter)
+    blocks["head"][:] = 1.0
+    blocks["adapter"][:] = 2.0
+    assert all(np.all(a == 1.0) for a in head)
+    assert all(np.all(a == 2.0) for a in adapter)
+
+
+def test_adam_step_contract_one_call_per_step_on_two_blocks(monkeypatch) -> None:
+    # perfbench stamps training steps by wrapping runner's adam_step binding
+    calls = []
+    original = runner.adam_step
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs, set(args[2])))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "adam_step", recording)
+    data = _dataset(n_sessions=2, n=14, base=True)
+    config = _config()
+    result = train_continual(config, data)
+    n_base = len(data.base.train)
+    base_steps = config.epochs * (n_base // config.batch_size + (n_base % config.batch_size >= 2))
+    assert len(calls) == base_steps + result.report.counters["steps"]
+    for args, kwargs, blocks in calls:
+        assert len(args) == 3 and not kwargs
+        assert isinstance(args[0], AdamState)
+        assert set(args[1]) == {"head", "adapter"}
+        assert "head" in blocks
+        assert blocks <= {"head", "adapter"}
+    assert all(blocks == {"head"} for _, _, blocks in calls[:base_steps])
+    adapter_steps = sum("adapter" in blocks for _, _, blocks in calls)
+    assert 0 < adapter_steps == result.model.adam.t["adapter"]
 
 
 def test_model_state_copy_is_deep() -> None:
