@@ -1,7 +1,7 @@
 """Command-line surface: synth, train, eval, probe-flatness, report.
 
 Exit codes: 0 success, 2 bad usage/configuration, 3 data errors
-(manifests, codecs, banks), 4 runtime failures.
+(manifests, reports, binary files), 4 runtime failures.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from .data import (
     load_manifest,
     read_report,
 )
-from .memory import BankError, save_bank
+from .memory import save_bank
 from .numkit import SeededRng, derive_seed
 from .runner import (
-    CheckpointError,
     RunConfig,
     TrainingError,
     build_report,
@@ -38,7 +37,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
-_DATA_ERRORS = (ManifestError, CodecError, BankError, CheckpointError)
+# BankError and CheckpointError are CodecErrors
+_DATA_ERRORS = (ManifestError, CodecError)
 
 
 def _run(action):

@@ -10,6 +10,7 @@ compute exact oracles.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,17 +22,77 @@ from .numkit import SeededRng, derive_seed
 
 FEATURE_MAGIC = b"ASALFEAT"
 FEATURE_VERSION = 1
-_HEADER = struct.Struct("<8sIII")  # magic, version, T, D
 
 BASE_SESSION = "Others"
 
 
 class CodecError(ValueError):
-    """Malformed binary file; offset is the byte position of the problem."""
+    """Malformed binary file; offset is the byte position of the problem,
+    or None when the fault has no position in a file."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+class Reader:
+    """Little-endian cursor over the bytes of one binary file.
+
+    Feature, bank and checkpoint files all decode through it, so each
+    rejects truncation, trailing bytes and non-finite floats the same way:
+    with `error` (CodecError or a subclass) naming the byte offset.
+    """
+
+    def __init__(self, raw: bytes, error: type[CodecError] = CodecError):
+        self.raw = raw
+        self.pos = 0
+        self.error = error
+
+    def take(self, n: int, what: str) -> bytes:
+        end = self.pos + n
+        if n < 0 or end > len(self.raw):
+            raise self.error(
+                f"truncated {what}: expected {end} bytes total, got {len(self.raw)}", self.pos
+            )
+        out = self.raw[self.pos : end]
+        self.pos = end
+        return out
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def string(self, what: str) -> str:
+        raw = self.take(self.unpack("I", f"{what} length")[0], what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{what} is not valid UTF-8", self.pos - len(raw)) from exc
+
+    def preamble(self, magic: bytes, version: int) -> None:
+        """The magic bytes, then a u32 format version."""
+        found = self.take(len(magic), "magic")
+        if found != magic:
+            raise self.error(f"bad magic {found!r}, expected {magic!r}", 0)
+        (found_version,) = self.unpack("I", "version")
+        if found_version != version:
+            raise self.error(f"unsupported version {found_version}", len(magic))
+
+    def floats(self, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """A float64 copy of prod(shape) values stored as dtype; any
+        non-finite value is rejected with its byte offset."""
+        start = self.pos
+        width = np.dtype(dtype).itemsize
+        flat = np.frombuffer(self.take(width * math.prod(shape), what), dtype=dtype)
+        flat = flat.astype(np.float64)
+        if not np.isfinite(flat).all():
+            bad = int(np.flatnonzero(~np.isfinite(flat))[0])
+            raise self.error(f"non-finite value in {what} at flat index {bad}", start + width * bad)
+        return flat.reshape(shape)
+
+    def end(self, what: str) -> None:
+        if self.pos != len(self.raw):
+            raise self.error(f"{len(self.raw) - self.pos} trailing bytes after {what}", self.pos)
 
 
 class ManifestError(ValueError):
@@ -73,34 +134,19 @@ def write_feature_file(path: str | Path, features: np.ndarray) -> None:
     if not np.all(np.isfinite(features)):
         raise ValueError("features contain non-finite values")
     t, d = features.shape
-    payload = features.astype("<f4").tobytes()
-    Path(path).write_bytes(_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, t, d) + payload)
+    header = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, t, d)
+    Path(path).write_bytes(header + features.astype("<f4").tobytes())
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise CodecError(f"truncated header: {len(raw)} of {_HEADER.size} bytes", len(raw))
-    magic, version, t, d = _HEADER.unpack_from(raw, 0)
-    if magic != FEATURE_MAGIC:
-        raise CodecError(f"bad magic {magic!r}, expected {FEATURE_MAGIC!r}", 0)
-    if version != FEATURE_VERSION:
-        raise CodecError(f"unsupported version {version}", 8)
+    reader = Reader(Path(path).read_bytes())
+    reader.preamble(FEATURE_MAGIC, FEATURE_VERSION)
+    t, d = reader.unpack("II", "shape")
     if t < 1 or d < 1:
         raise CodecError(f"empty shape ({t}, {d}) in header", 12)
-    expected = _HEADER.size + 4 * t * d
-    if len(raw) != expected:
-        raise CodecError(
-            f"payload size mismatch: expected {expected} bytes total, got {len(raw)}",
-            min(len(raw), expected),
-        )
-    flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise CodecError(
-            f"non-finite value at flat index {bad[0]}", _HEADER.size + 4 * int(bad[0])
-        )
-    return flat.reshape(t, d)
+    features = reader.floats("<f4", (t, d), "features")
+    reader.end("features")
+    return features
 
 
 def resample_frames(features: np.ndarray, frames: int) -> np.ndarray:
@@ -135,9 +181,9 @@ def write_manifest(path: str | Path, records: list[dict]) -> None:
 def _parse_records(path: Path) -> list[dict]:
     try:
         payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
-    records = payload.get("records")
+    records = payload.get("records") if isinstance(payload, dict) else None
     if not isinstance(records, list) or not records:
         raise ManifestError("manifest must contain a nonempty 'records' list")
     return records
@@ -164,9 +210,16 @@ def load_manifest(
     seen_ids: set[str] = set()
     by_session: dict[str, list[tuple[dict, int]]] = {}
     for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ManifestError(f"record {i}: expected an object, got {type(rec).__name__}")
         for key in ("id", "feature_path", "score", "session"):
             if key not in rec:
                 raise ManifestError(f"record {i}: missing field '{key}'")
+        for key in ("id", "feature_path", "session"):
+            if not isinstance(rec[key], str):
+                raise ManifestError(f"record {i}: field '{key}' is not a string")
+        if not isinstance(rec.get("variant", ""), (str, type(None))):
+            raise ManifestError(f"record {i}: field 'variant' is not a string")
         if rec["id"] in seen_ids:
             raise ManifestError(f"record {i}: duplicate id '{rec['id']}'")
         seen_ids.add(rec["id"])
@@ -221,6 +274,13 @@ def load_manifest(
             base = session
         else:
             sessions.append(session)
+    samples = [s for part in (base, *sessions) if part for s in part.train + part.test]
+    for sample in samples:
+        if sample.features.shape[1] != samples[0].features.shape[1]:
+            raise ManifestError(
+                f"sample '{sample.sample_id}' has feature dimension {sample.features.shape[1]},"
+                f" sample '{samples[0].sample_id}' has {samples[0].features.shape[1]}"
+            )
     return LoadedData(base=base, sessions=sessions)
 
 
@@ -397,9 +457,13 @@ def emit_report(report: MetricReport, path: str | Path) -> None:
 def read_report(path: str | Path) -> MetricReport:
     try:
         data = json.loads(Path(path).read_text(), object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ManifestError(f"report is not valid JSON: {exc}") from exc
-    for key in ("mode", "seed", "pooled", "sessions"):
+    if not isinstance(data, dict):
+        raise ManifestError(f"report must be a JSON object, got {type(data).__name__}")
+    for key, kind in (("mode", str), ("seed", int), ("pooled", dict), ("sessions", dict)):
         if key not in data:
             raise ManifestError(f"report missing field '{key}'")
+        if not isinstance(data[key], kind):
+            raise ManifestError(f"report field '{key}' is not a {kind.__name__}")
     return MetricReport.from_dict(data)

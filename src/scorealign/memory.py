@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ScoredSample
+from .data import CodecError, Reader, ScoredSample
 from .keyframe import phi_select
 from .numkit import SeededRng
 
@@ -24,7 +24,7 @@ BANK_MAGIC = b"ASALBANK"
 BANK_VERSION = 1
 
 
-class BankError(ValueError):
+class BankError(CodecError):
     """Invalid bank operation or malformed bank file."""
 
 
@@ -117,7 +117,7 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def save_bank(bank: MemoryBank, path: str | Path) -> None:
+def _encode_bank(bank: MemoryBank) -> bytes:
     chunks = [BANK_MAGIC, struct.pack("<II", BANK_VERSION, len(bank.sessions))]
     for tag, exemplars in bank.sessions.items():
         if not exemplars:
@@ -133,76 +133,34 @@ def save_bank(bank: MemoryBank, path: str | Path) -> None:
             chunks.append(_pack_str(e.sample_id))
             chunks.append(struct.pack("<f", e.score))
             chunks.append(e.features.astype("<f4").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    return b"".join(chunks)
+
+
+def save_bank(bank: MemoryBank, path: str | Path) -> None:
+    Path(path).write_bytes(_encode_bank(bank))
 
 
 def bank_file_size(bank: MemoryBank) -> int:
-    """Exact size in bytes of the serialized bank: metadata plus
-    4 bytes per stored feature float."""
-    size = len(BANK_MAGIC) + 8
-    for tag, exemplars in bank.sessions.items():
-        size += 4 + len(tag.encode("utf-8")) + 12
-        for e in exemplars:
-            size += 4 + len(e.sample_id.encode("utf-8")) + 4 + 4 * e.features.size
-    return size
-
-
-class _Reader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise BankError(
-                f"truncated bank file: needed {n} bytes for {what} at offset {self.pos}"
-            )
-        out = self.raw[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def f32(self, what: str) -> float:
-        return struct.unpack("<f", self.take(4, what))[0]
-
-    def string(self, what: str) -> str:
-        raw = self.take(self.u32(f"{what} length"), what)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise BankError(
-                f"{what} at offset {self.pos - len(raw)} is not valid UTF-8"
-            ) from exc
+    """Exact size in bytes of the file save_bank writes."""
+    return len(_encode_bank(bank))
 
 
 def load_bank(path: str | Path) -> MemoryBank:
-    reader = _Reader(Path(path).read_bytes())
-    magic = reader.take(8, "magic")
-    if magic != BANK_MAGIC:
-        raise BankError(f"bad magic {magic!r}, expected {BANK_MAGIC!r}")
-    version = reader.u32("version")
-    if version != BANK_VERSION:
-        raise BankError(f"unsupported bank version {version}")
+    reader = Reader(Path(path).read_bytes(), BankError)
+    reader.preamble(BANK_MAGIC, BANK_VERSION)
     bank = MemoryBank()
-    for _ in range(reader.u32("session count")):
+    for _ in range(reader.unpack("I", "session count")[0]):
+        tag_at = reader.pos
         tag = reader.string("session tag")
         if tag in bank.sessions:
-            raise BankError(f"duplicate session '{tag}' in bank file")
-        count = reader.u32("exemplar count")
-        k = reader.u32("K")
-        d = reader.u32("D")
+            raise BankError(f"duplicate session '{tag}' in bank file", tag_at)
+        count, k, d = reader.unpack("III", "exemplar count and shape")
         exemplars = []
         for _ in range(count):
             sample_id = reader.string("sample id")
-            score = reader.f32("score")
-            payload = reader.take(4 * k * d, "features")
-            feats = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(k, d)
-            exemplars.append(
-                Exemplar(sample_id=sample_id, features=feats, score=score, session=tag)
-            )
+            # the score and the K x D feature rows are one float32 run
+            values = reader.floats("<f4", (1 + k * d,), f"exemplar '{sample_id}'")
+            exemplars.append(Exemplar(sample_id, values[1:].reshape(k, d), float(values[0]), tag))
         bank.sessions[tag] = exemplars
-    if reader.pos != len(reader.raw):
-        raise BankError(f"trailing bytes after bank payload at offset {reader.pos}")
+    reader.end("bank payload")
     return bank

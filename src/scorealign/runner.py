@@ -26,7 +26,7 @@ from .adapter import (
     reconstruct_with_tape,
     reg_loss_and_grads,
 )
-from .data import LoadedData, ScoredSample, SessionData
+from .data import CodecError, LoadedData, Reader, ScoredSample, SessionData
 from .head import (
     HeadConfig,
     batch_sample,
@@ -58,7 +58,7 @@ class TrainingError(RuntimeError):
     """Raised when a run violates a hard training invariant."""
 
 
-class CheckpointError(ValueError):
+class CheckpointError(CodecError):
     """Malformed checkpoint file or incompatible resume request."""
 
 
@@ -494,12 +494,12 @@ def train_continual(
         first = data.sessions[0]
         if not first.train:
             raise TrainingError(f"session '{first.name}' has no training samples")
-        model = init_model(first.train[0].features.shape[1], config)
         bank = MemoryBank()
         if data.base is not None:
             model, base_log = base_pretrain(config, data.base)
             session_logs.append(base_log)
         else:
+            model = init_model(first.train[0].features.shape[1], config)
             notes.append("cold start: no base session for pretraining")
         streams = _Streams(config.seed)
 
@@ -687,14 +687,10 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
-    raw = Path(path).read_bytes()
-    if len(raw) < 20 or raw[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"not a checkpoint file: {path}")
-    version, header_len = struct.unpack_from("<IQ", raw, 8)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+    reader = Reader(Path(path).read_bytes(), CheckpointError)
+    reader.preamble(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     try:
-        return _decode_checkpoint(raw, 20 + header_len)
+        return _decode_checkpoint(reader)
     except CheckpointError:
         raise
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
@@ -702,25 +698,22 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         raise CheckpointError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _decode_checkpoint(raw: bytes, header_end: int) -> CheckpointBundle:
-    if len(raw) < header_end:
-        raise CheckpointError("truncated checkpoint header")
-    header = json.loads(raw[20:header_end].decode("utf-8"))
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise CheckpointError(f"non-finite number {text} in checkpoint header")
+    return value
 
+
+def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
+    (header_len,) = reader.unpack("Q", "header length")
+    text = reader.take(header_len, "header").decode("utf-8")
+    header = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     arrays: dict[str, np.ndarray] = {}
-    pos = header_end
     for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = pos + 8 * count
-        if len(raw) < end:
-            raise CheckpointError(f"truncated array payload for '{entry['name']}'")
-        arrays[entry["name"]] = (
-            np.frombuffer(raw[pos:end], dtype="<f8").reshape(shape).copy()
-        )
-        pos = end
-    if pos != len(raw):
-        raise CheckpointError(f"trailing bytes after checkpoint payload at {pos}")
+        name = entry["name"]
+        arrays[name] = reader.floats("<f8", tuple(entry["shape"]), f"array '{name}'")
+    reader.end("checkpoint payload")
 
     head = MlpParams(arrays["head"], header["head_sizes"])
     layout = header["adapter_layout"]

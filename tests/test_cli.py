@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
 from click.testing import CliRunner
@@ -186,6 +187,37 @@ def test_corrupt_checkpoint_exit_code_three(bench, tmp_path) -> None:
     assert "malformed checkpoint" in result.output
 
 
+def test_nonfinite_checkpoint_exit_code_three(bench, tmp_path) -> None:
+    runner, out = bench
+    ckpt = tmp_path / "run.ckpt"
+    result = runner.invoke(
+        main,
+        [
+            "train",
+            "--manifest", str(out / "manifest.json"),
+            "--report-out", str(tmp_path / "train.json"),
+            "--checkpoint-out", str(ckpt),
+        ]
+        + TRAIN_SPEED_ARGS,
+    )
+    assert result.exit_code == 0, result.output
+    raw = ckpt.read_bytes()
+    first_array = 20 + struct.unpack_from("<Q", raw, 12)[0]  # the head block's first weight
+    ckpt.write_bytes(raw[:first_array] + struct.pack("<d", float("nan")) + raw[first_array + 8 :])
+    result = runner.invoke(
+        main,
+        [
+            "eval",
+            "--checkpoint", str(ckpt),
+            "--manifest", str(out / "manifest.json"),
+            "--report-out", str(tmp_path / "eval.json"),
+        ]
+        + TRAIN_SPEED_ARGS,
+    )
+    assert result.exit_code == 3, result.output
+    assert f"non-finite value in array 'head' at flat index 0 (byte offset {first_array})" in result.output
+
+
 def test_config_defaults_are_run_config_defaults(tmp_path) -> None:
     manifest = tmp_path / "manifest.json"
     manifest.write_text("{}")
@@ -219,9 +251,10 @@ def test_config_errors_exit_code_two(bench, tmp_path) -> None:
 def test_malformed_report_exit_code_three(tmp_path) -> None:
     runner = CliRunner()
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    result = runner.invoke(main, ["report", str(bad)])
-    assert result.exit_code == 3
+    for text in (b"{not json", b"5", b'"mode seed pooled sessions"', b'{"mode": "\xff"}'):
+        bad.write_bytes(text)
+        result = runner.invoke(main, ["report", str(bad)])
+        assert result.exit_code == 3, text
 
 
 def test_runtime_errors_exit_code_four(tmp_path) -> None:

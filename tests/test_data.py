@@ -24,8 +24,14 @@ from scorealign.data import (
     write_manifest,
 )
 from scorealign.metrics import MetricReport
-from scorealign.memory import BankError, load_bank, save_bank
-from scorealign.runner import CheckpointError, RunConfig, load_checkpoint, train_continual
+from scorealign.memory import BankError, MemoryBank, load_bank, save_bank
+from scorealign.runner import (
+    CheckpointBundle,
+    CheckpointError,
+    RunConfig,
+    load_checkpoint,
+    train_continual,
+)
 
 
 # --- feature codec --------------------------------------------------------
@@ -124,9 +130,22 @@ def test_codec_totality_random_bytes_parse_or_raise_typed(tmp_path) -> None:
                     raw[pos] ^= int(rng.integers(1, 256))
             path.write_bytes(bytes(raw))
             try:
-                load(path)
+                loaded = load(path)
             except error:
                 continue
+            assert all(np.isfinite(a).all() for a in _float_arrays(loaded))
+
+
+def _float_arrays(loaded: MemoryBank | CheckpointBundle) -> list[np.ndarray]:
+    """Every float array a loaded bank or checkpoint holds."""
+    bank = loaded if isinstance(loaded, MemoryBank) else loaded.bank
+    exemplars = bank.all_exemplars()
+    arrays = [e.features for e in exemplars] + [np.array([e.score for e in exemplars])]
+    if isinstance(loaded, CheckpointBundle):
+        model = loaded.model
+        arrays += [model.head.flat, model.adapter.flat, np.array(loaded.loss_trace)]
+        arrays += [*model.adam.m.values(), *model.adam.v.values()]
+    return arrays
 
 
 # --- resampling -----------------------------------------------------------
@@ -277,6 +296,40 @@ def test_manifest_unknown_split_rejected(tmp_path) -> None:
         load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
 
 
+def _replace(records: list, i: int, **fields) -> dict:
+    return {"records": [{**r, **fields} if j == i else r for j, r in enumerate(records)]}
+
+
+_SCHEMA_FAULTS = {
+    "payload-not-utf8": (lambda recs: b'{"records": [\xff]}', "not valid JSON"),
+    "payload-not-object": (lambda recs: [1, 2], "nonempty 'records' list"),
+    "record-is-number": (lambda recs: {"records": [5, recs[1]]}, "record 0: expected an object"),
+    "record-is-string": (lambda recs: {"records": [recs[0], "s_001"]}, "record 1: expected an object"),
+    "id-is-list": (lambda recs: _replace(recs, 0, id=["s_000"]), "record 0: field 'id' is not a string"),
+    "session-is-number": (lambda recs: _replace(recs, 1, session=3), "record 1: field 'session'"),
+    "feature-path-is-number": (lambda recs: _replace(recs, 1, feature_path=7), "record 1: field 'feature_path'"),
+    "variant-is-list": (lambda recs: _replace(recs, 0, variant=["7A"]), "record 0: field 'variant'"),
+    "mixed-feature-dimension": (
+        lambda recs: _replace(recs, 1, feature_path="features/wide.feat"),
+        "feature dimension 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SCHEMA_FAULTS))
+def test_manifest_schema_faults_rejected(tmp_path, case) -> None:
+    (tmp_path / "features").mkdir()
+    records = _write_session_files(tmp_path, "s", 2)
+    write_feature_file(tmp_path / "features" / "wide.feat", np.ones((16, 5)))
+    payload, match = _SCHEMA_FAULTS[case]
+    text = payload(records)
+    if not isinstance(text, bytes):
+        text = json.dumps(text).encode()
+    (tmp_path / "manifest.json").write_bytes(text)
+    with pytest.raises(ManifestError, match=match):
+        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
+
+
 def test_manifest_variant_tags_pass_through(tmp_path) -> None:
     (tmp_path / "features").mkdir()
     records = _write_session_files(tmp_path, "s", 4)
@@ -423,4 +476,11 @@ def test_report_missing_fields_rejected(tmp_path) -> None:
     path = tmp_path / "missing.json"
     path.write_text('{"mode": "joint"}')
     with pytest.raises(ManifestError, match="missing field"):
+        read_report(path)
+    for text in ("5", '"mode seed pooled sessions"'):
+        path.write_text(text)
+        with pytest.raises(ManifestError, match="must be a JSON object"):
+            read_report(path)
+    path.write_text('{"mode": "joint", "seed": 1, "pooled": {}, "sessions": 5}')
+    with pytest.raises(ManifestError, match="'sessions' is not a dict"):
         read_report(path)

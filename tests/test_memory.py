@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,26 @@ def test_bank_file_size_formula_matches_disk(tmp_path) -> None:
     metadata = actual - 4 * bank.num_floats()
     assert 4 * bank.num_floats() == 4 * (10 + 5) * 3 * 16
     assert metadata > 0
+
+
+def test_bank_file_rejects_nonfinite_values_with_offset(tmp_path) -> None:
+    bank = MemoryBank()
+    write_session(bank, _samples([1.0, 2.0, 3.0]), 2, 2, 0.5)
+    path = tmp_path / "bank.bin"
+    save_bank(bank, path)
+    raw = path.read_bytes()
+    # magic, version, session count, tag "s1", exemplar count, K, D, then
+    # the first exemplar: id "s1_000", its score, its K x D feature rows
+    score_at = 8 + 4 + 4 + (4 + 2) + 12 + (4 + 6)
+    assert struct.unpack_from("<f", raw, score_at)[0] == 1.0
+    for value in (np.nan, np.inf, -np.inf):
+        for offset in (score_at, score_at + 4, score_at + 4 * 8):  # score, first and last row value
+            corrupt = bytearray(raw)
+            corrupt[offset : offset + 4] = np.array(value, dtype="<f4").tobytes()
+            path.write_bytes(bytes(corrupt))
+            with pytest.raises(BankError, match=f"non-finite.*s1_000.*offset {offset}") as err:
+                load_bank(path)
+            assert err.value.offset == offset
 
 
 def test_bank_file_rejects_corruption(tmp_path) -> None:

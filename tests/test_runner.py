@@ -414,6 +414,46 @@ def test_checkpoint_rejects_version_one_and_missing_header_keys(tmp_path) -> Non
             load_checkpoint(path)
 
 
+def test_checkpoint_rejects_nonfinite_arrays_with_offset(tmp_path) -> None:
+    path = tmp_path / "run.ckpt"
+    train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
+    raw = path.read_bytes()
+    header_len = struct.unpack_from("<Q", raw, 12)[0]
+    header = json.loads(raw[20 : 20 + header_len])
+    offset = 20 + header_len  # the arrays follow the header, in header order
+    for i, entry in enumerate(header["arrays"]):
+        count = int(np.prod(entry["shape"]))
+        last = offset + 8 * (count - 1)
+        corrupt = bytearray(raw)
+        corrupt[last : last + 8] = np.array([np.nan, np.inf][i % 2], dtype="<f8").tobytes()
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(CheckpointError, match=f"non-finite.*'{entry['name']}'.*offset {last}") as err:
+            load_checkpoint(path)
+        assert err.value.offset == last
+        offset += 8 * count
+    assert offset == len(raw)
+    header["adam"]["lr"] = float("inf")
+    text = json.dumps(header).encode()
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(text)) + text + raw[20 + header_len :])
+    with pytest.raises(CheckpointError, match="non-finite number Infinity"):
+        load_checkpoint(path)
+
+
+def test_model_initialized_once_per_run(monkeypatch) -> None:
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return init_model(*args)
+
+    monkeypatch.setattr(runner, "init_model", counted)
+    warm = train_continual(_config(), _dataset(n_sessions=1, n=12, base=True))
+    assert len(calls) == 1
+    cold = train_continual(_config(), _dataset(n_sessions=1, n=12))
+    assert len(calls) == 2
+    assert warm.report.notes == [] and cold.report.notes[0].startswith("cold start")
+
+
 # --- oracle floor on easy synthetic data -----------------------------------------
 
 
