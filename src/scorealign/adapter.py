@@ -24,7 +24,6 @@ from .numkit import (
     mlp_backward,
     mlp_forward,
 )
-from .keyframe import phi_select
 from .losses import reg_loss
 
 # Logit scale used by interpolation init. Softmax rows stay concentrated
@@ -150,19 +149,21 @@ def adapter_backward(
 def reg_loss_and_grads(
     params: AdapterParams,
     features_batch: list[np.ndarray],
-    k: int,
-    diversity_weight: float,
+    compressed_batch: list[np.ndarray],
 ) -> tuple[float, AdapterParams]:
     """Reconstruction penalty over a batch: sum of per-sample Euclidean
-    reconstruction errors, compressing each sample with the key-frame
-    selector (selection indices are constants, no gradient through them).
+    reconstruction errors of each sample's (T, D) features from its (K, D)
+    key-frame rows (the selection is a constant, no gradient through it).
     """
     if not features_batch:
         raise ValueError("regularization needs a nonempty batch")
+    if len(compressed_batch) != len(features_batch):
+        raise ValueError(
+            f"{len(features_batch)} samples but {len(compressed_batch)} compressed sequences"
+        )
     total = 0.0
     grads = replace(params, flat=np.zeros_like(params.flat))
-    for features in features_batch:
-        compressed = phi_select(features, k, diversity_weight)
+    for features, compressed in zip(features_batch, compressed_batch):
         recon, tape = reconstruct_with_tape(params, compressed)
         value, grad_recon = reg_loss(features, recon)
         total += value

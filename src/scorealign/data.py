@@ -466,4 +466,31 @@ def read_report(path: str | Path) -> MetricReport:
             raise ManifestError(f"report missing field '{key}'")
         if not isinstance(data[key], kind):
             raise ManifestError(f"report field '{key}' is not a {kind.__name__}")
+    for key, kind in (("config_hash", str), ("flatness", dict)):
+        if key in data and not isinstance(data[key], kind):
+            raise ManifestError(f"report field '{key}' is not a {kind.__name__}")
+    for tag, entry in data["sessions"].items():
+        where = f"report session '{tag}'"
+        if not isinstance(entry, dict):
+            raise ManifestError(f"{where} is not an object")
+        for key in ("n", "plcc", "srcc", "rl2e"):
+            if key not in entry:
+                raise ManifestError(f"{where} missing field '{key}'")
+        if not _is_int(entry["n"]):
+            raise ManifestError(f"{where} field 'n' is not an int")
+        for key in ("plcc", "srcc", "rl2e"):
+            _check_metric(entry[key], f"{where} field '{key}'")
+    for key in ("srcc_ove", "rl2e_ove"):
+        if key in data["pooled"]:
+            _check_metric(data["pooled"][key], f"report pooled field '{key}'")
     return MetricReport.from_dict(data)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_metric(value: object, where: str) -> None:
+    """A metric value is a number, or null when undefined."""
+    if value is not None and not (_is_int(value) or isinstance(value, float)):
+        raise ManifestError(f"{where} is not a number or null")

@@ -8,9 +8,13 @@ whose subset scores best under the combined objective (salience sum minus
 weighted pairwise-cosine sum) wins. Salience is normalized to max 1
 before combining so the diversity weight is scale-free. Ties always
 break toward lower frame indices, making selection fully deterministic.
-A single fixed-start greedy pass can land well below 90% of the
-exhaustive optimum on adversarial inputs; the restarts close that gap
-while staying an approximation, not an exact search.
+All T restarts run as one array pass: each greedy step picks the next
+frame of every restart at once, and each restart's objective is summed in
+pick order, so its value, and with it the winning restart, matches a
+one-restart-at-a-time loop bit for bit. A single fixed-start greedy pass
+can land well below 90% of the exhaustive optimum on adversarial inputs;
+the restarts close that gap while staying an approximation, not an exact
+search.
 """
 
 from __future__ import annotations
@@ -49,35 +53,6 @@ def _normalized_salience(salience: np.ndarray) -> np.ndarray:
     return salience / top if top > 0.0 else np.zeros_like(salience)
 
 
-def _greedy_from(
-    start: int, norm_sal: np.ndarray, cos: np.ndarray, k: int, diversity_weight: float
-) -> list[int]:
-    t = norm_sal.size
-    chosen = [start]
-    while len(chosen) < k:
-        best_idx = -1
-        best_score = -np.inf
-        for i in range(t):
-            if i in chosen:
-                continue
-            score = norm_sal[i] - diversity_weight * max(cos[i, j] for j in chosen)
-            if score > best_score:
-                best_score = score
-                best_idx = i
-        chosen.append(best_idx)
-    return chosen
-
-
-def _subset_objective(
-    subset: list[int], norm_sal: np.ndarray, cos: np.ndarray, diversity_weight: float
-) -> float:
-    value = float(sum(norm_sal[i] for i in subset))
-    for a in range(len(subset)):
-        for b in range(a + 1, len(subset)):
-            value -= diversity_weight * cos[subset[a], subset[b]]
-    return value
-
-
 def select_key_frames(
     features: np.ndarray, k: int, diversity_weight: float
 ) -> KeyFrameSelection:
@@ -90,16 +65,30 @@ def select_key_frames(
     unit = _unit_rows(features)
     cos = unit @ unit.T
 
-    best_subset: list[int] | None = None
-    best_value = -np.inf
-    for start in range(t):
-        subset = _greedy_from(start, norm_sal, cos, k, diversity_weight)
-        value = _subset_objective(subset, norm_sal, cos, diversity_weight)
-        if value > best_value:
-            best_value = value
-            best_subset = subset
-    assert best_subset is not None
-    indices = tuple(sorted(best_subset))
+    # Row s of every (T, .) array below is the greedy pass started at frame s.
+    starts = np.arange(t)
+    picks = np.empty((t, k), dtype=np.intp)
+    picks[:, 0] = starts
+    # max_cos[s, i]: max of cos[i, j] over the frames j chosen from start s
+    max_cos = cos.T.copy()
+    taken = np.eye(t, dtype=bool)
+    for step in range(1, k):
+        score = norm_sal - diversity_weight * max_cos
+        score[taken] = -np.inf
+        pick = np.argmax(score, axis=1)  # first maximum: ties go to the lower index
+        picks[:, step] = pick
+        taken[starts, pick] = True
+        np.maximum(max_cos, cos.T[pick], out=max_cos)
+
+    # Objective of each restart, summed in pick order: saliences, then the
+    # pairwise penalties in (a, b) loop order.
+    value = np.zeros(t)
+    for a in range(k):
+        value += norm_sal[picks[:, a]]
+    for a in range(k):
+        for b in range(a + 1, k):
+            value -= diversity_weight * cos[picks[:, a], picks[:, b]]
+    indices = tuple(sorted(int(i) for i in picks[np.argmax(value)]))
     return KeyFrameSelection(
         indices=indices,
         salience=tuple(float(salience[i]) for i in indices),

@@ -35,6 +35,7 @@ from .head import (
     pool,
     predict_eval,
 )
+from .keyframe import phi_select
 from .losses import DegenerateBatchError, combined_loss
 from .memory import Exemplar, MemoryBank, bank_file_size, sample_replay_batch, write_session
 from .metrics import MetricReport, metric_entry, pooled_metrics
@@ -256,6 +257,11 @@ def _train_on_samples(
         bank is not None and config.replay_weight > 0.0 and config.exemplars_per_session > 0
     )
     reg_on = use_reg and config.reg_weight > 0.0
+    if reg_on:
+        # selection is a pure function of the features: once per sample
+        compressed = [
+            phi_select(s.features, config.keyframes, config.diversity_weight) for s in samples
+        ]
 
     for _ in range(config.epochs):
         order = streams.shuffle.permutation(n)
@@ -291,8 +297,7 @@ def _train_on_samples(
                 _, adapter_grads = reg_loss_and_grads(
                     model.adapter,
                     [samples[i].features for i in idx],
-                    config.keyframes,
-                    config.diversity_weight,
+                    [compressed[i] for i in idx],
                 )
                 _accumulate(grads, "adapter", config.reg_weight * adapter_grads.flat)
 

@@ -131,7 +131,7 @@ def test_reg_loss_gradient_through_selection_matches_finite_differences() -> Non
     features = rng.normal(t * d).reshape(t, d)
     params = AdapterParams.from_parts(rng.normal(t * k).reshape(t, k), init_mlp([d, 5, d], rng))
 
-    value, grads = reg_loss_and_grads(params, [features], k, 0.5)
+    value, grads = reg_loss_and_grads(params, [features], [phi_select(features, k, 0.5)])
     assert value > 0
 
     def loss_of_logits(logits: np.ndarray) -> float:
@@ -150,7 +150,7 @@ def test_constant_video_with_identity_adapter_is_a_fixed_point() -> None:
     before = params.copy()
     features = np.full((t, d), 2.5)
     optimizer = AdamState(lr=0.01, weight_decay=0.0)
-    value, grads = reg_loss_and_grads(params, [features], k, 0.5)
+    value, grads = reg_loss_and_grads(params, [features], [phi_select(features, k, 0.5)])
     adam_step(optimizer, {"adapter": params.flat}, {"adapter": grads.flat})
     assert value == 0.0
     assert np.array_equal(params.mixing_logits, before.mixing_logits)
@@ -167,7 +167,7 @@ def test_adapter_learns_sinusoidal_video() -> None:
     params = init_adapter(t, k, d, hidden=32, rng=SeededRng(8))
     optimizer = AdamState(lr=0.01, weight_decay=0.0)
     for _ in range(500):
-        _, grads = reg_loss_and_grads(params, [features], k, 0.5)
+        _, grads = reg_loss_and_grads(params, [features], [phi_select(features, k, 0.5)])
         adam_step(optimizer, {"adapter": params.flat}, {"adapter": grads.flat})
     compressed = phi_select(features, k, 0.5)
     recon = reconstruct(params, compressed)
@@ -178,4 +178,4 @@ def test_adapter_learns_sinusoidal_video() -> None:
 def test_reg_loss_empty_batch_rejected() -> None:
     params = init_adapter(8, 3, 4, hidden=6, rng=SeededRng(10))
     with pytest.raises(ValueError):
-        reg_loss_and_grads(params, [], 3, 0.5)
+        reg_loss_and_grads(params, [], [])

@@ -257,6 +257,22 @@ def test_malformed_report_exit_code_three(tmp_path) -> None:
         assert result.exit_code == 3, text
 
 
+def test_malformed_report_entries_exit_code_three(tmp_path) -> None:
+    runner = CliRunner()
+    bad = tmp_path / "bad.json"
+    head = '{"mode": "joint", "seed": 1, '
+    for body in (
+        '"pooled": {}, "sessions": {"s1": {}}',
+        '"pooled": {}, "sessions": {"s1": 5}',
+        '"pooled": {}, "sessions": {"s1": {"n": 2, "plcc": "x", "srcc": null, "rl2e": null}}',
+        '"pooled": {"srcc_ove": "x"}, "sessions": {}',
+        '"pooled": {}, "sessions": {}, "config_hash": 7',
+    ):
+        bad.write_text(head + body + "}")
+        result = runner.invoke(main, ["report", str(bad)])
+        assert result.exit_code == 3, body
+
+
 def test_runtime_errors_exit_code_four(tmp_path) -> None:
     runner = CliRunner()
     out = tmp_path / "flat"

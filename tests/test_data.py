@@ -484,3 +484,38 @@ def test_report_missing_fields_rejected(tmp_path) -> None:
     path.write_text('{"mode": "joint", "seed": 1, "pooled": {}, "sessions": 5}')
     with pytest.raises(ManifestError, match="'sessions' is not a dict"):
         read_report(path)
+
+
+_MALFORMED_REPORT_BODIES = (
+    ('"sessions": {"s1": {}}', "missing field 'n'"),
+    ('"sessions": {"s1": 5}', "is not an object"),
+    ('"sessions": {"s1": {"n": 3, "plcc": "0.9", "srcc": null, "rl2e": null}}', "'plcc' is not a number"),
+    ('"sessions": {"s1": {"n": 3.0, "plcc": null, "srcc": null, "rl2e": null}}', "'n' is not an int"),
+    ('"sessions": {"s1": {"n": true, "plcc": null, "srcc": null, "rl2e": null}}', "'n' is not an int"),
+    ('"sessions": {"s1": {"n": 3, "plcc": 0.9, "srcc": [0.8], "rl2e": null}}', "'srcc' is not a number"),
+    ('"sessions": {"s1": {"n": 3, "plcc": 0.9, "srcc": 0.8}}', "missing field 'rl2e'"),
+    ('"sessions": {}, "pooled": {"srcc_ove": "high"}', "'srcc_ove' is not a number"),
+    ('"sessions": {}, "pooled": {"rl2e_ove": false}', "'rl2e_ove' is not a number"),
+    ('"sessions": {}, "config_hash": 12', "'config_hash' is not a str"),
+    ('"sessions": {}, "flatness": []', "'flatness' is not a dict"),
+)
+
+
+def test_report_session_entries_and_pooled_metrics_schema_checked(tmp_path) -> None:
+    path = tmp_path / "bad.json"
+    for body, message in _MALFORMED_REPORT_BODIES:
+        pooled = "" if '"pooled"' in body else ', "pooled": {}'
+        path.write_text('{"mode": "joint", "seed": 1' + pooled + ", " + body + "}")
+        with pytest.raises(ManifestError, match=message):
+            read_report(path)
+
+
+def test_report_accepts_integer_and_null_metrics(tmp_path) -> None:
+    path = tmp_path / "ok.json"
+    path.write_text(
+        '{"mode": "eval", "seed": 1, "pooled": {"srcc_ove": 1, "rl2e_ove": null, "n": 4},'
+        ' "sessions": {"s1": {"n": 4, "plcc": 1, "srcc": null, "rl2e": 0.5}}}'
+    )
+    report = read_report(path)
+    assert report.sessions["s1"] == {"n": 4, "plcc": 1, "srcc": None, "rl2e": 0.5}
+    assert report.pooled["srcc_ove"] == 1

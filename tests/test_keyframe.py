@@ -7,6 +7,8 @@ import pytest
 
 from scorealign.keyframe import (
     KeyFrameSelection,
+    _normalized_salience,
+    _unit_rows,
     phi_select,
     salience_scores,
     select_key_frames,
@@ -36,6 +38,87 @@ def _oracle_best(features: np.ndarray, k: int, mu: float) -> float:
         _oracle_objective(features, subset, mu)
         for subset in itertools.combinations(range(features.shape[0]), k)
     )
+
+
+# reference selector: one greedy pass per restart, one candidate at a time
+def _greedy_from(
+    start: int, norm_sal: np.ndarray, cos: np.ndarray, k: int, diversity_weight: float
+) -> list[int]:
+    t = norm_sal.size
+    chosen = [start]
+    while len(chosen) < k:
+        best_idx = -1
+        best_score = -np.inf
+        for i in range(t):
+            if i in chosen:
+                continue
+            score = norm_sal[i] - diversity_weight * max(cos[i, j] for j in chosen)
+            if score > best_score:
+                best_score = score
+                best_idx = i
+        chosen.append(best_idx)
+    return chosen
+
+
+def _subset_objective(
+    subset: list[int], norm_sal: np.ndarray, cos: np.ndarray, diversity_weight: float
+) -> float:
+    value = float(sum(norm_sal[i] for i in subset))
+    for a in range(len(subset)):
+        for b in range(a + 1, len(subset)):
+            value -= diversity_weight * cos[subset[a], subset[b]]
+    return value
+
+
+def _loop_select(features: np.ndarray, k: int, diversity_weight: float) -> KeyFrameSelection:
+    salience = salience_scores(features)
+    norm_sal = _normalized_salience(salience)
+    unit = _unit_rows(features)
+    cos = unit @ unit.T
+    best_subset: list[int] = []
+    best_value = -np.inf
+    for start in range(features.shape[0]):
+        subset = _greedy_from(start, norm_sal, cos, k, diversity_weight)
+        value = _subset_objective(subset, norm_sal, cos, diversity_weight)
+        if value > best_value:
+            best_value = value
+            best_subset = subset
+    indices = tuple(sorted(best_subset))
+    return KeyFrameSelection(
+        indices=indices,
+        salience=tuple(float(salience[i]) for i in indices),
+        k=k,
+        diversity_weight=diversity_weight,
+    )
+
+
+def _equivalence_input(rng: np.random.Generator, case: int) -> np.ndarray:
+    t = int(rng.integers(1, 13))
+    d = int(rng.integers(1, 6))
+    kind = case % 4
+    if kind == 0:
+        return rng.normal(size=(t, d))
+    if kind == 1:
+        # integer-valued features: many exact ties in salience and cosine
+        return rng.integers(-2, 3, size=(t, d)).astype(np.float64)
+    if kind == 2:
+        # every row repeats one of three rows
+        pool = rng.normal(size=(3, d))
+        return pool[rng.integers(0, 3, size=t)]
+    feats = rng.normal(size=(t, d))
+    feats[rng.random(t) < 0.4] = 0.0
+    return feats
+
+
+def test_selection_matches_one_restart_at_a_time_loop() -> None:
+    rng = np.random.default_rng(2024)
+    weights = (0.0, 0.5, 2.0)
+    for case in range(2400):
+        feats = _equivalence_input(rng, case)
+        t = feats.shape[0]
+        k = (1, t, int(rng.integers(1, t + 1)))[(case // 4) % 3]
+        weight = weights[(case // 12) % 3]
+        assert select_key_frames(feats, k, weight) == _loop_select(feats, k, weight), case
 
 
 def test_salience_zero_for_identical_frames() -> None:

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from scorealign import runner
+from scorealign import keyframe, memory, runner
 from scorealign.data import LoadedData, ScoredSample, SessionData
 from scorealign.head import batch_sample, batch_sample_backward, pool
 from scorealign.losses import combined_loss, correlation_loss
@@ -532,6 +532,42 @@ def test_adam_step_contract_one_call_per_step_on_two_blocks(monkeypatch) -> None
     assert all(blocks == {"head"} for _, _, blocks in calls[:base_steps])
     adapter_steps = sum("adapter" in blocks for _, _, blocks in calls)
     assert 0 < adapter_steps == result.model.adam.t["adapter"]
+
+
+def _count_selections(monkeypatch, config: RunConfig, data: LoadedData):
+    """Run train_continual with every key-frame selection counted, both at
+    the selector and at the two call sites that compress samples."""
+    counts = {"select": 0, "runner": 0, "memory": 0}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(keyframe, "select_key_frames", counting(keyframe.select_key_frames, "select"))
+    monkeypatch.setattr(runner, "phi_select", counting(runner.phi_select, "runner"))
+    monkeypatch.setattr(memory, "phi_select", counting(memory.phi_select, "memory"))
+    result = train_continual(config, data)
+    monkeypatch.undo()
+    return counts, result
+
+
+def test_key_frames_selected_once_per_sample_per_session(monkeypatch) -> None:
+    data = _dataset(n_sessions=2, n=14, base=True)
+    n_train = sum(len(s.train) for s in data.sessions)
+    by_epochs = {}
+    for epochs in (1, 3):
+        config = _config(epochs=epochs, exemplars_per_session=4)
+        counts, result = _count_selections(monkeypatch, config, data)
+        n_written = len(result.bank.all_exemplars())
+        assert n_written > 0
+        assert counts["runner"] == n_train
+        assert counts["memory"] == n_written
+        assert counts["select"] == n_train + n_written
+        by_epochs[epochs] = counts
+    assert by_epochs[1] == by_epochs[3]
 
 
 def test_model_state_copy_is_deep() -> None:
