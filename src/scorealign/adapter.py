@@ -95,18 +95,18 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdapterTape:
-    compressed: np.ndarray
+    compressed: np.ndarray  # (B, K, D)
     mix: np.ndarray  # (T, K) softmax rows
-    base: np.ndarray  # (T, D) convex combinations
+    base: np.ndarray  # (B, T, D) convex combinations
     mlp_tape: MlpTape
 
 
 def _check_compressed(params: AdapterParams, compressed: np.ndarray) -> np.ndarray:
     compressed = np.asarray(compressed, dtype=np.float64)
     feat_dim = params.mlp.weights[0].shape[0]
-    if compressed.ndim != 2 or compressed.shape != (params.k_frames, feat_dim):
+    if compressed.ndim != 3 or compressed.shape[1:] != (params.k_frames, feat_dim):
         raise ShapeMismatchError(
-            f"compressed features must be ({params.k_frames}, {feat_dim}), "
+            f"compressed features must be a (B, {params.k_frames}, {feat_dim}) stack, "
             f"got {compressed.shape}"
         )
     return compressed
@@ -115,6 +115,9 @@ def _check_compressed(params: AdapterParams, compressed: np.ndarray) -> np.ndarr
 def reconstruct_with_tape(
     params: AdapterParams, compressed: np.ndarray
 ) -> tuple[np.ndarray, AdapterTape]:
+    """(B, K, D) compressed stack -> (B, T, D) reconstructions, plus the
+    tape adapter_backward needs. Every product is one np.matmul over the
+    stack, which runs the same per-sample product as one call per sample."""
     compressed = _check_compressed(params, compressed)
     mix = _softmax_rows(params.mixing_logits)
     base = mix @ compressed
@@ -123,49 +126,62 @@ def reconstruct_with_tape(
 
 
 def reconstruct(params: AdapterParams, compressed: np.ndarray) -> np.ndarray:
-    """(K, D) compressed features -> (T, D) reconstructed sequence."""
+    """(B, K, D) compressed stack -> (B, T, D) reconstructed sequences."""
     out, _ = reconstruct_with_tape(params, compressed)
     return out
 
 
 def adapter_backward(
     params: AdapterParams, tape: AdapterTape, grad_out: np.ndarray
-) -> AdapterParams:
-    """Backprop a (T, D) output gradient to the mixing logits and the MLP.
-    The gradient comes back in the parameters' flat layout."""
+) -> np.ndarray:
+    """Backprop a (B, T, D) output gradient to the mixing logits and the
+    MLP. Returns one gradient row per sample, a (B, n) array in the
+    parameters' flat layout; the logit and MLP parts are written straight
+    into their column slices."""
     if grad_out.shape != tape.base.shape:
         raise ShapeMismatchError(
             f"output grad shape {grad_out.shape} != {tape.base.shape}"
         )
-    mlp_grads, grad_into_mlp_input = mlp_backward(params.mlp, tape.mlp_tape, grad_out)
+    n_samples = grad_out.shape[0]
+    n_logits = params.mixing_logits.size
+    rows = np.empty((n_samples, params.flat.size))
+    grad_into_mlp_input = mlp_backward(params.mlp, tape.mlp_tape, grad_out, rows[:, n_logits:])
     grad_base = grad_out + grad_into_mlp_input  # residual path + refiner path
-    grad_mix = grad_base @ tape.compressed.T  # (T, K)
+    grad_mix = grad_base @ tape.compressed.transpose(0, 2, 1)  # (B, T, K)
     # softmax backward per row: s * (g - <g, s>)
-    inner = np.sum(grad_mix * tape.mix, axis=1, keepdims=True)
-    grad_logits = tape.mix * (grad_mix - inner)
-    return AdapterParams.from_parts(grad_logits, mlp_grads)
+    inner = np.add.reduce(grad_mix * tape.mix, axis=2, keepdims=True)
+    grad_logits = rows[:, :n_logits].reshape(grad_mix.shape)
+    np.multiply(tape.mix, grad_mix - inner, out=grad_logits)
+    return rows
 
 
 def reg_loss_and_grads(
     params: AdapterParams,
-    features_batch: list[np.ndarray],
-    compressed_batch: list[np.ndarray],
-) -> tuple[float, AdapterParams]:
+    features: np.ndarray,
+    compressed: np.ndarray,
+) -> tuple[float, np.ndarray]:
     """Reconstruction penalty over a batch: sum of per-sample Euclidean
-    reconstruction errors of each sample's (T, D) features from its (K, D)
-    key-frame rows (the selection is a constant, no gradient through it).
+    reconstruction errors of each sample's (T, D) features in a (B, T, D)
+    stack from its (K, D) key-frame rows in a (B, K, D) stack (the
+    selection is a constant, no gradient through it).
+
+    The value and the gradient are the per-sample terms summed into zero
+    in sample order (np.sum may sum pairwise, in another order).
     """
-    if not features_batch:
+    features = np.asarray(features, dtype=np.float64)
+    if len(features) == 0:
         raise ValueError("regularization needs a nonempty batch")
-    if len(compressed_batch) != len(features_batch):
+    if len(compressed) != len(features):
         raise ValueError(
-            f"{len(features_batch)} samples but {len(compressed_batch)} compressed sequences"
+            f"{len(features)} samples but {len(compressed)} compressed sequences"
         )
+    recon, tape = reconstruct_with_tape(params, compressed)
+    values, grad_recon = reg_loss(features, recon)
+    rows = adapter_backward(params, tape, grad_recon)
     total = 0.0
-    grads = replace(params, flat=np.zeros_like(params.flat))
-    for features, compressed in zip(features_batch, compressed_batch):
-        recon, tape = reconstruct_with_tape(params, compressed)
-        value, grad_recon = reg_loss(features, recon)
+    for value in values.tolist():
         total += value
-        grads.flat += adapter_backward(params, tape, grad_recon).flat
+    grads = np.zeros_like(params.flat)
+    for row in rows:
+        grads += row
     return total, grads

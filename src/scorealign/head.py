@@ -32,19 +32,28 @@ def init_head(feat_dim: int, config: HeadConfig, rng: SeededRng) -> MlpParams:
 
 
 def pool(features: np.ndarray) -> np.ndarray:
-    """Temporal mean over frames: (T, D) -> (D,)."""
+    """Temporal mean over frames: (T, D) -> (D,), or (N, T, D) -> (N, D)."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 1:
+    if features.ndim not in (2, 3) or features.shape[-2] < 1:
         raise ShapeMismatchError(
-            f"features must be a nonempty (T, D) matrix, got shape {features.shape}"
+            f"features must be a nonempty (T, D) matrix or (N, T, D) stack, "
+            f"got shape {features.shape}"
         )
-    return features.mean(axis=0)
+    return features.mean(axis=-2)
 
 
-def predict_eval(params: MlpParams, features: np.ndarray) -> float:
-    """Deterministic evaluation: the distribution mean (eps pinned to 0)."""
-    out, _ = mlp_forward(params, pool(features)[None, :])
-    return float(out[0, 0])
+def predict_eval(params: MlpParams, features: np.ndarray) -> np.ndarray:
+    """Deterministic evaluation of an (N, T, D) stack: each sample's
+    distribution mean (eps pinned to 0), as an (N,) vector.
+
+    Each pooled sample is its own one-row slice of an (N, 1, D) stack, so
+    its score is the one a forward pass of that sample alone gives.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 3:
+        raise ShapeMismatchError(f"features must be an (N, T, D) stack, got {features.shape}")
+    out, _ = mlp_forward(params, pool(features)[:, None, :])
+    return out[:, 0, 0]
 
 
 def batch_sample(

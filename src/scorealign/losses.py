@@ -77,22 +77,29 @@ def combined_loss(
 
 def reg_loss(
     original: np.ndarray, reconstructed: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Euclidean norm of the reconstruction error, with gradient w.r.t.
-    the reconstruction.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean norm of each sample's reconstruction error in a pair of
+    (B, T, D) stacks, as a (B,) vector, with the gradient w.r.t. the
+    reconstructions.
 
-    The gradient is the unit direction (reconstructed - original)/norm,
-    with a zero subgradient when the norm is (numerically) zero.
+    Each sample's gradient is the unit direction (reconstructed -
+    original)/norm, with a zero subgradient when the norm is (numerically)
+    zero.
     """
     original = np.asarray(original, dtype=np.float64)
     reconstructed = np.asarray(reconstructed, dtype=np.float64)
-    if original.shape != reconstructed.shape:
+    if original.shape != reconstructed.shape or original.ndim != 3:
         raise ValueError(
             f"shape mismatch: original {original.shape} vs reconstructed "
-            f"{reconstructed.shape}"
+            f"{reconstructed.shape}, need two (B, T, D) stacks"
         )
     diff = reconstructed - original
-    norm = float(np.sqrt(np.sum(diff * diff)))
-    if norm < NORM_FLOOR:
-        return 0.0, np.zeros_like(diff)
-    return norm, diff / norm
+    squares = diff * diff
+    # each sample's T*D squares are summed as one run, in the order np.sum
+    # of one (T, D) array sums them
+    norm = np.sqrt(np.sum(squares.reshape(len(diff), -1), axis=1))
+    small = norm < NORM_FLOOR
+    norm[small] = 0.0
+    grad = diff / np.where(small, 1.0, norm)[:, None, None]
+    grad[small] = 0.0
+    return norm, grad

@@ -1,12 +1,15 @@
 """Small dense numerical kernel: MLPs with explicit backprop, Adam, seeded RNG.
 
 Everything runs on float64 numpy arrays. Matrices are row-major with one
-sample per row. The MLP family is fixed: fully-connected layers, rectifier
-on hidden layers, identity on the output layer.
+sample per row; a stack of B such matrices is a (B, n, D) array, and
+gradients of a stack are (B, n_params) arrays of flat rows. The MLP family
+is fixed: fully-connected layers, rectifier on hidden layers, identity on
+the output layer.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections.abc import Sequence
@@ -77,24 +80,34 @@ def flatten(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
 
 
+@functools.lru_cache(maxsize=64)
+def _spans(shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(start, stop, shape) of each array of a flat layout."""
+    spans, pos = [], 0
+    for shape in shapes:
+        count = math.prod(shape)
+        spans.append((pos, pos + count, shape))
+        pos += count
+    return tuple(spans)
+
+
 def unflatten(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
     """Views into a flat vector, one per shape, in order: the inverse of
-    flatten. Writing through a view writes the vector."""
-    counts = [math.prod(shape) for shape in shapes]
-    if flat.ndim != 1 or flat.size != sum(counts):
+    flatten. Writing through a view writes the vector. A (B, n) array of
+    flat rows gives (B, *shape) views, one row per stacked sample."""
+    spans = _spans(tuple(map(tuple, shapes)))
+    total = spans[-1][1] if spans else 0
+    if flat.ndim not in (1, 2) or flat.shape[-1] != total:
         raise ShapeMismatchError(
-            f"layout holds {sum(counts)} values, vector has shape {flat.shape}"
+            f"layout holds {total} values, vector has shape {flat.shape}"
         )
-    views, pos = [], 0
-    for shape, count in zip(shapes, counts):
-        views.append(flat[pos : pos + count].reshape(shape))
-        pos += count
-    return views
+    lead = flat.shape[:-1]
+    return [flat[..., start:stop].reshape(lead + shape) for start, stop, shape in spans]
 
 
-def _mlp_layout(sizes: Sequence[int]) -> list[tuple[int, ...]]:
-    pairs = list(zip(sizes[:-1], sizes[1:]))
-    return pairs + [(fan_out,) for _, fan_out in pairs]
+def _mlp_layout(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    pairs = tuple(zip(sizes[:-1], sizes[1:]))
+    return pairs + tuple((fan_out,) for _, fan_out in pairs)
 
 
 @dataclass(eq=False)
@@ -141,7 +154,8 @@ def zeros_mlp(sizes: list[int]) -> MlpParams:
 
 @dataclass
 class MlpTape:
-    """Activation cache from a forward pass, consumed by mlp_backward."""
+    """Activation cache from a forward pass, consumed by mlp_backward.
+    Every array is a (B, n, width) stack."""
 
     x: np.ndarray
     pre: list[np.ndarray]
@@ -149,59 +163,76 @@ class MlpTape:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
-    """Forward pass over a batch of rows; rectifier on hidden layers only."""
+    """Forward pass over a (B, n, D) stack of row batches, or one (n, D)
+    batch taken as a stack of one; rectifier on hidden layers only.
+
+    Each layer is one np.matmul over the stack, which runs the same
+    per-slice product as B separate (n, D) calls.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatchError(f"input must be 2-d, got shape {x.shape}")
-    if x.shape[1] != params.weights[0].shape[0]:
+    if x.ndim not in (2, 3):
+        raise ShapeMismatchError(f"input must be 2-d or 3-d, got shape {x.shape}")
+    if x.shape[-1] != params.weights[0].shape[0]:
         raise ShapeMismatchError(
-            f"input has {x.shape[1]} columns but first layer expects "
+            f"input has {x.shape[-1]} columns but first layer expects "
             f"{params.weights[0].shape[0]}"
         )
+    single = x.ndim == 2
+    a = x[None] if single else x
+    tape = MlpTape(a, [], [])
     last = params.n_layers - 1
-    a = x
-    pre, post = [], []
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ w + b
         a = z if i == last else np.maximum(z, 0.0)
-        pre.append(z)
-        post.append(a)
-    return a, MlpTape(x, pre, post)
+        tape.pre.append(z)
+        tape.post.append(a)
+    return (a[0] if single else a), tape
 
 
 def mlp_backward(
-    params: MlpParams, tape: MlpTape, grad_out: np.ndarray
-) -> tuple[MlpParams, np.ndarray]:
+    params: MlpParams, tape: MlpTape, grad_out: np.ndarray, out: np.ndarray
+) -> np.ndarray:
     """Backprop through a taped forward pass.
 
-    Returns gradients in the same flat layout as the params, plus the
-    gradient with respect to the input batch.
+    A (B, n, width) grad_out writes one gradient row per stacked sample
+    into `out`, a (B, n_params) array (a view works) in the params' flat
+    layout; a 2-d grad_out is a stack of one and writes one (n_params,)
+    vector. Returns the gradient with respect to the input.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if len(tape.pre) != params.n_layers:
         raise ShapeMismatchError(
             f"tape has {len(tape.pre)} layers but params have {params.n_layers}"
         )
-    if grad_out.shape != tape.post[-1].shape:
+    single = grad_out.ndim == 2
+    g = grad_out[None] if single else grad_out
+    if g.shape != tape.post[-1].shape:
         raise ShapeMismatchError(
             f"output grad shape {grad_out.shape} != forward output shape "
             f"{tape.post[-1].shape}"
         )
+    rows = out[None] if single else out
+    if rows.shape != g.shape[:1] + params.flat.shape:
+        raise ShapeMismatchError(
+            f"gradient buffer shape {out.shape} does not hold {g.shape[0]} "
+            f"rows of {params.flat.size}"
+        )
+    views = unflatten(rows, _mlp_layout(params.sizes))
     last = params.n_layers - 1
-    grads = replace(params, flat=np.empty_like(params.flat))
-    g = grad_out
+    # np.add.reduce is np.sum's kernel without its Python wrapper
     for i in range(last, -1, -1):
         d_pre = g if i == last else g * (tape.pre[i] > 0)
         a_prev = tape.x if i == 0 else tape.post[i - 1]
-        np.matmul(a_prev.T, d_pre, out=grads.weights[i])
-        np.sum(d_pre, axis=0, out=grads.biases[i])
+        np.matmul(a_prev.transpose(0, 2, 1), d_pre, out=views[i])
+        np.add.reduce(d_pre, axis=1, out=views[params.n_layers + i])
         g = d_pre @ params.weights[i].T
-    return grads, g
+    return g[0] if single else g
 
 
 @dataclass
 class AdamState:
-    """Adam moments plus hyperparameters; one (m, v, t) triple per block."""
+    """Adam moments plus hyperparameters; one (m, v, t) triple per block.
+    `work` holds two scratch vectors per block, reused by every step."""
 
     lr: float = 1e-4
     beta1: float = 0.9
@@ -211,6 +242,7 @@ class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: dict[str, int] = field(default_factory=dict)
+    work: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
 
 def adam_step(
@@ -219,7 +251,10 @@ def adam_step(
     """One Adam update, in place, over the blocks present in grads.
 
     Decoupled weight decay scales each block by (1 - lr*wd) before the
-    Adam delta is applied.
+    Adam delta is applied. Intermediates go to the block's scratch
+    vectors, in the operation order of the textbook expressions
+    m_hat = m / (1 - beta1^t), v_hat = v / (1 - beta2^t) and
+    p -= lr * m_hat / (sqrt(v_hat) + eps).
     """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -232,16 +267,26 @@ def adam_step(
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
             state.t[name] = 0
+        if name not in state.work:
+            state.work[name] = np.empty((2, *p.shape))
         state.t[name] += 1
         t = state.t[name]
         m = state.m[name]
         v = state.v[name]
+        step, denom = state.work[name]
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        np.multiply(1.0 - state.beta1, g, out=step)
+        m += step
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
+        np.multiply(1.0 - state.beta2, g, out=step)
+        step *= g
+        v += step
+        np.divide(v, 1.0 - state.beta2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, 1.0 - state.beta1**t, out=step)
+        step *= state.lr
+        step /= denom
         if state.weight_decay != 0.0:
             p *= 1.0 - state.lr * state.weight_decay
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= step

@@ -216,14 +216,6 @@ def model_param_dict(model: ModelState) -> dict[str, np.ndarray]:
     return {"head": model.head.flat, "adapter": model.adapter.flat}
 
 
-def _accumulate(grads: dict[str, np.ndarray], block: str, g: np.ndarray) -> None:
-    """Add a freshly computed gradient into its block, in arrival order."""
-    if block in grads:
-        grads[block] += g
-    else:
-        grads[block] = g
-
-
 @dataclass
 class _Counters:
     steps: int = 0
@@ -247,7 +239,12 @@ def _train_on_samples(
     use_reg: bool,
 ) -> None:
     """The shared epoch loop: one optimizer step per current-data batch,
-    folding in the replay and reconstruction terms when enabled."""
+    folding in the replay and reconstruction terms when enabled.
+
+    Head and replay gradients go to buffers allocated once per call and
+    are summed in a fixed order: the head's current batch then its replay
+    batch; the adapter's replay rows, then reg_weight times the
+    reconstruction rows' sum."""
     if not samples:
         raise TrainingError("cannot train on an empty split")
     pooled = np.stack([pool(s.features) for s in samples])
@@ -258,10 +255,14 @@ def _train_on_samples(
     )
     reg_on = use_reg and config.reg_weight > 0.0
     if reg_on:
+        features = np.stack([s.features for s in samples])
         # selection is a pure function of the features: once per sample
-        compressed = [
-            phi_select(s.features, config.keyframes, config.diversity_weight) for s in samples
-        ]
+        compressed = np.stack(
+            [phi_select(s.features, config.keyframes, config.diversity_weight) for s in samples]
+        )
+    head_grad = np.empty_like(model.head.flat)
+    replay_head_grad = np.empty_like(model.head.flat)
+    adapter_grad = np.empty_like(model.adapter.flat)
 
     for _ in range(config.epochs):
         order = streams.shuffle.permutation(n)
@@ -286,20 +287,27 @@ def _train_on_samples(
                 log.degenerate_batches += 1
                 continue
             grad_out = batch_sample_backward(grad_s, eps, sigma)
-            head_grads, _ = mlp_backward(model.head, tape, grad_out)
-            grads = {"head": head_grads.flat}
+            mlp_backward(model.head, tape, grad_out, head_grad)
+            grads = {"head": head_grad}
             trace.append(value)
             epoch_losses.append(value)
 
-            if replay_on and not bank.is_empty():
-                _replay_term(model, bank, config, streams, counters, grads)
-            if reg_on:
-                _, adapter_grads = reg_loss_and_grads(
-                    model.adapter,
-                    [samples[i].features for i in idx],
-                    [compressed[i] for i in idx],
+            if (
+                replay_on
+                and not bank.is_empty()
+                and _replay_term(
+                    model, bank, config, streams, counters, replay_head_grad, adapter_grad
                 )
-                _accumulate(grads, "adapter", config.reg_weight * adapter_grads.flat)
+            ):
+                head_grad += replay_head_grad
+                grads["adapter"] = adapter_grad
+            if reg_on:
+                _, reg_grad = reg_loss_and_grads(model.adapter, features[idx], compressed[idx])
+                reg_grad *= config.reg_weight
+                if "adapter" in grads:
+                    adapter_grad += reg_grad
+                else:
+                    grads["adapter"] = reg_grad
 
             adam_step(model.adam, model_param_dict(model), grads)
             counters.steps += 1
@@ -314,19 +322,20 @@ def _replay_term(
     config: RunConfig,
     streams: _Streams,
     counters: _Counters,
-    grads: dict[str, np.ndarray],
-) -> None:
+    head_grad: np.ndarray,
+    adapter_grad: np.ndarray,
+) -> bool:
+    """Draw a replay batch, decode it through the adapter as one stack and
+    write its head gradient into head_grad and its adapter rows, summed in
+    sample order, into adapter_grad. Returns False, with both untouched,
+    when the draw gives no usable batch."""
     batch = sample_replay_batch(bank, config.replay_batch_size, streams.replay)
     if len(batch) < 2:
-        return
-    recon_tapes = []
-    pooled_rows = []
-    for exemplar in batch:
-        recon, tape = reconstruct_with_tape(model.adapter, exemplar.features)
-        recon_tapes.append(tape)
-        pooled_rows.append(recon.mean(axis=0))
-    x = np.stack(pooled_rows)
-    out, tape = mlp_forward(model.head, x)
+        return False
+    recon, recon_tape = reconstruct_with_tape(
+        model.adapter, np.stack([e.features for e in batch])
+    )
+    out, tape = mlp_forward(model.head, recon.mean(axis=1))
     if config.reparam:
         eps = streams.noise.normal(len(batch))
     else:
@@ -337,15 +346,17 @@ def _replay_term(
         _, grad_s = combined_loss(s_hat, truth, config.mse_weight)
     except DegenerateBatchError:
         counters.degenerate_replay_batches += 1
-        return
+        return False
     grad_out = batch_sample_backward(config.replay_weight * grad_s, eps, sigma)
-    head_grads, x_grad = mlp_backward(model.head, tape, grad_out)
-    _accumulate(grads, "head", head_grads.flat)
+    x_grad = mlp_backward(model.head, tape, grad_out, head_grad)
     t_frames = model.adapter.t_frames
-    for i, tape_i in enumerate(recon_tapes):
-        # mean pooling spreads the pooled gradient evenly over frames
-        grad_recon = np.tile(x_grad[i] / t_frames, (t_frames, 1))
-        _accumulate(grads, "adapter", adapter_backward(model.adapter, tape_i, grad_recon).flat)
+    # mean pooling spreads the pooled gradient evenly over frames
+    grad_recon = np.repeat((x_grad / t_frames)[:, None, :], t_frames, axis=1)
+    rows = adapter_backward(model.adapter, recon_tape, grad_recon)
+    adapter_grad[...] = rows[0]
+    for row in rows[1:]:
+        adapter_grad += row
+    return True
 
 
 def _check_degenerate_fraction(counters: _Counters) -> None:
@@ -374,11 +385,12 @@ class EvalResult:
 def evaluate(
     model: ModelState, samples: list[ScoredSample], score_range: tuple[float, float]
 ) -> EvalResult:
-    """Deterministic per-sample scoring grouped by session and variant."""
+    """Deterministic per-sample scoring grouped by session and variant.
+    The samples share one frame count and are scored as one stack."""
     if not samples:
         raise TrainingError("cannot evaluate an empty sample list")
     lo, hi = score_range
-    preds = np.array([predict_eval(model.head, s.features) for s in samples])
+    preds = predict_eval(model.head, np.stack([s.features for s in samples]))
     truths = np.array([s.score for s in samples])
     by_session: dict[str, list[int]] = {}
     by_variant: dict[str, list[int]] = {}
@@ -566,8 +578,16 @@ def flat_minima_probe(
     For each radius, the head weights are shifted along `draws` random
     unit-norm directions and the deterministic training loss is
     re-evaluated on each session's training data. Directions are shared
-    across sessions and radii so curves are comparable.
+    across sessions and radii so curves are comparable. Radii are keyed
+    by their `:g` label, so two radii with one label are rejected.
     """
+    if draws < 1:
+        raise ValueError(f"probe needs draws >= 1, got {draws}")
+    if not np.all(np.isfinite(radii)):
+        raise ValueError(f"probe radii must be finite, got {radii}")
+    labels = [f"{r:g}" for r in radii]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"probe radii must have distinct labels, got {labels}")
     flat = model.head.flat
     directions = []
     for _ in range(draws):
@@ -580,15 +600,15 @@ def flat_minima_probe(
         scores = np.array([s.score for s in session.train])
         baseline = _probe_loss(model.head, pooled, scores, lam)
         deltas: dict[str, float] = {}
-        for radius in radii:
+        for label, radius in zip(labels, radii):
             total = 0.0
             for d in directions:
                 np.add(flat, radius * d, out=perturbed.flat)
                 total += _probe_loss(perturbed, pooled, scores, lam) - baseline
-            deltas[f"{radius:g}"] = total / draws
+            deltas[label] = total / draws
         per_session[session.name] = {"baseline_loss": baseline, "mean_delta": deltas}
     return {
-        "radii": [f"{r:g}" for r in radii],
+        "radii": labels,
         "draws": draws,
         "sessions": per_session,
     }

@@ -102,10 +102,10 @@ def test_criterion_1_gradient_suite() -> None:
             worst = max(worst, max_rel_error(grad, numeric))
 
     for _ in range(20):  # reconstruction penalty
-        original = rng.normal(size=(5, 4))
-        recon = rng.normal(size=(5, 4))
+        original = rng.normal(size=(1, 5, 4))
+        recon = rng.normal(size=(1, 5, 4))
         _, grad = reg_loss(original, recon)
-        numeric = central_diff(lambda r: reg_loss(original, r)[0], recon)
+        numeric = central_diff(lambda r: reg_loss(original, r)[0][0], recon)
         worst = max(worst, max_rel_error(grad, numeric))
 
     for i in range(20):  # re-parameterized head, end to end
@@ -122,25 +122,27 @@ def test_criterion_1_gradient_suite() -> None:
         out, tape = mlp_forward(head, x)
         scores, sigma = batch_sample(out, eps)
         _, grad_s = combined_loss(scores, truth, 0.05)
-        grads, _ = mlp_backward(head, tape, batch_sample_backward(grad_s, eps, sigma))
+        grads = np.empty_like(head.flat)
+        mlp_backward(head, tape, batch_sample_backward(grad_s, eps, sigma), grads)
         numeric = central_diff(head_loss, head.flat)
-        worst = max(worst, max_rel_error(grads.flat, numeric))
+        worst = max(worst, max_rel_error(grads, numeric))
 
     for i in range(20):  # adapter: through softmax mixing and the refiner MLP
         t, k, d = 6, 3, 4
         adapter = AdapterParams.from_parts(
             rng.normal(size=(t, k)), init_mlp([d, 5, d], SeededRng(900 + i))
         )
-        compressed = rng.normal(size=(k, d))
-        original = rng.normal(size=(t, d))
+        compressed = rng.normal(size=(1, k, d))
+        original = rng.normal(size=(1, t, d))
 
         out, tape = reconstruct_with_tape(adapter, compressed)
         _, grad_recon = reg_loss(original, out)
-        grads = adapter_backward(adapter, tape, grad_recon)
+        (row,) = adapter_backward(adapter, tape, grad_recon)
+        grads = AdapterParams(row, t, k, adapter.mlp_sizes)
 
         def adapter_loss(logits: np.ndarray) -> float:
             recon = reconstruct(AdapterParams.from_parts(logits, adapter.mlp), compressed)
-            return reg_loss(original, recon)[0]
+            return reg_loss(original, recon)[0][0]
 
         numeric = central_diff(adapter_loss, adapter.mixing_logits)
         worst = max(worst, max_rel_error(grads.mixing_logits, numeric))
@@ -148,7 +150,7 @@ def test_criterion_1_gradient_suite() -> None:
         def adapter_mlp_loss(flat: np.ndarray) -> float:
             mlp = MlpParams(flat, adapter.mlp.sizes)
             recon = reconstruct(AdapterParams.from_parts(adapter.mixing_logits, mlp), compressed)
-            return reg_loss(original, recon)[0]
+            return reg_loss(original, recon)[0][0]
 
         numeric_mlp = central_diff(adapter_mlp_loss, adapter.mlp.flat)
         worst = max(worst, max_rel_error(grads.mlp.flat, numeric_mlp))

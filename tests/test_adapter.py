@@ -44,7 +44,7 @@ def test_sharp_diagonal_identity_configuration_is_exact() -> None:
     rng = np.random.default_rng(0)
     x = rng.normal(size=(t, d))
     params = AdapterParams.from_parts(interpolation_logits(t, t, sharpness=1000.0), _zero_refiner(d))
-    assert np.array_equal(reconstruct(params, x), x)
+    assert np.array_equal(reconstruct(params, x[None])[0], x)
 
 
 def test_default_init_is_near_identity_for_k_equals_t() -> None:
@@ -52,7 +52,7 @@ def test_default_init_is_near_identity_for_k_equals_t() -> None:
     rng = SeededRng(1)
     params = init_adapter(t, t, d, hidden=8, rng=rng)
     x = SeededRng(2).normal(t * d).reshape(t, d)
-    recon = reconstruct(params, x)
+    recon = reconstruct(params, x[None])[0]
     assert np.linalg.norm(recon - x) / np.linalg.norm(x) < 1e-3
 
 
@@ -60,7 +60,7 @@ def test_single_key_frame_broadcasts_to_all_rows() -> None:
     t, d = 6, 3
     params = AdapterParams.from_parts(interpolation_logits(t, 1), _zero_refiner(d))
     row = np.array([[1.0, -2.0, 0.5]])
-    recon = reconstruct(params, row)
+    recon = reconstruct(params, row[None])[0]
     assert recon.shape == (t, d)
     assert np.allclose(recon, np.tile(row, (t, 1)))
 
@@ -70,7 +70,7 @@ def test_reconstruct_shape_and_finiteness_with_random_params() -> None:
     params = init_adapter(16, 3, 8, hidden=8, rng=rng)
     params.mixing_logits[:] = rng.normal(16 * 3).reshape(16, 3)
     compressed = rng.normal(3 * 8).reshape(3, 8)
-    out = reconstruct(params, compressed)
+    out = reconstruct(params, compressed[None])[0]
     assert out.shape == (16, 8)
     assert np.all(np.isfinite(out))
 
@@ -78,9 +78,11 @@ def test_reconstruct_shape_and_finiteness_with_random_params() -> None:
 def test_reconstruct_rejects_wrong_shapes() -> None:
     params = init_adapter(8, 3, 4, hidden=8, rng=SeededRng(0))
     with pytest.raises(ShapeMismatchError):
-        reconstruct(params, np.zeros((2, 4)))
+        reconstruct(params, np.zeros((1, 2, 4)))
     with pytest.raises(ShapeMismatchError):
-        reconstruct(params, np.zeros((3, 5)))
+        reconstruct(params, np.zeros((1, 3, 5)))
+    with pytest.raises(ShapeMismatchError):
+        reconstruct(params, np.zeros((3, 4)))
 
 
 def test_base_rows_are_convex_combinations() -> None:
@@ -90,7 +92,7 @@ def test_base_rows_are_convex_combinations() -> None:
         rng.normal(t * k).reshape(t, k), _zero_refiner(d)
     )
     compressed = rng.normal(k * d).reshape(k, d)
-    recon = reconstruct(params, compressed)  # zero refiner: recon == base
+    recon = reconstruct(params, compressed[None])[0]  # zero refiner: recon == base
     low = compressed.min(axis=0) - 1e-12
     high = compressed.max(axis=0) + 1e-12
     assert np.all(recon >= low) and np.all(recon <= high)
@@ -105,12 +107,13 @@ def test_gradients_through_mixing_and_refiner_match_finite_differences() -> None
     compressed = rng.normal(k * d).reshape(k, d)
     direction = rng.normal(t * d).reshape(t, d)
 
-    out, tape = reconstruct_with_tape(params, compressed)
-    grads = adapter_backward(params, tape, direction)
+    out, tape = reconstruct_with_tape(params, compressed[None])
+    (row,) = adapter_backward(params, tape, direction[None])
+    grads = AdapterParams(row, t, k, params.mlp_sizes)
 
     def loss_of_logits(logits: np.ndarray) -> float:
         probe = AdapterParams.from_parts(logits, params.mlp)
-        return float(np.sum(reconstruct(probe, compressed) * direction))
+        return float(np.sum(reconstruct(probe, compressed[None])[0] * direction))
 
     numeric = central_diff(loss_of_logits, params.mixing_logits)
     assert max_rel_error(grads.mixing_logits, numeric) < 1e-4
@@ -119,7 +122,7 @@ def test_gradients_through_mixing_and_refiner_match_finite_differences() -> None
         probe_mlp = params.mlp.copy()
         probe_mlp.weights[0][...] = w0
         probe = AdapterParams.from_parts(params.mixing_logits, probe_mlp)
-        return float(np.sum(reconstruct(probe, compressed) * direction))
+        return float(np.sum(reconstruct(probe, compressed[None])[0] * direction))
 
     numeric_w0 = central_diff(loss_of_w0, params.mlp.weights[0])
     assert max_rel_error(grads.mlp.weights[0], numeric_w0) < 1e-4
@@ -131,13 +134,14 @@ def test_reg_loss_gradient_through_selection_matches_finite_differences() -> Non
     features = rng.normal(t * d).reshape(t, d)
     params = AdapterParams.from_parts(rng.normal(t * k).reshape(t, k), init_mlp([d, 5, d], rng))
 
-    value, grads = reg_loss_and_grads(params, [features], [phi_select(features, k, 0.5)])
+    value, flat_grads = reg_loss_and_grads(params, features[None], phi_select(features, k, 0.5)[None])
+    grads = AdapterParams(flat_grads, t, k, params.mlp_sizes)
     assert value > 0
 
     def loss_of_logits(logits: np.ndarray) -> float:
         probe = AdapterParams.from_parts(logits, params.mlp)
         compressed = phi_select(features, k, 0.5)
-        recon = reconstruct(probe, compressed)
+        recon = reconstruct(probe, compressed[None])[0]
         return float(np.sqrt(np.sum((recon - features) ** 2)))
 
     numeric = central_diff(loss_of_logits, params.mixing_logits)
@@ -150,8 +154,8 @@ def test_constant_video_with_identity_adapter_is_a_fixed_point() -> None:
     before = params.copy()
     features = np.full((t, d), 2.5)
     optimizer = AdamState(lr=0.01, weight_decay=0.0)
-    value, grads = reg_loss_and_grads(params, [features], [phi_select(features, k, 0.5)])
-    adam_step(optimizer, {"adapter": params.flat}, {"adapter": grads.flat})
+    value, grads = reg_loss_and_grads(params, features[None], phi_select(features, k, 0.5)[None])
+    adam_step(optimizer, {"adapter": params.flat}, {"adapter": grads})
     assert value == 0.0
     assert np.array_equal(params.mixing_logits, before.mixing_logits)
     for w, w0 in zip(params.mlp.weights, before.mlp.weights):
@@ -167,10 +171,10 @@ def test_adapter_learns_sinusoidal_video() -> None:
     params = init_adapter(t, k, d, hidden=32, rng=SeededRng(8))
     optimizer = AdamState(lr=0.01, weight_decay=0.0)
     for _ in range(500):
-        _, grads = reg_loss_and_grads(params, [features], [phi_select(features, k, 0.5)])
-        adam_step(optimizer, {"adapter": params.flat}, {"adapter": grads.flat})
+        _, grads = reg_loss_and_grads(params, features[None], phi_select(features, k, 0.5)[None])
+        adam_step(optimizer, {"adapter": params.flat}, {"adapter": grads})
     compressed = phi_select(features, k, 0.5)
-    recon = reconstruct(params, compressed)
+    recon = reconstruct(params, compressed[None])[0]
     rel_error = np.linalg.norm(recon - features) / np.linalg.norm(features)
     assert rel_error < 0.2
 

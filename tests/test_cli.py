@@ -248,6 +248,42 @@ def test_config_errors_exit_code_two(bench, tmp_path) -> None:
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "radii, draws",
+    [("0.5,1", "0"), ("0.5,1", "-3"), ("nan", "10"), ("0.5,inf", "10"), ("-inf", "10"), ("1,1.0", "10")],
+)
+def test_probe_bad_draws_or_radii_exit_code_two(bench, tmp_path, radii, draws) -> None:
+    runner, out = bench
+    ckpt = tmp_path / "run.ckpt"
+    result = runner.invoke(
+        main,
+        [
+            "train",
+            "--manifest", str(out / "manifest.json"),
+            "--report-out", str(tmp_path / "train.json"),
+            "--checkpoint-out", str(ckpt),
+        ]
+        + TRAIN_SPEED_ARGS,
+    )
+    assert result.exit_code == 0, result.output
+    probe_report = tmp_path / "probe.json"
+    result = runner.invoke(
+        main,
+        [
+            "probe-flatness",
+            "--checkpoint", str(ckpt),
+            "--manifest", str(out / "manifest.json"),
+            "--report-out", str(probe_report),
+            "--radii", radii,
+            "--draws", draws,
+        ]
+        + TRAIN_SPEED_ARGS,
+    )
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not probe_report.exists()
+
+
 def test_malformed_report_exit_code_three(tmp_path) -> None:
     runner = CliRunner()
     bad = tmp_path / "bad.json"

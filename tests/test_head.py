@@ -45,7 +45,7 @@ def test_zero_head_predicts_standard_gaussian() -> None:
     params = zeros_mlp([4, 8, 2])
     out = _head_out(params, np.ones((3, 4)))
     _, sigma = batch_sample(out, np.zeros(1))
-    assert predict_eval(params, np.ones((3, 4))) == 0.0
+    assert predict_eval(params, np.ones((1, 3, 4)))[0] == 0.0
     assert out[0, 1] == 0.0
     assert sigma[0] == 1.0
 
@@ -107,10 +107,10 @@ def test_predict_eval_is_mu_and_repeatable() -> None:
     rng = SeededRng(2)
     params = init_head(4, HeadConfig(), rng)
     features = rng.normal(8).reshape(2, 4)
-    value = predict_eval(params, features)
+    value = predict_eval(params, features[None])[0]
     out = _head_out(params, features)
     assert value == out[0, 0]
-    assert value == predict_eval(params, features)
+    assert value == predict_eval(params, features[None])[0]
     assert value == batch_sample(out, np.zeros(1))[0][0]
 
 

@@ -132,41 +132,46 @@ def test_combined_monotone_in_lambda() -> None:
 
 
 def test_reg_loss_zero_at_exact_reconstruction() -> None:
-    x = np.arange(12.0).reshape(3, 4)
+    x = np.arange(12.0).reshape(1, 3, 4)
     value, grad = reg_loss(x, x.copy())
-    assert value == 0.0
+    assert value[0] == 0.0
     assert np.all(grad == 0)
 
 
 def test_reg_loss_euclidean_norm_example() -> None:
-    original = np.zeros((2, 3))
-    reconstructed = np.zeros((2, 3))
-    reconstructed[0, 1] = 3.0
-    reconstructed[1, 2] = 4.0
+    original = np.zeros((2, 2, 3))
+    reconstructed = np.zeros((2, 2, 3))
+    reconstructed[0, 0, 1] = 3.0
+    reconstructed[0, 1, 2] = 4.0
+    reconstructed[1, 1, 0] = -2.0
     value, _ = reg_loss(original, reconstructed)
-    assert value == pytest.approx(5.0, abs=1e-12)
+    assert value[0] == pytest.approx(5.0, abs=1e-12)
+    assert value[1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_reg_loss_gradient_has_unit_norm() -> None:
     rng = np.random.default_rng(4)
-    original = rng.normal(size=(5, 6))
-    reconstructed = rng.normal(size=(5, 6))
+    original = rng.normal(size=(3, 5, 6))
+    reconstructed = rng.normal(size=(3, 5, 6))
     _, grad = reg_loss(original, reconstructed)
-    assert np.sqrt(np.sum(grad * grad)) == pytest.approx(1.0, rel=1e-12)
+    for g in grad:
+        assert np.sqrt(np.sum(g * g)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_reg_loss_gradient_matches_finite_differences() -> None:
     rng = np.random.default_rng(8)
-    original = rng.normal(size=(4, 3))
-    reconstructed = rng.normal(size=(4, 3))
+    original = rng.normal(size=(1, 4, 3))
+    reconstructed = rng.normal(size=(1, 4, 3))
     _, grad = reg_loss(original, reconstructed)
-    numeric = central_diff(lambda r: reg_loss(original, r)[0], reconstructed)
+    numeric = central_diff(lambda r: reg_loss(original, r)[0][0], reconstructed)
     assert max_rel_error(grad, numeric) < 1e-5
 
 
 def test_reg_loss_shape_mismatch_rejected() -> None:
     with pytest.raises(ValueError, match="shape mismatch"):
-        reg_loss(np.zeros((2, 3)), np.zeros((3, 2)))
+        reg_loss(np.zeros((1, 2, 3)), np.zeros((1, 3, 2)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        reg_loss(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_loss_weights_validation() -> None:

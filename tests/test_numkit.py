@@ -42,7 +42,7 @@ def test_forward_hand_example_rectifier_kills_cancelled_units() -> None:
         flatten([np.ones((2, 2)), np.ones((2, 1)), np.zeros(2), np.zeros(1)]), (2, 2, 1)
     )
     out, tape = mlp_forward(params, np.array([[1.0, -1.0]]))
-    assert np.array_equal(tape.pre[0], np.zeros((1, 2)))
+    assert np.array_equal(tape.pre[0], np.zeros((1, 1, 2)))  # a stack of one
     assert out[0, 0] == 0.0
 
 
@@ -57,7 +57,8 @@ def test_backward_zero_output_grad_gives_zero_grads() -> None:
     params = init_mlp([3, 5, 2], rng)
     x = rng.normal(6).reshape(2, 3)
     out, tape = mlp_forward(params, x)
-    grads, x_grad = mlp_backward(params, tape, np.zeros_like(out))
+    grads = MlpParams(np.empty_like(params.flat), params.sizes)
+    x_grad = mlp_backward(params, tape, np.zeros_like(out), grads.flat)
     assert all(np.all(w == 0) for w in grads.weights)
     assert all(np.all(b == 0) for b in grads.biases)
     assert np.all(x_grad == 0)
@@ -68,7 +69,7 @@ def test_backward_identity_network_quadratic_loss() -> None:
     params = MlpParams(flatten([np.eye(4), np.zeros(4)]), (4, 4))
     x = np.array([[1.0, -2.0, 3.0, 0.25]])
     out, tape = mlp_forward(params, x)
-    _, x_grad = mlp_backward(params, tape, out)
+    x_grad = mlp_backward(params, tape, out, np.empty_like(params.flat))
     assert np.allclose(x_grad, x, atol=0, rtol=0)
 
 
@@ -107,7 +108,8 @@ def test_backward_matches_central_differences_on_random_net() -> None:
         return float(np.sum(out * direction))
 
     out, tape = mlp_forward(params, x)
-    grads, x_grad = mlp_backward(params, tape, direction)
+    grads = MlpParams(np.empty_like(params.flat), params.sizes)
+    x_grad = mlp_backward(params, tape, direction, grads.flat)
     assert np.array_equal(grads.flat, flatten([*grads.weights, *grads.biases]))
     numeric = central_diff(loss, params.flat)
     assert max_rel_error(grads.flat, numeric) < 1e-4
@@ -124,9 +126,9 @@ def test_backward_rejects_mismatched_tape() -> None:
     other = init_mlp([3, 2], rng)
     _, tape = mlp_forward(params, np.zeros((1, 3)))
     with pytest.raises(ShapeMismatchError):
-        mlp_backward(other, tape, np.zeros((1, 2)))
+        mlp_backward(other, tape, np.zeros((1, 2)), np.empty_like(other.flat))
     with pytest.raises(ShapeMismatchError):
-        mlp_backward(params, tape, np.zeros((3, 2)))
+        mlp_backward(params, tape, np.zeros((3, 2)), np.empty_like(params.flat))
 
 
 def test_adam_zero_grad_without_decay_leaves_params() -> None:

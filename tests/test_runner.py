@@ -12,6 +12,7 @@ from scorealign.head import batch_sample, batch_sample_backward, pool
 from scorealign.losses import combined_loss, correlation_loss
 from scorealign.numkit import (
     AdamState,
+    MlpParams,
     SeededRng,
     adam_step,
     derive_seed,
@@ -118,7 +119,8 @@ def _literal_sequential_finetune(config: RunConfig, data: LoadedData, lam: float
                     value, grad_s = combined_loss(scores_hat, scores[idx], lam)
                 trace.append(value)
                 grad_out = batch_sample_backward(grad_s, eps, sigma)
-                grads, _ = mlp_backward(head, tape, grad_out)
+                grads = MlpParams(np.empty_like(head.flat), head.sizes)
+                mlp_backward(head, tape, grad_out, grads.flat)
                 grad_dict = {}
                 for i, (gw, gb) in enumerate(zip(grads.weights, grads.biases)):
                     grad_dict[f"head.w{i}"] = gw
@@ -270,7 +272,7 @@ def test_evaluate_perfect_model_scores_one_and_zero() -> None:
             ScoredSample(
                 sample_id=f"p{i}",
                 features=feats,
-                score=predict_eval(model.head, feats),
+                score=float(predict_eval(model.head, feats[None])[0]),
                 session="s1",
             )
         )
@@ -339,6 +341,25 @@ def test_probe_is_deterministic_given_rng() -> None:
     a = flat_minima_probe(result.model, data.sessions, 0.05, [1.0], SeededRng(9))
     b = flat_minima_probe(result.model, data.sessions, 0.05, [1.0], SeededRng(9))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "radii, draws",
+    [
+        ([1.0], 0),
+        ([1.0], -3),
+        ([float("nan")], 10),
+        ([0.5, float("inf")], 10),
+        ([-np.inf], 10),
+        ([1.0, 1], 10),
+        ([5e-7, 5.0000001e-7], 10),
+    ],
+)
+def test_probe_rejects_bad_draws_and_nonfinite_radii(radii, draws) -> None:
+    data = _dataset(n_sessions=1, n=12)
+    model = init_model(FEAT_DIM, _config())
+    with pytest.raises(ValueError, match="draws|finite|distinct"):
+        flat_minima_probe(model, data.sessions, 0.05, radii, SeededRng(0), draws=draws)
 
 
 # --- checkpointing ---------------------------------------------------------------
