@@ -79,12 +79,11 @@ def init_adapter(
     feat_dim: int,
     hidden: int,
     rng: SeededRng,
-    sharpness: float = DEFAULT_SHARPNESS,
 ) -> AdapterParams:
     mlp = init_mlp([feat_dim, hidden, feat_dim], rng)
     # zero output layer: the residual refinement starts as the identity
     mlp.weights[-1][...] = 0.0
-    return AdapterParams.from_parts(interpolation_logits(t_frames, k, sharpness), mlp)
+    return AdapterParams.from_parts(interpolation_logits(t_frames, k), mlp)
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -157,6 +157,8 @@ def train(manifest, mode, report_out, checkpoint_out, bank_out, resume, **kw):
     """Train a model and write its evaluation report."""
 
     def action():
+        if resume is not None and mode != "continual":
+            raise ValueError("--resume applies only to continual runs")
         config = _make_config(mode, kw)
         data = _load(manifest, config)
         if mode == "joint":

@@ -464,7 +464,7 @@ def read_report(path: str | Path) -> MetricReport:
     for key, kind in (("mode", str), ("seed", int), ("pooled", dict), ("sessions", dict)):
         if key not in data:
             raise ManifestError(f"report missing field '{key}'")
-        if not isinstance(data[key], kind):
+        if not (_is_int(data[key]) if kind is int else isinstance(data[key], kind)):
             raise ManifestError(f"report field '{key}' is not a {kind.__name__}")
     for key, kind in (("config_hash", str), ("flatness", dict)):
         if key in data and not isinstance(data[key], kind):

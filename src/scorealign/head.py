@@ -8,27 +8,14 @@ sigma positive without clamping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numkit import MlpParams, SeededRng, ShapeMismatchError, init_mlp, mlp_forward
 
 
-@dataclass(frozen=True)
-class HeadConfig:
-    hidden_sizes: tuple[int, ...] = (64, 32)
-    score_range: tuple[float, float] = (1.0, 5.0)
-
-    def __post_init__(self) -> None:
-        lo, hi = self.score_range
-        if not lo < hi:
-            raise ValueError(f"score range must satisfy lo < hi, got {self.score_range}")
-
-
-def init_head(feat_dim: int, config: HeadConfig, rng: SeededRng) -> MlpParams:
+def init_head(feat_dim: int, hidden_sizes: tuple[int, ...], rng: SeededRng) -> MlpParams:
     """Head network: feat_dim -> hidden layers -> (mu, log_var)."""
-    return init_mlp([feat_dim, *config.hidden_sizes, 2], rng)
+    return init_mlp([feat_dim, *hidden_sizes, 2], rng)
 
 
 def pool(features: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ At the end of a session, samples are sorted by score and evenly sampled
 so the stored exemplars span the session's score range; each chosen
 sample is compressed to its K key-frame feature rows before storage.
 Replay draws uniformly without replacement across the union of all
-stored sessions. The bank serializes to a compact little-endian binary
-file with 32-bit floats.
+stored sessions. One session table encodes the stored exemplars: the
+bank file holds it at 32-bit floats, a checkpoint at 64-bit floats.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def sample_replay_batch(bank: MemoryBank, b2: int, rng: SeededRng) -> list[Exemp
     return [pool[i] for i in idx]
 
 
-# --- bank file ----------------------------------------------------------
+# --- session table and bank file ---------------------------------------
 
 
 def _pack_str(s: str) -> bytes:
@@ -117,23 +117,53 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def _encode_bank(bank: MemoryBank) -> bytes:
-    chunks = [BANK_MAGIC, struct.pack("<II", BANK_VERSION, len(bank.sessions))]
+def encode_sessions(bank: MemoryBank, dtype: str) -> bytes:
+    """The session table, the one layout of stored exemplars: the session
+    count, then per session its tag, exemplar count, K and D, then per
+    exemplar its id and one run of its score and K x D feature rows at
+    dtype. Counts, lengths and shapes are little-endian u32."""
+    chunks = [struct.pack("<I", len(bank.sessions))]
     for tag, exemplars in bank.sessions.items():
         if not exemplars:
             raise BankError(f"session '{tag}' has no exemplars to serialize")
         k, d = exemplars[0].features.shape
-        chunks.append(_pack_str(tag))
-        chunks.append(struct.pack("<III", len(exemplars), k, d))
         for e in exemplars:
             if e.features.shape != (k, d):
                 raise BankError(
                     f"inconsistent exemplar shape {e.features.shape} in '{tag}'"
                 )
+        chunks.append(_pack_str(tag))
+        chunks.append(struct.pack("<III", len(exemplars), k, d))
+        # one cast per session: row i is exemplar i's score, then its K x D rows
+        runs = np.empty((len(exemplars), 1 + k * d), dtype=dtype)
+        runs[:, 0] = [e.score for e in exemplars]
+        runs[:, 1:] = np.reshape([e.features for e in exemplars], (len(exemplars), k * d))
+        for e, run in zip(exemplars, runs):
             chunks.append(_pack_str(e.sample_id))
-            chunks.append(struct.pack("<f", e.score))
-            chunks.append(e.features.astype("<f4").tobytes())
+            chunks.append(run.tobytes())
     return b"".join(chunks)
+
+
+def read_sessions(reader: Reader, dtype: str) -> MemoryBank:
+    """The session table at the reader's cursor; faults raise reader.error."""
+    bank = MemoryBank()
+    for _ in range(reader.unpack("I", "session count")[0]):
+        tag_at = reader.pos
+        tag = reader.string("session tag")
+        if tag in bank.sessions:
+            raise reader.error(f"duplicate session '{tag}' in session table", tag_at)
+        count, k, d = reader.unpack("III", "exemplar count and shape")
+        exemplars = []
+        for _ in range(count):
+            sample_id = reader.string("sample id")
+            values = reader.floats(dtype, (1 + k * d,), f"exemplar '{sample_id}'")
+            exemplars.append(Exemplar(sample_id, values[1:].reshape(k, d), float(values[0]), tag))
+        bank.sessions[tag] = exemplars
+    return bank
+
+
+def _encode_bank(bank: MemoryBank) -> bytes:
+    return BANK_MAGIC + struct.pack("<I", BANK_VERSION) + encode_sessions(bank, "<f4")
 
 
 def save_bank(bank: MemoryBank, path: str | Path) -> None:
@@ -148,19 +178,6 @@ def bank_file_size(bank: MemoryBank) -> int:
 def load_bank(path: str | Path) -> MemoryBank:
     reader = Reader(Path(path).read_bytes(), BankError)
     reader.preamble(BANK_MAGIC, BANK_VERSION)
-    bank = MemoryBank()
-    for _ in range(reader.unpack("I", "session count")[0]):
-        tag_at = reader.pos
-        tag = reader.string("session tag")
-        if tag in bank.sessions:
-            raise BankError(f"duplicate session '{tag}' in bank file", tag_at)
-        count, k, d = reader.unpack("III", "exemplar count and shape")
-        exemplars = []
-        for _ in range(count):
-            sample_id = reader.string("sample id")
-            # the score and the K x D feature rows are one float32 run
-            values = reader.floats("<f4", (1 + k * d,), f"exemplar '{sample_id}'")
-            exemplars.append(Exemplar(sample_id, values[1:].reshape(k, d), float(values[0]), tag))
-        bank.sessions[tag] = exemplars
+    bank = read_sessions(reader, "<f4")
     reader.end("bank payload")
     return bank

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,17 +27,17 @@ from .adapter import (
     reg_loss_and_grads,
 )
 from .data import CodecError, LoadedData, Reader, ScoredSample, SessionData
-from .head import (
-    HeadConfig,
-    batch_sample,
-    batch_sample_backward,
-    init_head,
-    pool,
-    predict_eval,
-)
+from .head import batch_sample, batch_sample_backward, init_head, pool, predict_eval
 from .keyframe import phi_select
 from .losses import DegenerateBatchError, combined_loss
-from .memory import Exemplar, MemoryBank, bank_file_size, sample_replay_batch, write_session
+from .memory import (
+    MemoryBank,
+    bank_file_size,
+    encode_sessions,
+    read_sessions,
+    sample_replay_batch,
+    write_session,
+)
 from .metrics import MetricReport, metric_entry, pooled_metrics
 from .numkit import (
     AdamState,
@@ -50,7 +50,7 @@ from .numkit import (
 )
 
 CHECKPOINT_MAGIC = b"ASALCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 MAX_DEGENERATE_FRACTION = 0.05
 
@@ -144,16 +144,6 @@ class ModelState:
     head: MlpParams
     adapter: AdapterParams
     adam: AdamState
-    head_config: HeadConfig
-
-    def copy(self) -> "ModelState":
-        adam = replace(
-            self.adam,
-            m={k: v.copy() for k, v in self.adam.m.items()},
-            v={k: v.copy() for k, v in self.adam.v.items()},
-            t=dict(self.adam.t),
-        )
-        return ModelState(self.head.copy(), self.adapter.copy(), adam, self.head_config)
 
 
 @dataclass
@@ -195,10 +185,9 @@ class _Streams:
 
 
 def init_model(feat_dim: int, config: RunConfig) -> ModelState:
-    head_config = HeadConfig(
-        hidden_sizes=tuple(config.hidden_sizes), score_range=config.score_range
+    head = init_head(
+        feat_dim, config.hidden_sizes, SeededRng(derive_seed(config.seed, "init:head"))
     )
-    head = init_head(feat_dim, head_config, SeededRng(derive_seed(config.seed, "init:head")))
     adapter = init_adapter(
         config.frames,
         config.keyframes,
@@ -207,7 +196,7 @@ def init_model(feat_dim: int, config: RunConfig) -> ModelState:
         SeededRng(derive_seed(config.seed, "init:adapter")),
     )
     adam = AdamState(lr=config.learning_rate, weight_decay=config.weight_decay)
-    return ModelState(head, adapter, adam, head_config)
+    return ModelState(head, adapter, adam)
 
 
 def model_param_dict(model: ModelState) -> dict[str, np.ndarray]:
@@ -236,10 +225,9 @@ def _train_on_samples(
     counters: _Counters,
     trace: list[float],
     log: SessionState,
-    use_reg: bool,
 ) -> None:
     """The shared epoch loop: one optimizer step per current-data batch,
-    folding in the replay and reconstruction terms when enabled.
+    folding in the replay and reconstruction terms when a bank is given.
 
     Head and replay gradients go to buffers allocated once per call and
     are summed in a fixed order: the head's current batch then its replay
@@ -253,7 +241,7 @@ def _train_on_samples(
     replay_on = (
         bank is not None and config.replay_weight > 0.0 and config.exemplars_per_session > 0
     )
-    reg_on = use_reg and config.reg_weight > 0.0
+    reg_on = bank is not None and config.reg_weight > 0.0
     if reg_on:
         features = np.stack([s.features for s in samples])
         # selection is a pure function of the features: once per sample
@@ -446,9 +434,7 @@ def train_joint(
     counters = _Counters()
     trace: list[float] = []
     log = SessionState(index=0, tag="joint")
-    _train_on_samples(
-        model, train, config, streams, None, counters, trace, log, use_reg=False
-    )
+    _train_on_samples(model, train, config, streams, None, counters, trace, log)
     _check_degenerate_fraction(counters)
     if checkpoint_path is not None:
         save_checkpoint(
@@ -468,9 +454,7 @@ def base_pretrain(config: RunConfig, base: SessionData) -> tuple[ModelState, Ses
     counters = _Counters()
     trace: list[float] = []
     log = SessionState(index=-1, tag=base.name)
-    _train_on_samples(
-        model, base.train, config, streams, None, counters, trace, log, use_reg=False
-    )
+    _train_on_samples(model, base.train, config, streams, None, counters, trace, log)
     _check_degenerate_fraction(counters)
     return model, log
 
@@ -523,9 +507,7 @@ def train_continual(
     for index in range(start_session, len(data.sessions)):
         session = data.sessions[index]
         log = SessionState(index=index, tag=session.name)
-        _train_on_samples(
-            model, session.train, config, streams, bank, counters, trace, log, use_reg=True
-        )
+        _train_on_samples(model, session.train, config, streams, bank, counters, trace, log)
         if config.exemplars_per_session > 0:
             write_session(
                 bank,
@@ -628,24 +610,6 @@ class CheckpointBundle:
     loss_trace: list[float]
 
 
-def _rng_state_to_json(state: dict) -> dict:
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": {"state": str(state["state"]["state"]), "inc": str(state["state"]["inc"])},
-        "has_uint32": state["has_uint32"],
-        "uinteger": state["uinteger"],
-    }
-
-
-def _rng_state_from_json(state: dict) -> dict:
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": {"state": int(state["state"]["state"]), "inc": int(state["state"]["inc"])},
-        "has_uint32": state["has_uint32"],
-        "uinteger": state["uinteger"],
-    }
-
-
 def save_checkpoint(
     path: str | Path,
     config: RunConfig,
@@ -656,24 +620,13 @@ def save_checkpoint(
     counters: _Counters,
     loss_trace: list[float],
 ) -> None:
+    """Magic, version and header length, the JSON header, the float64
+    arrays it lists, then the bank's session table at float64."""
     arrays: list[tuple[str, np.ndarray]] = list(model_param_dict(model).items())
     for key in sorted(model.adam.m):
         arrays.append((f"adam.m:{key}", model.adam.m[key]))
         arrays.append((f"adam.v:{key}", model.adam.v[key]))
-    bank_meta = []
-    for tag, exemplars in bank.sessions.items():
-        bank_meta.append(
-            {
-                "tag": tag,
-                "ids": [e.sample_id for e in exemplars],
-                "scores": [e.score for e in exemplars],
-            }
-        )
-        for e in exemplars:
-            arrays.append((f"bank:{tag}:{e.sample_id}", e.features))
     arrays.append(("trace", np.asarray(loss_trace, dtype=np.float64)))
-
-    stream_state = streams.get_state()
     header = {
         "config_digest": config_hash(config),
         "completed_sessions": completed_sessions,
@@ -682,10 +635,6 @@ def save_checkpoint(
             "frames": model.adapter.t_frames,
             "keyframes": model.adapter.k_frames,
             "mlp_sizes": list(model.adapter.mlp.sizes),
-        },
-        "head_config": {
-            "hidden_sizes": list(model.head_config.hidden_sizes),
-            "score_range": list(model.head_config.score_range),
         },
         "adam": {
             "lr": model.adam.lr,
@@ -696,8 +645,7 @@ def save_checkpoint(
             "t": model.adam.t,
         },
         "counters": counters.to_dict(),
-        "rng": {k: _rng_state_to_json(v) for k, v in stream_state.items()},
-        "bank": bank_meta,
+        "rng": streams.get_state(),
         "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -708,6 +656,7 @@ def save_checkpoint(
     ]
     for _, a in arrays:
         chunks.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    chunks.append(encode_sessions(bank, "<f8"))
     Path(path).write_bytes(b"".join(chunks))
 
 
@@ -738,6 +687,7 @@ def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
     for entry in header["arrays"]:
         name = entry["name"]
         arrays[name] = reader.floats("<f8", tuple(entry["shape"]), f"array '{name}'")
+    bank = read_sessions(reader, "<f8")
     reader.end("checkpoint payload")
 
     head = MlpParams(arrays["head"], header["head_sizes"])
@@ -763,28 +713,14 @@ def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
         v=v,
         t=t,
     )
-    hc = header["head_config"]
-    head_config = HeadConfig(
-        hidden_sizes=tuple(hc["hidden_sizes"]),
-        score_range=tuple(hc["score_range"]),
-    )
-    bank = MemoryBank()
-    for entry in header["bank"]:
-        tag = entry["tag"]
-        bank.sessions[tag] = [
-            Exemplar(
-                sample_id=sid,
-                features=arrays[f"bank:{tag}:{sid}"],
-                score=score,
-                session=tag,
-            )
-            for sid, score in zip(entry["ids"], entry["scores"])
-        ]
+    # applying the states to live streams checks every stream and field
+    streams = _Streams(0)
+    streams.set_state(header["rng"])
     counters = _Counters(**header["counters"])
     return CheckpointBundle(
-        model=ModelState(head, adapter, adam, head_config),
+        model=ModelState(head, adapter, adam),
         bank=bank,
-        stream_state={k: _rng_state_from_json(v) for k, v in header["rng"].items()},
+        stream_state=streams.get_state(),
         completed_sessions=header["completed_sessions"],
         config_digest=header["config_digest"],
         counters=counters,

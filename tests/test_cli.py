@@ -218,6 +218,46 @@ def test_nonfinite_checkpoint_exit_code_three(bench, tmp_path) -> None:
     assert f"non-finite value in array 'head' at flat index 0 (byte offset {first_array})" in result.output
 
 
+def test_resume_with_malformed_rng_state_exit_code_three(bench, tmp_path) -> None:
+    runner, out = bench
+    ckpt = tmp_path / "run.ckpt"
+    train = ["train", "--manifest", str(out / "manifest.json"), "--report-out", str(tmp_path / "r.json")]
+    result = runner.invoke(main, train + ["--checkpoint-out", str(ckpt)] + TRAIN_SPEED_ARGS)
+    assert result.exit_code == 0, result.output
+    raw = ckpt.read_bytes()
+    header_len = struct.unpack_from("<Q", raw, 12)[0]
+    header = json.loads(raw[20 : 20 + header_len])
+    bad = tmp_path / "bad.ckpt"
+    for stream, mangle in (
+        ("noise", lambda rng: rng.pop("noise")),
+        ("shuffle", lambda rng: rng["shuffle"].update(bit_generator="MT19937")),
+    ):
+        rng = json.loads(json.dumps(header["rng"]))
+        mangle(rng)
+        text = json.dumps({**header, "rng": rng}).encode()
+        bad.write_bytes(raw[:12] + struct.pack("<Q", len(text)) + text + raw[20 + header_len :])
+        result = runner.invoke(main, train + ["--resume", str(bad)] + TRAIN_SPEED_ARGS)
+        assert result.exit_code == 3, (stream, result.output)
+        assert "malformed checkpoint" in result.output
+
+
+def test_resume_of_a_joint_run_exit_code_two(bench, tmp_path) -> None:
+    runner, out = bench
+    ckpt = tmp_path / "run.ckpt"
+    report = tmp_path / "joint.json"
+    train = ["train", "--manifest", str(out / "manifest.json")]
+    result = runner.invoke(
+        main, train + ["--report-out", str(tmp_path / "r.json"), "--checkpoint-out", str(ckpt)] + TRAIN_SPEED_ARGS
+    )
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(
+        main, train + ["--mode", "joint", "--resume", str(ckpt), "--report-out", str(report)] + TRAIN_SPEED_ARGS
+    )
+    assert result.exit_code == 2, result.output
+    assert "--resume applies only to continual runs" in result.output
+    assert not report.exists()
+
+
 def test_config_defaults_are_run_config_defaults(tmp_path) -> None:
     manifest = tmp_path / "manifest.json"
     manifest.write_text("{}")
@@ -287,7 +327,13 @@ def test_probe_bad_draws_or_radii_exit_code_two(bench, tmp_path, radii, draws) -
 def test_malformed_report_exit_code_three(tmp_path) -> None:
     runner = CliRunner()
     bad = tmp_path / "bad.json"
-    for text in (b"{not json", b"5", b'"mode seed pooled sessions"', b'{"mode": "\xff"}'):
+    for text in (
+        b"{not json",
+        b"5",
+        b'"mode seed pooled sessions"',
+        b'{"mode": "\xff"}',
+        b'{"mode": "joint", "seed": true, "pooled": {}, "sessions": {}}',
+    ):
         bad.write_bytes(text)
         result = runner.invoke(main, ["report", str(bad)])
         assert result.exit_code == 3, text

@@ -481,9 +481,13 @@ def test_report_missing_fields_rejected(tmp_path) -> None:
         path.write_text(text)
         with pytest.raises(ManifestError, match="must be a JSON object"):
             read_report(path)
-    path.write_text('{"mode": "joint", "seed": 1, "pooled": {}, "sessions": 5}')
-    with pytest.raises(ManifestError, match="'sessions' is not a dict"):
-        read_report(path)
+    for fields, message in (
+        ('"seed": 1, "pooled": {}, "sessions": 5', "'sessions' is not a dict"),
+        ('"seed": true, "pooled": {}, "sessions": {}', "'seed' is not a int"),
+    ):
+        path.write_text('{"mode": "joint", ' + fields + "}")
+        with pytest.raises(ManifestError, match=message):
+            read_report(path)
 
 
 _MALFORMED_REPORT_BODIES = (

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from scorealign.head import (
-    HeadConfig,
     batch_sample,
     batch_sample_backward,
     init_head,
@@ -12,6 +11,7 @@ from scorealign.head import (
     predict_eval,
 )
 from scorealign.numkit import SeededRng, ShapeMismatchError, mlp_forward, zeros_mlp
+from scorealign.runner import RunConfig
 
 from gradcheck import max_rel_error
 
@@ -52,7 +52,7 @@ def test_zero_head_predicts_standard_gaussian() -> None:
 
 def test_sigma_matches_direct_recomputation() -> None:
     rng = SeededRng(1)
-    params = init_head(6, HeadConfig(), rng)
+    params = init_head(6, (64, 32), rng)
     features = rng.normal(24).reshape(4, 6)
     out = _head_out(params, features)
     _, sigma = batch_sample(out, np.zeros(1))
@@ -93,7 +93,7 @@ def test_sampling_statistics_within_one_percent() -> None:
 
 def test_predict_distribution_deterministic() -> None:
     rng = SeededRng(0)
-    params = init_head(5, HeadConfig(), rng)
+    params = init_head(5, (64, 32), rng)
     features = rng.normal(15).reshape(3, 5)
     a = _head_out(params, features)
     b = _head_out(params, features)
@@ -105,7 +105,7 @@ def test_predict_distribution_deterministic() -> None:
 
 def test_predict_eval_is_mu_and_repeatable() -> None:
     rng = SeededRng(2)
-    params = init_head(4, HeadConfig(), rng)
+    params = init_head(4, (64, 32), rng)
     features = rng.normal(8).reshape(2, 4)
     value = predict_eval(params, features[None])[0]
     out = _head_out(params, features)
@@ -116,7 +116,7 @@ def test_predict_eval_is_mu_and_repeatable() -> None:
 
 def test_batch_sample_matches_per_sample_path() -> None:
     rng = SeededRng(3)
-    params = init_head(5, HeadConfig(), rng)
+    params = init_head(5, (64, 32), rng)
     feats = [rng.normal(10).reshape(2, 5) for _ in range(4)]
     pooled = np.stack([pool(f) for f in feats])
     out, _ = mlp_forward(params, pooled)
@@ -139,4 +139,4 @@ def test_batch_sample_backward_formula() -> None:
 
 def test_head_config_validation() -> None:
     with pytest.raises(ValueError):
-        HeadConfig(score_range=(5.0, 1.0))
+        RunConfig(score_range=(5.0, 1.0))

@@ -241,3 +241,8 @@ def test_bank_file_rejects_corruption(tmp_path) -> None:
     bad_tag.write_bytes(raw[:20] + b"\xff" + raw[21:])  # first byte of the session tag
     with pytest.raises(BankError, match="UTF-8"):
         load_bank(bad_tag)
+    duplicate = tmp_path / "duplicate.bin"
+    duplicate.write_bytes(raw[:12] + struct.pack("<I", 2) + raw[16:] + raw[16:])  # s1 twice
+    with pytest.raises(BankError, match=f"duplicate session 's1'.*offset {len(raw)}") as err:
+        load_bank(duplicate)
+    assert err.value.offset == len(raw)

@@ -418,44 +418,91 @@ def test_checkpoint_rejects_garbage(tmp_path) -> None:
         load_checkpoint(path)
 
 
+def _split_checkpoint(path) -> tuple[bytes, dict, int]:
+    """A checkpoint's bytes, its JSON header and the offset of the arrays."""
+    raw = path.read_bytes()
+    header_len = struct.unpack_from("<Q", raw, 12)[0]
+    return raw, json.loads(raw[20 : 20 + header_len]), 20 + header_len
+
+
+def _with_header(raw: bytes, header: dict, payload_at: int) -> bytes:
+    text = json.dumps(header).encode()
+    return raw[:12] + struct.pack("<Q", len(text)) + text + raw[payload_at:]
+
+
 def test_checkpoint_rejects_version_one_and_missing_header_keys(tmp_path) -> None:
     path = tmp_path / "run.ckpt"
     train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
-    raw = path.read_bytes()
-    old = tmp_path / "v1.ckpt"
-    old.write_bytes(raw[:8] + struct.pack("<I", 1) + raw[12:])
-    with pytest.raises(CheckpointError, match="version 1"):
-        load_checkpoint(old)
-    header_len = struct.unpack_from("<Q", raw, 12)[0]
-    header = json.loads(raw[20 : 20 + header_len])
-    for key in ("adam", "adapter_layout", "counters"):
-        text = json.dumps({k: v for k, v in header.items() if k != key}).encode()
-        path.write_bytes(raw[:12] + struct.pack("<Q", len(text)) + text + raw[20 + header_len :])
+    raw, header, payload_at = _split_checkpoint(path)
+    old = tmp_path / "old.ckpt"
+    for version in (1, 2):
+        old.write_bytes(raw[:8] + struct.pack("<I", version) + raw[12:])
+        with pytest.raises(CheckpointError, match=f"version {version}"):
+            load_checkpoint(old)
+    for key in ("adam", "adapter_layout", "counters", "rng"):
+        path.write_bytes(_with_header(raw, {k: v for k, v in header.items() if k != key}, payload_at))
         with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
+
+
+def test_checkpoint_rejects_malformed_rng_states(tmp_path) -> None:
+    path = tmp_path / "run.ckpt"
+    train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
+    raw, header, payload_at = _split_checkpoint(path)
+    for stream, key, value in (
+        ("noise", None, None),  # the stream is missing
+        ("shuffle", "bit_generator", "MT19937"),
+        ("replay", "state", {"state": 1}),
+        ("replay", "uinteger", -1),
+        ("noise", "has_uint32", "yes"),
+    ):
+        bad = json.loads(json.dumps(header))
+        if key is None:
+            del bad["rng"][stream]
+        else:
+            bad["rng"][stream][key] = value
+        path.write_bytes(_with_header(raw, bad, payload_at))
+        with pytest.raises(CheckpointError, match="malformed checkpoint"):
             load_checkpoint(path)
 
 
 def test_checkpoint_rejects_nonfinite_arrays_with_offset(tmp_path) -> None:
     path = tmp_path / "run.ckpt"
     train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
-    raw = path.read_bytes()
-    header_len = struct.unpack_from("<Q", raw, 12)[0]
-    header = json.loads(raw[20 : 20 + header_len])
-    offset = 20 + header_len  # the arrays follow the header, in header order
+    raw, header, payload_at = _split_checkpoint(path)
+
+    def rejects(at: int, value: float, what: str) -> None:
+        corrupt = bytearray(raw)
+        corrupt[at : at + 8] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(CheckpointError, match=f"non-finite.*{what}.*offset {at}") as err:
+            load_checkpoint(path)
+        assert err.value.offset == at
+
+    offset = payload_at  # the arrays follow the header, in header order
     for i, entry in enumerate(header["arrays"]):
         count = int(np.prod(entry["shape"]))
-        last = offset + 8 * (count - 1)
-        corrupt = bytearray(raw)
-        corrupt[last : last + 8] = np.array([np.nan, np.inf][i % 2], dtype="<f8").tobytes()
-        path.write_bytes(bytes(corrupt))
-        with pytest.raises(CheckpointError, match=f"non-finite.*'{entry['name']}'.*offset {last}") as err:
-            load_checkpoint(path)
-        assert err.value.offset == last
+        rejects(offset + 8 * (count - 1), [np.nan, np.inf][i % 2], f"'{entry['name']}'")
         offset += 8 * count
+    # then the bank's session table, each exemplar one run of score and K x D values
+    (n_sessions,) = struct.unpack_from("<I", raw, offset)
+    offset += 4
+    exemplars = 0
+    for _ in range(n_sessions):
+        offset += 4 + struct.unpack_from("<I", raw, offset)[0]
+        count, k, d = struct.unpack_from("<III", raw, offset)
+        offset += 12
+        for j in range(count):
+            id_len = struct.unpack_from("<I", raw, offset)[0]
+            sample_id = raw[offset + 4 : offset + 4 + id_len].decode()
+            offset += 4 + id_len
+            rejects(offset + 8 * (k * d if j % 2 else 0), np.nan, f"exemplar '{sample_id}'")
+            offset += 8 * (1 + k * d)
+            exemplars += 1
+    assert exemplars > 0
     assert offset == len(raw)
     header["adam"]["lr"] = float("inf")
-    text = json.dumps(header).encode()
-    path.write_bytes(raw[:12] + struct.pack("<Q", len(text)) + text + raw[20 + header_len :])
+    path.write_bytes(_with_header(raw, header, payload_at))
     with pytest.raises(CheckpointError, match="non-finite number Infinity"):
         load_checkpoint(path)
 
@@ -589,14 +636,6 @@ def test_key_frames_selected_once_per_sample_per_session(monkeypatch) -> None:
         assert counts["select"] == n_train + n_written
         by_epochs[epochs] = counts
     assert by_epochs[1] == by_epochs[3]
-
-
-def test_model_state_copy_is_deep() -> None:
-    config = _config()
-    model = init_model(FEAT_DIM, config)
-    clone = model.copy()
-    clone.head.weights[0][0, 0] += 1.0
-    assert model.head.weights[0][0, 0] != clone.head.weights[0][0, 0]
 
 
 def test_run_config_defaults_are_the_documented_ones() -> None:
