@@ -10,7 +10,7 @@ the refinement is initially the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,9 +55,6 @@ class AdapterParams:
         """Copy mixing logits and a refiner MLP into a new flat vector."""
         t_frames, k_frames = mixing_logits.shape
         return cls(flatten([mixing_logits, mlp.flat]), t_frames, k_frames, mlp.sizes)
-
-    def copy(self) -> "AdapterParams":
-        return replace(self, flat=self.flat.copy())
 
 
 def interpolation_logits(t_frames: int, k: int, sharpness: float = DEFAULT_SHARPNESS) -> np.ndarray:

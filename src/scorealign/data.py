@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -194,8 +194,8 @@ def load_manifest(
     frames: int,
     score_range: tuple[float, float],
     seed: int,
-    test_ratio: float = 0.2,
-    max_train: int = 50,
+    test_ratio: float,
+    max_train: int,
 ) -> LoadedData:
     """Parse, validate, split, and cap a manifest.
 
@@ -223,10 +223,9 @@ def load_manifest(
         if rec["id"] in seen_ids:
             raise ManifestError(f"record {i}: duplicate id '{rec['id']}'")
         seen_ids.add(rec["id"])
-        try:
-            score = float(rec["score"])
-        except (TypeError, ValueError) as exc:
-            raise ManifestError(f"record {i}: score {rec['score']!r} is not a number") from exc
+        score = rec["score"]
+        if not _is_number(score):
+            raise ManifestError(f"record {i}: score {score!r} is not a number")
         if not lo <= score <= hi:
             raise ManifestError(
                 f"record {i}: score {score} outside configured range [{lo}, {hi}]"
@@ -418,16 +417,7 @@ def generate_synthetic(spec: SynthSpec, out_dir: str | Path) -> Path:
     write_manifest(manifest_path, records)
     truth = {
         "score_range": list(SYNTH_SCORE_RANGE),
-        "spec": {
-            "sessions": spec.sessions,
-            "samples_per_session": spec.samples_per_session,
-            "frames": spec.frames,
-            "feat_dim": spec.feat_dim,
-            "drift": spec.drift,
-            "noise_std": spec.noise_std,
-            "seed": spec.seed,
-            "include_base": spec.include_base,
-        },
+        "spec": asdict(spec),
         "sessions": truth_sessions,
     }
     (out_dir / "truth.json").write_text(json.dumps(truth, sort_keys=True, indent=2) + "\n")
@@ -490,7 +480,12 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value: object) -> bool:
+    """An int or a float; a bool is neither."""
+    return _is_int(value) or isinstance(value, float)
+
+
 def _check_metric(value: object, where: str) -> None:
     """A metric value is a number, or null when undefined."""
-    if value is not None and not (_is_int(value) or isinstance(value, float)):
+    if value is not None and not _is_number(value):
         raise ManifestError(f"{where} is not a number or null")

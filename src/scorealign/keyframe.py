@@ -19,17 +19,7 @@ search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class KeyFrameSelection:
-    indices: tuple[int, ...]  # ascending, 0-based
-    salience: tuple[float, ...]  # raw salience of the selected frames
-    k: int
-    diversity_weight: float
 
 
 def salience_scores(features: np.ndarray) -> np.ndarray:
@@ -55,7 +45,8 @@ def _normalized_salience(salience: np.ndarray) -> np.ndarray:
 
 def select_key_frames(
     features: np.ndarray, k: int, diversity_weight: float
-) -> KeyFrameSelection:
+) -> tuple[int, ...]:
+    """Ascending 0-based indices of the k key frames of a (T, D) matrix."""
     features = np.asarray(features, dtype=np.float64)
     salience = salience_scores(features)
     t = features.shape[0]
@@ -88,18 +79,11 @@ def select_key_frames(
     for a in range(k):
         for b in range(a + 1, k):
             value -= diversity_weight * cos[picks[:, a], picks[:, b]]
-    indices = tuple(sorted(int(i) for i in picks[np.argmax(value)]))
-    return KeyFrameSelection(
-        indices=indices,
-        salience=tuple(float(salience[i]) for i in indices),
-        k=k,
-        diversity_weight=diversity_weight,
-    )
+    return tuple(sorted(int(i) for i in picks[np.argmax(value)]))
 
 
 def phi_select(features: np.ndarray, k: int, diversity_weight: float) -> np.ndarray:
     """Compress (T, D) to the (K, D) rows of the selected key frames,
     preserving temporal order."""
     features = np.asarray(features, dtype=np.float64)
-    selection = select_key_frames(features, k, diversity_weight)
-    return features[list(selection.indices)].copy()
+    return features[list(select_key_frames(features, k, diversity_weight))].copy()

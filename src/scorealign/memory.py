@@ -33,7 +33,6 @@ class Exemplar:
     sample_id: str
     features: np.ndarray  # (K, D) compressed key-frame rows
     score: float
-    session: str
 
 
 @dataclass
@@ -92,7 +91,6 @@ def write_session(
             sample_id=samples[i].sample_id,
             features=phi_select(samples[i].features, k, diversity_weight),
             score=samples[i].score,
-            session=tag,
         )
         for i in chosen
     ]
@@ -157,7 +155,7 @@ def read_sessions(reader: Reader, dtype: str) -> MemoryBank:
         for _ in range(count):
             sample_id = reader.string("sample id")
             values = reader.floats(dtype, (1 + k * d,), f"exemplar '{sample_id}'")
-            exemplars.append(Exemplar(sample_id, values[1:].reshape(k, d), float(values[0]), tag))
+            exemplars.append(Exemplar(sample_id, values[1:].reshape(k, d), float(values[0])))
         bank.sessions[tag] = exemplars
     return bank
 

@@ -8,7 +8,7 @@ samples, never by averaging per-session coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -93,7 +93,7 @@ def metric_entry(
     return {
         "plcc": plcc(pred, truth),
         "srcc": srcc(pred, truth),
-        "rl2e": rl2e(pred, truth, s_max, s_min) if pred.size >= 1 else None,
+        "rl2e": rl2e(pred, truth, s_max, s_min),
         "n": int(pred.size),
     }
 
@@ -120,30 +120,9 @@ class MetricReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "config": self.config,
-            "sessions": self.sessions,
-            "variants": self.variants,
-            "pooled": self.pooled,
-            "counters": self.counters,
-            "flatness": self.flatness,
-            "notes": self.notes,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricReport":
-        return cls(
-            mode=data.get("mode", ""),
-            seed=data.get("seed", 0),
-            config_hash=data.get("config_hash", ""),
-            config=data.get("config", {}),
-            sessions=data.get("sessions", {}),
-            variants=data.get("variants", {}),
-            pooled=data.get("pooled", {}),
-            counters=data.get("counters", {}),
-            flatness=data.get("flatness", {}),
-            notes=data.get("notes", []),
-        )
+        """The report fields present in data; absent ones keep their defaults."""
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})

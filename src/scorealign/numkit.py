@@ -130,9 +130,6 @@ class MlpParams:
     def n_layers(self) -> int:
         return len(self.sizes) - 1
 
-    def n_params(self) -> int:
-        return self.flat.size
-
     def copy(self) -> "MlpParams":
         return replace(self, flat=self.flat.copy())
 

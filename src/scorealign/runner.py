@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .adapter import (
     reconstruct_with_tape,
     reg_loss_and_grads,
 )
-from .data import CodecError, LoadedData, Reader, ScoredSample, SessionData
+from .data import CodecError, LoadedData, Reader, ScoredSample, SessionData, _is_int, _is_number
 from .head import batch_sample, batch_sample_backward, init_head, pool, predict_eval
 from .keyframe import phi_select
 from .losses import DegenerateBatchError, combined_loss
@@ -53,6 +53,9 @@ CHECKPOINT_MAGIC = b"ASALCKPT"
 CHECKPOINT_VERSION = 3
 
 MAX_DEGENERATE_FRACTION = 0.05
+
+# the AdamState hyperparameters a checkpoint header stores
+_ADAM_SCALARS = ("lr", "beta1", "beta2", "eps", "weight_decay")
 
 
 class TrainingError(RuntimeError):
@@ -147,20 +150,11 @@ class ModelState:
 
 
 @dataclass
-class SessionState:
-    index: int
-    tag: str
-    epoch_mean_losses: list[float] = field(default_factory=list)
-    degenerate_batches: int = 0
-
-
-@dataclass
 class RunResult:
     model: ModelState
     bank: MemoryBank
     report: MetricReport
     loss_trace: list[float]
-    session_logs: list[SessionState]
 
 
 class _Streams:
@@ -216,6 +210,29 @@ class _Counters:
         return asdict(self)
 
 
+def _head_term(
+    model: ModelState,
+    x: np.ndarray,
+    truth: np.ndarray,
+    weight: float,
+    config: RunConfig,
+    streams: _Streams,
+    out: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """The sampled-score step of one batch of pooled (B, D) features:
+    score x with the head, sample s = mu + eps * sigma (eps = 0 without
+    reparameterization), take the combined loss against truth and backprop
+    weight times its gradient into out. Returns the loss and the gradient
+    with respect to x. A degenerate batch raises DegenerateBatchError
+    before out is touched."""
+    head_out, tape = mlp_forward(model.head, x)
+    eps = streams.noise.normal(len(x)) if config.reparam else np.zeros(len(x))
+    s_hat, sigma = batch_sample(head_out, eps)
+    value, grad_s = combined_loss(s_hat, truth, config.mse_weight)
+    grad_out = batch_sample_backward(weight * grad_s, eps, sigma)
+    return value, mlp_backward(model.head, tape, grad_out, out)
+
+
 def _train_on_samples(
     model: ModelState,
     samples: list[ScoredSample],
@@ -224,7 +241,6 @@ def _train_on_samples(
     bank: MemoryBank | None,
     counters: _Counters,
     trace: list[float],
-    log: SessionState,
 ) -> None:
     """The shared epoch loop: one optimizer step per current-data batch,
     folding in the replay and reconstruction terms when a bank is given.
@@ -254,31 +270,21 @@ def _train_on_samples(
 
     for _ in range(config.epochs):
         order = streams.shuffle.permutation(n)
-        epoch_losses: list[float] = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             if idx.size < 2:
                 # a single sample cannot define a batch correlation
                 counters.dropped_singletons += 1
                 continue
-            x = pooled[idx]
-            out, tape = mlp_forward(model.head, x)
-            if config.reparam:
-                eps = streams.noise.normal(idx.size)
-            else:
-                eps = np.zeros(idx.size)
-            s_hat, sigma = batch_sample(out, eps)
             try:
-                value, grad_s = combined_loss(s_hat, scores[idx], config.mse_weight)
+                value, _ = _head_term(
+                    model, pooled[idx], scores[idx], 1.0, config, streams, head_grad
+                )
             except DegenerateBatchError:
                 counters.degenerate_batches += 1
-                log.degenerate_batches += 1
                 continue
-            grad_out = batch_sample_backward(grad_s, eps, sigma)
-            mlp_backward(model.head, tape, grad_out, head_grad)
             grads = {"head": head_grad}
             trace.append(value)
-            epoch_losses.append(value)
 
             if (
                 replay_on
@@ -299,9 +305,6 @@ def _train_on_samples(
 
             adam_step(model.adam, model_param_dict(model), grads)
             counters.steps += 1
-        log.epoch_mean_losses.append(
-            float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-        )
 
 
 def _replay_term(
@@ -314,29 +317,23 @@ def _replay_term(
     adapter_grad: np.ndarray,
 ) -> bool:
     """Draw a replay batch, decode it through the adapter as one stack and
-    write its head gradient into head_grad and its adapter rows, summed in
-    sample order, into adapter_grad. Returns False, with both untouched,
-    when the draw gives no usable batch."""
+    write its head gradient, scaled by replay_weight, into head_grad and
+    its adapter rows, summed in sample order, into adapter_grad. Returns
+    False, with both untouched, when the draw gives no usable batch."""
     batch = sample_replay_batch(bank, config.replay_batch_size, streams.replay)
     if len(batch) < 2:
         return False
     recon, recon_tape = reconstruct_with_tape(
         model.adapter, np.stack([e.features for e in batch])
     )
-    out, tape = mlp_forward(model.head, recon.mean(axis=1))
-    if config.reparam:
-        eps = streams.noise.normal(len(batch))
-    else:
-        eps = np.zeros(len(batch))
-    s_hat, sigma = batch_sample(out, eps)
     truth = np.array([e.score for e in batch], dtype=np.float64)
     try:
-        _, grad_s = combined_loss(s_hat, truth, config.mse_weight)
+        _, x_grad = _head_term(
+            model, recon.mean(axis=1), truth, config.replay_weight, config, streams, head_grad
+        )
     except DegenerateBatchError:
         counters.degenerate_replay_batches += 1
         return False
-    grad_out = batch_sample_backward(config.replay_weight * grad_s, eps, sigma)
-    x_grad = mlp_backward(model.head, tape, grad_out, head_grad)
     t_frames = model.adapter.t_frames
     # mean pooling spreads the pooled gradient evenly over frames
     grad_recon = np.repeat((x_grad / t_frames)[:, None, :], t_frames, axis=1)
@@ -345,6 +342,20 @@ def _replay_term(
     for row in rows[1:]:
         adapter_grad += row
     return True
+
+
+def _fit(
+    config: RunConfig, samples: list[ScoredSample], stream_seed: int
+) -> tuple[ModelState, _Streams, _Counters, list[float]]:
+    """Initialize a model and train it on samples without a bank: joint
+    training and base pretraining."""
+    model = init_model(samples[0].features.shape[1], config)
+    streams = _Streams(stream_seed)
+    counters = _Counters()
+    trace: list[float] = []
+    _train_on_samples(model, samples, config, streams, None, counters, trace)
+    _check_degenerate_fraction(counters)
+    return model, streams, counters, trace
 
 
 def _check_degenerate_fraction(counters: _Counters) -> None:
@@ -429,34 +440,21 @@ def train_joint(
     test = data.all_test()
     if not train or not test:
         raise TrainingError("joint training needs nonempty train and test splits")
-    model = init_model(train[0].features.shape[1], config)
-    streams = _Streams(config.seed)
-    counters = _Counters()
-    trace: list[float] = []
-    log = SessionState(index=0, tag="joint")
-    _train_on_samples(model, train, config, streams, None, counters, trace, log)
-    _check_degenerate_fraction(counters)
+    model, streams, counters, trace = _fit(config, train, config.seed)
     if checkpoint_path is not None:
         save_checkpoint(
             checkpoint_path, config, model, MemoryBank(), streams, 0, counters, trace
         )
     result = evaluate(model, test, config.score_range)
     report = build_report(config, "joint", result, counters=counters.to_dict())
-    return RunResult(model, MemoryBank(), report, trace, [log])
+    return RunResult(model, MemoryBank(), report, trace)
 
 
-def base_pretrain(config: RunConfig, base: SessionData) -> tuple[ModelState, SessionState]:
-    """Same loop as joint training, run on the auxiliary base session."""
+def base_pretrain(config: RunConfig, base: SessionData) -> ModelState:
+    """Same fit as joint training, run on the auxiliary base session."""
     if not base.train:
         raise TrainingError("base session has no training samples")
-    model = init_model(base.train[0].features.shape[1], config)
-    streams = _Streams(derive_seed(config.seed, "base"))
-    counters = _Counters()
-    trace: list[float] = []
-    log = SessionState(index=-1, tag=base.name)
-    _train_on_samples(model, base.train, config, streams, None, counters, trace, log)
-    _check_degenerate_fraction(counters)
-    return model, log
+    return _fit(config, base.train, derive_seed(config.seed, "base"))[0]
 
 
 def train_continual(
@@ -472,7 +470,6 @@ def train_continual(
     if not data.sessions:
         raise TrainingError("continual training needs at least one session")
     notes: list[str] = []
-    session_logs: list[SessionState] = []
     trace: list[float] = []
     counters = _Counters()
     start_session = 0
@@ -497,8 +494,7 @@ def train_continual(
             raise TrainingError(f"session '{first.name}' has no training samples")
         bank = MemoryBank()
         if data.base is not None:
-            model, base_log = base_pretrain(config, data.base)
-            session_logs.append(base_log)
+            model = base_pretrain(config, data.base)
         else:
             model = init_model(first.train[0].features.shape[1], config)
             notes.append("cold start: no base session for pretraining")
@@ -506,8 +502,7 @@ def train_continual(
 
     for index in range(start_session, len(data.sessions)):
         session = data.sessions[index]
-        log = SessionState(index=index, tag=session.name)
-        _train_on_samples(model, session.train, config, streams, bank, counters, trace, log)
+        _train_on_samples(model, session.train, config, streams, bank, counters, trace)
         if config.exemplars_per_session > 0:
             write_session(
                 bank,
@@ -516,7 +511,6 @@ def train_continual(
                 config.keyframes,
                 config.diversity_weight,
             )
-        session_logs.append(log)
         if checkpoint_path is not None:
             save_checkpoint(
                 checkpoint_path, config, model, bank, streams, index + 1, counters, trace
@@ -535,7 +529,7 @@ def train_continual(
         },
         notes=notes,
     )
-    return RunResult(model, bank, report, trace, session_logs)
+    return RunResult(model, bank, report, trace)
 
 
 # --- flat-minima probe ---------------------------------------------------
@@ -553,7 +547,7 @@ def flat_minima_probe(
     lam: float,
     radii: list[float],
     rng: SeededRng,
-    draws: int = 10,
+    draws: int,
 ) -> dict:
     """Mean training-loss increase under random weight perturbations.
 
@@ -578,6 +572,8 @@ def flat_minima_probe(
     perturbed = model.head.copy()
     per_session: dict[str, dict] = {}
     for session in sessions:
+        if not session.train:
+            raise TrainingError(f"session '{session.name}' has no training samples")
         pooled = np.stack([pool(s.features) for s in session.train])
         scores = np.array([s.score for s in session.train])
         baseline = _probe_loss(model.head, pooled, scores, lam)
@@ -637,11 +633,7 @@ def save_checkpoint(
             "mlp_sizes": list(model.adapter.mlp.sizes),
         },
         "adam": {
-            "lr": model.adam.lr,
-            "beta1": model.adam.beta1,
-            "beta2": model.adam.beta2,
-            "eps": model.adam.eps,
-            "weight_decay": model.adam.weight_decay,
+            **{key: getattr(model.adam, key) for key in _ADAM_SCALARS},
             "t": model.adam.t,
         },
         "counters": counters.to_dict(),
@@ -679,6 +671,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _count(value: object, what: str) -> int:
+    if not _is_int(value) or value < 0:
+        raise CheckpointError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
     (header_len,) = reader.unpack("Q", "header length")
     text = reader.take(header_len, "header").decode("utf-8")
@@ -697,31 +695,31 @@ def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
     )
     blocks = {"head": head.flat, "adapter": adapter.flat}
     adam_cfg = header["adam"]
-    t = {name: int(steps) for name, steps in adam_cfg["t"].items()}
+    t = {name: _count(steps, f"adam step count '{name}'") for name, steps in adam_cfg["t"].items()}
     m = {name: arrays[f"adam.m:{name}"] for name in t}
     v = {name: arrays[f"adam.v:{name}"] for name in t}
     for name in t:
         if not blocks[name].shape == m[name].shape == v[name].shape:
             raise CheckpointError(f"optimizer moments do not match block '{name}'")
-    adam = AdamState(
-        lr=adam_cfg["lr"],
-        beta1=adam_cfg["beta1"],
-        beta2=adam_cfg["beta2"],
-        eps=adam_cfg["eps"],
-        weight_decay=adam_cfg["weight_decay"],
-        m=m,
-        v=v,
-        t=t,
-    )
+    scalars = {key: adam_cfg[key] for key in _ADAM_SCALARS}
+    for key, value in scalars.items():
+        if not _is_number(value):
+            raise CheckpointError(f"adam '{key}' must be a number, got {value!r}")
+    adam = AdamState(**scalars, m=m, v=v, t=t)
     # applying the states to live streams checks every stream and field
     streams = _Streams(0)
     streams.set_state(header["rng"])
-    counters = _Counters(**header["counters"])
+    names = [f.name for f in fields(_Counters)]
+    if not isinstance(header["counters"], dict) or set(header["counters"]) != set(names):
+        raise CheckpointError(f"checkpoint counters must be exactly {names}")
+    counters = _Counters(**{n: _count(header["counters"][n], f"counter '{n}'") for n in names})
+    if not isinstance(header["config_digest"], str):
+        raise CheckpointError("checkpoint config digest must be a string")
     return CheckpointBundle(
         model=ModelState(head, adapter, adam),
         bank=bank,
         stream_state=streams.get_state(),
-        completed_sessions=header["completed_sessions"],
+        completed_sessions=_count(header["completed_sessions"], "completed_sessions"),
         config_digest=header["config_digest"],
         counters=counters,
         loss_trace=arrays["trace"].tolist(),

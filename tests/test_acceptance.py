@@ -236,12 +236,12 @@ def test_criterion_5_keyframe_selector() -> None:
                 value -= mu * cos
         return value
 
-    selection = select_key_frames(three, 2, 0.5)
-    assert selection.indices == (0, 1)
+    indices = select_key_frames(three, 2, 0.5)
+    assert indices == (0, 1)
     best = max(
         objective(three, s, 0.5) for s in itertools.combinations(range(3), 2)
     )
-    assert objective(three, selection.indices, 0.5) == pytest.approx(best, abs=1e-12)
+    assert objective(three, indices, 0.5) == pytest.approx(best, abs=1e-12)
 
     rng = np.random.default_rng(505)
     ratios = []
@@ -251,7 +251,7 @@ def test_criterion_5_keyframe_selector() -> None:
         feats = rng.normal(size=(t, 5))
         chosen = select_key_frames(feats, k, 0.5)
         assert chosen == select_key_frames(feats, k, 0.5)
-        greedy_value = objective(feats, chosen.indices, 0.5)
+        greedy_value = objective(feats, chosen, 0.5)
         best = max(objective(feats, s, 0.5) for s in itertools.combinations(range(t), k))
         if best > 0:
             ratios.append(greedy_value / best)

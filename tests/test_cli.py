@@ -241,6 +241,40 @@ def test_resume_with_malformed_rng_state_exit_code_three(bench, tmp_path) -> Non
         assert "malformed checkpoint" in result.output
 
 
+def test_resume_with_mistyped_header_exit_code_three(bench, tmp_path) -> None:
+    runner, out = bench
+    ckpt = tmp_path / "run.ckpt"
+    manifest = out / "manifest.json"
+    # a one-session prefix leaves the second session to train on resume
+    payload = json.loads(manifest.read_text())
+    prefix = out / "prefix.json"
+    records = [r for r in payload["records"] if r["session"] != "session2"]
+    prefix.write_text(json.dumps({"records": records}))
+    train = ["train", "--report-out", str(tmp_path / "r.json")]
+    result = runner.invoke(
+        main, train + ["--manifest", str(prefix), "--checkpoint-out", str(ckpt)] + TRAIN_SPEED_ARGS
+    )
+    assert result.exit_code == 0, result.output
+    raw = ckpt.read_bytes()
+    header_len = struct.unpack_from("<Q", raw, 12)[0]
+    header = json.loads(raw[20 : 20 + header_len])
+    bad = tmp_path / "bad.ckpt"
+    for mangle, match in (
+        (lambda h: h.update(completed_sessions=1.5), "completed_sessions"),
+        (lambda h: h["counters"].update(steps="x"), "counter 'steps'"),
+        (lambda h: h["adam"].update(lr="0.01"), "adam 'lr'"),
+    ):
+        mangled = json.loads(json.dumps(header))
+        mangle(mangled)
+        text = json.dumps(mangled).encode()
+        bad.write_bytes(raw[:12] + struct.pack("<Q", len(text)) + text + raw[20 + header_len :])
+        result = runner.invoke(
+            main, train + ["--manifest", str(manifest), "--resume", str(bad)] + TRAIN_SPEED_ARGS
+        )
+        assert result.exit_code == 3, (match, result.output)
+        assert match in result.output
+
+
 def test_resume_of_a_joint_run_exit_code_two(bench, tmp_path) -> None:
     runner, out = bench
     ckpt = tmp_path / "run.ckpt"

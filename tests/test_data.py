@@ -33,6 +33,12 @@ from scorealign.runner import (
     train_continual,
 )
 
+# the split settings of a default run
+_SPLIT = {
+    "test_ratio": RunConfig().test_ratio,
+    "max_train": RunConfig().max_train_per_session,
+}
+
 
 # --- feature codec --------------------------------------------------------
 
@@ -112,7 +118,7 @@ def test_codec_totality_random_bytes_parse_or_raise_typed(tmp_path) -> None:
         SynthSpec(sessions=2, samples_per_session=12, frames=8, feat_dim=4, seed=3), tmp_path / "s"
     )
     config = RunConfig(epochs=1, frames=8, exemplars_per_session=3, hidden_sizes=(4,), adapter_hidden=4)
-    data = load_manifest(manifest, frames=8, score_range=config.score_range, seed=0)
+    data = load_manifest(manifest, frames=8, score_range=config.score_range, seed=0, **_SPLIT)
     ckpt = tmp_path / "run.ckpt"
     bank = tmp_path / "run.bank"
     save_bank(train_continual(config, data, checkpoint_path=ckpt).bank, bank)
@@ -201,7 +207,7 @@ def test_manifest_split_caps_train_at_fifty(tmp_path) -> None:
     (tmp_path / "features").mkdir()
     records = _write_session_files(tmp_path, "big", 100)
     write_manifest(tmp_path / "manifest.json", records)
-    data = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
+    data = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
     session = data.sessions[0]
     assert len(session.test) == 20
     assert len(session.train) == 50
@@ -212,7 +218,7 @@ def test_manifest_explicit_split_tags_honored(tmp_path) -> None:
     records = _write_session_files(tmp_path, "tagged", 4, split="train")
     records += _write_session_files(tmp_path, "tagged", 2, start=4, split="test")
     write_manifest(tmp_path / "manifest.json", records)
-    data = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
+    data = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
     session = data.sessions[0]
     assert {s.sample_id for s in session.train} == {f"tagged_{i:03d}" for i in range(4)}
     assert {s.sample_id for s in session.test} == {"tagged_004", "tagged_005"}
@@ -223,7 +229,7 @@ def test_manifest_routes_others_to_base_slot(tmp_path) -> None:
     records = _write_session_files(tmp_path, BASE_SESSION, 10)
     records += _write_session_files(tmp_path, "cityscape", 10)
     write_manifest(tmp_path / "manifest.json", records)
-    data = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
+    data = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
     assert data.base is not None and data.base.name == BASE_SESSION
     assert [s.name for s in data.sessions] == ["cityscape"]
 
@@ -232,7 +238,7 @@ def test_manifest_split_conserves_records(tmp_path) -> None:
     (tmp_path / "features").mkdir()
     records = _write_session_files(tmp_path, "big", 100)
     write_manifest(tmp_path / "manifest.json", records)
-    data = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
+    data = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
     session = data.sessions[0]
     train_ids = {s.sample_id for s in session.train}
     test_ids = {s.sample_id for s in session.test}
@@ -242,7 +248,12 @@ def test_manifest_split_conserves_records(tmp_path) -> None:
     # the cap shrinks the train side; it never moves records into test
     assert len(test_ids) == 20
     uncapped = load_manifest(
-        tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, max_train=1000
+        tmp_path / "manifest.json",
+        frames=16,
+        score_range=(1, 5),
+        seed=0,
+        test_ratio=_SPLIT["test_ratio"],
+        max_train=1000,
     )
     assert {s.sample_id for s in uncapped.sessions[0].test} == test_ids
     assert train_ids <= {s.sample_id for s in uncapped.sessions[0].train}
@@ -251,8 +262,8 @@ def test_manifest_split_conserves_records(tmp_path) -> None:
 def test_manifest_split_deterministic_across_loads(tmp_path) -> None:
     (tmp_path / "features").mkdir()
     write_manifest(tmp_path / "manifest.json", _write_session_files(tmp_path, "s", 30))
-    a = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=3)
-    b = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=3)
+    a = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=3, **_SPLIT)
+    b = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=3, **_SPLIT)
     assert [s.sample_id for s in a.sessions[0].train] == [s.sample_id for s in b.sessions[0].train]
 
 
@@ -262,7 +273,7 @@ def test_manifest_duplicate_ids_rejected(tmp_path) -> None:
     records[1]["id"] = records[0]["id"]
     write_manifest(tmp_path / "manifest.json", records)
     with pytest.raises(ManifestError, match="duplicate id"):
-        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
+        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
 
 
 def test_manifest_missing_feature_file_rejected(tmp_path) -> None:
@@ -271,7 +282,7 @@ def test_manifest_missing_feature_file_rejected(tmp_path) -> None:
     records[1]["feature_path"] = "features/nope.feat"
     write_manifest(tmp_path / "manifest.json", records)
     with pytest.raises(ManifestError, match="record 1.*missing feature file"):
-        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
+        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
 
 
 def test_manifest_out_of_range_score_rejected(tmp_path) -> None:
@@ -280,11 +291,11 @@ def test_manifest_out_of_range_score_rejected(tmp_path) -> None:
     records[0]["score"] = 9.0
     write_manifest(tmp_path / "manifest.json", records)
     with pytest.raises(ManifestError, match="record 0.*outside"):
-        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
+        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
     records[0]["score"] = "high"
     write_manifest(tmp_path / "manifest.json", records)
     with pytest.raises(ManifestError, match="record 0.*not a number"):
-        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
+        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
 
 
 def test_manifest_unknown_split_rejected(tmp_path) -> None:
@@ -293,7 +304,7 @@ def test_manifest_unknown_split_rejected(tmp_path) -> None:
     records[0]["split"] = "validation"
     write_manifest(tmp_path / "manifest.json", records)
     with pytest.raises(ManifestError, match="unknown split"):
-        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
+        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
 
 
 def _replace(records: list, i: int, **fields) -> dict:
@@ -309,6 +320,8 @@ _SCHEMA_FAULTS = {
     "session-is-number": (lambda recs: _replace(recs, 1, session=3), "record 1: field 'session'"),
     "feature-path-is-number": (lambda recs: _replace(recs, 1, feature_path=7), "record 1: field 'feature_path'"),
     "variant-is-list": (lambda recs: _replace(recs, 0, variant=["7A"]), "record 0: field 'variant'"),
+    "score-is-bool": (lambda recs: _replace(recs, 0, score=True), "record 0: score True is not a number"),
+    "score-is-numeric-string": (lambda recs: _replace(recs, 1, score="3.5"), "record 1: score '3.5' is not a number"),
     "mixed-feature-dimension": (
         lambda recs: _replace(recs, 1, feature_path="features/wide.feat"),
         "feature dimension 5",
@@ -327,7 +340,7 @@ def test_manifest_schema_faults_rejected(tmp_path, case) -> None:
         text = json.dumps(text).encode()
     (tmp_path / "manifest.json").write_bytes(text)
     with pytest.raises(ManifestError, match=match):
-        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
+        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
 
 
 def test_manifest_variant_tags_pass_through(tmp_path) -> None:
@@ -336,7 +349,7 @@ def test_manifest_variant_tags_pass_through(tmp_path) -> None:
     for i, rec in enumerate(records):
         rec["variant"] = "7A" if i % 2 == 0 else "7B"
     write_manifest(tmp_path / "manifest.json", records)
-    data = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0)
+    data = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
     variants = {s.variant for s in data.sessions[0].train + data.sessions[0].test}
     assert variants == {"7A", "7B"}
 
@@ -402,7 +415,7 @@ def test_benchmark_spec_protocol_shape(tmp_path) -> None:
     spec = drift_benchmark_spec()
     assert (spec.sessions, spec.frames, spec.feat_dim) == (5, 16, 32)
     generate_synthetic(spec, tmp_path)
-    data = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=7)
+    data = load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=7, **_SPLIT)
     assert len(data.sessions) == 5
     for session in data.sessions:
         assert len(session.train) == 50

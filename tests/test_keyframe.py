@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from scorealign.keyframe import (
-    KeyFrameSelection,
     _normalized_salience,
     _unit_rows,
     phi_select,
@@ -70,9 +69,8 @@ def _subset_objective(
     return value
 
 
-def _loop_select(features: np.ndarray, k: int, diversity_weight: float) -> KeyFrameSelection:
-    salience = salience_scores(features)
-    norm_sal = _normalized_salience(salience)
+def _loop_select(features: np.ndarray, k: int, diversity_weight: float) -> tuple[int, ...]:
+    norm_sal = _normalized_salience(salience_scores(features))
     unit = _unit_rows(features)
     cos = unit @ unit.T
     best_subset: list[int] = []
@@ -83,13 +81,7 @@ def _loop_select(features: np.ndarray, k: int, diversity_weight: float) -> KeyFr
         if value > best_value:
             best_value = value
             best_subset = subset
-    indices = tuple(sorted(best_subset))
-    return KeyFrameSelection(
-        indices=indices,
-        salience=tuple(float(salience[i]) for i in indices),
-        k=k,
-        diversity_weight=diversity_weight,
-    )
+    return tuple(sorted(best_subset))
 
 
 def _equivalence_input(rng: np.random.Generator, case: int) -> np.ndarray:
@@ -140,26 +132,25 @@ def test_salience_scales_linearly_with_features() -> None:
 def test_select_all_frames_when_k_equals_t() -> None:
     rng = np.random.default_rng(1)
     feats = rng.normal(size=(5, 3))
-    assert select_key_frames(feats, 5, 0.5).indices == (0, 1, 2, 3, 4)
+    assert select_key_frames(feats, 5, 0.5) == (0, 1, 2, 3, 4)
 
 
 def test_select_documented_example() -> None:
-    selection = select_key_frames(THREE_FRAMES, 2, 0.5)
-    assert selection.indices == (0, 1)
-    assert selection.salience == pytest.approx(
+    indices = select_key_frames(THREE_FRAMES, 2, 0.5)
+    assert indices == (0, 1)
+    assert salience_scores(THREE_FRAMES)[list(indices)] == pytest.approx(
         (np.sqrt(2.0) / 3, 2 * np.sqrt(2.0) / 3), abs=1e-12
     )
 
 
 def test_select_documented_example_matches_exhaustive_optimum() -> None:
-    selection = select_key_frames(THREE_FRAMES, 2, 0.5)
-    greedy_value = _oracle_objective(THREE_FRAMES, selection.indices, 0.5)
+    indices = select_key_frames(THREE_FRAMES, 2, 0.5)
+    greedy_value = _oracle_objective(THREE_FRAMES, indices, 0.5)
     assert greedy_value == pytest.approx(_oracle_best(THREE_FRAMES, 2, 0.5), abs=1e-12)
 
 
 def test_identical_frames_tie_break_to_lowest_indices() -> None:
-    selection = select_key_frames(np.ones((5, 2)), 2, 0.5)
-    assert selection.indices == (0, 1)
+    assert select_key_frames(np.ones((5, 2)), 2, 0.5) == (0, 1)
 
 
 def test_k_larger_than_t_rejected() -> None:
@@ -169,9 +160,9 @@ def test_k_larger_than_t_rejected() -> None:
 
 def test_zero_norm_frames_use_zero_cosine() -> None:
     feats = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [0.0, 3.0]])
-    selection = select_key_frames(feats, 3, 0.5)
-    assert len(selection.indices) == 3
-    assert len(set(selection.indices)) == 3
+    indices = select_key_frames(feats, 3, 0.5)
+    assert len(indices) == 3
+    assert len(set(indices)) == 3
 
 
 def test_selection_deterministic_and_sorted() -> None:
@@ -181,8 +172,8 @@ def test_selection_deterministic_and_sorted() -> None:
         a = select_key_frames(feats, 3, 0.5)
         b = select_key_frames(feats, 3, 0.5)
         assert a == b
-        assert list(a.indices) == sorted(set(a.indices))
-        assert all(0 <= i < 7 for i in a.indices)
+        assert list(a) == sorted(set(a))
+        assert all(0 <= i < 7 for i in a)
 
 
 def test_greedy_within_ninety_percent_of_exhaustive() -> None:
@@ -191,8 +182,8 @@ def test_greedy_within_ninety_percent_of_exhaustive() -> None:
         t = int(rng.integers(3, 9))
         k = int(rng.integers(1, min(4, t + 1)))
         feats = rng.normal(size=(t, 4))
-        selection = select_key_frames(feats, k, 0.5)
-        greedy_value = _oracle_objective(feats, selection.indices, 0.5)
+        indices = select_key_frames(feats, k, 0.5)
+        greedy_value = _oracle_objective(feats, indices, 0.5)
         best = _oracle_best(feats, k, 0.5)
         if best > 0:
             assert greedy_value >= 0.9 * best
@@ -205,9 +196,9 @@ def test_scaling_features_keeps_selection() -> None:
     rng = np.random.default_rng(4)
     for _ in range(10):
         feats = rng.normal(size=(8, 3))
-        base = select_key_frames(feats, 3, 0.5).indices
-        assert select_key_frames(2.5 * feats, 3, 0.5).indices == base
-        assert select_key_frames(0.1 * feats, 3, 0.5).indices == base
+        base = select_key_frames(feats, 3, 0.5)
+        assert select_key_frames(2.5 * feats, 3, 0.5) == base
+        assert select_key_frames(0.1 * feats, 3, 0.5) == base
 
 
 def test_phi_select_gathers_rows_in_order() -> None:
@@ -227,8 +218,9 @@ def test_phi_select_output_shape() -> None:
         assert phi_select(rng.normal(size=(9, 7)), k, 0.5).shape == (k, 7)
 
 
-def test_selection_dataclass_fields() -> None:
-    selection = select_key_frames(THREE_FRAMES, 2, 0.7)
-    assert isinstance(selection, KeyFrameSelection)
-    assert selection.k == 2
-    assert selection.diversity_weight == 0.7
+def test_selection_is_an_ascending_int_tuple() -> None:
+    rng = np.random.default_rng(7)
+    indices = select_key_frames(rng.normal(size=(9, 4)), 4, 0.7)
+    assert isinstance(indices, tuple)
+    assert all(type(i) is int for i in indices)
+    assert list(indices) == sorted(set(indices))

@@ -97,8 +97,8 @@ def test_two_sessions_stay_independent() -> None:
     write_session(bank, _samples([1.0, 2.0, 3.0], session="a"), 2, 2, 0.5)
     write_session(bank, _samples([4.0, 5.0, 4.5], session="b"), 2, 2, 0.5)
     assert set(bank.sessions) == {"a", "b"}
-    assert all(e.session == "a" for e in bank.sessions["a"])
-    assert all(e.session == "b" for e in bank.sessions["b"])
+    assert all(e.sample_id.startswith("a_") for e in bank.sessions["a"])
+    assert all(e.sample_id.startswith("b_") for e in bank.sessions["b"])
 
 
 def test_duplicate_session_write_rejected() -> None:
@@ -154,7 +154,7 @@ def test_replay_frequencies_are_uniform() -> None:
     draws = 10_000
     for _ in range(draws):
         for e in sample_replay_batch(bank, 2, rng):
-            counts[f"{e.session}/{e.sample_id}"] = counts.get(f"{e.session}/{e.sample_id}", 0) + 1
+            counts[e.sample_id] = counts.get(e.sample_id, 0) + 1
     expected = draws * 2 / 32
     sigma = np.sqrt(draws * (2 / 32) * (30 / 32))
     assert len(counts) == 32

@@ -222,4 +222,4 @@ def test_init_mlp_bounds_and_determinism() -> None:
         assert np.all(np.abs(w) <= bound)
         assert np.array_equal(w, w2)
     assert all(np.all(b == 0) for b in params.biases)
-    assert params.n_params() == 10 * 20 + 20 + 20 * 5 + 5
+    assert params.flat.size == 10 * 20 + 20 + 20 * 5 + 5

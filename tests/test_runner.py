@@ -180,7 +180,7 @@ def test_two_identical_runs_produce_identical_reports() -> None:
 def test_base_pretraining_beats_cold_init_on_base_split() -> None:
     data = _dataset(n_sessions=1, n=40, seed=11, base=True)
     config = _config(epochs=10)
-    pretrained, _ = base_pretrain(config, data.base)
+    pretrained = base_pretrain(config, data.base)
     cold = init_model(FEAT_DIM, config)
     assert data.base is not None
     trained_eval = evaluate(pretrained, data.base.test, config.score_range)
@@ -338,8 +338,8 @@ def test_probe_zero_radius_has_zero_delta() -> None:
 def test_probe_is_deterministic_given_rng() -> None:
     data = _dataset(n_sessions=2, n=12)
     result = train_continual(_config(), data)
-    a = flat_minima_probe(result.model, data.sessions, 0.05, [1.0], SeededRng(9))
-    b = flat_minima_probe(result.model, data.sessions, 0.05, [1.0], SeededRng(9))
+    a = flat_minima_probe(result.model, data.sessions, 0.05, [1.0], SeededRng(9), draws=10)
+    b = flat_minima_probe(result.model, data.sessions, 0.05, [1.0], SeededRng(9), draws=10)
     assert a == b
 
 
@@ -360,6 +360,15 @@ def test_probe_rejects_bad_draws_and_nonfinite_radii(radii, draws) -> None:
     model = init_model(FEAT_DIM, _config())
     with pytest.raises(ValueError, match="draws|finite|distinct"):
         flat_minima_probe(model, data.sessions, 0.05, radii, SeededRng(0), draws=draws)
+
+
+def test_probe_names_a_session_without_training_samples() -> None:
+    data = _dataset(n_sessions=2, n=12)
+    result = train_continual(_config(), data)
+    data.sessions[1].test += data.sessions[1].train
+    data.sessions[1].train = []
+    with pytest.raises(TrainingError, match="session 's2' has no training samples"):
+        flat_minima_probe(result.model, data.sessions, 0.05, [1.0], SeededRng(0), draws=10)
 
 
 # --- checkpointing ---------------------------------------------------------------
@@ -463,6 +472,38 @@ def test_checkpoint_rejects_malformed_rng_states(tmp_path) -> None:
             bad["rng"][stream][key] = value
         path.write_bytes(_with_header(raw, bad, payload_at))
         with pytest.raises(CheckpointError, match="malformed checkpoint"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_rejects_mistyped_header_scalars(tmp_path) -> None:
+    path = tmp_path / "run.ckpt"
+    train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
+    raw, header, payload_at = _split_checkpoint(path)
+    missing = object()
+    for keys, value, match in (
+        (("completed_sessions",), 1.5, "completed_sessions must be a non-negative integer"),
+        (("completed_sessions",), -1, "completed_sessions must be a non-negative integer"),
+        (("completed_sessions",), True, "completed_sessions must be a non-negative integer"),
+        (("counters", "steps"), "x", "counter 'steps' must be a non-negative integer"),
+        (("counters", "dropped_singletons"), -2, "counter 'dropped_singletons'"),
+        (("counters", "steps"), missing, "counters must be exactly"),
+        (("counters", "restarts"), 0, "counters must be exactly"),
+        (("adam", "t", "head"), 2.0, "adam step count 'head'"),
+        (("adam", "t", "adapter"), False, "adam step count 'adapter'"),
+        (("adam", "lr"), "0.01", "adam 'lr' must be a number"),
+        (("adam", "beta2"), True, "adam 'beta2' must be a number"),
+        (("config_digest",), 7, "config digest must be a string"),
+    ):
+        bad = json.loads(json.dumps(header))
+        node = bad
+        for key in keys[:-1]:
+            node = node[key]
+        if value is missing:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+        path.write_bytes(_with_header(raw, bad, payload_at))
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
 

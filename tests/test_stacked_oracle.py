@@ -214,7 +214,7 @@ def _replay_model(rng: np.random.Generator, seed: int, b: int):
     bank = MemoryBank()
     for tag in ("s1", "s2"):
         bank.sessions[tag] = [
-            Exemplar(f"{tag}_{i}", rng.normal(size=(k, d)), float(rng.uniform(1.0, 5.0)), tag)
+            Exemplar(f"{tag}_{i}", rng.normal(size=(k, d)), float(rng.uniform(1.0, 5.0)))
             for i in range(int(rng.integers(1, 4)))
         ]
     return model, bank, config
