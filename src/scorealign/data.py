@@ -181,7 +181,8 @@ def write_manifest(path: str | Path, records: list[dict]) -> None:
 def _parse_records(path: Path) -> list[dict]:
     try:
         payload = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
+        # undecodable text, bad JSON, or an int past the digit limit
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     records = payload.get("records") if isinstance(payload, dict) else None
     if not isinstance(records, list) or not records:
@@ -447,7 +448,10 @@ def emit_report(report: MetricReport, path: str | Path) -> None:
 def read_report(path: str | Path) -> MetricReport:
     try:
         data = json.loads(Path(path).read_text(), object_pairs_hook=_reject_duplicate_keys)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ManifestError:
+        raise
+    except ValueError as exc:
+        # undecodable text, bad JSON, or an int past the digit limit
         raise ManifestError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ManifestError(f"report must be a JSON object, got {type(data).__name__}")
@@ -456,7 +460,10 @@ def read_report(path: str | Path) -> MetricReport:
             raise ManifestError(f"report missing field '{key}'")
         if not (_is_int(data[key]) if kind is int else isinstance(data[key], kind)):
             raise ManifestError(f"report field '{key}' is not a {kind.__name__}")
-    for key, kind in (("config_hash", str), ("flatness", dict)):
+    for key, kind in (
+        ("config_hash", str), ("config", dict), ("variants", dict),
+        ("counters", dict), ("flatness", dict), ("notes", list),
+    ):
         if key in data and not isinstance(data[key], kind):
             raise ManifestError(f"report field '{key}' is not a {kind.__name__}")
     for tag, entry in data["sessions"].items():

@@ -75,6 +75,42 @@ def combined_loss(
     return cor_value + lam * mse_value, cor_grad + lam * mse_grad
 
 
+def combined_loss_values(pred: np.ndarray, truth: np.ndarray, lam: float) -> np.ndarray:
+    """combined_loss's value for every row of an (S, n) prediction stack
+    against one truth vector, as an (S,) vector; no gradient.
+
+    Each row's value has the bytes combined_loss gives for that row alone:
+    the means are the same per-vector np.add.reduce, and every dot product
+    is one (1, n) @ (n, 1) slice of np.matmul, which runs the same dot
+    kernel as a 1-d @. Any degenerate row raises DegenerateBatchError.
+    """
+    pred = np.ascontiguousarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if pred.ndim != 2 or truth.shape != pred.shape[1:]:
+        raise ValueError(
+            f"pred must be an (S, n) stack of rows as long as truth, got "
+            f"{pred.shape} vs {truth.shape}"
+        )
+    n = truth.size
+    if n < 2:
+        raise DegenerateBatchError(f"correlation needs >= 2 samples, got {n}")
+    a = pred - (np.add.reduce(pred, axis=1) / n)[:, None]
+    b = truth - truth.mean()
+    rows = a[:, None, :]
+    ssq_a = (rows @ a[:, :, None])[:, 0, 0]
+    ssq_b = float(b @ b)
+    var_a = ssq_a / n
+    if (var_a < VARIANCE_FLOOR).any() or ssq_b / n < VARIANCE_FLOOR:
+        raise DegenerateBatchError(
+            f"variance below {VARIANCE_FLOOR:g} (pred {var_a.min():.3e}, "
+            f"truth {ssq_b / n:.3e})"
+        )
+    cross = (rows @ b[:, None])[:, 0, 0]
+    residual = pred - truth
+    squares = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
+    return (1.0 - cross / np.sqrt(ssq_a * ssq_b)) + lam * (squares / (2.0 * n))
+
+
 def reg_loss(
     original: np.ndarray, reconstructed: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,10 @@ import functools
 import hashlib
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 class ShapeMismatchError(ValueError):
@@ -36,6 +37,14 @@ def derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+class _NoSeed(ISeedSequence):
+    """Zero seed words, for a generator whose state is replaced at once:
+    it skips the hashing a seed sequence does."""
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.zeros(n_words, dtype=dtype)
+
+
 class SeededRng:
     """Deterministic random source backed by PCG64.
 
@@ -44,8 +53,16 @@ class SeededRng:
     library distribution code.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int | ISeedSequence):
         self._gen = np.random.Generator(np.random.PCG64(seed))
+
+    @classmethod
+    def from_state(cls, state: dict) -> "SeededRng":
+        """A stream at a state get_state returned, built without seeding.
+        A malformed state raises numpy's TypeError or ValueError."""
+        rng = cls(_NoSeed())
+        rng.set_state(state)
+        return rng
 
     def uniform(self, n: int) -> np.ndarray:
         """n draws from U[0, 1)."""
@@ -114,7 +131,11 @@ def _mlp_layout(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 class MlpParams:
     """An MLP's parameters as one flat float64 vector: every layer's
     weights (fan_in, fan_out) row-major, then every layer's biases
-    (fan_out,). `weights` and `biases` are views into it."""
+    (fan_out,). `weights` and `biases` are views into it.
+
+    A (S, n_params) array of flat rows is a stack of S MLPs: its weights
+    are (S, fan_in, fan_out) views and its biases (S, 1, fan_out) views,
+    shaped to broadcast over each MLP's own (n, fan_out) layer output."""
 
     flat: np.ndarray
     sizes: tuple[int, ...]
@@ -125,13 +146,12 @@ class MlpParams:
         self.sizes = tuple(self.sizes)
         views = unflatten(self.flat, _mlp_layout(self.sizes))
         self.weights, self.biases = views[: self.n_layers], views[self.n_layers :]
+        if self.flat.ndim == 2:
+            self.biases = [b[:, None, :] for b in self.biases]
 
     @property
     def n_layers(self) -> int:
         return len(self.sizes) - 1
-
-    def copy(self) -> "MlpParams":
-        return replace(self, flat=self.flat.copy())
 
 
 def init_mlp(sizes: list[int], rng: SeededRng) -> MlpParams:
@@ -164,18 +184,20 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
     batch taken as a stack of one; rectifier on hidden layers only.
 
     Each layer is one np.matmul over the stack, which runs the same
-    per-slice product as B separate (n, D) calls.
+    per-slice product as B separate (n, D) calls. Stacked params (S MLPs)
+    score one (n, D) batch with every MLP, as an (S, n, out) stack whose
+    slice s holds the bytes MLP s alone gives.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3):
         raise ShapeMismatchError(f"input must be 2-d or 3-d, got shape {x.shape}")
-    if x.shape[-1] != params.weights[0].shape[0]:
+    fan_in = params.weights[0].shape[-2]
+    if x.shape[-1] != fan_in:
         raise ShapeMismatchError(
-            f"input has {x.shape[-1]} columns but first layer expects "
-            f"{params.weights[0].shape[0]}"
+            f"input has {x.shape[-1]} columns but first layer expects {fan_in}"
         )
-    single = x.ndim == 2
-    a = x[None] if single else x
+    single = x.ndim == 2 and params.flat.ndim == 1
+    a = x[None] if x.ndim == 2 else x
     tape = MlpTape(a, [], [])
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):

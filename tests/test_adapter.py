@@ -119,7 +119,7 @@ def test_gradients_through_mixing_and_refiner_match_finite_differences() -> None
     assert max_rel_error(grads.mixing_logits, numeric) < 1e-4
 
     def loss_of_w0(w0: np.ndarray) -> float:
-        probe_mlp = params.mlp.copy()
+        probe_mlp = MlpParams(params.mlp.flat.copy(), params.mlp.sizes)
         probe_mlp.weights[0][...] = w0
         probe = AdapterParams.from_parts(params.mixing_logits, probe_mlp)
         return float(np.sum(reconstruct(probe, compressed[None])[0] * direction))

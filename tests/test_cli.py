@@ -275,6 +275,33 @@ def test_resume_with_mistyped_header_exit_code_three(bench, tmp_path) -> None:
         assert match in result.output
 
 
+def test_resume_past_the_manifest_end_exit_code_three(bench, tmp_path) -> None:
+    runner, out = bench
+    ckpt = tmp_path / "run.ckpt"
+    manifest = out / "manifest.json"
+    result = runner.invoke(
+        main,
+        ["train", "--manifest", str(manifest), "--report-out", str(tmp_path / "r.json"),
+         "--checkpoint-out", str(ckpt)] + TRAIN_SPEED_ARGS,
+    )
+    assert result.exit_code == 0, result.output
+    payload = json.loads(manifest.read_text())
+    prefix = out / "prefix.json"
+    prefix.write_text(
+        json.dumps({"records": [r for r in payload["records"] if r["session"] != "session2"]})
+    )
+    report = tmp_path / "resumed.json"
+    resume = ["train", "--resume", str(ckpt), "--report-out", str(report)] + TRAIN_SPEED_ARGS
+    result = runner.invoke(main, resume + ["--manifest", str(prefix)])
+    assert result.exit_code == 3, result.output
+    assert "incompatible resume request" in result.output
+    assert not report.exists()
+    # resuming on the sessions the run finished only re-evaluates
+    result = runner.invoke(main, resume + ["--manifest", str(manifest)])
+    assert result.exit_code == 0, result.output
+    assert read_report(report).pooled == read_report(tmp_path / "r.json").pooled
+
+
 def test_resume_of_a_joint_run_exit_code_two(bench, tmp_path) -> None:
     runner, out = bench
     ckpt = tmp_path / "run.ckpt"

@@ -113,19 +113,35 @@ def test_codec_totality_random_bytes_parse_or_raise_typed(tmp_path) -> None:
             continue
         assert out.ndim == 2 and np.all(np.isfinite(out))
 
-    # truncations and byte flips of a real bank file and checkpoint
+    # truncations and byte flips of a real bank file, checkpoint, manifest
+    # and report
     manifest = generate_synthetic(
         SynthSpec(sessions=2, samples_per_session=12, frames=8, feat_dim=4, seed=3), tmp_path / "s"
     )
     config = RunConfig(epochs=1, frames=8, exemplars_per_session=3, hidden_sizes=(4,), adapter_hidden=4)
-    data = load_manifest(manifest, frames=8, score_range=config.score_range, seed=0, **_SPLIT)
+
+    def manifest_loader(p):
+        return load_manifest(p, frames=8, score_range=config.score_range, seed=0, **_SPLIT)
+
+    data = manifest_loader(manifest)
     ckpt = tmp_path / "run.ckpt"
     bank = tmp_path / "run.bank"
-    save_bank(train_continual(config, data, checkpoint_path=ckpt).bank, bank)
-    for original, load, error in (
-        (bank.read_bytes(), load_bank, BankError),
-        (ckpt.read_bytes(), load_checkpoint, CheckpointError),
+    report = tmp_path / "run.json"
+    run = train_continual(config, data, checkpoint_path=ckpt)
+    save_bank(run.bank, bank)
+    emit_report(run.report, report)
+    # a manifest mutant sits beside the feature files its records name
+    manifest_mutant = manifest.parent / "mutant.json"
+    loaded_counts = []
+    # text mutants flip only the low seven bits, so most stay UTF-8 and reach
+    # the schema checks instead of failing to decode
+    for original, load, error, target, flip_below in (
+        (bank.read_bytes(), load_bank, BankError, path, 256),
+        (ckpt.read_bytes(), load_checkpoint, CheckpointError, path, 256),
+        (manifest.read_bytes(), manifest_loader, ManifestError, manifest_mutant, 128),
+        (report.read_bytes(), read_report, ManifestError, path, 128),
     ):
+        loaded = 0
         for i in range(200):
             raw = bytearray(original)
             if i % 2 == 0:
@@ -133,13 +149,18 @@ def test_codec_totality_random_bytes_parse_or_raise_typed(tmp_path) -> None:
             else:  # half the flips land in the first 2 KiB, where the headers are
                 span = len(raw) if i % 4 == 1 else min(len(raw), 2048)
                 for pos in rng.integers(0, span, size=int(rng.integers(1, 4))):
-                    raw[pos] ^= int(rng.integers(1, 256))
-            path.write_bytes(bytes(raw))
+                    raw[pos] ^= int(rng.integers(1, flip_below))
+            target.write_bytes(bytes(raw))
             try:
-                loaded = load(path)
+                out = load(target)
             except error:
                 continue
-            assert all(np.isfinite(a).all() for a in _float_arrays(loaded))
+            loaded += 1
+            if isinstance(out, (MemoryBank, CheckpointBundle)):
+                assert all(np.isfinite(a).all() for a in _float_arrays(out))
+        loaded_counts.append(loaded)
+    # the text mutants exercise the schema checks, not only the JSON parser
+    assert loaded_counts[2] > 0 and loaded_counts[3] > 0
 
 
 def _float_arrays(loaded: MemoryBank | CheckpointBundle) -> list[np.ndarray]:
@@ -314,6 +335,7 @@ def _replace(records: list, i: int, **fields) -> dict:
 _SCHEMA_FAULTS = {
     "payload-not-utf8": (lambda recs: b'{"records": [\xff]}', "not valid JSON"),
     "payload-not-object": (lambda recs: [1, 2], "nonempty 'records' list"),
+    "score-past-int-digit-limit": (lambda recs: b'{"records": [' + b"1" * 5000 + b"]}", "not valid JSON"),
     "record-is-number": (lambda recs: {"records": [5, recs[1]]}, "record 0: expected an object"),
     "record-is-string": (lambda recs: {"records": [recs[0], "s_001"]}, "record 1: expected an object"),
     "id-is-list": (lambda recs: _replace(recs, 0, id=["s_000"]), "record 0: field 'id' is not a string"),
@@ -515,6 +537,11 @@ _MALFORMED_REPORT_BODIES = (
     ('"sessions": {}, "pooled": {"rl2e_ove": false}', "'rl2e_ove' is not a number"),
     ('"sessions": {}, "config_hash": 12', "'config_hash' is not a str"),
     ('"sessions": {}, "flatness": []', "'flatness' is not a dict"),
+    ('"sessions": {}, "config": []', "'config' is not a dict"),
+    ('"sessions": {}, "variants": 5', "'variants' is not a dict"),
+    ('"sessions": {}, "counters": "x"', "'counters' is not a dict"),
+    ('"sessions": {}, "notes": {"a": 1}', "'notes' is not a list"),
+    ('"sessions": {}, "counters": {"steps": ' + "1" * 5000 + "}", "not valid JSON"),
 )
 
 

@@ -420,6 +420,19 @@ def test_resume_rejects_mismatched_config(tmp_path) -> None:
         train_continual(_config(seed=6), data, resume_from=path)
 
 
+def test_resume_past_the_manifest_end_is_rejected(tmp_path) -> None:
+    data = _dataset(n_sessions=2, n=14)
+    path = tmp_path / "done.ckpt"
+    done = train_continual(_config(), data, checkpoint_path=path)
+    shorter = LoadedData(base=data.base, sessions=data.sessions[:1])
+    with pytest.raises(CheckpointError, match="incompatible resume request"):
+        train_continual(_config(), shorter, resume_from=path)
+    # a finished run resumed on its own sessions only re-evaluates
+    again = train_continual(_config(), data, resume_from=path)
+    assert again.report.pooled == done.report.pooled
+    assert again.loss_trace == done.loss_trace
+
+
 def test_checkpoint_rejects_garbage(tmp_path) -> None:
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"not a checkpoint at all")
@@ -505,6 +518,18 @@ def test_checkpoint_rejects_mistyped_header_scalars(tmp_path) -> None:
         path.write_bytes(_with_header(raw, bad, payload_at))
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
+
+
+def test_checkpoint_rejects_stacked_parameter_blocks(tmp_path) -> None:
+    path = tmp_path / "run.ckpt"
+    train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
+    raw, header, payload_at = _split_checkpoint(path)
+    for entry in header["arrays"]:
+        if entry["name"] in ("head", "adam.m:head", "adam.v:head"):
+            entry["shape"] = [1, *entry["shape"]]
+    path.write_bytes(_with_header(raw, header, payload_at))
+    with pytest.raises(CheckpointError, match="'head' must be a vector"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_nonfinite_arrays_with_offset(tmp_path) -> None:

@@ -1,16 +1,20 @@
-"""Stacked adapter, head and evaluation against the per-sample loops they replaced.
+"""Stacked adapter, head, evaluation and flat-minima probe against the
+per-sample and per-draw loops they replaced.
 
-The reference functions below are the per-sample code that the stacked
-path replaced, kept as oracles the way test_keyframe.py keeps the
-one-restart-at-a-time selector. Every comparison is on bytes, not within a
-tolerance: one np.matmul over a (B, n, D) stack runs the same per-slice
-product as B separate (n, D) calls, and the per-sample gradient rows are
-summed in the old order, so no float operation is reordered. That the
+The reference functions below are the per-sample and per-draw code that
+the stacked path replaced, kept as oracles the way test_keyframe.py keeps
+the one-restart-at-a-time selector. Every comparison is on bytes, not
+within a tolerance: one np.matmul over a (B, n, D) stack runs the same
+per-slice product as B separate (n, D) calls, and the per-sample gradient
+rows and per-draw loss increases are summed in the old order, so no float
+operation is reordered. That the
 stacked product is computed slice by slice is a numpy implementation
 detail, so this module is also run with more than one BLAS thread.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -23,9 +27,15 @@ from scorealign.adapter import (
     reconstruct_with_tape,
     reg_loss_and_grads,
 )
-from scorealign.data import ScoredSample
-from scorealign.head import batch_sample, batch_sample_backward, predict_eval
-from scorealign.losses import NORM_FLOOR, DegenerateBatchError, combined_loss
+from scorealign.data import ScoredSample, SessionData
+from scorealign.head import batch_sample, batch_sample_backward, pool, predict_eval
+from scorealign.losses import (
+    NORM_FLOOR,
+    VARIANCE_FLOOR,
+    DegenerateBatchError,
+    combined_loss,
+    combined_loss_values,
+)
 from scorealign.memory import Exemplar, MemoryBank, sample_replay_batch
 from scorealign.numkit import MlpParams, SeededRng, init_mlp, mlp_backward, mlp_forward
 
@@ -124,6 +134,37 @@ def _replay_loop(model, batch, eps, config):
         else:
             adapter_grads += row
     return head_grads, adapter_grads
+
+
+def _probe_loop(model, sessions, lam, radii, rng, draws) -> dict:
+    """The flat-minima probe one perturbed head at a time."""
+
+    def probe_loss(head: MlpParams, pooled: np.ndarray, scores: np.ndarray) -> float:
+        out, _ = mlp_forward(head, pooled)
+        value, _ = combined_loss(out[:, 0], scores, lam)
+        return value
+
+    labels = [f"{r:g}" for r in radii]
+    flat = model.head.flat
+    directions = []
+    for _ in range(draws):
+        d = rng.normal(flat.size)
+        directions.append(d / np.sqrt(d @ d))
+    perturbed = MlpParams(flat.copy(), model.head.sizes)
+    per_session = {}
+    for session in sessions:
+        pooled = np.stack([pool(s.features) for s in session.train])
+        scores = np.array([s.score for s in session.train])
+        baseline = probe_loss(model.head, pooled, scores)
+        deltas = {}
+        for label, radius in zip(labels, radii):
+            total = 0.0
+            for d in directions:
+                np.add(flat, radius * d, out=perturbed.flat)
+                total += probe_loss(perturbed, pooled, scores) - baseline
+            deltas[label] = total / draws
+        per_session[session.name] = {"baseline_loss": baseline, "mean_delta": deltas}
+    return {"radii": labels, "draws": draws, "sessions": per_session}
 
 
 def _predict_eval_one(params: MlpParams, features: np.ndarray) -> float:
@@ -311,3 +352,96 @@ def test_gradient_buffer_shape_is_checked() -> None:
     _, tape = mlp_forward(head, np.zeros((2, 2, 3)))
     with pytest.raises(ValueError, match="gradient buffer"):
         mlp_backward(head, tape, np.zeros((2, 2, 2)), np.zeros((3, head.flat.size)))
+
+
+def test_stacked_forward_slices_match_one_head_forward() -> None:
+    for seed in range(CASES):
+        rng = np.random.default_rng(50_000 + seed)
+        d = int(rng.integers(2, 33))
+        hidden = [(64, 32), (4,)][seed % 2] if seed % 3 else tuple(rng.integers(1, 17, size=2))
+        n = [1, 2, 3, 10, 50][seed % 5]
+        stack = int(rng.integers(1, 12))
+        sizes = [d, *hidden, 2]
+        base = init_mlp(sizes, SeededRng(seed))
+        rows = base.flat + rng.normal(size=(stack, base.flat.size)) * 0.3
+        x = rng.normal(size=(n, d))
+        out, _ = mlp_forward(MlpParams(rows, sizes), x)
+        assert out.shape == (stack, n, 2)
+        for s, row in enumerate(rows):
+            want, _ = mlp_forward(MlpParams(row.copy(), sizes), x)
+            assert _same_bytes(out[s], want), f"head {s} differs, seed {seed}"
+
+
+def test_stacked_loss_values_match_combined_loss_per_row() -> None:
+    rows_checked = 0
+    for seed in range(CASES):
+        rng = np.random.default_rng(60_000 + seed)
+        n = int(rng.integers(2, 301)) if seed % 4 else int(rng.integers(2, 12))
+        stack = int(rng.integers(1, 12))
+        lam = float(rng.choice([0.0, 0.05, 1.0]))
+        truth = rng.uniform(1.0, 5.0, size=n)
+        # strided rows, as a head stack's (S, n, 2) output gives them
+        pred = (rng.normal(size=(stack, n, 2)) * rng.choice([0.01, 1.0, 100.0]))[:, :, 0]
+        values = combined_loss_values(pred, truth, lam)
+        assert values.shape == (stack,)
+        for s in range(stack):
+            want, _ = combined_loss(pred[s], truth, lam)
+            assert _same_bytes(values[s], want), f"row {s} differs, seed {seed}"
+            rows_checked += 1
+    assert rows_checked > CASES
+
+
+def test_stacked_loss_values_raise_on_any_degenerate_row() -> None:
+    rng = np.random.default_rng(7)
+    truth = rng.uniform(1.0, 5.0, size=6)
+    pred = rng.normal(size=(4, 6))
+    for row in range(4):
+        bad = pred.copy()
+        bad[row] = 2.5 + rng.normal(size=6) * np.sqrt(VARIANCE_FLOOR) * 1e-3
+        with pytest.raises(DegenerateBatchError):
+            combined_loss(bad[row], truth, 0.05)
+        with pytest.raises(DegenerateBatchError):
+            combined_loss_values(bad, truth, 0.05)
+    with pytest.raises(DegenerateBatchError):
+        combined_loss_values(pred, np.full(6, 3.0), 0.05)
+    with pytest.raises(DegenerateBatchError):
+        combined_loss_values(pred[:, :1], truth[:1], 0.05)
+
+
+@pytest.mark.parametrize("hidden", [(64, 32), (4,)])
+@pytest.mark.parametrize("draws", [1, 10])
+@pytest.mark.parametrize("n", [2, 3, 10, 50])
+def test_stacked_probe_table_matches_per_draw_loop(n, draws, hidden) -> None:
+    degenerate = 0
+    for seed in range(3):
+        rng = np.random.default_rng(70_000 + 100 * n + 10 * draws + seed)
+        t, _, d, _ = _shapes(rng)
+        config = runner.RunConfig(frames=t, keyframes=1, hidden_sizes=hidden, seed=seed)
+        model = runner.init_model(d, config)
+        model.head.flat[:] += rng.normal(size=model.head.flat.size) * 0.3
+        sessions = [
+            SessionData(
+                name,
+                [
+                    ScoredSample(f"{name}_{i}", rng.normal(size=(t, d)), float(rng.uniform(1, 5)), name)
+                    for i in range(n)
+                ],
+                [],
+            )
+            for name in ("s1", "s2")
+        ]
+        radii = [0.0, 0.01, 0.5, 5.0]
+        lam = float(rng.choice([0.0, 0.05, 1.0]))
+        before = model.head.flat.copy()
+        try:
+            want = _probe_loop(model, sessions, lam, radii, SeededRng(seed), draws)
+        except DegenerateBatchError:
+            # a perturbed head with every rectifier off scores a constant
+            with pytest.raises(DegenerateBatchError):
+                runner.flat_minima_probe(model, sessions, lam, radii, SeededRng(seed), draws)
+            degenerate += 1
+            continue
+        table = runner.flat_minima_probe(model, sessions, lam, radii, SeededRng(seed), draws)
+        assert json.dumps(table, sort_keys=True) == json.dumps(want, sort_keys=True), seed
+        assert _same_bytes(model.head.flat, before)
+    assert degenerate < 3
