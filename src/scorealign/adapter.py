@@ -93,8 +93,7 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 class AdapterTape:
     compressed: np.ndarray  # (B, K, D)
     mix: np.ndarray  # (T, K) softmax rows
-    base: np.ndarray  # (B, T, D) convex combinations
-    mlp_tape: MlpTape
+    mlp_tape: MlpTape  # its input x is the (B, T, D) stack of convex combinations
 
 
 def _check_compressed(params: AdapterParams, compressed: np.ndarray) -> np.ndarray:
@@ -118,13 +117,7 @@ def reconstruct_with_tape(
     mix = _softmax_rows(params.mixing_logits)
     base = mix @ compressed
     refined, mlp_tape = mlp_forward(params.mlp, base)
-    return base + refined, AdapterTape(compressed, mix, base, mlp_tape)
-
-
-def reconstruct(params: AdapterParams, compressed: np.ndarray) -> np.ndarray:
-    """(B, K, D) compressed stack -> (B, T, D) reconstructed sequences."""
-    out, _ = reconstruct_with_tape(params, compressed)
-    return out
+    return base + refined, AdapterTape(compressed, mix, mlp_tape)
 
 
 def adapter_backward(
@@ -134,9 +127,9 @@ def adapter_backward(
     MLP. Returns one gradient row per sample, a (B, n) array in the
     parameters' flat layout; the logit and MLP parts are written straight
     into their column slices."""
-    if grad_out.shape != tape.base.shape:
+    if grad_out.shape != tape.mlp_tape.x.shape:
         raise ShapeMismatchError(
-            f"output grad shape {grad_out.shape} != {tape.base.shape}"
+            f"output grad shape {grad_out.shape} != {tape.mlp_tape.x.shape}"
         )
     n_samples = grad_out.shape[0]
     n_logits = params.mixing_logits.size

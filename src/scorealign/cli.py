@@ -26,6 +26,7 @@ from .runner import (
     RunConfig,
     TrainingError,
     build_report,
+    check_feature_dim,
     evaluate,
     flat_minima_probe,
     load_checkpoint,
@@ -57,43 +58,56 @@ def _run(action):
 
 _RUN_DEFAULTS = RunConfig()
 
+# Every RunConfig option, in `train --help` order. `eval` and
+# `probe-flatness` take only the ones they read.
+_CONFIG_OPTIONS = {
+    "epochs": click.option("--epochs", default=_RUN_DEFAULTS.epochs, show_default=True, help="epochs per task"),
+    "batch_size": click.option("--batch-size", default=_RUN_DEFAULTS.batch_size, show_default=True, help="current-data batch size b1"),
+    "replay_batch_size": click.option("--replay-batch-size", default=_RUN_DEFAULTS.replay_batch_size, show_default=True, help="replay mini-batch size b2"),
+    "mse_weight": click.option("--mse-weight", default=_RUN_DEFAULTS.mse_weight, show_default=True, help="precision-loss weight (lambda)"),
+    "replay_weight": click.option("--replay-weight", default=_RUN_DEFAULTS.replay_weight, show_default=True, help="replay-loss weight (alpha)"),
+    "reg_weight": click.option("--reg-weight", default=_RUN_DEFAULTS.reg_weight, show_default=True, help="reconstruction-loss weight (beta)"),
+    "exemplars_per_session": click.option("--exemplars-per-session", default=_RUN_DEFAULTS.exemplars_per_session, show_default=True, help="memory quota m per session"),
+    "keyframes": click.option("--keyframes", default=_RUN_DEFAULTS.keyframes, show_default=True, help="key frames K kept per stored sample"),
+    "diversity_weight": click.option("--diversity-weight", default=_RUN_DEFAULTS.diversity_weight, show_default=True, help="key-frame diversity weight"),
+    "learning_rate": click.option("--learning-rate", default=_RUN_DEFAULTS.learning_rate, show_default=True),
+    "weight_decay": click.option("--weight-decay", default=_RUN_DEFAULTS.weight_decay, show_default=True),
+    "frames": click.option("--frames", default=_RUN_DEFAULTS.frames, show_default=True, help="canonical frame count T"),
+    "score_min": click.option("--score-min", default=_RUN_DEFAULTS.score_range[0], show_default=True),
+    "score_max": click.option("--score-max", default=_RUN_DEFAULTS.score_range[1], show_default=True),
+    "test_ratio": click.option("--test-ratio", default=_RUN_DEFAULTS.test_ratio, show_default=True),
+    "max_train": click.option("--max-train", default=_RUN_DEFAULTS.max_train_per_session, show_default=True, help="training-sample cap per session"),
+    "no_reparam": click.option("--no-reparam", is_flag=True, default=not _RUN_DEFAULTS.reparam, help="disable re-parameterized sampling (ablation)"),
+    "seed": click.option("--seed", default=_RUN_DEFAULTS.seed, show_default=True),
+}
 
-def _config_options(fn):
-    d = _RUN_DEFAULTS
-    opts = [
-        click.option("--epochs", default=d.epochs, show_default=True, help="epochs per task"),
-        click.option("--batch-size", default=d.batch_size, show_default=True, help="current-data batch size b1"),
-        click.option("--replay-batch-size", default=d.replay_batch_size, show_default=True, help="replay mini-batch size b2"),
-        click.option("--mse-weight", default=d.mse_weight, show_default=True, help="precision-loss weight (lambda)"),
-        click.option("--replay-weight", default=d.replay_weight, show_default=True, help="replay-loss weight (alpha)"),
-        click.option("--reg-weight", default=d.reg_weight, show_default=True, help="reconstruction-loss weight (beta)"),
-        click.option("--exemplars-per-session", default=d.exemplars_per_session, show_default=True, help="memory quota m per session"),
-        click.option("--keyframes", default=d.keyframes, show_default=True, help="key frames K kept per stored sample"),
-        click.option("--diversity-weight", default=d.diversity_weight, show_default=True, help="key-frame diversity weight"),
-        click.option("--learning-rate", default=d.learning_rate, show_default=True),
-        click.option("--weight-decay", default=d.weight_decay, show_default=True),
-        click.option("--frames", default=d.frames, show_default=True, help="canonical frame count T"),
-        click.option("--score-min", default=d.score_range[0], show_default=True),
-        click.option("--score-max", default=d.score_range[1], show_default=True),
-        click.option("--test-ratio", default=d.test_ratio, show_default=True),
-        click.option("--max-train", default=d.max_train_per_session, show_default=True, help="training-sample cap per session"),
-        click.option("--no-reparam", is_flag=True, default=not d.reparam, help="disable re-parameterized sampling (ablation)"),
-        click.option("--seed", default=d.seed, show_default=True),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+# what loading a manifest reads
+_DATA_OPTIONS = ("frames", "score_min", "score_max", "test_ratio", "max_train", "seed")
+
+
+def _config_options(names=tuple(_CONFIG_OPTIONS)):
+    """Decorator adding the named config options, in _CONFIG_OPTIONS order."""
+
+    def decorate(fn):
+        for name in reversed(_CONFIG_OPTIONS):
+            if name in names:
+                fn = _CONFIG_OPTIONS[name](fn)
+        return fn
+
+    return decorate
 
 
 def _make_config(mode: str, kw: dict) -> RunConfig:
-    """RunConfig from the parsed options; only renamed flags need mapping."""
+    """RunConfig from a command's parsed options; only renamed flags need
+    mapping. An option the command lacks keeps its RunConfig default,
+    except that keyframes never exceeds the frame count."""
     kw = dict(kw)
-    renamed = {
-        "score_range": (kw.pop("score_min"), kw.pop("score_max")),
-        "max_train_per_session": kw.pop("max_train"),
-        "reparam": not kw.pop("no_reparam"),
-    }
-    return RunConfig(mode=mode, **renamed, **kw)
+    kw["score_range"] = (kw.pop("score_min"), kw.pop("score_max"))
+    kw["max_train_per_session"] = kw.pop("max_train")
+    if "no_reparam" in kw:
+        kw["reparam"] = not kw.pop("no_reparam")
+    kw.setdefault("keyframes", min(_RUN_DEFAULTS.keyframes, kw["frames"]))
+    return RunConfig(mode=mode, **kw)
 
 
 def _load(manifest: str, config: RunConfig):
@@ -152,7 +166,7 @@ def synth(out, sessions, samples_per_session, frames, feat_dim, drift, noise_std
 @click.option("--checkpoint-out", type=click.Path(), default=None)
 @click.option("--bank-out", type=click.Path(), default=None, help="also write the memory bank file")
 @click.option("--resume", type=click.Path(exists=True), default=None, help="resume a continual run")
-@_config_options
+@_config_options()
 def train(manifest, mode, report_out, checkpoint_out, bank_out, resume, **kw):
     """Train a model and write its evaluation report."""
 
@@ -181,7 +195,7 @@ def train(manifest, mode, report_out, checkpoint_out, bank_out, resume, **kw):
 @click.option("--checkpoint", "checkpoint_path", required=True, type=click.Path(exists=True))
 @click.option("--manifest", required=True, type=click.Path(exists=True))
 @click.option("--report-out", required=True, type=click.Path())
-@_config_options
+@_config_options(_DATA_OPTIONS)
 def eval_cmd(checkpoint_path, manifest, report_out, **kw):
     """Evaluate a checkpointed model on a manifest's test splits."""
 
@@ -189,8 +203,8 @@ def eval_cmd(checkpoint_path, manifest, report_out, **kw):
         config = _make_config("eval", kw)
         bundle = load_checkpoint(checkpoint_path)
         data = _load(manifest, config)
-        test = data.all_test()
-        result = evaluate(bundle.model, test, config.score_range)
+        check_feature_dim(bundle.model, data)
+        result = evaluate(bundle.model, data.all_test(), config.score_range)
         emit_report(build_report(config, "eval", result), report_out)
         click.echo(f"wrote {report_out}")
 
@@ -203,7 +217,7 @@ def eval_cmd(checkpoint_path, manifest, report_out, **kw):
 @click.option("--report-out", required=True, type=click.Path())
 @click.option("--radii", default="0.5,1,2,5", show_default=True, help="comma-separated radii")
 @click.option("--draws", default=10, show_default=True, help="random directions per radius")
-@_config_options
+@_config_options(_DATA_OPTIONS + ("mse_weight",))
 def probe_flatness(checkpoint_path, manifest, report_out, radii, draws, **kw):
     """Probe loss-landscape flatness around a trained model."""
 
@@ -214,6 +228,7 @@ def probe_flatness(checkpoint_path, manifest, report_out, radii, draws, **kw):
             raise ValueError("at least one probe radius is required")
         bundle = load_checkpoint(checkpoint_path)
         data = _load(manifest, config)
+        check_feature_dim(bundle.model, data)
         rng = SeededRng(derive_seed(config.seed, "probe"))
         table = flat_minima_probe(
             bundle.model, data.sessions, config.mse_weight, radius_list, rng, draws=draws

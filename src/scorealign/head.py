@@ -29,6 +29,12 @@ def pool(features: np.ndarray) -> np.ndarray:
     return features.mean(axis=-2)
 
 
+def pool_backward(grad_pooled: np.ndarray, frames: int) -> np.ndarray:
+    """Gradient of pool back to its input: an (N, D) pooled gradient
+    spread evenly over the frames of an (N, frames, D) stack."""
+    return np.repeat((grad_pooled / frames)[:, None, :], frames, axis=1)
+
+
 def predict_eval(params: MlpParams, features: np.ndarray) -> np.ndarray:
     """Deterministic evaluation of an (N, T, D) stack: each sample's
     distribution mean (eps pinned to 0), as an (N,) vector.

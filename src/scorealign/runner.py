@@ -27,7 +27,7 @@ from .adapter import (
     reg_loss_and_grads,
 )
 from .data import CodecError, LoadedData, Reader, ScoredSample, SessionData, _is_int, _is_number
-from .head import batch_sample, batch_sample_backward, init_head, pool, predict_eval
+from .head import batch_sample, batch_sample_backward, init_head, pool, pool_backward, predict_eval
 from .keyframe import phi_select
 from .losses import DegenerateBatchError, combined_loss, combined_loss_values
 from .memory import (
@@ -334,14 +334,12 @@ def _replay_term(
     truth = np.array([e.score for e in batch], dtype=np.float64)
     try:
         _, x_grad = _head_term(
-            model, recon.mean(axis=1), truth, config.replay_weight, config, streams, head_grad
+            model, pool(recon), truth, config.replay_weight, config, streams, head_grad
         )
     except DegenerateBatchError:
         counters.degenerate_replay_batches += 1
         return False
-    t_frames = model.adapter.t_frames
-    # mean pooling spreads the pooled gradient evenly over frames
-    grad_recon = np.repeat((x_grad / t_frames)[:, None, :], t_frames, axis=1)
+    grad_recon = pool_backward(x_grad, model.adapter.t_frames)
     rows = adapter_backward(model.adapter, recon_tape, grad_recon)
     adapter_grad[...] = rows[0]
     for row in rows[1:]:
@@ -375,6 +373,18 @@ def _check_degenerate_fraction(counters: _Counters) -> None:
         )
 
 
+def check_feature_dim(model: ModelState, data: LoadedData) -> None:
+    """Reject a manifest whose samples do not have the feature dimension a
+    checkpointed model was built for, before it trains or scores them."""
+    expected = model.head.sizes[0]
+    for sample in data.all_train() + data.all_test():
+        if sample.features.shape[1] != expected:
+            raise CheckpointError(
+                f"incompatible manifest: its features have {sample.features.shape[1]} "
+                f"columns, the checkpoint's model expects {expected}"
+            )
+
+
 # --- evaluation ---------------------------------------------------------
 
 
@@ -383,7 +393,6 @@ class EvalResult:
     sessions: dict[str, dict]
     variants: dict[str, dict]
     pooled: dict
-    per_session_pairs: dict[str, tuple[np.ndarray, np.ndarray]]
 
 
 def evaluate(
@@ -410,12 +419,11 @@ def evaluate(
         tag: metric_entry(preds[idx], truths[idx], hi, lo)
         for tag, idx in by_variant.items()
     }
-    pairs = {
-        tag: (preds[idx], truths[idx]) for tag, idx in by_session.items()
-    }
-    srcc_ove, rl2e_ove = pooled_metrics(list(pairs.values()), hi, lo)
+    srcc_ove, rl2e_ove = pooled_metrics(
+        [(preds[idx], truths[idx]) for idx in by_session.values()], hi, lo
+    )
     pooled = {"srcc_ove": srcc_ove, "rl2e_ove": rl2e_ove, "n": int(preds.size)}
-    return EvalResult(sessions, variants, pooled, pairs)
+    return EvalResult(sessions, variants, pooled)
 
 
 def build_report(
@@ -490,6 +498,7 @@ def train_continual(
                 f"incompatible resume request: the checkpoint completed "
                 f"{bundle.completed_sessions} sessions, the manifest has {len(data.sessions)}"
             )
+        check_feature_dim(bundle.model, data)
         model = bundle.model
         bank = bundle.bank
         streams = _Streams.from_state(bundle.stream_state)
@@ -569,7 +578,8 @@ def flat_minima_probe(
 
     A radius's perturbed heads are rows of one reused buffer, scored as
     stacks; each loss is the one its head alone gives, and the increases
-    are summed in draw order.
+    are summed in draw order. A session whose loss is undefined at the
+    trained head or at a perturbed one raises TrainingError.
     """
     if draws < 1:
         raise ValueError(f"probe needs draws >= 1, got {draws}")
@@ -592,22 +602,34 @@ def flat_minima_probe(
         pooled = np.stack([pool(s.features) for s in session.train])
         scores = np.array([s.score for s in session.train])
         out, _ = mlp_forward(model.head, pooled)
-        baseline, _ = combined_loss(out[:, 0], scores, lam)
+        try:
+            baseline, _ = combined_loss(out[:, 0], scores, lam)
+        except DegenerateBatchError as exc:
+            raise TrainingError(
+                f"session '{session.name}': training loss undefined at the trained head: {exc}"
+            ) from exc
         rows = max(1, _PROBE_STACK_ROWS // len(pooled))
         stacks = [
             MlpParams(heads[i : i + rows], model.head.sizes) for i in range(0, draws, rows)
         ]
         entry = {"baseline_loss": baseline, "mean_delta": {}}
         per_session[session.name] = entry
-        scored.append((pooled, scores, baseline, stacks, entry))
+        scored.append((session.name, pooled, scores, baseline, stacks, entry))
     for label, radius in zip(labels, radii):
         np.multiply(directions, radius, out=heads)
         heads += flat
-        for pooled, scores, baseline, stacks, entry in scored:
+        for name, pooled, scores, baseline, stacks, entry in scored:
             total = 0.0
             for stack in stacks:
                 out, _ = mlp_forward(stack, pooled)
-                for value in (combined_loss_values(out[:, :, 0], scores, lam) - baseline).tolist():
+                try:
+                    values = combined_loss_values(out[:, :, 0], scores, lam)
+                except DegenerateBatchError as exc:
+                    raise TrainingError(
+                        f"session '{name}': training loss undefined at a head "
+                        f"perturbed by radius {label}: {exc}"
+                    ) from exc
+                for value in (values - baseline).tolist():
                     total += value
             entry["mean_delta"][label] = total / draws
     return {

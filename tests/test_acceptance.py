@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from scorealign.adapter import AdapterParams, adapter_backward, reconstruct, reconstruct_with_tape
+from scorealign.adapter import AdapterParams, adapter_backward, reconstruct_with_tape
 from scorealign.data import (
     drift_benchmark_spec,
     generate_synthetic,
@@ -141,7 +141,7 @@ def test_criterion_1_gradient_suite() -> None:
         grads = AdapterParams(row, t, k, adapter.mlp_sizes)
 
         def adapter_loss(logits: np.ndarray) -> float:
-            recon = reconstruct(AdapterParams.from_parts(logits, adapter.mlp), compressed)
+            recon = reconstruct_with_tape(AdapterParams.from_parts(logits, adapter.mlp), compressed)[0]
             return reg_loss(original, recon)[0][0]
 
         numeric = central_diff(adapter_loss, adapter.mixing_logits)
@@ -149,7 +149,7 @@ def test_criterion_1_gradient_suite() -> None:
 
         def adapter_mlp_loss(flat: np.ndarray) -> float:
             mlp = MlpParams(flat, adapter.mlp.sizes)
-            recon = reconstruct(AdapterParams.from_parts(adapter.mixing_logits, mlp), compressed)
+            recon = reconstruct_with_tape(AdapterParams.from_parts(adapter.mixing_logits, mlp), compressed)[0]
             return reg_loss(original, recon)[0][0]
 
         numeric_mlp = central_diff(adapter_mlp_loss, adapter.mlp.flat)

@@ -8,7 +8,6 @@ from scorealign.adapter import (
     adapter_backward,
     init_adapter,
     interpolation_logits,
-    reconstruct,
     reconstruct_with_tape,
     reg_loss_and_grads,
 )
@@ -44,7 +43,7 @@ def test_sharp_diagonal_identity_configuration_is_exact() -> None:
     rng = np.random.default_rng(0)
     x = rng.normal(size=(t, d))
     params = AdapterParams.from_parts(interpolation_logits(t, t, sharpness=1000.0), _zero_refiner(d))
-    assert np.array_equal(reconstruct(params, x[None])[0], x)
+    assert np.array_equal(reconstruct_with_tape(params, x[None])[0][0], x)
 
 
 def test_default_init_is_near_identity_for_k_equals_t() -> None:
@@ -52,7 +51,7 @@ def test_default_init_is_near_identity_for_k_equals_t() -> None:
     rng = SeededRng(1)
     params = init_adapter(t, t, d, hidden=8, rng=rng)
     x = SeededRng(2).normal(t * d).reshape(t, d)
-    recon = reconstruct(params, x[None])[0]
+    recon = reconstruct_with_tape(params, x[None])[0][0]
     assert np.linalg.norm(recon - x) / np.linalg.norm(x) < 1e-3
 
 
@@ -60,7 +59,7 @@ def test_single_key_frame_broadcasts_to_all_rows() -> None:
     t, d = 6, 3
     params = AdapterParams.from_parts(interpolation_logits(t, 1), _zero_refiner(d))
     row = np.array([[1.0, -2.0, 0.5]])
-    recon = reconstruct(params, row[None])[0]
+    recon = reconstruct_with_tape(params, row[None])[0][0]
     assert recon.shape == (t, d)
     assert np.allclose(recon, np.tile(row, (t, 1)))
 
@@ -70,7 +69,7 @@ def test_reconstruct_shape_and_finiteness_with_random_params() -> None:
     params = init_adapter(16, 3, 8, hidden=8, rng=rng)
     params.mixing_logits[:] = rng.normal(16 * 3).reshape(16, 3)
     compressed = rng.normal(3 * 8).reshape(3, 8)
-    out = reconstruct(params, compressed[None])[0]
+    out = reconstruct_with_tape(params, compressed[None])[0][0]
     assert out.shape == (16, 8)
     assert np.all(np.isfinite(out))
 
@@ -78,11 +77,11 @@ def test_reconstruct_shape_and_finiteness_with_random_params() -> None:
 def test_reconstruct_rejects_wrong_shapes() -> None:
     params = init_adapter(8, 3, 4, hidden=8, rng=SeededRng(0))
     with pytest.raises(ShapeMismatchError):
-        reconstruct(params, np.zeros((1, 2, 4)))
+        reconstruct_with_tape(params, np.zeros((1, 2, 4)))[0]
     with pytest.raises(ShapeMismatchError):
-        reconstruct(params, np.zeros((1, 3, 5)))
+        reconstruct_with_tape(params, np.zeros((1, 3, 5)))[0]
     with pytest.raises(ShapeMismatchError):
-        reconstruct(params, np.zeros((3, 4)))
+        reconstruct_with_tape(params, np.zeros((3, 4)))[0]
 
 
 def test_base_rows_are_convex_combinations() -> None:
@@ -92,7 +91,7 @@ def test_base_rows_are_convex_combinations() -> None:
         rng.normal(t * k).reshape(t, k), _zero_refiner(d)
     )
     compressed = rng.normal(k * d).reshape(k, d)
-    recon = reconstruct(params, compressed[None])[0]  # zero refiner: recon == base
+    recon = reconstruct_with_tape(params, compressed[None])[0][0]  # zero refiner: recon == base
     low = compressed.min(axis=0) - 1e-12
     high = compressed.max(axis=0) + 1e-12
     assert np.all(recon >= low) and np.all(recon <= high)
@@ -113,7 +112,7 @@ def test_gradients_through_mixing_and_refiner_match_finite_differences() -> None
 
     def loss_of_logits(logits: np.ndarray) -> float:
         probe = AdapterParams.from_parts(logits, params.mlp)
-        return float(np.sum(reconstruct(probe, compressed[None])[0] * direction))
+        return float(np.sum(reconstruct_with_tape(probe, compressed[None])[0][0] * direction))
 
     numeric = central_diff(loss_of_logits, params.mixing_logits)
     assert max_rel_error(grads.mixing_logits, numeric) < 1e-4
@@ -122,7 +121,7 @@ def test_gradients_through_mixing_and_refiner_match_finite_differences() -> None
         probe_mlp = MlpParams(params.mlp.flat.copy(), params.mlp.sizes)
         probe_mlp.weights[0][...] = w0
         probe = AdapterParams.from_parts(params.mixing_logits, probe_mlp)
-        return float(np.sum(reconstruct(probe, compressed[None])[0] * direction))
+        return float(np.sum(reconstruct_with_tape(probe, compressed[None])[0][0] * direction))
 
     numeric_w0 = central_diff(loss_of_w0, params.mlp.weights[0])
     assert max_rel_error(grads.mlp.weights[0], numeric_w0) < 1e-4
@@ -141,7 +140,7 @@ def test_reg_loss_gradient_through_selection_matches_finite_differences() -> Non
     def loss_of_logits(logits: np.ndarray) -> float:
         probe = AdapterParams.from_parts(logits, params.mlp)
         compressed = phi_select(features, k, 0.5)
-        recon = reconstruct(probe, compressed[None])[0]
+        recon = reconstruct_with_tape(probe, compressed[None])[0][0]
         return float(np.sqrt(np.sum((recon - features) ** 2)))
 
     numeric = central_diff(loss_of_logits, params.mixing_logits)
@@ -172,7 +171,7 @@ def test_adapter_learns_sinusoidal_video() -> None:
         _, grads = reg_loss_and_grads(params, features[None], phi_select(features, k, 0.5)[None])
         adam_step(optimizer, {"adapter": params.flat}, {"adapter": grads})
     compressed = phi_select(features, k, 0.5)
-    recon = reconstruct(params, compressed[None])[0]
+    recon = reconstruct_with_tape(params, compressed[None])[0][0]
     rel_error = np.linalg.norm(recon - features) / np.linalg.norm(features)
     assert rel_error < 0.2
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import struct
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -19,11 +20,13 @@ SYNTH_ARGS = [
     "--seed", "3",
 ]
 
-TRAIN_SPEED_ARGS = [
-    "--epochs", "2",
+# the options eval and probe-flatness take; train takes these too
+DATA_ARGS = [
     "--frames", "8",
     "--seed", "3",
 ]
+
+TRAIN_SPEED_ARGS = ["--epochs", "2"] + DATA_ARGS
 
 
 @pytest.fixture()
@@ -103,7 +106,7 @@ def test_eval_and_probe_from_checkpoint(bench, tmp_path) -> None:
             "--manifest", str(out / "manifest.json"),
             "--report-out", str(eval_report),
         ]
-        + TRAIN_SPEED_ARGS,
+        + DATA_ARGS,
     )
     assert result.exit_code == 0, result.output
     assert read_report(eval_report).mode == "eval"
@@ -119,12 +122,103 @@ def test_eval_and_probe_from_checkpoint(bench, tmp_path) -> None:
             "--radii", "0.5,1",
             "--draws", "10",
         ]
-        + TRAIN_SPEED_ARGS,
+        + DATA_ARGS,
     )
     assert result.exit_code == 0, result.output
     flatness = read_report(probe_report).flatness
     assert flatness["draws"] == 10
     assert flatness["radii"] == ["0.5", "1"]
+
+
+def _train_checkpoint(runner, manifest, ckpt: Path, *extra) -> Path:
+    result = runner.invoke(
+        main,
+        ["train", "--manifest", str(manifest), "--report-out", str(ckpt.with_suffix(".json")),
+         "--checkpoint-out", str(ckpt)] + TRAIN_SPEED_ARGS + list(extra),
+    )
+    assert result.exit_code == 0, result.output
+    return ckpt
+
+
+def test_eval_and_probe_reject_training_options(bench, tmp_path) -> None:
+    runner, out = bench
+    manifest = str(out / "manifest.json")
+    for command in ("eval", "probe-flatness"):
+        report = tmp_path / f"{command}.json"
+        result = runner.invoke(
+            main,
+            [command, "--checkpoint", manifest, "--manifest", manifest, "--report-out", str(report)]
+            + TRAIN_SPEED_ARGS,
+        )
+        assert result.exit_code == 2, (command, result.output)
+        assert "No such option" in result.output and "--epochs" in result.output
+        assert not report.exists()
+
+
+def test_eval_at_fewer_frames_than_default_keyframes(bench, tmp_path) -> None:
+    runner, out = bench
+    manifest = out / "manifest.json"
+    ckpt = _train_checkpoint(runner, manifest, tmp_path / "run.ckpt", "--frames", "2", "--keyframes", "2")
+    report = tmp_path / "eval.json"
+    result = runner.invoke(
+        main,
+        ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest), "--report-out", str(report),
+         "--frames", "2"],
+    )
+    assert result.exit_code == 0, result.output
+    assert read_report(report).config["keyframes"] == 2
+
+
+def test_probe_with_constant_session_scores_exit_code_four(bench, tmp_path) -> None:
+    runner, out = bench
+    manifest = out / "manifest.json"
+    ckpt = _train_checkpoint(runner, manifest, tmp_path / "run.ckpt")
+    payload = json.loads(manifest.read_text())
+    for rec in payload["records"]:
+        if rec["session"] == "session1":
+            rec["score"] = 3.0
+    flat = out / "flat.json"  # feature paths resolve against the manifest's directory
+    flat.write_text(json.dumps(payload))
+    report = tmp_path / "probe.json"
+    result = runner.invoke(
+        main,
+        ["probe-flatness", "--checkpoint", str(ckpt), "--manifest", str(flat),
+         "--report-out", str(report)] + DATA_ARGS,
+    )
+    assert result.exit_code == 4, result.output
+    assert "session 'session1': training loss undefined at the trained head" in result.output
+    assert not report.exists()
+
+
+def test_manifest_of_another_feature_dim_exit_code_three(bench, tmp_path) -> None:
+    runner, out = bench
+    manifest = out / "manifest.json"
+    synth = list(SYNTH_ARGS)
+    synth[synth.index("--feat-dim") + 1] = "6"
+    narrow = tmp_path / "narrow"
+    result = runner.invoke(main, synth + ["--out", str(narrow)])
+    assert result.exit_code == 0, result.output
+    # a one-session prefix leaves the second session to train on resume
+    payload = json.loads(manifest.read_text())
+    prefix = out / "prefix.json"
+    prefix.write_text(
+        json.dumps({"records": [r for r in payload["records"] if r["session"] != "session2"]})
+    )
+    finished = _train_checkpoint(runner, manifest, tmp_path / "finished.ckpt")
+    partial = _train_checkpoint(runner, prefix, tmp_path / "partial.ckpt")
+    report = tmp_path / "report.json"
+    on_narrow = ["--manifest", str(narrow / "manifest.json"), "--report-out", str(report)]
+    for argv in (
+        ["eval", "--checkpoint", str(finished)] + on_narrow + DATA_ARGS,
+        ["probe-flatness", "--checkpoint", str(finished)] + on_narrow + DATA_ARGS,
+        ["train", "--resume", str(partial)] + on_narrow + TRAIN_SPEED_ARGS,
+        ["train", "--resume", str(finished)] + on_narrow + TRAIN_SPEED_ARGS,
+    ):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 3, (argv, result.output)
+        assert "incompatible manifest: its features have 6 columns" in result.output
+        assert "expects 8" in result.output
+        assert not report.exists()
 
 
 def test_report_command_summarizes(bench, tmp_path) -> None:
@@ -181,7 +275,7 @@ def test_corrupt_checkpoint_exit_code_three(bench, tmp_path) -> None:
             "--manifest", str(out / "manifest.json"),
             "--report-out", str(tmp_path / "eval.json"),
         ]
-        + TRAIN_SPEED_ARGS,
+        + DATA_ARGS,
     )
     assert result.exit_code == 3, result.output
     assert "malformed checkpoint" in result.output
@@ -212,7 +306,7 @@ def test_nonfinite_checkpoint_exit_code_three(bench, tmp_path) -> None:
             "--manifest", str(out / "manifest.json"),
             "--report-out", str(tmp_path / "eval.json"),
         ]
-        + TRAIN_SPEED_ARGS,
+        + DATA_ARGS,
     )
     assert result.exit_code == 3, result.output
     assert f"non-finite value in array 'head' at flat index 0 (byte offset {first_array})" in result.output
@@ -327,10 +421,22 @@ def test_config_defaults_are_run_config_defaults(tmp_path) -> None:
         "eval": ["--checkpoint", str(manifest), "--manifest", str(manifest), "--report-out", "r.json"],
         "probe-flatness": ["--checkpoint", str(manifest), "--manifest", str(manifest), "--report-out", "r.json"],
     }
-    config_names = {p.name for p in main.commands["eval"].params} - {"checkpoint_path", "manifest", "report_out"}
+    data = {"frames", "score_min", "score_max", "test_ratio", "max_train", "seed"}
+    training = {
+        "epochs", "batch_size", "replay_batch_size", "mse_weight", "replay_weight", "reg_weight",
+        "exemplars_per_session", "keyframes", "diversity_weight", "learning_rate", "weight_decay",
+        "no_reparam",
+    }
+    config_names = {"train": data | training, "eval": data, "probe-flatness": data | {"mse_weight"}}
+    other_names = {
+        "train": {"manifest", "mode", "report_out", "checkpoint_out", "bank_out", "resume"},
+        "eval": {"checkpoint_path", "manifest", "report_out"},
+        "probe-flatness": {"checkpoint_path", "manifest", "report_out", "radii", "draws"},
+    }
     for name, argv in required.items():
         ctx = main.commands[name].make_context(name, argv)
-        kw = {k: v for k, v in ctx.params.items() if k in config_names}
+        kw = {k: v for k, v in ctx.params.items() if k not in other_names[name]}
+        assert set(kw) == config_names[name], name
         assert _make_config("continual", kw) == RunConfig(), name
 
 
@@ -349,10 +455,18 @@ def test_config_errors_exit_code_two(bench, tmp_path) -> None:
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize(
-    "radii, draws",
-    [("0.5,1", "0"), ("0.5,1", "-3"), ("nan", "10"), ("0.5,inf", "10"), ("-inf", "10"), ("1,1.0", "10")],
-)
+# (radii, draws) -> the message rejecting them
+BAD_PROBE_ARGS = {
+    ("0.5,1", "0"): "probe needs draws >= 1",
+    ("0.5,1", "-3"): "probe needs draws >= 1",
+    ("nan", "10"): "probe radii must be finite",
+    ("0.5,inf", "10"): "probe radii must be finite",
+    ("-inf", "10"): "probe radii must be finite",
+    ("1,1.0", "10"): "probe radii must have distinct labels",
+}
+
+
+@pytest.mark.parametrize("radii, draws", list(BAD_PROBE_ARGS))
 def test_probe_bad_draws_or_radii_exit_code_two(bench, tmp_path, radii, draws) -> None:
     runner, out = bench
     ckpt = tmp_path / "run.ckpt"
@@ -378,9 +492,10 @@ def test_probe_bad_draws_or_radii_exit_code_two(bench, tmp_path, radii, draws) -
             "--radii", radii,
             "--draws", draws,
         ]
-        + TRAIN_SPEED_ARGS,
+        + DATA_ARGS,
     )
     assert result.exit_code == 2, result.output
+    assert BAD_PROBE_ARGS[radii, draws] in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert not probe_report.exists()
 

@@ -8,6 +8,7 @@ from scorealign.head import (
     batch_sample_backward,
     init_head,
     pool,
+    pool_backward,
     predict_eval,
 )
 from scorealign.numkit import SeededRng, ShapeMismatchError, mlp_forward, zeros_mlp
@@ -39,6 +40,15 @@ def test_pool_arithmetic_mean() -> None:
 def test_pool_rejects_empty() -> None:
     with pytest.raises(ShapeMismatchError):
         pool(np.zeros((0, 4)))
+
+
+def test_pool_backward_is_the_adjoint_of_pool() -> None:
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(3, 5, 4))
+    g = rng.normal(size=(3, 4))
+    grad = pool_backward(g, 5)
+    assert grad.shape == x.shape
+    assert float(np.sum(pool(x) * g)) == pytest.approx(float(np.sum(x * grad)), rel=1e-12)
 
 
 def test_zero_head_predicts_standard_gaussian() -> None:

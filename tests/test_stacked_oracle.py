@@ -37,6 +37,7 @@ from scorealign.losses import (
     combined_loss_values,
 )
 from scorealign.memory import Exemplar, MemoryBank, sample_replay_batch
+from scorealign.metrics import metric_entry
 from scorealign.numkit import MlpParams, SeededRng, init_mlp, mlp_backward, mlp_forward
 
 CASES = 300
@@ -313,9 +314,12 @@ def test_stacked_evaluate_matches_per_sample_predict_eval() -> None:
             continue  # pooled metrics need two samples
 
         result = runner.evaluate(model, samples, config.score_range)
-        for tag, (session_preds, _) in result.per_session_pairs.items():
+        lo, hi = config.score_range
+        truths = np.array([s.score for s in samples])
+        for tag, entry in result.sessions.items():
             idx = [i for i, s in enumerate(samples) if s.session == tag]
-            assert _same_bytes(session_preds, want[idx]), f"session {tag} differs, seed {seed}"
+            expected = metric_entry(want[idx], truths[idx], hi, lo)
+            assert json.dumps(entry) == json.dumps(expected), f"session {tag} differs, seed {seed}"
 
 
 def test_head_as_stack_of_one_matches_two_dimensional_path() -> None:
@@ -437,7 +441,7 @@ def test_stacked_probe_table_matches_per_draw_loop(n, draws, hidden) -> None:
             want = _probe_loop(model, sessions, lam, radii, SeededRng(seed), draws)
         except DegenerateBatchError:
             # a perturbed head with every rectifier off scores a constant
-            with pytest.raises(DegenerateBatchError):
+            with pytest.raises(runner.TrainingError, match="perturbed by radius"):
                 runner.flat_minima_probe(model, sessions, lam, radii, SeededRng(seed), draws)
             degenerate += 1
             continue
