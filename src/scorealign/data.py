@@ -48,15 +48,19 @@ class Reader:
         self.pos = 0
         self.error = error
 
-    def take(self, n: int, what: str) -> bytes:
+    def skip(self, n: int, what: str) -> None:
+        """Move past n bytes, rejecting a read beyond the end."""
         end = self.pos + n
         if n < 0 or end > len(self.raw):
             raise self.error(
                 f"truncated {what}: expected {end} bytes total, got {len(self.raw)}", self.pos
             )
-        out = self.raw[self.pos : end]
         self.pos = end
-        return out
+
+    def take(self, n: int, what: str) -> bytes:
+        start = self.pos
+        self.skip(n, what)
+        return self.raw[start : self.pos]
 
     def unpack(self, fmt: str, what: str) -> tuple:
         fmt = "<" + fmt
@@ -82,13 +86,27 @@ class Reader:
         """A float64 copy of prod(shape) values stored as dtype; any
         non-finite value is rejected with its byte offset."""
         start = self.pos
+        n = math.prod(shape)
+        self.skip(np.dtype(dtype).itemsize * n, what)
+        return self.runs(dtype, [start], n, [what]).reshape(shape)
+
+    def runs(self, dtype: str, starts: list[int], length: int, whats: list[str]) -> np.ndarray:
+        """A float64 (len(starts), length) block of the runs of length
+        values stored as dtype at the byte offsets starts, already moved
+        past; decoded and checked in one pass. The first non-finite value
+        is rejected naming its run's `what`, its flat index in the run and
+        its byte offset."""
         width = np.dtype(dtype).itemsize
-        flat = np.frombuffer(self.take(width * math.prod(shape), what), dtype=dtype)
-        flat = flat.astype(np.float64)
-        if not np.isfinite(flat).all():
-            bad = int(np.flatnonzero(~np.isfinite(flat))[0])
-            raise self.error(f"non-finite value in {what} at flat index {bad}", start + width * bad)
-        return flat.reshape(shape)
+        view = memoryview(self.raw)
+        stored = np.frombuffer(b"".join([view[s : s + width * length] for s in starts]), dtype=dtype)
+        # checked before the cast, which would warn on a signaling NaN
+        finite = np.isfinite(stored)
+        if not finite.all():
+            row, col = divmod(int(np.flatnonzero(~finite)[0]), length)
+            raise self.error(
+                f"non-finite value in {whats[row]} at flat index {col}", starts[row] + width * col
+            )
+        return stored.astype(np.float64).reshape(len(starts), length)
 
     def end(self, what: str) -> None:
         if self.pos != len(self.raw):

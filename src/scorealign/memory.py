@@ -1,11 +1,14 @@
 """Replay memory bank: stratified exemplar selection, compressed storage.
 
 At the end of a session, samples are sorted by score and evenly sampled
-so the stored exemplars span the session's score range; each chosen
-sample is compressed to its K key-frame feature rows before storage.
-Replay draws uniformly without replacement across the union of all
-stored sessions. One session table encodes the stored exemplars: the
-bank file holds it at 32-bit floats, a checkpoint at 64-bit floats.
+so the stored exemplars span the session's score range; the chosen
+samples are compressed to their K key-frame feature rows as one stack
+before storage. Replay draws uniformly without replacement across the
+union of all stored sessions. One session table encodes the stored
+exemplars: the bank file holds it at 32-bit floats, a checkpoint at
+64-bit floats. A session of the table decodes as one block, and the
+decoder rejects what the encoder never writes: an empty session or an
+empty exemplar shape.
 """
 
 from __future__ import annotations
@@ -86,13 +89,10 @@ def write_session(
     if tag in bank.sessions:
         raise BankError(f"session '{tag}' already written")
     chosen = select_exemplars(samples, m)
+    compressed = phi_select(np.stack([samples[i].features for i in chosen]), k, diversity_weight)
     bank.sessions[tag] = [
-        Exemplar(
-            sample_id=samples[i].sample_id,
-            features=phi_select(samples[i].features, k, diversity_weight),
-            score=samples[i].score,
-        )
-        for i in chosen
+        Exemplar(sample_id=samples[i].sample_id, features=rows, score=samples[i].score)
+        for i, rows in zip(chosen, compressed)
     ]
 
 
@@ -143,20 +143,48 @@ def encode_sessions(bank: MemoryBank, dtype: str) -> bytes:
 
 
 def read_sessions(reader: Reader, dtype: str) -> MemoryBank:
-    """The session table at the reader's cursor; faults raise reader.error."""
+    """The session table at the reader's cursor; faults raise reader.error.
+
+    Each session's ids and run offsets are walked first, then its runs
+    decode as one (count, 1 + K x D) block, and its exemplars' features
+    are views of that block. A fault in the walk is raised after any
+    non-finite value in the runs before it, so the first fault in the
+    file is the one reported."""
+    width = np.dtype(dtype).itemsize
     bank = MemoryBank()
     for _ in range(reader.unpack("I", "session count")[0]):
         tag_at = reader.pos
         tag = reader.string("session tag")
         if tag in bank.sessions:
             raise reader.error(f"duplicate session '{tag}' in session table", tag_at)
+        shape_at = reader.pos
         count, k, d = reader.unpack("III", "exemplar count and shape")
-        exemplars = []
-        for _ in range(count):
-            sample_id = reader.string("sample id")
-            values = reader.floats(dtype, (1 + k * d,), f"exemplar '{sample_id}'")
-            exemplars.append(Exemplar(sample_id, values[1:].reshape(k, d), float(values[0])))
-        bank.sessions[tag] = exemplars
+        if count == 0:
+            raise reader.error(f"session '{tag}' has no exemplars", shape_at)
+        if k == 0 or d == 0:
+            raise reader.error(f"session '{tag}' has empty exemplar shape ({k}, {d})", shape_at)
+        run = 1 + k * d
+        ids: list[str] = []
+        starts: list[int] = []
+        whats: list[str] = []
+        try:
+            for _ in range(count):
+                sample_id = reader.string("sample id")
+                start = reader.pos
+                what = f"exemplar '{sample_id}'"
+                reader.skip(width * run, what)
+                ids.append(sample_id)
+                starts.append(start)
+                whats.append(what)
+        except reader.error:
+            reader.runs(dtype, starts, run, whats)  # a non-finite value before the fault is first
+            raise
+        block = reader.runs(dtype, starts, run, whats)
+        features = block[:, 1:].reshape(count, k, d)
+        bank.sessions[tag] = [
+            Exemplar(sample_id, rows, score)
+            for sample_id, rows, score in zip(ids, features, block[:, 0].tolist())
+        ]
     return bank
 
 

@@ -266,9 +266,7 @@ def _train_on_samples(
     if reg_on:
         features = np.stack([s.features for s in samples])
         # selection is a pure function of the features: once per sample
-        compressed = np.stack(
-            [phi_select(s.features, config.keyframes, config.diversity_weight) for s in samples]
-        )
+        compressed = phi_select(features, config.keyframes, config.diversity_weight)
     head_grad = np.empty_like(model.head.flat)
     replay_head_grad = np.empty_like(model.head.flat)
     adapter_grad = np.empty_like(model.adapter.flat)
@@ -746,6 +744,14 @@ def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
     adapter = AdapterParams(
         arrays["adapter"], layout["frames"], layout["keyframes"], layout["mlp_sizes"]
     )
+    rows = (adapter.k_frames, head.sizes[0])
+    for tag, exemplars in bank.sessions.items():
+        # the table gives every exemplar of a session one shape
+        if exemplars[0].features.shape != rows:
+            raise CheckpointError(
+                f"bank session '{tag}' stores {exemplars[0].features.shape} exemplar rows,"
+                f" the model's are {rows} (key frames, feature dim)"
+            )
     blocks = {"head": head.flat, "adapter": adapter.flat}
     adam_cfg = header["adam"]
     t = {name: _count(steps, f"adam step count '{name}'") for name, steps in adam_cfg["t"].items()}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,8 @@ from click.testing import CliRunner
 
 from scorealign.cli import _make_config, main
 from scorealign.data import read_report
-from scorealign.runner import RunConfig
+from scorealign.memory import MemoryBank, encode_sessions
+from scorealign.runner import RunConfig, load_checkpoint
 
 SYNTH_ARGS = [
     "synth",
@@ -394,6 +396,39 @@ def test_resume_past_the_manifest_end_exit_code_three(bench, tmp_path) -> None:
     result = runner.invoke(main, resume + ["--manifest", str(manifest)])
     assert result.exit_code == 0, result.output
     assert read_report(report).pooled == read_report(tmp_path / "r.json").pooled
+
+
+def test_resume_with_misshapen_bank_rows_exit_code_three(bench, tmp_path) -> None:
+    runner, out = bench
+    ckpt = tmp_path / "run.ckpt"
+    manifest = out / "manifest.json"
+    # a one-session prefix leaves the second session to train on resume
+    payload = json.loads(manifest.read_text())
+    prefix = out / "prefix.json"
+    prefix.write_text(
+        json.dumps({"records": [r for r in payload["records"] if r["session"] != "session2"]})
+    )
+    train = ["train", "--report-out", str(tmp_path / "r.json")]
+    result = runner.invoke(
+        main, train + ["--manifest", str(prefix), "--checkpoint-out", str(ckpt)] + TRAIN_SPEED_ARGS
+    )
+    assert result.exit_code == 0, result.output
+    raw = ckpt.read_bytes()
+    bank = load_checkpoint(ckpt).bank
+    table_at = len(raw) - len(encode_sessions(bank, "<f8"))
+    bad = tmp_path / "bad.ckpt"
+    # the model keeps K=3 key frames of D=8 features
+    for rows, shape in ((slice(0, 2), "(2, 8)"), ((slice(None), slice(0, 7)), "(3, 7)")):
+        cut = MemoryBank(
+            {tag: [replace(e, features=e.features[rows]) for e in exemplars]
+             for tag, exemplars in bank.sessions.items()}
+        )
+        bad.write_bytes(raw[:table_at] + encode_sessions(cut, "<f8"))
+        result = runner.invoke(
+            main, train + ["--manifest", str(manifest), "--resume", str(bad)] + TRAIN_SPEED_ARGS
+        )
+        assert result.exit_code == 3, (shape, result.output)
+        assert f"stores {shape} exemplar rows, the model's are (3, 8)" in result.output
 
 
 def test_resume_of_a_joint_run_exit_code_two(bench, tmp_path) -> None:

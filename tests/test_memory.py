@@ -7,6 +7,7 @@ import pytest
 
 from scorealign.data import ScoredSample
 from scorealign.memory import (
+    BANK_MAGIC,
     BankError,
     MemoryBank,
     bank_file_size,
@@ -246,3 +247,48 @@ def test_bank_file_rejects_corruption(tmp_path) -> None:
     with pytest.raises(BankError, match=f"duplicate session 's1'.*offset {len(raw)}") as err:
         load_bank(duplicate)
     assert err.value.offset == len(raw)
+
+
+def _one_session_table(count: int, k: int, d: int, dtype: str) -> bytes:
+    """A session table of one session 's1' that claims count exemplars of
+    shape (k, d) and holds them, each with a score and k x d values."""
+    table = struct.pack("<I", 1) + struct.pack("<I", 2) + b"s1" + struct.pack("<III", count, k, d)
+    for j in range(count):
+        sample_id = f"s1_{j:03d}".encode()
+        table += struct.pack("<I", len(sample_id)) + sample_id
+        table += np.arange(1 + k * d, dtype=dtype).tobytes()
+    return table
+
+
+@pytest.mark.parametrize(
+    "count, k, d, match",
+    [
+        (0, 3, 4, "session 's1' has no exemplars"),
+        (2, 0, 4, r"session 's1' has empty exemplar shape \(0, 4\)"),
+        (2, 3, 0, r"session 's1' has empty exemplar shape \(3, 0\)"),
+    ],
+)
+def test_bank_file_rejects_sessions_encode_never_writes(tmp_path, count, k, d, match) -> None:
+    # encode_sessions refuses an empty session, so a file holding one is corrupt;
+    # loading it would leave a bank that save_bank cannot write back
+    path = tmp_path / "bank.bin"
+    path.write_bytes(BANK_MAGIC + struct.pack("<I", 1) + _one_session_table(count, k, d, "<f4"))
+    shape_at = 8 + 4 + 4 + (4 + 2)  # magic, version, session count, tag "s1"
+    with pytest.raises(BankError, match=f"{match}.*offset {shape_at}") as err:
+        load_bank(path)
+    assert err.value.offset == shape_at
+
+
+def test_loaded_features_are_views_of_one_block_per_session(tmp_path) -> None:
+    bank = MemoryBank()
+    write_session(bank, _samples(np.linspace(1, 5, 10)), 4, 2, 0.5)
+    write_session(bank, _samples(np.linspace(1, 5, 10), session="s2", dim=3), 5, 3, 0.5)
+    path = tmp_path / "bank.bin"
+    save_bank(bank, path)
+    loaded = load_bank(path)
+    for tag, exemplars in loaded.sessions.items():
+        block = exemplars[0].features.base
+        assert block is not None
+        assert all(e.features.base is block for e in exemplars)
+        assert all(e.features.shape == bank.sessions[tag][0].features.shape for e in exemplars)
+        assert all(type(e.score) is float for e in exemplars)

@@ -573,6 +573,30 @@ def test_checkpoint_rejects_nonfinite_arrays_with_offset(tmp_path) -> None:
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "count, k, d, match",
+    [
+        (0, 3, FEAT_DIM, "session 's1' has no exemplars"),
+        (2, 0, FEAT_DIM, r"session 's1' has empty exemplar shape \(0, 6\)"),
+        (2, 3, 0, r"session 's1' has empty exemplar shape \(3, 0\)"),
+    ],
+)
+def test_checkpoint_rejects_sessions_encode_never_writes(tmp_path, count, k, d, match) -> None:
+    path = tmp_path / "run.ckpt"
+    train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
+    raw, header, payload_at = _split_checkpoint(path)
+    # the session table follows the arrays the header lists
+    table_at = payload_at + 8 * sum(int(np.prod(entry["shape"])) for entry in header["arrays"])
+    table = struct.pack("<I", 1) + struct.pack("<I", 2) + b"s1" + struct.pack("<III", count, k, d)
+    for j in range(count):
+        table += struct.pack("<I", 6) + f"s1_{j:03d}".encode() + np.zeros(1 + k * d).tobytes()
+    path.write_bytes(raw[:table_at] + table)
+    shape_at = table_at + 4 + (4 + 2)  # session count, tag "s1"
+    with pytest.raises(CheckpointError, match=f"{match}.*offset {shape_at}") as err:
+        load_checkpoint(path)
+    assert err.value.offset == shape_at
+
+
 def test_model_initialized_once_per_run(monkeypatch) -> None:
     calls = []
 
@@ -670,13 +694,15 @@ def test_adam_step_contract_one_call_per_step_on_two_blocks(monkeypatch) -> None
 
 def _count_selections(monkeypatch, config: RunConfig, data: LoadedData):
     """Run train_continual with every key-frame selection counted, both at
-    the selector and at the two call sites that compress samples."""
-    counts = {"select": 0, "runner": 0, "memory": 0}
+    the selector and at the two call sites that compress samples: calls,
+    and samples selected (the rows of a stack, 1 for a single matrix)."""
+    counts = {key: {"calls": 0, "rows": 0} for key in ("select", "runner", "memory")}
 
     def counting(fn, key):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
+        def wrapper(features, *args, **kwargs):
+            counts[key]["calls"] += 1
+            counts[key]["rows"] += len(features) if np.ndim(features) == 3 else 1
+            return fn(features, *args, **kwargs)
 
         return wrapper
 
@@ -690,6 +716,7 @@ def _count_selections(monkeypatch, config: RunConfig, data: LoadedData):
 
 def test_key_frames_selected_once_per_sample_per_session(monkeypatch) -> None:
     data = _dataset(n_sessions=2, n=14, base=True)
+    n_sessions = len(data.sessions)
     n_train = sum(len(s.train) for s in data.sessions)
     by_epochs = {}
     for epochs in (1, 3):
@@ -697,9 +724,9 @@ def test_key_frames_selected_once_per_sample_per_session(monkeypatch) -> None:
         counts, result = _count_selections(monkeypatch, config, data)
         n_written = len(result.bank.all_exemplars())
         assert n_written > 0
-        assert counts["runner"] == n_train
-        assert counts["memory"] == n_written
-        assert counts["select"] == n_train + n_written
+        assert counts["runner"] == {"calls": n_sessions, "rows": n_train}
+        assert counts["memory"] == {"calls": n_sessions, "rows": n_written}
+        assert counts["select"] == {"calls": 2 * n_sessions, "rows": n_train + n_written}
         by_epochs[epochs] = counts
     assert by_epochs[1] == by_epochs[3]
 

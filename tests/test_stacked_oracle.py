@@ -1,20 +1,22 @@
-"""Stacked adapter, head, evaluation and flat-minima probe against the
-per-sample and per-draw loops they replaced.
+"""Stacked adapter, head, evaluation, flat-minima probe, key-frame
+selection and session-table decode against the per-sample, per-draw,
+per-matrix and per-exemplar loops they replaced.
 
-The reference functions below are the per-sample and per-draw code that
-the stacked path replaced, kept as oracles the way test_keyframe.py keeps
-the one-restart-at-a-time selector. Every comparison is on bytes, not
-within a tolerance: one np.matmul over a (B, n, D) stack runs the same
-per-slice product as B separate (n, D) calls, and the per-sample gradient
-rows and per-draw loss increases are summed in the old order, so no float
-operation is reordered. That the
-stacked product is computed slice by slice is a numpy implementation
-detail, so this module is also run with more than one BLAS thread.
+The reference functions below are the code that the stacked path
+replaced, kept as oracles the way test_keyframe.py keeps the
+one-restart-at-a-time selector. Every comparison is on bytes, not within
+a tolerance: one np.matmul over a (B, n, D) stack runs the same per-slice
+product as B separate (n, D) calls, and the per-sample gradient rows and
+per-draw loss increases are summed in the old order, so no float
+operation is reordered. That the stacked product is computed slice by
+slice is a numpy implementation detail, so this module is also run with
+more than one BLAS thread.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +29,9 @@ from scorealign.adapter import (
     reconstruct_with_tape,
     reg_loss_and_grads,
 )
-from scorealign.data import ScoredSample, SessionData
+from scorealign.data import CodecError, Reader, ScoredSample, SessionData
 from scorealign.head import batch_sample, batch_sample_backward, pool, predict_eval
+from scorealign.keyframe import phi_select, salience_scores, select_key_frames
 from scorealign.losses import (
     NORM_FLOOR,
     VARIANCE_FLOOR,
@@ -36,7 +39,7 @@ from scorealign.losses import (
     combined_loss,
     combined_loss_values,
 )
-from scorealign.memory import Exemplar, MemoryBank, sample_replay_batch
+from scorealign.memory import Exemplar, MemoryBank, encode_sessions, read_sessions, sample_replay_batch
 from scorealign.metrics import metric_entry
 from scorealign.numkit import MlpParams, SeededRng, init_mlp, mlp_backward, mlp_forward
 
@@ -171,6 +174,72 @@ def _probe_loop(model, sessions, lam, radii, rng, draws) -> dict:
 def _predict_eval_one(params: MlpParams, features: np.ndarray) -> float:
     out, _ = _mlp_forward_2d(params, features.mean(axis=0)[None, :])
     return float(out[0, 0])
+
+
+def _select_one(features: np.ndarray, k: int, diversity_weight: float) -> tuple[int, ...]:
+    """The per-matrix selector: all T restarts of one (T, D) matrix."""
+    centered = features - features.mean(axis=0)
+    salience = np.sqrt(np.sum(centered * centered, axis=1))
+    top = salience.max()
+    norm_sal = salience / top if top > 0.0 else np.zeros_like(salience)
+    norms = np.sqrt(np.sum(features * features, axis=1))
+    unit = features / np.where(norms > 0.0, norms, 1.0)[:, None]
+    cos = unit @ unit.T
+    t = features.shape[0]
+    starts = np.arange(t)
+    picks = np.empty((t, k), dtype=np.intp)
+    picks[:, 0] = starts
+    max_cos = cos.T.copy()
+    taken = np.eye(t, dtype=bool)
+    for step in range(1, k):
+        score = norm_sal - diversity_weight * max_cos
+        score[taken] = -np.inf
+        pick = np.argmax(score, axis=1)
+        picks[:, step] = pick
+        taken[starts, pick] = True
+        np.maximum(max_cos, cos.T[pick], out=max_cos)
+    value = np.zeros(t)
+    for a in range(k):
+        value += norm_sal[picks[:, a]]
+    for a in range(k):
+        for b in range(a + 1, k):
+            value -= diversity_weight * cos[picks[:, a], picks[:, b]]
+    return tuple(sorted(int(i) for i in picks[np.argmax(value)]))
+
+
+def _read_sessions_one(reader: Reader, dtype: str) -> MemoryBank:
+    """The per-exemplar session-table decode: one id, one frombuffer, one
+    cast and one finiteness check per exemplar, with the session checks
+    the block decode makes."""
+    width = np.dtype(dtype).itemsize
+    bank = MemoryBank()
+    for _ in range(reader.unpack("I", "session count")[0]):
+        tag_at = reader.pos
+        tag = reader.string("session tag")
+        if tag in bank.sessions:
+            raise reader.error(f"duplicate session '{tag}' in session table", tag_at)
+        shape_at = reader.pos
+        count, k, d = reader.unpack("III", "exemplar count and shape")
+        if count == 0:
+            raise reader.error(f"session '{tag}' has no exemplars", shape_at)
+        if k == 0 or d == 0:
+            raise reader.error(f"session '{tag}' has empty exemplar shape ({k}, {d})", shape_at)
+        exemplars = []
+        for _ in range(count):
+            sample_id = reader.string("sample id")
+            start = reader.pos
+            raw = reader.take(width * (1 + k * d), f"exemplar '{sample_id}'")
+            with np.errstate(invalid="ignore"):
+                values = np.frombuffer(raw, dtype=dtype).astype(np.float64)
+            if not np.isfinite(values).all():
+                bad = int(np.flatnonzero(~np.isfinite(values))[0])
+                raise reader.error(
+                    f"non-finite value in exemplar '{sample_id}' at flat index {bad}",
+                    start + width * bad,
+                )
+            exemplars.append(Exemplar(sample_id, values[1:].reshape(k, d), float(values[0])))
+        bank.sessions[tag] = exemplars
+    return bank
 
 
 # --- seeded inputs ----------------------------------------------------------
@@ -449,3 +518,122 @@ def test_stacked_probe_table_matches_per_draw_loop(n, draws, hidden) -> None:
         assert json.dumps(table, sort_keys=True) == json.dumps(want, sort_keys=True), seed
         assert _same_bytes(model.head.flat, before)
     assert degenerate < 3
+
+
+def _selection_stack(rng: np.random.Generator, case: int) -> np.ndarray:
+    n = int(rng.integers(1, 9))
+    t = 1 if case % 7 == 0 else int(rng.integers(1, 13))
+    d = int(rng.integers(1, 6))
+    kind = case % 4
+    if kind == 0:
+        return rng.normal(size=(n, t, d))
+    if kind == 1:
+        # integer-valued features: many exact ties in salience and cosine
+        return rng.integers(-2, 3, size=(n, t, d)).astype(np.float64)
+    if kind == 2:
+        # every row repeats one of three rows of its sample
+        pool_rows = rng.normal(size=(n, 3, d))
+        return np.take_along_axis(pool_rows, rng.integers(0, 3, size=(n, t, 1)), axis=1)
+    feats = rng.normal(size=(n, t, d))
+    feats[rng.random((n, t)) < 0.4] = 0.0
+    if n > 1:
+        feats[0] = 0.0  # a sample of only zero rows
+    return feats
+
+
+def test_stacked_selection_matches_per_matrix_selector() -> None:
+    rng = np.random.default_rng(11)
+    weights = (0.0, 0.5, 2.0)
+    for case in range(300):
+        stack = _selection_stack(rng, case)
+        t = stack.shape[1]
+        k = (1, t, int(rng.integers(1, t + 1)))[(case // 4) % 3]
+        weight = weights[(case // 12) % 3]
+        chosen = select_key_frames(stack, k, weight)
+        compressed = phi_select(stack, k, weight)
+        assert chosen.shape == (len(stack), k), case
+        assert _same_bytes(salience_scores(stack), [salience_scores(m) for m in stack]), case
+        for matrix, indices, rows in zip(stack, chosen, compressed):
+            want = _select_one(matrix, k, weight)
+            assert tuple(indices.tolist()) == want, case
+            # a (T, D) matrix is a stack of one
+            assert select_key_frames(matrix, k, weight) == want, case
+            assert _same_bytes(rows, matrix[list(want)]), case
+            assert _same_bytes(phi_select(matrix, k, weight), rows), case
+
+
+def _random_bank(rng: np.random.Generator) -> MemoryBank:
+    bank = MemoryBank()
+    for s in range(int(rng.integers(1, 4))):
+        k, d = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        bank.sessions[f"sess\u00e9{s}"] = [
+            Exemplar(f"id{s}_{j}" + "x" * int(rng.integers(0, 4)), rng.normal(size=(k, d)), float(rng.normal()))
+            for j in range(int(rng.integers(1, 6)))
+        ]
+    # encode_sessions writes what it is given: a third of the tables hold
+    # non-finite scores or feature values for the decoders to find
+    if rng.random() < 1 / 3:
+        for _ in range(int(rng.integers(1, 3))):
+            exemplars = list(bank.sessions.values())[int(rng.integers(0, len(bank.sessions)))]
+            j = int(rng.integers(0, len(exemplars)))
+            value = rng.choice([np.nan, np.inf, -np.inf])
+            if rng.random() < 0.3:
+                exemplars[j] = replace(exemplars[j], score=value)
+            else:
+                exemplars[j].features.flat[int(rng.integers(0, exemplars[j].features.size))] = value
+    return bank
+
+
+def _decoded(decode, raw: bytes, dtype: str):
+    """(bank, None) or (None, (error type, message, offset))."""
+    reader = Reader(raw, CodecError)
+    try:
+        bank = decode(reader, dtype)
+        reader.end("session table")
+        return bank, None
+    except CodecError as exc:
+        return None, (type(exc), str(exc), exc.offset)
+
+
+def _mutant(rng: np.random.Generator, raw: bytes, dtype: str) -> bytes:
+    """raw with one to three faults: non-finite values, byte flips, a cut."""
+    out = bytearray(raw)
+    width = np.dtype(dtype).itemsize
+    for _ in range(int(rng.integers(1, 4))):
+        kind = int(rng.integers(0, 3))
+        if kind == 0 and len(out) >= width:
+            at = int(rng.integers(0, len(out) - width + 1))
+            out[at : at + width] = np.array(rng.choice([np.nan, np.inf, -np.inf]), dtype=dtype).tobytes()
+        elif kind == 1:
+            out[int(rng.integers(0, len(out)))] ^= 1 << int(rng.integers(0, 8))
+        else:
+            del out[int(rng.integers(0, len(out))) :]
+            break
+    return bytes(out)
+
+
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+def test_block_decode_matches_per_exemplar_decode(dtype) -> None:
+    rng = np.random.default_rng(12 if dtype == "<f4" else 13)
+    faults = 0
+    for case in range(400):
+        raw = encode_sessions(_random_bank(rng), dtype)
+        if case % 2:
+            raw = _mutant(rng, raw, dtype)
+        got, got_fault = _decoded(read_sessions, raw, dtype)
+        want, want_fault = _decoded(_read_sessions_one, raw, dtype)
+        # the first fault in the file: the same type, message and byte offset
+        assert got_fault == want_fault, case
+        if want is None:
+            faults += 1
+            continue
+        assert list(got.sessions) == list(want.sessions), case
+        for tag, exemplars in want.sessions.items():
+            back = got.sessions[tag]
+            assert [e.sample_id for e in back] == [e.sample_id for e in exemplars], case
+            for a, b in zip(back, exemplars):
+                assert a.features.dtype == np.float64
+                assert _same_bytes(a.features, b.features), case
+                assert type(a.score) is float
+                assert np.float64(a.score).tobytes() == np.float64(b.score).tobytes(), case
+    assert faults > 100
