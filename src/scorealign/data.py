@@ -9,8 +9,11 @@ compute exact oracles.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+import os
+import stat
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -38,9 +41,11 @@ class CodecError(ValueError):
 class Reader:
     """Little-endian cursor over the bytes of one binary file.
 
-    Feature, bank and checkpoint files all decode through it, so each
-    rejects truncation, trailing bytes and non-finite floats the same way:
-    with `error` (CodecError or a subclass) naming the byte offset.
+    Bank and checkpoint files decode through it, so each rejects
+    truncation, trailing bytes and non-finite floats the same way: with
+    `error` (CodecError or a subclass) naming the byte offset. Feature
+    files, decoded a manifest at a time by `_decode_features`, are
+    rejected with the same messages.
     """
 
     def __init__(self, raw: bytes, error: type[CodecError] = CodecError):
@@ -157,14 +162,85 @@ def write_feature_file(path: str | Path, features: np.ndarray) -> None:
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
-    reader = Reader(Path(path).read_bytes())
-    reader.preamble(FEATURE_MAGIC, FEATURE_VERSION)
-    t, d = reader.unpack("II", "shape")
+    return _decode_features([(path, Path(path).read_bytes())])[0]
+
+
+_FEATURE_HEADER = struct.Struct("<8sIII")  # magic, version, T, D
+
+
+def _feature_shape(raw: bytes, name: str | Path) -> tuple[int, int]:
+    """(T, D) of one feature file, after checking its header and that it
+    holds the whole payload; a fault is raised naming the file and its
+    byte offset."""
+
+    def fault(message: str, offset: int) -> CodecError:
+        return CodecError(f"feature file '{name}': {message}", offset)
+
+    size = len(raw)
+    magic, version, t, d = _FEATURE_HEADER.unpack_from(raw.ljust(_FEATURE_HEADER.size, b"\0"))
+    if size < 8:
+        raise fault(f"truncated magic: expected 8 bytes total, got {size}", 0)
+    if magic != FEATURE_MAGIC:
+        raise fault(f"bad magic {magic!r}, expected {FEATURE_MAGIC!r}", 0)
+    if size < 12:
+        raise fault(f"truncated version: expected 12 bytes total, got {size}", 8)
+    if version != FEATURE_VERSION:
+        raise fault(f"unsupported version {version}", 8)
+    if size < 20:
+        raise fault(f"truncated shape: expected 20 bytes total, got {size}", 12)
     if t < 1 or d < 1:
-        raise CodecError(f"empty shape ({t}, {d}) in header", 12)
-    features = reader.floats("<f4", (t, d), "features")
-    reader.end("features")
-    return features
+        raise fault(f"empty shape ({t}, {d}) in header", 12)
+    end = _FEATURE_HEADER.size + 4 * t * d
+    if size < end:
+        raise fault(f"truncated features: expected {end} bytes total, got {size}", 20)
+    return t, d
+
+
+def _decode_features(files: list[tuple[str | Path, bytes]]) -> list[np.ndarray]:
+    """The float64 (T, D) matrices of feature files, given as (name, bytes)
+    pairs, decoded in one pass.
+
+    The headers are checked in turn, then the float32 payloads of the
+    files up to the first fault are joined, checked for finiteness and
+    cast as one block, of which each matrix is a view. A non-finite value
+    is raised before any fault after it, so the first fault in the order
+    of files is the one reported, naming its file and its byte offset in
+    that file.
+    """
+    shapes: list[tuple[int, int]] = []
+    starts = [0]  # each file's first value in the block, then the block's size
+    payloads = []
+    pending: CodecError | None = None
+    for name, raw in files:
+        try:
+            t, d = _feature_shape(raw, name)
+        except CodecError as exc:
+            pending = exc
+            break
+        end = _FEATURE_HEADER.size + 4 * t * d
+        shapes.append((t, d))
+        starts.append(starts[-1] + t * d)
+        payloads.append(memoryview(raw)[_FEATURE_HEADER.size : end])
+        if len(raw) > end:
+            pending = CodecError(
+                f"feature file '{name}': {len(raw) - end} trailing bytes after features", end
+            )
+            break
+    stored = np.frombuffer(b"".join(payloads), dtype="<f4")
+    # checked before the cast, which would warn on a signaling NaN
+    finite = np.isfinite(stored)
+    if not finite.all():
+        at = int(np.flatnonzero(~finite)[0])
+        k = bisect.bisect_right(starts, at) - 1
+        col = at - starts[k]
+        raise CodecError(
+            f"feature file '{files[k][0]}': non-finite value in features at flat index {col}",
+            _FEATURE_HEADER.size + 4 * col,
+        )
+    if pending is not None:
+        raise pending
+    block = stored.astype(np.float64)
+    return [block[starts[i] : starts[i + 1]].reshape(shape) for i, shape in enumerate(shapes)]
 
 
 def resample_frames(features: np.ndarray, frames: int) -> np.ndarray:
@@ -179,11 +255,24 @@ def resample_frames(features: np.ndarray, frames: int) -> np.ndarray:
         idx = np.zeros(1, dtype=int)
     else:
         idx = (np.arange(frames) * (t - 1)) // (frames - 1)
-    return features[idx].copy()
+    return features[idx]
 
 
-def ingest_features(path: str | Path, frames: int) -> np.ndarray:
-    return resample_frames(read_feature_file(path), frames)
+def _read_regular_file(path: Path) -> bytes | None:
+    """The bytes of path, or None when it is not a regular file. It is
+    opened without blocking, so a listed FIFO is not waited on."""
+    try:
+        with open(path, "rb", buffering=0, opener=_open_nonblocking) as f:
+            if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                return None
+            return f.read()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
+        # ValueError: a path with a NUL byte
+        return None
+
+
+def _open_nonblocking(path: str, flags: int) -> int:
+    return os.open(path, flags | os.O_NONBLOCK)
 
 
 # --- manifests ---------------------------------------------------------
@@ -226,8 +315,9 @@ def load_manifest(
     path = Path(path)
     records = _parse_records(path)
     lo, hi = score_range
-    seen_ids: set[str] = set()
-    by_session: dict[str, list[tuple[dict, int]]] = {}
+    folder = path.parent
+    files: dict[str, tuple[Path, bytes]] = {}  # id -> (feature file, its bytes)
+    by_session: dict[str, list[dict]] = {}
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ManifestError(f"record {i}: expected an object, got {type(rec).__name__}")
@@ -239,9 +329,8 @@ def load_manifest(
                 raise ManifestError(f"record {i}: field '{key}' is not a string")
         if not isinstance(rec.get("variant", ""), (str, type(None))):
             raise ManifestError(f"record {i}: field 'variant' is not a string")
-        if rec["id"] in seen_ids:
+        if rec["id"] in files:
             raise ManifestError(f"record {i}: duplicate id '{rec['id']}'")
-        seen_ids.add(rec["id"])
         score = rec["score"]
         if not _is_number(score):
             raise ManifestError(f"record {i}: score {score!r} is not a number")
@@ -252,26 +341,23 @@ def load_manifest(
         split = rec.get("split", "unassigned")
         if split not in _SPLITS:
             raise ManifestError(f"record {i}: unknown split '{split}'")
-        feature_path = path.parent / rec["feature_path"]
-        if not feature_path.is_file():
+        feature_path = folder / rec["feature_path"]
+        try:
+            raw = _read_regular_file(feature_path)
+        except OSError as exc:
+            raise ManifestError(
+                f"record {i}: cannot read feature file '{feature_path}': {exc.strerror or exc}"
+            ) from exc
+        if raw is None:
             raise ManifestError(f"record {i}: missing feature file '{feature_path}'")
-        by_session.setdefault(rec["session"], []).append((rec, i))
+        files[rec["id"]] = (feature_path, raw)
+        by_session.setdefault(rec["session"], []).append(rec)
 
-    def _load(rec: dict) -> ScoredSample:
-        return ScoredSample(
-            sample_id=rec["id"],
-            features=ingest_features(path.parent / rec["feature_path"], frames),
-            score=float(rec["score"]),
-            session=rec["session"],
-            variant=rec.get("variant"),
-        )
-
-    base: SessionData | None = None
-    sessions: list[SessionData] = []
-    for name, pairs in by_session.items():
-        train_recs = [r for r, _ in pairs if r.get("split", "unassigned") == "train"]
-        test_recs = [r for r, _ in pairs if r.get("split", "unassigned") == "test"]
-        unassigned = [r for r, _ in pairs if r.get("split", "unassigned") == "unassigned"]
+    splits: list[tuple[str, list[dict], list[dict]]] = []
+    for name, recs in by_session.items():
+        train_recs = [r for r in recs if r.get("split", "unassigned") == "train"]
+        test_recs = [r for r in recs if r.get("split", "unassigned") == "test"]
+        unassigned = [r for r in recs if r.get("split", "unassigned") == "unassigned"]
         if unassigned:
             rng = SeededRng(derive_seed(seed, f"split:{name}"))
             order = rng.permutation(len(unassigned))
@@ -283,6 +369,24 @@ def load_manifest(
             rng = SeededRng(derive_seed(seed, f"cap:{name}"))
             keep = sorted(rng.permutation(len(train_recs))[:max_train].tolist())
             train_recs = [train_recs[i] for i in keep]
+        splits.append((name, train_recs, test_recs))
+
+    # only the records kept are decoded, all in one pass and in load order
+    kept = [r["id"] for _, train_recs, test_recs in splits for r in train_recs + test_recs]
+    features = dict(zip(kept, _decode_features([files[k] for k in kept])))
+
+    def _load(rec: dict) -> ScoredSample:
+        return ScoredSample(
+            sample_id=rec["id"],
+            features=resample_frames(features[rec["id"]], frames),
+            score=float(rec["score"]),
+            session=rec["session"],
+            variant=rec.get("variant"),
+        )
+
+    base: SessionData | None = None
+    sessions: list[SessionData] = []
+    for name, train_recs, test_recs in splits:
         session = SessionData(
             name=name,
             train=[_load(r) for r in train_recs],

@@ -16,17 +16,16 @@ import numpy as np
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """Fractional (average-tie) ranks, 1-based."""
     values = np.asarray(values, dtype=np.float64)
-    n = values.size
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the value; average of 1-based ranks
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ordered = values[order]
+    # a tie group starts wherever a value differs from the one before it,
+    # so each NaN is a group of its own and -0.0 ties with 0.0
+    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    first, end = bounds[:-1], bounds[1:]
+    ranks = np.empty(values.size, dtype=np.float64)
+    # positions first..end - 1 (0-based) share the value; average of their
+    # 1-based ranks
+    ranks[order] = np.repeat((first + end - 1) / 2.0 + 1.0, end - first)
     return ranks
 
 

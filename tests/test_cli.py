@@ -253,6 +253,37 @@ def test_data_errors_exit_code_three(bench, tmp_path) -> None:
     assert "outside configured range" in result.output
 
 
+@pytest.mark.parametrize("fault", ["truncated", "nan", "bad-magic"])
+def test_corrupt_feature_file_exit_code_three(bench, tmp_path, fault) -> None:
+    runner, out = bench
+    manifest = out / "manifest.json"
+    ckpt = _train_checkpoint(runner, manifest, tmp_path / "run.ckpt")
+    payload = json.loads(manifest.read_text())
+    bad = out / payload["records"][3]["feature_path"]
+    raw = bytearray(bad.read_bytes())
+    if fault == "truncated":
+        del raw[-3:]
+        expected = "truncated features: expected 276 bytes total, got 273 (byte offset 20)"
+    elif fault == "nan":
+        raw[20 + 4 * 9 : 20 + 4 * 10] = struct.pack("<f", float("nan"))
+        expected = "non-finite value in features at flat index 9 (byte offset 56)"
+    else:
+        raw[:8] = b"ASALBANK"
+        expected = "bad magic b'ASALBANK', expected b'ASALFEAT' (byte offset 0)"
+    bad.write_bytes(bytes(raw))
+    report = tmp_path / "report.json"
+    common = ["--manifest", str(manifest), "--report-out", str(report)]
+    for argv in (
+        ["train"] + common + TRAIN_SPEED_ARGS,
+        ["eval", "--checkpoint", str(ckpt)] + common + DATA_ARGS,
+        ["probe-flatness", "--checkpoint", str(ckpt)] + common + DATA_ARGS,
+    ):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 3, (argv, result.output)
+        assert f"error: feature file '{bad}': {expected}" in result.output, (argv, result.output)
+        assert not report.exists()
+
+
 def test_corrupt_checkpoint_exit_code_three(bench, tmp_path) -> None:
     runner, out = bench
     ckpt = tmp_path / "run.ckpt"

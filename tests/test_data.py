@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from scorealign.data import (
     drift_benchmark_spec,
     emit_report,
     generate_synthetic,
-    ingest_features,
     load_manifest,
     read_feature_file,
     read_report,
@@ -197,9 +197,16 @@ def test_resample_upsamples_by_repeating_nearest() -> None:
 
 
 def test_ingest_applies_resampling(tmp_path) -> None:
-    path = tmp_path / "c.feat"
-    write_feature_file(path, np.arange(20.0)[:, None] * np.ones((1, 2)))
-    assert ingest_features(path, 16).shape == (16, 2)
+    feats = np.arange(20.0)[:, None] * np.ones((1, 2))
+    write_feature_file(tmp_path / "c.feat", feats)
+    write_manifest(
+        tmp_path / "m.json",
+        [{"id": "c", "feature_path": "c.feat", "score": 3.0, "session": "s", "split": "test"}],
+    )
+    loaded = load_manifest(tmp_path / "m.json", frames=16, score_range=(1.0, 5.0), seed=0, **_SPLIT)
+    (sample,) = loaded.all_test()
+    assert sample.features.shape == (16, 2)
+    assert np.array_equal(sample.features, resample_frames(feats, 16))
 
 
 # --- manifests --------------------------------------------------------------
@@ -304,6 +311,65 @@ def test_manifest_missing_feature_file_rejected(tmp_path) -> None:
     write_manifest(tmp_path / "manifest.json", records)
     with pytest.raises(ManifestError, match="record 1.*missing feature file"):
         load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
+
+
+def test_manifest_unreadable_feature_file_rejected(tmp_path, monkeypatch) -> None:
+    (tmp_path / "features").mkdir()
+    records = _write_session_files(tmp_path, "s", 3)
+    records[1]["feature_path"] = "features"
+    write_manifest(tmp_path / "manifest.json", records)
+
+    def load() -> None:
+        load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
+
+    # a directory is not a feature file
+    with pytest.raises(ManifestError) as err:
+        load()
+    assert str(err.value) == f"record 1: missing feature file '{tmp_path / 'features'}'"
+
+    records = _write_session_files(tmp_path, "s", 3)
+    write_manifest(tmp_path / "manifest.json", records)
+    locked = tmp_path / records[2]["feature_path"]
+
+    def guarded_open(file, *args, **kwargs):
+        if Path(file) == locked:
+            raise PermissionError(13, "Permission denied", str(file))
+        return open(file, *args, **kwargs)
+
+    # chmod cannot make a file unreadable to root, so the open fails instead
+    monkeypatch.setattr("scorealign.data.open", guarded_open, raising=False)
+    with pytest.raises(ManifestError) as err:
+        load()
+    assert str(err.value) == f"record 2: cannot read feature file '{locked}': Permission denied"
+
+
+def test_manifest_feature_faults_name_their_file(tmp_path) -> None:
+    (tmp_path / "features").mkdir()
+    records = _write_session_files(tmp_path, "s", 4, split="test")
+    write_manifest(tmp_path / "manifest.json", records)
+    paths = [tmp_path / r["feature_path"] for r in records]
+
+    def first_fault() -> CodecError:
+        with pytest.raises(CodecError) as err:
+            load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
+        return err.value
+
+    paths[3].write_bytes(b"WRONGMAG" + paths[3].read_bytes()[8:])
+    fault = first_fault()
+    assert str(fault).startswith(f"feature file '{paths[3]}': bad magic b'WRONGMAG'")
+    assert fault.offset == 0
+    # a non-finite value in an earlier file is the first fault, at its
+    # offset within that file
+    raw = bytearray(paths[1].read_bytes())
+    raw[20 + 4 * 5 : 20 + 4 * 6] = np.array(np.nan, dtype="<f4").tobytes()
+    paths[1].write_bytes(bytes(raw))
+    fault = first_fault()
+    assert str(fault) == (
+        f"feature file '{paths[1]}': non-finite value in features at flat index 5 (byte offset 40)"
+    )
+    assert fault.offset == 40
+    paths[0].write_bytes(paths[0].read_bytes()[:-1])
+    assert str(first_fault()).startswith(f"feature file '{paths[0]}': truncated features")
 
 
 def test_manifest_out_of_range_score_rejected(tmp_path) -> None:

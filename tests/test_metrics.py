@@ -118,6 +118,38 @@ def test_average_ranks_with_ties() -> None:
 # --- RL2E ----------------------------------------------------------------
 
 
+def _average_ranks_loop(values: np.ndarray) -> np.ndarray:
+    """Tie groups found one position at a time, each compared with the
+    group's first value."""
+    values = np.asarray(values, dtype=np.float64)
+    n = values.size
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_match_the_loop_bit_for_bit() -> None:
+    rng = np.random.default_rng(21)
+    pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.5, 1e-300])
+    cases = [np.array([]), np.array([np.nan]), np.full(5, np.nan), np.full(7, 3.0), np.array([0.0, -0.0])]
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        if rng.random() < 0.5:
+            cases.append(rng.choice(pool[: int(rng.integers(1, pool.size + 1))], size=n))
+        else:
+            cases.append(rng.integers(0, int(rng.integers(1, 6)), size=n).astype(np.float64))
+    for values in cases:
+        got, want = average_ranks(values), _average_ranks_loop(values)
+        assert got.tobytes() == want.tobytes(), values
+
+
 def test_rl2e_exact_cases() -> None:
     truth = np.array([1.0, 5.0])
     assert rl2e(truth, truth, 5.0, 1.0) == 0.0

@@ -1,6 +1,7 @@
 """Stacked adapter, head, evaluation, flat-minima probe, key-frame
-selection and session-table decode against the per-sample, per-draw,
-per-matrix and per-exemplar loops they replaced.
+selection, session-table decode and feature-file decode against the
+per-sample, per-draw, per-matrix, per-exemplar and per-file loops they
+replaced.
 
 The reference functions below are the code that the stacked path
 replaced, kept as oracles the way test_keyframe.py keeps the
@@ -16,6 +17,7 @@ more than one BLAS thread.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +31,15 @@ from scorealign.adapter import (
     reconstruct_with_tape,
     reg_loss_and_grads,
 )
-from scorealign.data import CodecError, Reader, ScoredSample, SessionData
+from scorealign.data import (
+    FEATURE_MAGIC,
+    FEATURE_VERSION,
+    CodecError,
+    Reader,
+    ScoredSample,
+    SessionData,
+    _decode_features,
+)
 from scorealign.head import batch_sample, batch_sample_backward, pool, predict_eval
 from scorealign.keyframe import phi_select, salience_scores, select_key_frames
 from scorealign.losses import (
@@ -637,3 +647,87 @@ def test_block_decode_matches_per_exemplar_decode(dtype) -> None:
                 assert type(a.score) is float
                 assert np.float64(a.score).tobytes() == np.float64(b.score).tobytes(), case
     assert faults > 100
+
+
+# --- feature files ----------------------------------------------------------
+
+
+def _read_feature_one(raw: bytes) -> np.ndarray:
+    """The per-file feature decode: a Reader walk of one file's header,
+    payload and end."""
+    reader = Reader(raw)
+    reader.preamble(FEATURE_MAGIC, FEATURE_VERSION)
+    t, d = reader.unpack("II", "shape")
+    if t < 1 or d < 1:
+        raise CodecError(f"empty shape ({t}, {d}) in header", 12)
+    features = reader.floats("<f4", (t, d), "features")
+    reader.end("features")
+    return features
+
+
+def _random_feature_files(rng: np.random.Generator) -> list[bytes]:
+    """One to eight files of mixed T, some with D = 1."""
+    raws = []
+    for _ in range(int(rng.integers(1, 9))):
+        t, d = int(rng.integers(1, 7)), int(rng.choice([1, int(rng.integers(1, 6))]))
+        header = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, t, d)
+        raws.append(header + rng.normal(size=(t, d)).astype("<f4").tobytes())
+    return raws
+
+
+def _feature_mutant(rng: np.random.Generator, raws: list[bytes]) -> list[bytes]:
+    """raws with one to three faults in any of the files."""
+    out = [bytearray(raw) for raw in raws]
+    for _ in range(int(rng.integers(1, 4))):
+        raw = out[int(rng.integers(0, len(out)))]
+        kind = int(rng.integers(0, 6))
+        if kind == 0:
+            del raw[int(rng.integers(0, len(raw))) :]
+        elif kind == 1:
+            raw += bytes(int(rng.integers(1, 8)))
+        elif kind == 2 and len(raw) >= 24:
+            at = 20 + 4 * int(rng.integers(0, (len(raw) - 20) // 4))
+            raw[at : at + 4] = np.array(rng.choice([np.nan, np.inf, -np.inf]), dtype="<f4").tobytes()
+        elif kind == 3 and len(raw) >= 8:
+            raw[int(rng.integers(0, 8))] ^= 1 << int(rng.integers(0, 8))
+        elif kind == 4 and len(raw) >= 12:
+            raw[8:12] = struct.pack("<I", int(rng.choice([0, 2, 9])))
+        elif kind == 5 and len(raw) >= 20:
+            at = 12 + 4 * int(rng.integers(0, 2))
+            raw[at : at + 4] = bytes(4)
+    return [bytes(raw) for raw in out]
+
+
+def test_batched_feature_decode_matches_per_file_decode() -> None:
+    rng = np.random.default_rng(14)
+    faults = set()
+    for case in range(400):
+        raws = _random_feature_files(rng)
+        if case % 2:
+            raws = _feature_mutant(rng, raws)
+        names = [f"features/f{i}.feat" for i in range(len(raws))]
+        want, want_fault = [], None
+        for name, raw in zip(names, raws):
+            try:
+                want.append(_read_feature_one(raw))
+            except CodecError as exc:
+                # the per-file decode does not know the file's name
+                want_fault = (type(exc), f"feature file '{name}': {exc}", exc.offset)
+                break
+        try:
+            got, got_fault = _decode_features(list(zip(names, raws))), None
+        except CodecError as exc:
+            got, got_fault = None, (type(exc), str(exc), exc.offset)
+        # the first fault in file order: the same type, message and offset
+        assert got_fault == want_fault, case
+        if want_fault is not None:
+            faults.add(want_fault[1].split(": ", 1)[1].split(" ")[0])
+            continue
+        assert len(got) == len(want), case
+        for a, b in zip(got, want):
+            assert a.dtype == np.float64 and a.flags.c_contiguous, case
+            assert _same_bytes(a, b), case
+    # every kind of fault was met: truncated, trailing, non-finite, bad
+    # magic, unsupported version, empty shape
+    assert faults >= {"truncated", "non-finite", "bad", "unsupported", "empty"}, faults
+    assert any(fault.isdigit() for fault in faults), faults
