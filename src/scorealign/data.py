@@ -9,14 +9,15 @@ compute exact oracles.
 
 from __future__ import annotations
 
-import bisect
+import functools
+import itertools
 import json
-import math
 import os
 import stat
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -41,81 +42,107 @@ class CodecError(ValueError):
 class Reader:
     """Little-endian cursor over the bytes of one binary file.
 
-    Bank and checkpoint files decode through it, so each rejects
-    truncation, trailing bytes and non-finite floats the same way: with
-    `error` (CodecError or a subclass) naming the byte offset. Feature
-    files, decoded a manifest at a time by `_decode_features`, are
-    rejected with the same messages.
+    Feature, bank and checkpoint files all decode through it, so each
+    rejects truncation, a bad preamble, trailing bytes and non-finite
+    floats the same way: with `error` (CodecError or a subclass), its
+    message after `prefix`, naming the byte offset. The walk moves past
+    float payloads with `run`, which records them for `decode_block`.
     """
 
-    def __init__(self, raw: bytes, error: type[CodecError] = CodecError):
+    def __init__(self, raw: bytes, error: type[CodecError] = CodecError, prefix: str = ""):
         self.raw = raw
         self.pos = 0
         self.error = error
+        self.prefix = prefix
 
-    def skip(self, n: int, what: str) -> None:
-        """Move past n bytes, rejecting a read beyond the end."""
-        end = self.pos + n
+    def fault(self, message: str, offset: int) -> CodecError:
+        return self.error(self.prefix + message, offset)
+
+    def skip(self, n: int, what: str) -> int:
+        """Move past n bytes, rejecting a read beyond the end; where they start."""
+        start = self.pos
+        end = start + n
         if n < 0 or end > len(self.raw):
-            raise self.error(
-                f"truncated {what}: expected {end} bytes total, got {len(self.raw)}", self.pos
+            raise self.fault(
+                f"truncated {what}: expected {end} bytes total, got {len(self.raw)}", start
             )
         self.pos = end
+        return start
 
     def take(self, n: int, what: str) -> bytes:
-        start = self.pos
-        self.skip(n, what)
-        return self.raw[start : self.pos]
+        return self.raw[self.skip(n, what) : self.pos]
 
     def unpack(self, fmt: str, what: str) -> tuple:
-        fmt = "<" + fmt
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+        packed = _struct(fmt)
+        return packed.unpack_from(self.raw, self.skip(packed.size, what))
 
     def string(self, what: str) -> str:
         raw = self.take(self.unpack("I", f"{what} length")[0], what)
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise self.error(f"{what} is not valid UTF-8", self.pos - len(raw)) from exc
+            raise self.fault(f"{what} is not valid UTF-8", self.pos - len(raw)) from exc
 
     def preamble(self, magic: bytes, version: int) -> None:
         """The magic bytes, then a u32 format version."""
         found = self.take(len(magic), "magic")
         if found != magic:
-            raise self.error(f"bad magic {found!r}, expected {magic!r}", 0)
+            raise self.fault(f"bad magic {found!r}, expected {magic!r}", 0)
         (found_version,) = self.unpack("I", "version")
         if found_version != version:
-            raise self.error(f"unsupported version {found_version}", len(magic))
+            raise self.fault(f"unsupported version {found_version}", len(magic))
 
-    def floats(self, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """A float64 copy of prod(shape) values stored as dtype; any
-        non-finite value is rejected with its byte offset."""
-        start = self.pos
-        n = math.prod(shape)
-        self.skip(np.dtype(dtype).itemsize * n, what)
-        return self.runs(dtype, [start], n, [what]).reshape(shape)
-
-    def runs(self, dtype: str, starts: list[int], length: int, whats: list[str]) -> np.ndarray:
-        """A float64 (len(starts), length) block of the runs of length
-        values stored as dtype at the byte offsets starts, already moved
-        past; decoded and checked in one pass. The first non-finite value
-        is rejected naming its run's `what`, its flat index in the run and
-        its byte offset."""
-        width = np.dtype(dtype).itemsize
-        view = memoryview(self.raw)
-        stored = np.frombuffer(b"".join([view[s : s + width * length] for s in starts]), dtype=dtype)
-        # checked before the cast, which would warn on a signaling NaN
-        finite = np.isfinite(stored)
-        if not finite.all():
-            row, col = divmod(int(np.flatnonzero(~finite)[0]), length)
-            raise self.error(
-                f"non-finite value in {whats[row]} at flat index {col}", starts[row] + width * col
-            )
-        return stored.astype(np.float64).reshape(len(starts), length)
+    def run(self, runs: list, dtype: str, count: int, what: str) -> None:
+        """Move past count floats stored as dtype, appending them to runs
+        for decode_block."""
+        runs.append((self, self.skip(_itemsize(dtype) * count, what), count, what))
 
     def end(self, what: str) -> None:
         if self.pos != len(self.raw):
-            raise self.error(f"{len(self.raw) - self.pos} trailing bytes after {what}", self.pos)
+            raise self.fault(f"{len(self.raw) - self.pos} trailing bytes after {what}", self.pos)
+
+
+# looked up for every field and run of every file a Reader walks, so built once
+_struct = functools.cache(lambda fmt: struct.Struct("<" + fmt))
+_itemsize = functools.cache(lambda dtype: np.dtype(dtype).itemsize)
+
+T = TypeVar("T")
+
+
+def decode_block(dtype: str, walk: Callable[[list], T]) -> tuple[T, np.ndarray, list[int]]:
+    """What walk(runs) returns, the float64 values of the runs it recorded
+    with Reader.run decoded as one flat block, and the index in the block
+    of each run's first value, then the block's size.
+
+    The runs, from one reader or several and of any lengths, are joined,
+    checked for finiteness and cast at once. The first non-finite value is
+    rejected naming its reader's prefix, its run's `what`, its flat index
+    in the run and its byte offset. A CodecError the walk raises comes
+    after every run it recorded, so it is raised only when those runs are
+    finite: the first fault in the input is the one reported.
+    """
+    runs: list[tuple[Reader, int, int, str]] = []
+    fault = None
+    try:
+        walked = walk(runs)
+    except CodecError as exc:
+        fault = exc
+    width = _itemsize(dtype)
+    stored = np.frombuffer(
+        b"".join([memoryview(r.raw)[s : s + width * n] for r, s, n, _ in runs]), dtype=dtype
+    )
+    offsets = [0, *itertools.accumulate(n for _, _, n, _ in runs)]
+    # checked before the cast, which would warn on a signaling NaN
+    finite = np.isfinite(stored)
+    if not finite.all():
+        at = int(np.flatnonzero(~finite)[0])
+        i = int(np.searchsorted(offsets, at, side="right")) - 1
+        reader, start, _, what = runs[i]
+        col = at - offsets[i]
+        raise reader.fault(f"non-finite value in {what} at flat index {col}", start + width * col)
+    if fault is not None:
+        raise fault
+    return walked, stored.astype(np.float64), offsets
 
 
 class ManifestError(ValueError):
@@ -162,85 +189,29 @@ def write_feature_file(path: str | Path, features: np.ndarray) -> None:
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
-    return _decode_features([(path, Path(path).read_bytes())])[0]
+    return _read_features([(path, Path(path).read_bytes())])[0]
 
 
-_FEATURE_HEADER = struct.Struct("<8sIII")  # magic, version, T, D
-
-
-def _feature_shape(raw: bytes, name: str | Path) -> tuple[int, int]:
-    """(T, D) of one feature file, after checking its header and that it
-    holds the whole payload; a fault is raised naming the file and its
-    byte offset."""
-
-    def fault(message: str, offset: int) -> CodecError:
-        return CodecError(f"feature file '{name}': {message}", offset)
-
-    size = len(raw)
-    magic, version, t, d = _FEATURE_HEADER.unpack_from(raw.ljust(_FEATURE_HEADER.size, b"\0"))
-    if size < 8:
-        raise fault(f"truncated magic: expected 8 bytes total, got {size}", 0)
-    if magic != FEATURE_MAGIC:
-        raise fault(f"bad magic {magic!r}, expected {FEATURE_MAGIC!r}", 0)
-    if size < 12:
-        raise fault(f"truncated version: expected 12 bytes total, got {size}", 8)
-    if version != FEATURE_VERSION:
-        raise fault(f"unsupported version {version}", 8)
-    if size < 20:
-        raise fault(f"truncated shape: expected 20 bytes total, got {size}", 12)
-    if t < 1 or d < 1:
-        raise fault(f"empty shape ({t}, {d}) in header", 12)
-    end = _FEATURE_HEADER.size + 4 * t * d
-    if size < end:
-        raise fault(f"truncated features: expected {end} bytes total, got {size}", 20)
-    return t, d
-
-
-def _decode_features(files: list[tuple[str | Path, bytes]]) -> list[np.ndarray]:
+def _read_features(files: list[tuple[str | Path, bytes]]) -> list[np.ndarray]:
     """The float64 (T, D) matrices of feature files, given as (name, bytes)
-    pairs, decoded in one pass.
+    pairs: each file's header and end are walked in turn, then all their
+    payloads decode as one block. A fault names its file."""
 
-    The headers are checked in turn, then the float32 payloads of the
-    files up to the first fault are joined, checked for finiteness and
-    cast as one block, of which each matrix is a view. A non-finite value
-    is raised before any fault after it, so the first fault in the order
-    of files is the one reported, naming its file and its byte offset in
-    that file.
-    """
-    shapes: list[tuple[int, int]] = []
-    starts = [0]  # each file's first value in the block, then the block's size
-    payloads = []
-    pending: CodecError | None = None
-    for name, raw in files:
-        try:
-            t, d = _feature_shape(raw, name)
-        except CodecError as exc:
-            pending = exc
-            break
-        end = _FEATURE_HEADER.size + 4 * t * d
-        shapes.append((t, d))
-        starts.append(starts[-1] + t * d)
-        payloads.append(memoryview(raw)[_FEATURE_HEADER.size : end])
-        if len(raw) > end:
-            pending = CodecError(
-                f"feature file '{name}': {len(raw) - end} trailing bytes after features", end
-            )
-            break
-    stored = np.frombuffer(b"".join(payloads), dtype="<f4")
-    # checked before the cast, which would warn on a signaling NaN
-    finite = np.isfinite(stored)
-    if not finite.all():
-        at = int(np.flatnonzero(~finite)[0])
-        k = bisect.bisect_right(starts, at) - 1
-        col = at - starts[k]
-        raise CodecError(
-            f"feature file '{files[k][0]}': non-finite value in features at flat index {col}",
-            _FEATURE_HEADER.size + 4 * col,
-        )
-    if pending is not None:
-        raise pending
-    block = stored.astype(np.float64)
-    return [block[starts[i] : starts[i + 1]].reshape(shape) for i, shape in enumerate(shapes)]
+    def walk(runs: list) -> list[tuple[int, int]]:
+        shapes = []
+        for name, raw in files:
+            reader = Reader(raw, prefix=f"feature file '{name}': ")
+            reader.preamble(FEATURE_MAGIC, FEATURE_VERSION)
+            t, d = reader.unpack("II", "shape")
+            if t < 1 or d < 1:
+                raise reader.fault(f"empty shape ({t}, {d}) in header", 12)
+            reader.run(runs, "<f4", t * d, "features")
+            reader.end("features")
+            shapes.append((t, d))
+        return shapes
+
+    shapes, block, offsets = decode_block("<f4", walk)
+    return [block[at : at + t * d].reshape(t, d) for at, (t, d) in zip(offsets, shapes)]
 
 
 def resample_frames(features: np.ndarray, frames: int) -> np.ndarray:
@@ -373,7 +344,7 @@ def load_manifest(
 
     # only the records kept are decoded, all in one pass and in load order
     kept = [r["id"] for _, train_recs, test_recs in splits for r in train_recs + test_recs]
-    features = dict(zip(kept, _decode_features([files[k] for k in kept])))
+    features = dict(zip(kept, _read_features([files[k] for k in kept])))
 
     def _load(rec: dict) -> ScoredSample:
         return ScoredSample(

@@ -6,9 +6,9 @@ samples are compressed to their K key-frame feature rows as one stack
 before storage. Replay draws uniformly without replacement across the
 union of all stored sessions. One session table encodes the stored
 exemplars: the bank file holds it at 32-bit floats, a checkpoint at
-64-bit floats. A session of the table decodes as one block, and the
-decoder rejects what the encoder never writes: an empty session or an
-empty exemplar shape.
+64-bit floats. The whole table decodes as one block, and the decoder
+rejects what the encoder never writes: an empty session or an empty
+exemplar shape.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CodecError, Reader, ScoredSample
+from .data import CodecError, Reader, ScoredSample, decode_block
 from .keyframe import phi_select
 from .numkit import SeededRng
 
@@ -142,50 +142,56 @@ def encode_sessions(bank: MemoryBank, dtype: str) -> bytes:
     return b"".join(chunks)
 
 
-def read_sessions(reader: Reader, dtype: str) -> MemoryBank:
-    """The session table at the reader's cursor; faults raise reader.error.
+# a walked session table: per session tag, its exemplar ids, (K, D) and the
+# index of its first run among those the walk recorded
+SessionTable = dict[str, tuple[list[str], int, int, int]]
 
-    Each session's ids and run offsets are walked first, then its runs
-    decode as one (count, 1 + K x D) block, and its exemplars' features
-    are views of that block. A fault in the walk is raised after any
-    non-finite value in the runs before it, so the first fault in the
-    file is the one reported."""
-    width = np.dtype(dtype).itemsize
-    bank = MemoryBank()
+
+def walk_sessions(reader: Reader, dtype: str, runs: list) -> SessionTable:
+    """The session table at the reader's cursor, walked, with each
+    exemplar's run of score and K x D values recorded in runs for
+    decode_block. Faults raise reader.error."""
+    table: SessionTable = {}
     for _ in range(reader.unpack("I", "session count")[0]):
         tag_at = reader.pos
         tag = reader.string("session tag")
-        if tag in bank.sessions:
-            raise reader.error(f"duplicate session '{tag}' in session table", tag_at)
+        if tag in table:
+            raise reader.fault(f"duplicate session '{tag}' in session table", tag_at)
         shape_at = reader.pos
         count, k, d = reader.unpack("III", "exemplar count and shape")
         if count == 0:
-            raise reader.error(f"session '{tag}' has no exemplars", shape_at)
+            raise reader.fault(f"session '{tag}' has no exemplars", shape_at)
         if k == 0 or d == 0:
-            raise reader.error(f"session '{tag}' has empty exemplar shape ({k}, {d})", shape_at)
-        run = 1 + k * d
-        ids: list[str] = []
-        starts: list[int] = []
-        whats: list[str] = []
-        try:
-            for _ in range(count):
-                sample_id = reader.string("sample id")
-                start = reader.pos
-                what = f"exemplar '{sample_id}'"
-                reader.skip(width * run, what)
-                ids.append(sample_id)
-                starts.append(start)
-                whats.append(what)
-        except reader.error:
-            reader.runs(dtype, starts, run, whats)  # a non-finite value before the fault is first
-            raise
-        block = reader.runs(dtype, starts, run, whats)
-        features = block[:, 1:].reshape(count, k, d)
+            raise reader.fault(f"session '{tag}' has empty exemplar shape ({k}, {d})", shape_at)
+        first, ids = len(runs), []
+        for _ in range(count):
+            sample_id = reader.string("sample id")
+            reader.run(runs, dtype, 1 + k * d, f"exemplar '{sample_id}'")
+            ids.append(sample_id)
+        table[tag] = (ids, k, d, first)
+    return table
+
+
+def sessions_from(table: SessionTable, block: np.ndarray, offsets: list[int]) -> MemoryBank:
+    """The bank of a walked session table, given decode_block's block and
+    run offsets. A session's runs are adjacent in the block, so its
+    exemplars' features are views of one (count, 1 + K x D) slice."""
+    bank = MemoryBank()
+    for tag, (ids, k, d, first) in table.items():
+        at = offsets[first]
+        rows = block[at : at + len(ids) * (1 + k * d)].reshape(len(ids), 1 + k * d)
+        features = rows[:, 1:].reshape(len(ids), k, d)
         bank.sessions[tag] = [
-            Exemplar(sample_id, rows, score)
-            for sample_id, rows, score in zip(ids, features, block[:, 0].tolist())
+            Exemplar(sample_id, f, score)
+            for sample_id, f, score in zip(ids, features, rows[:, 0].tolist())
         ]
     return bank
+
+
+def read_sessions(reader: Reader, dtype: str) -> MemoryBank:
+    """The session table at the reader's cursor, decoded as one block."""
+    table, block, offsets = decode_block(dtype, lambda runs: walk_sessions(reader, dtype, runs))
+    return sessions_from(table, block, offsets)
 
 
 def _encode_bank(bank: MemoryBank) -> bytes:

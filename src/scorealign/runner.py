@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -26,7 +27,9 @@ from .adapter import (
     reconstruct_with_tape,
     reg_loss_and_grads,
 )
-from .data import CodecError, LoadedData, Reader, ScoredSample, SessionData, _is_int, _is_number
+from .data import (
+    CodecError, LoadedData, Reader, ScoredSample, SessionData, _is_int, _is_number, decode_block
+)
 from .head import batch_sample, batch_sample_backward, init_head, pool, pool_backward, predict_eval
 from .keyframe import phi_select
 from .losses import DegenerateBatchError, combined_loss, combined_loss_values
@@ -34,8 +37,9 @@ from .memory import (
     MemoryBank,
     bank_file_size,
     encode_sessions,
-    read_sessions,
     sample_replay_batch,
+    sessions_from,
+    walk_sessions,
     write_session,
 )
 from .metrics import MetricReport, metric_entry, pooled_metrics
@@ -102,6 +106,8 @@ class RunConfig:
             raise ValueError("need 1 <= keyframes <= frames")
         if self.exemplars_per_session < 0:
             raise ValueError("exemplar quota must be >= 0")
+        if self.max_train_per_session < 1:
+            raise ValueError("training-sample cap per session must be >= 1")
         if not self.score_range[0] < self.score_range[1]:
             raise ValueError("score range must satisfy lo < hi")
         if not 0.0 < self.test_ratio < 1.0:
@@ -726,18 +732,34 @@ def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
     (header_len,) = reader.unpack("Q", "header length")
     text = reader.take(header_len, "header").decode("utf-8")
     header = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        name = entry["name"]
-        arrays[name] = reader.floats("<f8", tuple(entry["shape"]), f"array '{name}'")
-    bank = read_sessions(reader, "<f8")
-    reader.end("checkpoint payload")
+    adam_cfg = header["adam"]
+    t = {name: _count(steps, f"adam step count '{name}'") for name, steps in adam_cfg["t"].items()}
+    entries = header["arrays"]
+    names = [e["name"] for e in entries]
+    listed = ["head", "adapter", *(f"adam.{x}:{name}" for name in sorted(t) for x in "mv"), "trace"]
+    if sorted(names) != sorted(listed):
+        raise CheckpointError(f"checkpoint arrays must be exactly {listed}, each once, got {names}")
+    shapes = [[_count(n, f"array '{e['name']}' dimension") for n in e["shape"]] for e in entries]
 
-    for name in ("head", "adapter"):
+    def walk(runs: list) -> dict:
+        for name, shape in zip(names, shapes):
+            reader.run(runs, "<f8", math.prod(shape), f"array '{name}'")
+        table = walk_sessions(reader, "<f8", runs)
+        reader.end("checkpoint payload")
+        return table
+
+    table, block, offsets = decode_block("<f8", walk)
+    arrays = {
+        name: block[at : at + math.prod(shape)].reshape(shape)
+        for name, shape, at in zip(names, shapes, offsets)
+    }
+    bank = sessions_from(table, block, offsets)
+
+    for name in ("head", "adapter", "trace"):
         if arrays[name].ndim != 1:
-            # a 2-d block would load as a stack of MLPs
+            # a 2-d block would load as a stack of MLPs, a 0-d trace as a float
             raise CheckpointError(
-                f"parameter block '{name}' must be a vector, got shape {arrays[name].shape}"
+                f"array '{name}' must be a vector, got shape {arrays[name].shape}"
             )
     head = MlpParams(arrays["head"], header["head_sizes"])
     layout = header["adapter_layout"]
@@ -753,8 +775,6 @@ def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
                 f" the model's are {rows} (key frames, feature dim)"
             )
     blocks = {"head": head.flat, "adapter": adapter.flat}
-    adam_cfg = header["adam"]
-    t = {name: _count(steps, f"adam step count '{name}'") for name, steps in adam_cfg["t"].items()}
     m = {name: arrays[f"adam.m:{name}"] for name in t}
     v = {name: arrays[f"adam.v:{name}"] for name in t}
     for name in t:

@@ -521,6 +521,24 @@ def test_config_errors_exit_code_two(bench, tmp_path) -> None:
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_train_cap_below_one_exit_code_two(bench, tmp_path, cap) -> None:
+    runner, out = bench
+    result = runner.invoke(
+        main,
+        [
+            "train",
+            "--manifest", str(out / "manifest.json"),
+            "--report-out", str(tmp_path / "r.json"),
+            "--max-train", cap,
+        ]
+        + TRAIN_SPEED_ARGS,
+    )
+    assert result.exit_code == 2, result.output
+    assert "training-sample cap per session must be >= 1" in result.output
+    assert not (tmp_path / "r.json").exists()
+
+
 # (radii, draws) -> the message rejecting them
 BAD_PROBE_ARGS = {
     ("0.5,1", "0"): "probe needs draws >= 1",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,37 @@ def test_feature_bad_version_rejected(tmp_path) -> None:
 def test_write_rejects_nonfinite_features(tmp_path) -> None:
     with pytest.raises(ValueError, match="non-finite"):
         write_feature_file(tmp_path / "x.feat", np.array([[np.nan, 1.0]]))
+
+
+def test_signaling_nans_are_rejected_without_a_warning(tmp_path) -> None:
+    # casting a signaling NaN to float64 warns, so every decoder checks
+    # finiteness on the stored values, before the cast
+    manifest = generate_synthetic(
+        SynthSpec(sessions=1, samples_per_session=8, frames=8, feat_dim=4, seed=3), tmp_path / "s"
+    )
+    config = RunConfig(epochs=1, frames=8, exemplars_per_session=3, hidden_sizes=(4,), adapter_hidden=4)
+    data = load_manifest(manifest, frames=8, score_range=config.score_range, seed=0, **_SPLIT)
+    feature = manifest.parent / "features" / "session1_000.feat"
+    bank, ckpt = tmp_path / "run.bank", tmp_path / "run.ckpt"
+    run = train_continual(config, data, checkpoint_path=ckpt)
+    save_bank(run.bank, bank)
+    last = run.bank.all_exemplars()[-1]
+    head_at = 20 + struct.unpack_from("<Q", ckpt.read_bytes(), 12)[0]
+    for path, load, fmt, bits, at, what in (
+        (feature, read_feature_file, "<I", 0x7FA00000, 20 + 4 * 5, "features at flat index 5"),
+        (bank, load_bank, "<I", 0x7FA00000, bank.stat().st_size - 4,
+         f"exemplar '{last.sample_id}' at flat index {last.features.size}"),
+        (ckpt, load_checkpoint, "<Q", 0x7FF4000000000000, head_at, "array 'head' at flat index 0"),
+    ):
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, at, bits)
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CodecError) as err:
+                load(path)
+        assert str(err.value).endswith(f"non-finite value in {what} (byte offset {at})")
+        assert err.value.offset == at
 
 
 def test_codec_totality_random_bytes_parse_or_raise_typed(tmp_path) -> None:

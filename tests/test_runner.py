@@ -532,6 +532,75 @@ def test_checkpoint_rejects_stacked_parameter_blocks(tmp_path) -> None:
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_a_trace_that_is_not_a_vector(tmp_path) -> None:
+    path = tmp_path / "run.ckpt"
+    train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
+    raw, header, payload_at = _split_checkpoint(path)
+    # the trace is the last array, right before the session table
+    assert header["arrays"][-1]["name"] == "trace"
+    (n,) = header["arrays"][-1]["shape"]
+    table_at = payload_at + 8 * sum(int(np.prod(e["shape"])) for e in header["arrays"])
+    trace_at = table_at - 8 * n
+    # a 0-d trace would load as a float, which a resumed run cannot append to
+    for shape, payload in (([], raw[:trace_at + 8] + raw[table_at:]), ([1, n], raw)):
+        header["arrays"][-1]["shape"] = shape
+        path.write_bytes(_with_header(payload, header, payload_at))
+        with pytest.raises(CheckpointError, match="array 'trace' must be a vector"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_rejects_an_array_list_save_never_writes(tmp_path) -> None:
+    path = tmp_path / "run.ckpt"
+    train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
+    raw, header, payload_at = _split_checkpoint(path)
+    listed = header["arrays"]
+    assert [e["name"] for e in listed] == [
+        "head", "adapter", "adam.m:adapter", "adam.v:adapter", "adam.m:head", "adam.v:head", "trace"
+    ]
+    exactly = "checkpoint arrays must be exactly"
+    for arrays, match in (
+        # the first two add only empty runs, so nothing but the list check refuses them
+        (listed + [{"name": "trace", "shape": [0]}], exactly),
+        (listed + [{"name": "adam.m:extra", "shape": [0]}], exactly),
+        ([e for e in listed if e["name"] != "adam.v:adapter"], exactly),
+        (listed[:1] + listed, exactly),
+        ([{**e, "shape": [1.0 * e["shape"][0]]} if e["name"] == "head" else e for e in listed],
+         "array 'head' dimension must be a non-negative integer"),
+    ):
+        path.write_bytes(_with_header(raw, {**header, "arrays": arrays}, payload_at))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+
+def test_checkpoint_reports_an_array_fault_before_a_later_table_fault(tmp_path) -> None:
+    path = tmp_path / "run.ckpt"
+    train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
+    raw, header, payload_at = _split_checkpoint(path)
+    table_at = payload_at + 8 * sum(int(np.prod(e["shape"])) for e in header["arrays"])
+    (n_sessions,) = struct.unpack_from("<I", raw, table_at)
+    cut = raw[:-3]
+    one_more_session = bytearray(raw)
+    struct.pack_into("<I", one_more_session, table_at, n_sessions + 1)
+    nan_at = payload_at + 8  # head[1]
+    for table_fault, match in (
+        (cut, "truncated exemplar"),
+        (bytes(one_more_session), "truncated session tag"),
+    ):
+        path.write_bytes(table_fault)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+        # arrays and table decode as one block, yet the earlier fault wins
+        corrupt = bytearray(table_fault)
+        corrupt[nan_at : nan_at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (
+            f"non-finite value in array 'head' at flat index 1 (byte offset {nan_at})"
+        )
+        assert err.value.offset == nan_at
+
+
 def test_checkpoint_rejects_nonfinite_arrays_with_offset(tmp_path) -> None:
     path = tmp_path / "run.ckpt"
     train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)

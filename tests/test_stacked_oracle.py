@@ -38,7 +38,7 @@ from scorealign.data import (
     Reader,
     ScoredSample,
     SessionData,
-    _decode_features,
+    _read_features,
 )
 from scorealign.head import batch_sample, batch_sample_backward, pool, predict_eval
 from scorealign.keyframe import phi_select, salience_scores, select_key_frames
@@ -653,16 +653,22 @@ def test_block_decode_matches_per_exemplar_decode(dtype) -> None:
 
 
 def _read_feature_one(raw: bytes) -> np.ndarray:
-    """The per-file feature decode: a Reader walk of one file's header,
-    payload and end."""
+    """The per-file feature decode: a Reader walk of one file's header and
+    end, with one frombuffer, one cast and one finiteness check."""
     reader = Reader(raw)
     reader.preamble(FEATURE_MAGIC, FEATURE_VERSION)
     t, d = reader.unpack("II", "shape")
     if t < 1 or d < 1:
         raise CodecError(f"empty shape ({t}, {d}) in header", 12)
-    features = reader.floats("<f4", (t, d), "features")
+    start = reader.pos
+    raw_values = reader.take(4 * t * d, "features")
+    with np.errstate(invalid="ignore"):
+        values = np.frombuffer(raw_values, dtype="<f4").astype(np.float64)
+    if not np.isfinite(values).all():
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise CodecError(f"non-finite value in features at flat index {bad}", start + 4 * bad)
     reader.end("features")
-    return features
+    return values.reshape(t, d)
 
 
 def _random_feature_files(rng: np.random.Generator) -> list[bytes]:
@@ -715,7 +721,7 @@ def test_batched_feature_decode_matches_per_file_decode() -> None:
                 want_fault = (type(exc), f"feature file '{name}': {exc}", exc.offset)
                 break
         try:
-            got, got_fault = _decode_features(list(zip(names, raws))), None
+            got, got_fault = _read_features(list(zip(names, raws))), None
         except CodecError as exc:
             got, got_fault = None, (type(exc), str(exc), exc.offset)
         # the first fault in file order: the same type, message and offset
