@@ -1,12 +1,13 @@
 """Command-line surface: synth, train, eval, probe-flatness, report.
 
 Exit codes: 0 success, 2 bad usage/configuration, 3 data errors
-(manifests, reports, binary files), 4 runtime failures.
+(manifests, reports, binary files) and file I/O errors, 4 runtime failures.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -38,8 +39,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
-# BankError and CheckpointError are CodecErrors
-_DATA_ERRORS = (ManifestError, CodecError)
+# BankError and CheckpointError are CodecErrors; OSError is file I/O
+_DATA_ERRORS = (ManifestError, CodecError, OSError)
 
 
 def _run(action):
@@ -97,17 +98,17 @@ def _config_options(names=tuple(_CONFIG_OPTIONS)):
     return decorate
 
 
-def _make_config(mode: str, kw: dict) -> RunConfig:
-    """RunConfig from a command's parsed options; only renamed flags need
-    mapping. An option the command lacks keeps its RunConfig default,
+def _make_config(base: RunConfig, kw: dict) -> RunConfig:
+    """base with a command's parsed options put in its place; only renamed
+    flags need mapping. An option the command lacks keeps base's value,
     except that keyframes never exceeds the frame count."""
     kw = dict(kw)
     kw["score_range"] = (kw.pop("score_min"), kw.pop("score_max"))
     kw["max_train_per_session"] = kw.pop("max_train")
     if "no_reparam" in kw:
         kw["reparam"] = not kw.pop("no_reparam")
-    kw.setdefault("keyframes", min(_RUN_DEFAULTS.keyframes, kw["frames"]))
-    return RunConfig(mode=mode, **kw)
+    kw.setdefault("keyframes", min(base.keyframes, kw["frames"]))
+    return replace(base, **kw)
 
 
 def _load(manifest: str, config: RunConfig):
@@ -173,7 +174,7 @@ def train(manifest, mode, report_out, checkpoint_out, bank_out, resume, **kw):
     def action():
         if resume is not None and mode != "continual":
             raise ValueError("--resume applies only to continual runs")
-        config = _make_config(mode, kw)
+        config = _make_config(RunConfig(mode=mode), kw)
         data = _load(manifest, config)
         if mode == "joint":
             result = train_joint(config, data, checkpoint_path=checkpoint_out)
@@ -200,8 +201,8 @@ def eval_cmd(checkpoint_path, manifest, report_out, **kw):
     """Evaluate a checkpointed model on a manifest's test splits."""
 
     def action():
-        config = _make_config("eval", kw)
         bundle = load_checkpoint(checkpoint_path)
+        config = _make_config(bundle.config, kw)
         data = _load(manifest, config)
         check_feature_dim(bundle.model, data)
         result = evaluate(bundle.model, data.all_test(), config.score_range)
@@ -222,11 +223,11 @@ def probe_flatness(checkpoint_path, manifest, report_out, radii, draws, **kw):
     """Probe loss-landscape flatness around a trained model."""
 
     def action():
-        config = _make_config("probe", kw)
         radius_list = [float(r) for r in radii.split(",") if r.strip()]
         if not radius_list:
             raise ValueError("at least one probe radius is required")
         bundle = load_checkpoint(checkpoint_path)
+        config = _make_config(bundle.config, kw)
         data = _load(manifest, config)
         check_feature_dim(bundle.model, data)
         rng = SeededRng(derive_seed(config.seed, "probe"))

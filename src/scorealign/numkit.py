@@ -164,9 +164,13 @@ def init_mlp(sizes: list[int], rng: SeededRng) -> MlpParams:
     return params
 
 
+def mlp_size(sizes: Sequence[int]) -> int:
+    """Parameter count of an MLP with these layer sizes."""
+    return sum(math.prod(shape) for shape in _mlp_layout(sizes))
+
+
 def zeros_mlp(sizes: list[int]) -> MlpParams:
-    count = sum(math.prod(shape) for shape in _mlp_layout(sizes))
-    return MlpParams(np.zeros(count), sizes)
+    return MlpParams(np.zeros(mlp_size(sizes)), sizes)
 
 
 @dataclass
@@ -253,11 +257,11 @@ class AdamState:
     """Adam moments plus hyperparameters; one (m, v, t) triple per block.
     `work` holds two scratch vectors per block, reused by every step."""
 
-    lr: float = 1e-4
+    lr: float
+    weight_decay: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: dict[str, int] = field(default_factory=dict)

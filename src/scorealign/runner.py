@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -27,9 +26,7 @@ from .adapter import (
     reconstruct_with_tape,
     reg_loss_and_grads,
 )
-from .data import (
-    CodecError, LoadedData, Reader, ScoredSample, SessionData, _is_int, _is_number, decode_block
-)
+from .data import CodecError, LoadedData, Reader, ScoredSample, SessionData, _is_int, decode_block
 from .head import batch_sample, batch_sample_backward, init_head, pool, pool_backward, predict_eval
 from .keyframe import phi_select
 from .losses import DegenerateBatchError, combined_loss, combined_loss_values
@@ -51,15 +48,13 @@ from .numkit import (
     derive_seed,
     mlp_backward,
     mlp_forward,
+    mlp_size,
 )
 
 CHECKPOINT_MAGIC = b"ASALCKPT"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 MAX_DEGENERATE_FRACTION = 0.05
-
-# the AdamState hyperparameters a checkpoint header stores
-_ADAM_SCALARS = ("lr", "beta1", "beta2", "eps", "weight_decay")
 
 
 class TrainingError(RuntimeError):
@@ -108,10 +103,13 @@ class RunConfig:
             raise ValueError("exemplar quota must be >= 0")
         if self.max_train_per_session < 1:
             raise ValueError("training-sample cap per session must be >= 1")
-        if not self.score_range[0] < self.score_range[1]:
-            raise ValueError("score range must satisfy lo < hi")
+        if len(self.score_range) != 2 or not self.score_range[0] < self.score_range[1]:
+            raise ValueError("score range must be a pair lo < hi")
         if not 0.0 < self.test_ratio < 1.0:
             raise ValueError("test ratio must be in (0, 1)")
+        # the model's layout, and so a checkpoint's, derives from these
+        if not all(_is_int(n) and n >= 1 for n in (*self.hidden_sizes, self.adapter_hidden)):
+            raise ValueError("hidden_sizes and adapter_hidden must be positive integers")
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -493,9 +491,10 @@ def train_continual(
 
     if resume_from is not None:
         bundle = load_checkpoint(resume_from)
-        if bundle.config_digest != config_hash(config):
+        stored, given = bundle.config.to_dict(), config.to_dict()
+        if differ := [name for name in given if stored[name] != given[name]]:
             raise CheckpointError(
-                "checkpoint was written under a different configuration"
+                f"checkpoint was written under a different configuration: {', '.join(differ)} differ"
             )
         if bundle.completed_sessions > len(data.sessions):
             raise CheckpointError(
@@ -652,7 +651,7 @@ class CheckpointBundle:
     bank: MemoryBank
     stream_state: dict
     completed_sessions: int
-    config_digest: str
+    config: RunConfig
     counters: _Counters
     loss_trace: list[float]
 
@@ -668,37 +667,28 @@ def save_checkpoint(
     loss_trace: list[float],
 ) -> None:
     """Magic, version and header length, the JSON header, the float64
-    arrays it lists, then the bank's session table at float64."""
-    arrays: list[tuple[str, np.ndarray]] = list(model_param_dict(model).items())
-    for key in sorted(model.adam.m):
-        arrays.append((f"adam.m:{key}", model.adam.m[key]))
-        arrays.append((f"adam.v:{key}", model.adam.v[key]))
-    arrays.append(("trace", np.asarray(loss_trace, dtype=np.float64)))
+    blocks, each block's Adam moments in name order and the loss trace,
+    then the bank's session table at float64. The header stores the
+    config, from which the loader derives every array's layout."""
+    adapter = model.adapter
+    if (adapter.t_frames, adapter.k_frames, model.head.sizes[1:-1], adapter.mlp_sizes[1]) != (
+        config.frames, config.keyframes, tuple(config.hidden_sizes), config.adapter_hidden
+    ):
+        raise ValueError("the model's layout is not the one its config gives")
+    moments = [x[key] for key in sorted(model.adam.t) for x in (model.adam.m, model.adam.v)]
+    vectors = [*model_param_dict(model).values(), *moments, np.asarray(loss_trace, dtype=np.float64)]
     header = {
-        "config_digest": config_hash(config),
+        "config": config.to_dict(),
+        "feat_dim": model.head.sizes[0],
         "completed_sessions": completed_sessions,
-        "head_sizes": list(model.head.sizes),
-        "adapter_layout": {
-            "frames": model.adapter.t_frames,
-            "keyframes": model.adapter.k_frames,
-            "mlp_sizes": list(model.adapter.mlp.sizes),
-        },
-        "adam": {
-            **{key: getattr(model.adam, key) for key in _ADAM_SCALARS},
-            "t": model.adam.t,
-        },
+        "adam_steps": model.adam.t,
         "counters": counters.to_dict(),
         "rng": streams.get_state(),
-        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
+        "trace_length": len(loss_trace),
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    chunks = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)),
-        header_bytes,
-    ]
-    for _, a in arrays:
-        chunks.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(text)), text]
+    chunks += [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in vectors]
     chunks.append(encode_sessions(bank, "<f8"))
     Path(path).write_bytes(b"".join(chunks))
 
@@ -711,7 +701,7 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     except CheckpointError:
         raise
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
-        # ValueError covers undecodable text, bad JSON and mismatched layouts
+        # ValueError covers undecodable text and bad JSON
         raise CheckpointError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -728,77 +718,80 @@ def _count(value: object, what: str) -> int:
     return value
 
 
+def _typed(value: object, like: object) -> bool:
+    """Whether value has the JSON type to_dict writes for a field whose
+    default is like: a list for a tuple, an int or a float for a float, and
+    a bool is never a number."""
+    if isinstance(like, tuple):
+        return isinstance(value, list) and all(_typed(v, like[0]) for v in value)
+    return type(value) is type(like) or type(like) is float and type(value) is int
+
+
+def _stored_config(stored: dict) -> RunConfig:
+    """The RunConfig a header stores: exactly its fields, each of the type
+    to_dict writes, with values RunConfig accepts."""
+    like = {f.name: f.default for f in fields(RunConfig)}
+    missing, unknown = sorted(like.keys() - stored.keys()), sorted(stored.keys() - like.keys())
+    if missing or unknown:
+        raise CheckpointError(f"checkpoint config fields: missing {missing}, unknown {unknown}")
+    for name, value in stored.items():
+        if not _typed(value, like[name]):
+            raise CheckpointError(f"checkpoint config field '{name}' has the wrong type: {value!r}")
+    try:
+        return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in stored.items()})
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
+
+
 def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
     (header_len,) = reader.unpack("Q", "header length")
     text = reader.take(header_len, "header").decode("utf-8")
     header = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
-    adam_cfg = header["adam"]
-    t = {name: _count(steps, f"adam step count '{name}'") for name, steps in adam_cfg["t"].items()}
-    entries = header["arrays"]
-    names = [e["name"] for e in entries]
-    listed = ["head", "adapter", *(f"adam.{x}:{name}" for name in sorted(t) for x in "mv"), "trace"]
-    if sorted(names) != sorted(listed):
-        raise CheckpointError(f"checkpoint arrays must be exactly {listed}, each once, got {names}")
-    shapes = [[_count(n, f"array '{e['name']}' dimension") for n in e["shape"]] for e in entries]
+    config = _stored_config(header["config"])
+    feat_dim = _count(header["feat_dim"], "feat_dim")
+    if feat_dim < 1:
+        raise CheckpointError("feat_dim must be at least 1")
+    frames, keyframes = config.frames, config.keyframes
+    sizes, refiner = (feat_dim, *config.hidden_sizes, 2), (feat_dim, config.adapter_hidden, feat_dim)
+    blocks = {"head": mlp_size(sizes), "adapter": frames * keyframes + mlp_size(refiner)}
+    t = {name: _count(steps, f"adam step count '{name}'") for name, steps in header["adam_steps"].items()}
+    layout = [*blocks.items(), *((f"adam.{x}:{name}", blocks[name]) for name in sorted(t) for x in "mv")]
+    layout.append(("trace", _count(header["trace_length"], "trace_length")))
 
     def walk(runs: list) -> dict:
-        for name, shape in zip(names, shapes):
-            reader.run(runs, "<f8", math.prod(shape), f"array '{name}'")
+        for name, count in layout:
+            reader.run(runs, "<f8", count, f"array '{name}'")
         table = walk_sessions(reader, "<f8", runs)
         reader.end("checkpoint payload")
         return table
 
     table, block, offsets = decode_block("<f8", walk)
-    arrays = {
-        name: block[at : at + math.prod(shape)].reshape(shape)
-        for name, shape, at in zip(names, shapes, offsets)
-    }
+    values = {name: block[at : at + count] for (name, count), at in zip(layout, offsets)}
     bank = sessions_from(table, block, offsets)
-
-    for name in ("head", "adapter", "trace"):
-        if arrays[name].ndim != 1:
-            # a 2-d block would load as a stack of MLPs, a 0-d trace as a float
-            raise CheckpointError(
-                f"array '{name}' must be a vector, got shape {arrays[name].shape}"
-            )
-    head = MlpParams(arrays["head"], header["head_sizes"])
-    layout = header["adapter_layout"]
-    adapter = AdapterParams(
-        arrays["adapter"], layout["frames"], layout["keyframes"], layout["mlp_sizes"]
-    )
-    rows = (adapter.k_frames, head.sizes[0])
     for tag, exemplars in bank.sessions.items():
         # the table gives every exemplar of a session one shape
-        if exemplars[0].features.shape != rows:
+        if exemplars[0].features.shape != (keyframes, feat_dim):
             raise CheckpointError(
                 f"bank session '{tag}' stores {exemplars[0].features.shape} exemplar rows,"
-                f" the model's are {rows} (key frames, feature dim)"
+                f" the model's are {(keyframes, feat_dim)} (key frames, feature dim)"
             )
-    blocks = {"head": head.flat, "adapter": adapter.flat}
-    m = {name: arrays[f"adam.m:{name}"] for name in t}
-    v = {name: arrays[f"adam.v:{name}"] for name in t}
-    for name in t:
-        if not blocks[name].shape == m[name].shape == v[name].shape:
-            raise CheckpointError(f"optimizer moments do not match block '{name}'")
-    scalars = {key: adam_cfg[key] for key in _ADAM_SCALARS}
-    for key, value in scalars.items():
-        if not _is_number(value):
-            raise CheckpointError(f"adam '{key}' must be a number, got {value!r}")
-    adam = AdamState(**scalars, m=m, v=v, t=t)
+    m = {name: values[f"adam.m:{name}"] for name in t}
+    v = {name: values[f"adam.v:{name}"] for name in t}
+    adam = AdamState(lr=config.learning_rate, weight_decay=config.weight_decay, m=m, v=v, t=t)
+    head = MlpParams(values["head"], sizes)
+    adapter = AdapterParams(values["adapter"], frames, keyframes, refiner)
     # building streams at the stored states checks every stream and field
     stream_state = _Streams.from_state(header["rng"]).get_state()
     names = [f.name for f in fields(_Counters)]
     if not isinstance(header["counters"], dict) or set(header["counters"]) != set(names):
         raise CheckpointError(f"checkpoint counters must be exactly {names}")
     counters = _Counters(**{n: _count(header["counters"][n], f"counter '{n}'") for n in names})
-    if not isinstance(header["config_digest"], str):
-        raise CheckpointError("checkpoint config digest must be a string")
     return CheckpointBundle(
         model=ModelState(head, adapter, adam),
         bank=bank,
         stream_state=stream_state,
         completed_sessions=_count(header["completed_sessions"], "completed_sessions"),
-        config_digest=header["config_digest"],
+        config=config,
         counters=counters,
-        loss_trace=arrays["trace"].tolist(),
+        loss_trace=values["trace"].tolist(),
     )

@@ -38,7 +38,6 @@ from scorealign.numkit import (
 )
 from scorealign.runner import (
     benchmark_config,
-    config_hash,
     flat_minima_probe,
     load_checkpoint,
     probe_pairing_config,
@@ -400,7 +399,7 @@ def test_criterion_11_determinism_and_formats(bench, continual_runs, tmp_path) -
         replay_run.loss_trace,
     )
     bundle = load_checkpoint(ckpt)
-    assert bundle.config_digest == config_hash(config)
+    assert bundle.config == config
     for w, lw in zip(replay_run.model.head.weights, bundle.model.head.weights):
         assert np.array_equal(w, lw)
     assert bundle.loss_trace == replay_run.loss_trace

@@ -132,6 +132,45 @@ def test_eval_and_probe_from_checkpoint(bench, tmp_path) -> None:
     assert flatness["radii"] == ["0.5", "1"]
 
 
+def test_eval_and_probe_stamp_the_checkpoints_config(bench, tmp_path) -> None:
+    runner, out = bench
+    manifest = str(out / "manifest.json")
+    ckpt = tmp_path / "run.ckpt"
+    train = ["train", "--manifest", manifest, "--checkpoint-out", str(ckpt)]
+    result = runner.invoke(
+        main,
+        train + ["--report-out", str(tmp_path / "train.json"), "--epochs", "2", "--learning-rate", "0.003"]
+        + DATA_ARGS,
+    )
+    assert result.exit_code == 0, result.output
+    trained = read_report(tmp_path / "train.json")
+    assert trained.config["epochs"] == 2 and trained.config["learning_rate"] == 0.003
+    serve = ["--checkpoint", str(ckpt), "--manifest", manifest]
+    for command, mode in (("eval", "eval"), ("probe-flatness", "probe")):
+        report = tmp_path / f"{mode}.json"
+        result = runner.invoke(main, [command] + serve + ["--report-out", str(report)] + DATA_ARGS)
+        assert result.exit_code == 0, result.output
+        served = read_report(report)
+        assert served.mode == mode and served.config["mode"] == "continual"
+        assert (served.config, served.config_hash) == (trained.config, trained.config_hash)
+    # the options a command is given take the place of the checkpoint's
+    report = tmp_path / "other.json"
+    result = runner.invoke(
+        main, ["eval"] + serve + ["--report-out", str(report), "--frames", "8", "--seed", "4"]
+    )
+    assert result.exit_code == 0, result.output
+    assert read_report(report).config == {**trained.config, "seed": 4}
+    resumed = tmp_path / "resumed.json"
+    result = runner.invoke(
+        main,
+        ["train", "--manifest", manifest, "--resume", str(ckpt), "--report-out", str(resumed),
+         "--epochs", "3", "--learning-rate", "0.003"] + DATA_ARGS,
+    )
+    assert result.exit_code == 3, result.output
+    assert "different configuration: epochs differ" in result.output
+    assert not resumed.exists()
+
+
 def _train_checkpoint(runner, manifest, ckpt: Path, *extra) -> Path:
     result = runner.invoke(
         main,
@@ -389,7 +428,13 @@ def test_resume_with_mistyped_header_exit_code_three(bench, tmp_path) -> None:
     for mangle, match in (
         (lambda h: h.update(completed_sessions=1.5), "completed_sessions"),
         (lambda h: h["counters"].update(steps="x"), "counter 'steps'"),
-        (lambda h: h["adam"].update(lr="0.01"), "adam 'lr'"),
+        (lambda h: h["config"].update(learning_rate="0.01"), "'learning_rate' has the wrong type"),
+        (lambda h: h["config"].update(frames=16.0), "'frames' has the wrong type"),
+        (lambda h: h["config"].update(epochs=True), "'epochs' has the wrong type"),
+        (lambda h: h["config"].update(keyframes=9), "need 1 <= keyframes <= frames"),
+        (lambda h: h["config"].pop("seed"), "missing ['seed']"),
+        (lambda h: h.update(feat_dim=0), "feat_dim must be at least 1"),
+        (lambda h: h.update(trace_length=-1), "trace_length must be a non-negative integer"),
     ):
         mangled = json.loads(json.dumps(header))
         mangle(mangled)
@@ -503,7 +548,30 @@ def test_config_defaults_are_run_config_defaults(tmp_path) -> None:
         ctx = main.commands[name].make_context(name, argv)
         kw = {k: v for k, v in ctx.params.items() if k not in other_names[name]}
         assert set(kw) == config_names[name], name
-        assert _make_config("continual", kw) == RunConfig(), name
+        assert _make_config(RunConfig(), kw) == RunConfig(), name
+
+
+@pytest.mark.parametrize("option", ["--report-out", "--bank-out", "--checkpoint-out"])
+def test_unwritable_train_output_exit_code_three(bench, tmp_path, option) -> None:
+    runner, out = bench
+    outputs = {"--report-out": "r.json", "--bank-out": "b.bin", "--checkpoint-out": "c.ckpt"}
+    outputs[option] = "nodir/" + outputs[option]
+    argv = ["train", "--manifest", str(out / "manifest.json")]
+    for name, path in outputs.items():
+        argv += [name, str(tmp_path / path)]
+    result = runner.invoke(main, argv + TRAIN_SPEED_ARGS)
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    assert "No such file or directory" in result.output and "nodir" in result.output
+
+
+def test_synth_into_a_regular_file_exit_code_three(tmp_path) -> None:
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    result = CliRunner().invoke(main, SYNTH_ARGS + ["--out", str(afile / "x")])
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    assert "Not a directory" in result.output
 
 
 def test_config_errors_exit_code_two(bench, tmp_path) -> None:

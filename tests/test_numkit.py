@@ -155,7 +155,7 @@ def test_adam_decoupled_weight_decay_scales_before_delta() -> None:
 
 
 def test_adam_aborts_on_nonfinite_gradient_naming_block() -> None:
-    state = AdamState()
+    state = AdamState(lr=1e-4, weight_decay=0.0)
     params = {"head.w0": np.zeros(2), "head.b0": np.zeros(1)}
     grads = {"head.w0": np.zeros(2), "head.b0": np.array([np.nan])}
     with pytest.raises(NonFiniteGradientError, match="head.b0"):

@@ -18,13 +18,13 @@ from scorealign.numkit import (
     derive_seed,
     mlp_backward,
     mlp_forward,
+    mlp_size,
 )
 from scorealign.runner import (
     CheckpointError,
     RunConfig,
     TrainingError,
     base_pretrain,
-    config_hash,
     evaluate,
     flat_minima_probe,
     init_model,
@@ -381,7 +381,7 @@ def test_checkpoint_roundtrip_preserves_state(tmp_path) -> None:
     result = train_continual(config, data, checkpoint_path=path)
     bundle = load_checkpoint(path)
     assert bundle.completed_sessions == 2
-    assert bundle.config_digest == config_hash(config)
+    assert bundle.config == config
     for w, lw in zip(result.model.head.weights, bundle.model.head.weights):
         assert np.array_equal(w, lw)
     assert np.array_equal(result.model.adapter.mixing_logits, bundle.model.adapter.mixing_logits)
@@ -416,8 +416,10 @@ def test_resume_rejects_mismatched_config(tmp_path) -> None:
     data = _dataset(n_sessions=2, n=14)
     path = tmp_path / "cfg.ckpt"
     train_continual(_config(), data, checkpoint_path=path)
-    with pytest.raises(CheckpointError, match="different configuration"):
+    with pytest.raises(CheckpointError, match="different configuration: seed differ"):
         train_continual(_config(seed=6), data, resume_from=path)
+    with pytest.raises(CheckpointError, match="different configuration: epochs, learning_rate differ"):
+        train_continual(_config(epochs=3, learning_rate=0.02), data, resume_from=path)
 
 
 def test_resume_past_the_manifest_end_is_rejected(tmp_path) -> None:
@@ -452,16 +454,80 @@ def _with_header(raw: bytes, header: dict, payload_at: int) -> bytes:
     return raw[:12] + struct.pack("<Q", len(text)) + text + raw[payload_at:]
 
 
+def _payload_arrays(header: dict) -> list[tuple[str, int]]:
+    """The float64 arrays after a checkpoint's header, in file order, with
+    their lengths: the layouts its config and feature dimension give."""
+    config, d = header["config"], header["feat_dim"]
+    lengths = {
+        "head": mlp_size([d, *config["hidden_sizes"], 2]),
+        "adapter": config["frames"] * config["keyframes"] + mlp_size([d, config["adapter_hidden"], d]),
+    }
+    moments = [(f"adam.{x}:{name}", lengths[name]) for name in sorted(header["adam_steps"]) for x in "mv"]
+    return [*lengths.items(), *moments, ("trace", header["trace_length"])]
+
+
+def _table_at(header: dict, payload_at: int) -> int:
+    """The offset of the session table, which follows the arrays."""
+    return payload_at + 8 * sum(count for _, count in _payload_arrays(header))
+
+
+def test_checkpoint_header_holds_the_config_and_what_it_cannot_give(tmp_path) -> None:
+    config = _config()
+    path = tmp_path / "run.ckpt"
+    run = train_continual(config, _dataset(n_sessions=2, n=12, base=True), checkpoint_path=path)
+    raw, header, payload_at = _split_checkpoint(path)
+    assert set(header) == {
+        "config", "feat_dim", "completed_sessions", "adam_steps", "counters", "rng", "trace_length"
+    }
+    assert header["config"] == config.to_dict()
+    assert header["feat_dim"] == FEAT_DIM
+    assert header["trace_length"] == len(run.loss_trace)
+    assert header["adam_steps"] == run.model.adam.t
+    assert len(raw) - _table_at(header, payload_at) == len(memory.encode_sessions(run.bank, "<f8"))
+    bundle = load_checkpoint(path)
+    assert bundle.model.head.sizes == (FEAT_DIM, 16, 8, 2)
+    adapter = bundle.model.adapter
+    assert (adapter.t_frames, adapter.k_frames, adapter.mlp_sizes) == (FRAMES, 3, (FEAT_DIM, 32, FEAT_DIM))
+    assert (bundle.model.adam.lr, bundle.model.adam.weight_decay) == (0.01, 5e-4)
+
+
+def test_save_checkpoint_rejects_a_model_its_config_does_not_give(tmp_path) -> None:
+    result = train_continual(_config(), _dataset(n_sessions=1, n=12))
+    path = tmp_path / "run.ckpt"
+    # frames 12 x keyframes 2 holds as many mixing logits as the model's 8 x 3
+    for other in (_config(frames=12, keyframes=2), _config(hidden_sizes=(16,)), _config(adapter_hidden=8)):
+        with pytest.raises(ValueError, match="the model's layout is not the one its config gives"):
+            runner.save_checkpoint(
+                path, other, result.model, result.bank, runner._Streams(5), 1,
+                runner._Counters(), result.loss_trace,
+            )
+    assert not path.exists()
+
+
+def test_run_config_rejects_layout_sizes_below_one() -> None:
+    for overrides, match in (
+        ({"hidden_sizes": (0,)}, "hidden_sizes and adapter_hidden must be positive integers"),
+        ({"hidden_sizes": (16, -8)}, "hidden_sizes and adapter_hidden must be positive integers"),
+        ({"hidden_sizes": (16.0,)}, "hidden_sizes and adapter_hidden must be positive integers"),
+        ({"adapter_hidden": 0}, "hidden_sizes and adapter_hidden must be positive integers"),
+        ({"adapter_hidden": True}, "hidden_sizes and adapter_hidden must be positive integers"),
+        ({"score_range": (1.0, 3.0, 5.0)}, "score range must be a pair"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            _config(**overrides)
+    assert _config(hidden_sizes=(), adapter_hidden=1).hidden_sizes == ()
+
+
 def test_checkpoint_rejects_version_one_and_missing_header_keys(tmp_path) -> None:
     path = tmp_path / "run.ckpt"
     train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
     raw, header, payload_at = _split_checkpoint(path)
     old = tmp_path / "old.ckpt"
-    for version in (1, 2):
+    for version in (1, 2, 3):
         old.write_bytes(raw[:8] + struct.pack("<I", version) + raw[12:])
-        with pytest.raises(CheckpointError, match=f"version {version}"):
+        with pytest.raises(CheckpointError, match=f"unsupported version {version}"):
             load_checkpoint(old)
-    for key in ("adam", "adapter_layout", "counters", "rng"):
+    for key in header:
         path.write_bytes(_with_header(raw, {k: v for k, v in header.items() if k != key}, payload_at))
         with pytest.raises(CheckpointError, match=key):
             load_checkpoint(path)
@@ -501,11 +567,15 @@ def test_checkpoint_rejects_mistyped_header_scalars(tmp_path) -> None:
         (("counters", "dropped_singletons"), -2, "counter 'dropped_singletons'"),
         (("counters", "steps"), missing, "counters must be exactly"),
         (("counters", "restarts"), 0, "counters must be exactly"),
-        (("adam", "t", "head"), 2.0, "adam step count 'head'"),
-        (("adam", "t", "adapter"), False, "adam step count 'adapter'"),
-        (("adam", "lr"), "0.01", "adam 'lr' must be a number"),
-        (("adam", "beta2"), True, "adam 'beta2' must be a number"),
-        (("config_digest",), 7, "config digest must be a string"),
+        (("adam_steps", "head"), 2.0, "adam step count 'head'"),
+        (("adam_steps", "adapter"), False, "adam step count 'adapter'"),
+        (("adam_steps", "extra"), 0, "malformed checkpoint .*KeyError: 'extra'"),
+        (("feat_dim",), 6.0, "feat_dim must be a non-negative integer"),
+        (("feat_dim",), -1, "feat_dim must be a non-negative integer"),
+        (("feat_dim",), 0, "feat_dim must be at least 1"),
+        (("trace_length",), "7", "trace_length must be a non-negative integer"),
+        (("trace_length",), -1, "trace_length must be a non-negative integer"),
+        (("trace_length",), True, "trace_length must be a non-negative integer"),
     ):
         bad = json.loads(json.dumps(header))
         node = bad
@@ -520,63 +590,51 @@ def test_checkpoint_rejects_mistyped_header_scalars(tmp_path) -> None:
             load_checkpoint(path)
 
 
-def test_checkpoint_rejects_stacked_parameter_blocks(tmp_path) -> None:
+def test_checkpoint_rejects_a_stored_config_run_config_would_not_hold(tmp_path) -> None:
     path = tmp_path / "run.ckpt"
     train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
     raw, header, payload_at = _split_checkpoint(path)
-    for entry in header["arrays"]:
-        if entry["name"] in ("head", "adam.m:head", "adam.v:head"):
-            entry["shape"] = [1, *entry["shape"]]
-    path.write_bytes(_with_header(raw, header, payload_at))
-    with pytest.raises(CheckpointError, match="'head' must be a vector"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_a_trace_that_is_not_a_vector(tmp_path) -> None:
-    path = tmp_path / "run.ckpt"
-    train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
-    raw, header, payload_at = _split_checkpoint(path)
-    # the trace is the last array, right before the session table
-    assert header["arrays"][-1]["name"] == "trace"
-    (n,) = header["arrays"][-1]["shape"]
-    table_at = payload_at + 8 * sum(int(np.prod(e["shape"])) for e in header["arrays"])
-    trace_at = table_at - 8 * n
-    # a 0-d trace would load as a float, which a resumed run cannot append to
-    for shape, payload in (([], raw[:trace_at + 8] + raw[table_at:]), ([1, n], raw)):
-        header["arrays"][-1]["shape"] = shape
-        path.write_bytes(_with_header(payload, header, payload_at))
-        with pytest.raises(CheckpointError, match="array 'trace' must be a vector"):
-            load_checkpoint(path)
-
-
-def test_checkpoint_rejects_an_array_list_save_never_writes(tmp_path) -> None:
-    path = tmp_path / "run.ckpt"
-    train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
-    raw, header, payload_at = _split_checkpoint(path)
-    listed = header["arrays"]
-    assert [e["name"] for e in listed] == [
-        "head", "adapter", "adam.m:adapter", "adam.v:adapter", "adam.m:head", "adam.v:head", "trace"
-    ]
-    exactly = "checkpoint arrays must be exactly"
-    for arrays, match in (
-        # the first two add only empty runs, so nothing but the list check refuses them
-        (listed + [{"name": "trace", "shape": [0]}], exactly),
-        (listed + [{"name": "adam.m:extra", "shape": [0]}], exactly),
-        ([e for e in listed if e["name"] != "adam.v:adapter"], exactly),
-        (listed[:1] + listed, exactly),
-        ([{**e, "shape": [1.0 * e["shape"][0]]} if e["name"] == "head" else e for e in listed],
-         "array 'head' dimension must be a non-negative integer"),
+    missing = object()
+    for key, value, match in (
+        ("epochs", missing, r"fields: missing \['epochs'\], unknown \[\]"),
+        ("momentum", 0.9, r"fields: missing \[\], unknown \['momentum'\]"),
+        # values RunConfig rejects
+        ("keyframes", FRAMES + 1, "config is invalid: need 1 <= keyframes <= frames"),
+        ("hidden_sizes", [16, 0], "config is invalid: hidden_sizes and adapter_hidden must be"),
+        ("adapter_hidden", 0, "config is invalid: hidden_sizes and adapter_hidden must be"),
+        ("score_range", [1.0], "config is invalid: score range must be a pair"),
+        ("test_ratio", 1.5, "config is invalid: test ratio"),
+        # types to_dict never writes
+        ("frames", 8.0, "config field 'frames' has the wrong type: 8.0"),
+        ("epochs", True, "config field 'epochs' has the wrong type: True"),
+        ("learning_rate", "0.01", "config field 'learning_rate' has the wrong type: '0.01'"),
+        ("reparam", 1, "config field 'reparam' has the wrong type: 1"),
+        ("mode", None, "config field 'mode' has the wrong type: None"),
+        ("hidden_sizes", [16.0, 8], r"config field 'hidden_sizes' has the wrong type: \[16.0, 8\]"),
+        ("score_range", "1,5", "config field 'score_range' has the wrong type: '1,5'"),
+        ("score_range", [1.0, False], "config field 'score_range' has the wrong type"),
     ):
-        path.write_bytes(_with_header(raw, {**header, "arrays": arrays}, payload_at))
+        bad = json.loads(json.dumps(header))
+        if value is missing:
+            del bad["config"][key]
+        else:
+            bad["config"][key] = value
+        path.write_bytes(_with_header(raw, bad, payload_at))
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
+    path.write_bytes(_with_header(raw, {**header, "config": [1]}, payload_at))
+    with pytest.raises(CheckpointError, match="malformed checkpoint .*AttributeError"):
+        load_checkpoint(path)
+    # an int where to_dict wrote a float is the same number
+    path.write_bytes(_with_header(raw, {**header, "config": {**header["config"], "mse_weight": 0}}, payload_at))
+    assert load_checkpoint(path).config == _config(mse_weight=0.0)
 
 
 def test_checkpoint_reports_an_array_fault_before_a_later_table_fault(tmp_path) -> None:
     path = tmp_path / "run.ckpt"
     train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
     raw, header, payload_at = _split_checkpoint(path)
-    table_at = payload_at + 8 * sum(int(np.prod(e["shape"])) for e in header["arrays"])
+    table_at = _table_at(header, payload_at)
     (n_sessions,) = struct.unpack_from("<I", raw, table_at)
     cut = raw[:-3]
     one_more_session = bytearray(raw)
@@ -614,10 +672,9 @@ def test_checkpoint_rejects_nonfinite_arrays_with_offset(tmp_path) -> None:
             load_checkpoint(path)
         assert err.value.offset == at
 
-    offset = payload_at  # the arrays follow the header, in header order
-    for i, entry in enumerate(header["arrays"]):
-        count = int(np.prod(entry["shape"]))
-        rejects(offset + 8 * (count - 1), [np.nan, np.inf][i % 2], f"'{entry['name']}'")
+    offset = payload_at  # the arrays follow the header
+    for i, (name, count) in enumerate(_payload_arrays(header)):
+        rejects(offset + 8 * (count - 1), [np.nan, np.inf][i % 2], f"'{name}'")
         offset += 8 * count
     # then the bank's session table, each exemplar one run of score and K x D values
     (n_sessions,) = struct.unpack_from("<I", raw, offset)
@@ -636,7 +693,7 @@ def test_checkpoint_rejects_nonfinite_arrays_with_offset(tmp_path) -> None:
             exemplars += 1
     assert exemplars > 0
     assert offset == len(raw)
-    header["adam"]["lr"] = float("inf")
+    header["config"]["learning_rate"] = float("inf")
     path.write_bytes(_with_header(raw, header, payload_at))
     with pytest.raises(CheckpointError, match="non-finite number Infinity"):
         load_checkpoint(path)
@@ -654,8 +711,7 @@ def test_checkpoint_rejects_sessions_encode_never_writes(tmp_path, count, k, d, 
     path = tmp_path / "run.ckpt"
     train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
     raw, header, payload_at = _split_checkpoint(path)
-    # the session table follows the arrays the header lists
-    table_at = payload_at + 8 * sum(int(np.prod(entry["shape"])) for entry in header["arrays"])
+    table_at = _table_at(header, payload_at)
     table = struct.pack("<I", 1) + struct.pack("<I", 2) + b"s1" + struct.pack("<III", count, k, d)
     for j in range(count):
         table += struct.pack("<I", 6) + f"s1_{j:03d}".encode() + np.zeros(1 + k * d).tobytes()
