@@ -59,40 +59,52 @@ def _run(action):
 
 _RUN_DEFAULTS = RunConfig()
 
-# Every RunConfig option, in `train --help` order. `eval` and
-# `probe-flatness` take only the ones they read.
+# Every RunConfig option, in `train --help` order: its flag, default and
+# help. `eval` and `probe-flatness` take only the ones they read.
 _CONFIG_OPTIONS = {
-    "epochs": click.option("--epochs", default=_RUN_DEFAULTS.epochs, show_default=True, help="epochs per task"),
-    "batch_size": click.option("--batch-size", default=_RUN_DEFAULTS.batch_size, show_default=True, help="current-data batch size b1"),
-    "replay_batch_size": click.option("--replay-batch-size", default=_RUN_DEFAULTS.replay_batch_size, show_default=True, help="replay mini-batch size b2"),
-    "mse_weight": click.option("--mse-weight", default=_RUN_DEFAULTS.mse_weight, show_default=True, help="precision-loss weight (lambda)"),
-    "replay_weight": click.option("--replay-weight", default=_RUN_DEFAULTS.replay_weight, show_default=True, help="replay-loss weight (alpha)"),
-    "reg_weight": click.option("--reg-weight", default=_RUN_DEFAULTS.reg_weight, show_default=True, help="reconstruction-loss weight (beta)"),
-    "exemplars_per_session": click.option("--exemplars-per-session", default=_RUN_DEFAULTS.exemplars_per_session, show_default=True, help="memory quota m per session"),
-    "keyframes": click.option("--keyframes", default=_RUN_DEFAULTS.keyframes, show_default=True, help="key frames K kept per stored sample"),
-    "diversity_weight": click.option("--diversity-weight", default=_RUN_DEFAULTS.diversity_weight, show_default=True, help="key-frame diversity weight"),
-    "learning_rate": click.option("--learning-rate", default=_RUN_DEFAULTS.learning_rate, show_default=True),
-    "weight_decay": click.option("--weight-decay", default=_RUN_DEFAULTS.weight_decay, show_default=True),
-    "frames": click.option("--frames", default=_RUN_DEFAULTS.frames, show_default=True, help="canonical frame count T"),
-    "score_min": click.option("--score-min", default=_RUN_DEFAULTS.score_range[0], show_default=True),
-    "score_max": click.option("--score-max", default=_RUN_DEFAULTS.score_range[1], show_default=True),
-    "test_ratio": click.option("--test-ratio", default=_RUN_DEFAULTS.test_ratio, show_default=True),
-    "max_train": click.option("--max-train", default=_RUN_DEFAULTS.max_train_per_session, show_default=True, help="training-sample cap per session"),
-    "no_reparam": click.option("--no-reparam", is_flag=True, default=not _RUN_DEFAULTS.reparam, help="disable re-parameterized sampling (ablation)"),
-    "seed": click.option("--seed", default=_RUN_DEFAULTS.seed, show_default=True),
+    "epochs": ("--epochs", _RUN_DEFAULTS.epochs, "epochs per task"),
+    "batch_size": ("--batch-size", _RUN_DEFAULTS.batch_size, "current-data batch size b1"),
+    "replay_batch_size": ("--replay-batch-size", _RUN_DEFAULTS.replay_batch_size, "replay mini-batch size b2"),
+    "mse_weight": ("--mse-weight", _RUN_DEFAULTS.mse_weight, "precision-loss weight (lambda)"),
+    "replay_weight": ("--replay-weight", _RUN_DEFAULTS.replay_weight, "replay-loss weight (alpha)"),
+    "reg_weight": ("--reg-weight", _RUN_DEFAULTS.reg_weight, "reconstruction-loss weight (beta)"),
+    "exemplars_per_session": ("--exemplars-per-session", _RUN_DEFAULTS.exemplars_per_session, "memory quota m per session"),
+    "keyframes": ("--keyframes", _RUN_DEFAULTS.keyframes, "key frames K kept per stored sample"),
+    "diversity_weight": ("--diversity-weight", _RUN_DEFAULTS.diversity_weight, "key-frame diversity weight"),
+    "learning_rate": ("--learning-rate", _RUN_DEFAULTS.learning_rate, None),
+    "weight_decay": ("--weight-decay", _RUN_DEFAULTS.weight_decay, None),
+    "frames": ("--frames", _RUN_DEFAULTS.frames, "canonical frame count T"),
+    "score_min": ("--score-min", _RUN_DEFAULTS.score_range[0], None),
+    "score_max": ("--score-max", _RUN_DEFAULTS.score_range[1], None),
+    "test_ratio": ("--test-ratio", _RUN_DEFAULTS.test_ratio, None),
+    "max_train": ("--max-train", _RUN_DEFAULTS.max_train_per_session, "training-sample cap per session"),
+    "no_reparam": ("--no-reparam", not _RUN_DEFAULTS.reparam, "disable re-parameterized sampling (ablation)"),
+    "seed": ("--seed", _RUN_DEFAULTS.seed, None),
 }
 
 # what loading a manifest reads
 _DATA_OPTIONS = ("frames", "score_min", "score_max", "test_ratio", "max_train", "seed")
 
 
-def _config_options(names=tuple(_CONFIG_OPTIONS)):
-    """Decorator adding the named config options, in _CONFIG_OPTIONS order."""
+def _config_options(names=tuple(_CONFIG_OPTIONS), unset=False):
+    """Decorator adding the named config options, in _CONFIG_OPTIONS order.
+    With unset, an option not given is None, so that the base config's
+    value holds: a served checkpoint keeps the data options it was
+    trained with unless the command is given others."""
 
     def decorate(fn):
         for name in reversed(_CONFIG_OPTIONS):
-            if name in names:
-                fn = _CONFIG_OPTIONS[name](fn)
+            if name not in names:
+                continue
+            flag, default, help_ = _CONFIG_OPTIONS[name]
+            if isinstance(default, bool):
+                option = click.option(flag, is_flag=True, default=default, help=help_)
+            elif unset:
+                served = "[default: the checkpoint's]"
+                option = click.option(flag, type=type(default), help=f"{help_}  {served}" if help_ else served)
+            else:
+                option = click.option(flag, default=default, show_default=True, help=help_)
+            fn = option(fn)
         return fn
 
     return decorate
@@ -100,14 +112,16 @@ def _config_options(names=tuple(_CONFIG_OPTIONS)):
 
 def _make_config(base: RunConfig, kw: dict) -> RunConfig:
     """base with a command's parsed options put in its place; only renamed
-    flags need mapping. An option the command lacks keeps base's value,
-    except that keyframes never exceeds the frame count."""
-    kw = dict(kw)
-    kw["score_range"] = (kw.pop("score_min"), kw.pop("score_max"))
-    kw["max_train_per_session"] = kw.pop("max_train")
+    flags need mapping. An option the command lacks or was not given (None)
+    keeps base's value, except that keyframes never exceeds the frame
+    count."""
+    kw = {name: value for name, value in kw.items() if value is not None}
+    kw["score_range"] = (kw.pop("score_min", base.score_range[0]), kw.pop("score_max", base.score_range[1]))
+    if "max_train" in kw:
+        kw["max_train_per_session"] = kw.pop("max_train")
     if "no_reparam" in kw:
         kw["reparam"] = not kw.pop("no_reparam")
-    kw.setdefault("keyframes", min(base.keyframes, kw["frames"]))
+    kw.setdefault("keyframes", min(base.keyframes, kw.get("frames", base.frames)))
     return replace(base, **kw)
 
 
@@ -196,7 +210,7 @@ def train(manifest, mode, report_out, checkpoint_out, bank_out, resume, **kw):
 @click.option("--checkpoint", "checkpoint_path", required=True, type=click.Path(exists=True))
 @click.option("--manifest", required=True, type=click.Path(exists=True))
 @click.option("--report-out", required=True, type=click.Path())
-@_config_options(_DATA_OPTIONS)
+@_config_options(_DATA_OPTIONS, unset=True)
 def eval_cmd(checkpoint_path, manifest, report_out, **kw):
     """Evaluate a checkpointed model on a manifest's test splits."""
 
@@ -218,7 +232,7 @@ def eval_cmd(checkpoint_path, manifest, report_out, **kw):
 @click.option("--report-out", required=True, type=click.Path())
 @click.option("--radii", default="0.5,1,2,5", show_default=True, help="comma-separated radii")
 @click.option("--draws", default=10, show_default=True, help="random directions per radius")
-@_config_options(_DATA_OPTIONS + ("mse_weight",))
+@_config_options(_DATA_OPTIONS + ("mse_weight",), unset=True)
 def probe_flatness(checkpoint_path, manifest, report_out, radii, draws, **kw):
     """Probe loss-landscape flatness around a trained model."""
 

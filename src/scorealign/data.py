@@ -83,6 +83,35 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise self.fault(f"{what} is not valid UTF-8", self.pos - len(raw)) from exc
 
+    def lengths(self, count: int, what: str) -> list[int]:
+        """A column of count u32 lengths. A cut column is reported at its
+        first cut value, as reading them one at a time would."""
+        start = self.pos
+        whole = min(count, (len(self.raw) - start) // 4)
+        self.pos = start + 4 * whole
+        if whole < count:
+            self.skip(4, what)
+        return np.frombuffer(self.raw, "<u4", count, start).tolist()
+
+    def strings(self, lengths: list[int], what: str) -> list[str]:
+        """UTF-8 strings of these byte lengths, back to back, each decoded
+        on its own so that a fault names its offset. The first cut or
+        invalid string is reported, as reading them one at a time would."""
+        raw, at, decoded = self.raw, self.pos, []
+        size = len(raw)
+        try:
+            for n in lengths:
+                if at + n > size:
+                    break
+                decoded.append(raw[at : at + n].decode("utf-8"))
+                at += n
+        except UnicodeDecodeError as exc:
+            raise self.fault(f"{what} is not valid UTF-8", at) from exc
+        self.pos = at
+        if len(decoded) < len(lengths):
+            self.skip(lengths[len(decoded)], what)
+        return decoded
+
     def preamble(self, magic: bytes, version: int) -> None:
         """The magic bytes, then a u32 format version."""
         found = self.take(len(magic), "magic")
@@ -92,10 +121,21 @@ class Reader:
         if found_version != version:
             raise self.fault(f"unsupported version {found_version}", len(magic))
 
-    def run(self, runs: list, dtype: str, count: int, what: str) -> None:
+    def run(self, runs: list, dtype: str, count: int, what: str | list[str]) -> None:
         """Move past count floats stored as dtype, appending them to runs
-        for decode_block."""
-        runs.append((self, self.skip(_itemsize(dtype) * count, what), count, what))
+        for decode_block. `what` names the run, or is a list naming each of
+        its equal rows: a fault then names its row and the index in it, and
+        a cut run records its whole rows and reports the first cut one, as
+        if each row were a run of its own."""
+        width = _itemsize(dtype)
+        if isinstance(what, str):
+            runs.append((self, self.skip(width * count, what), count, what))
+            return
+        row = count // len(what)
+        whole = min(len(what), (len(self.raw) - self.pos) // (width * row))
+        runs.append((self, self.skip(width * row * whole, what[0]), row * whole, what[:whole]))
+        if whole < len(what):
+            self.skip(width * row, what[whole])
 
     def end(self, what: str) -> None:
         if self.pos != len(self.raw):
@@ -116,12 +156,13 @@ def decode_block(dtype: str, walk: Callable[[list], T]) -> tuple[T, np.ndarray, 
 
     The runs, from one reader or several and of any lengths, are joined,
     checked for finiteness and cast at once. The first non-finite value is
-    rejected naming its reader's prefix, its run's `what`, its flat index
-    in the run and its byte offset. A CodecError the walk raises comes
+    rejected naming its reader's prefix, its run's `what` (or its row's
+    name, for a run of named rows), its flat index in the run (or row) and
+    its byte offset. A CodecError the walk raises comes
     after every run it recorded, so it is raised only when those runs are
     finite: the first fault in the input is the one reported.
     """
-    runs: list[tuple[Reader, int, int, str]] = []
+    runs: list[tuple[Reader, int, int, str | list[str]]] = []
     fault = None
     try:
         walked = walk(runs)
@@ -137,9 +178,13 @@ def decode_block(dtype: str, walk: Callable[[list], T]) -> tuple[T, np.ndarray, 
     if not finite.all():
         at = int(np.flatnonzero(~finite)[0])
         i = int(np.searchsorted(offsets, at, side="right")) - 1
-        reader, start, _, what = runs[i]
+        reader, start, count, what = runs[i]
         col = at - offsets[i]
-        raise reader.fault(f"non-finite value in {what} at flat index {col}", start + width * col)
+        byte = start + width * col
+        if not isinstance(what, str):
+            row, col = divmod(col, count // len(what))
+            what = what[row]
+        raise reader.fault(f"non-finite value in {what} at flat index {col}", byte)
     if fault is not None:
         raise fault
     return walked, stored.astype(np.float64), offsets

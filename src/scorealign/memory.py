@@ -24,7 +24,7 @@ from .keyframe import phi_select
 from .numkit import SeededRng
 
 BANK_MAGIC = b"ASALBANK"
-BANK_VERSION = 1
+BANK_VERSION = 2
 
 
 class BankError(CodecError):
@@ -110,16 +110,13 @@ def sample_replay_batch(bank: MemoryBank, b2: int, rng: SeededRng) -> list[Exemp
 # --- session table and bank file ---------------------------------------
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
 def encode_sessions(bank: MemoryBank, dtype: str) -> bytes:
     """The session table, the one layout of stored exemplars: the session
-    count, then per session its tag, exemplar count, K and D, then per
-    exemplar its id and one run of its score and K x D feature rows at
-    dtype. Counts, lengths and shapes are little-endian u32."""
+    count, then per session its tag, exemplar count, K and D, each
+    exemplar's id length, the ids' UTF-8 bytes back to back, and one
+    (count, 1 + K x D) run of each exemplar's score then K x D feature rows
+    at dtype. Counts, lengths and shapes are little-endian u32; a tag is
+    its length, then its UTF-8 bytes."""
     chunks = [struct.pack("<I", len(bank.sessions))]
     for tag, exemplars in bank.sessions.items():
         if not exemplars:
@@ -130,27 +127,33 @@ def encode_sessions(bank: MemoryBank, dtype: str) -> bytes:
                 raise BankError(
                     f"inconsistent exemplar shape {e.features.shape} in '{tag}'"
                 )
-        chunks.append(_pack_str(tag))
-        chunks.append(struct.pack("<III", len(exemplars), k, d))
+        tag_bytes = tag.encode("utf-8")
+        ids = [e.sample_id.encode("utf-8") for e in exemplars]
+        chunks.append(
+            struct.pack(
+                f"<I{len(tag_bytes)}s{3 + len(ids)}I",
+                len(tag_bytes), tag_bytes, len(ids), k, d, *map(len, ids),
+            )
+        )
+        chunks.append(b"".join(ids))
         # one cast per session: row i is exemplar i's score, then its K x D rows
         runs = np.empty((len(exemplars), 1 + k * d), dtype=dtype)
         runs[:, 0] = [e.score for e in exemplars]
         runs[:, 1:] = np.reshape([e.features for e in exemplars], (len(exemplars), k * d))
-        for e, run in zip(exemplars, runs):
-            chunks.append(_pack_str(e.sample_id))
-            chunks.append(run.tobytes())
+        chunks.append(runs.tobytes())
     return b"".join(chunks)
 
 
 # a walked session table: per session tag, its exemplar ids, (K, D) and the
-# index of its first run among those the walk recorded
+# index of its run among those the walk recorded
 SessionTable = dict[str, tuple[list[str], int, int, int]]
 
 
 def walk_sessions(reader: Reader, dtype: str, runs: list) -> SessionTable:
     """The session table at the reader's cursor, walked, with each
-    exemplar's run of score and K x D values recorded in runs for
-    decode_block. Faults raise reader.error."""
+    session's (count, 1 + K x D) run recorded in runs for decode_block,
+    its rows named by exemplar. Faults raise reader.error, at the offset a
+    walk one exemplar at a time would report."""
     table: SessionTable = {}
     for _ in range(reader.unpack("I", "session count")[0]):
         tag_at = reader.pos
@@ -163,22 +166,19 @@ def walk_sessions(reader: Reader, dtype: str, runs: list) -> SessionTable:
             raise reader.fault(f"session '{tag}' has no exemplars", shape_at)
         if k == 0 or d == 0:
             raise reader.fault(f"session '{tag}' has empty exemplar shape ({k}, {d})", shape_at)
-        first, ids = len(runs), []
-        for _ in range(count):
-            sample_id = reader.string("sample id")
-            reader.run(runs, dtype, 1 + k * d, f"exemplar '{sample_id}'")
-            ids.append(sample_id)
-        table[tag] = (ids, k, d, first)
+        ids = reader.strings(reader.lengths(count, "sample id length"), "sample id")
+        table[tag] = (ids, k, d, len(runs))
+        reader.run(runs, dtype, count * (1 + k * d), [f"exemplar '{i}'" for i in ids])
     return table
 
 
 def sessions_from(table: SessionTable, block: np.ndarray, offsets: list[int]) -> MemoryBank:
     """The bank of a walked session table, given decode_block's block and
-    run offsets. A session's runs are adjacent in the block, so its
-    exemplars' features are views of one (count, 1 + K x D) slice."""
+    run offsets: a session's exemplars' features are views of its one
+    (count, 1 + K x D) run."""
     bank = MemoryBank()
-    for tag, (ids, k, d, first) in table.items():
-        at = offsets[first]
+    for tag, (ids, k, d, run) in table.items():
+        at = offsets[run]
         rows = block[at : at + len(ids) * (1 + k * d)].reshape(len(ids), 1 + k * d)
         features = rows[:, 1:].reshape(len(ids), k, d)
         bank.sessions[tag] = [

@@ -52,7 +52,7 @@ from .numkit import (
 )
 
 CHECKPOINT_MAGIC = b"ASALCKPT"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 MAX_DEGENERATE_FRACTION = 0.05
 
@@ -507,7 +507,7 @@ def train_continual(
         streams = _Streams.from_state(bundle.stream_state)
         start_session = bundle.completed_sessions
         counters = bundle.counters
-        trace = bundle.loss_trace
+        trace = bundle.loss_trace.tolist()
         notes.append(f"resumed after {start_session} completed sessions")
     else:
         first = data.sessions[0]
@@ -653,7 +653,7 @@ class CheckpointBundle:
     completed_sessions: int
     config: RunConfig
     counters: _Counters
-    loss_trace: list[float]
+    loss_trace: np.ndarray  # float64
 
 
 def save_checkpoint(
@@ -664,7 +664,7 @@ def save_checkpoint(
     streams: _Streams,
     completed_sessions: int,
     counters: _Counters,
-    loss_trace: list[float],
+    loss_trace: list[float] | np.ndarray,
 ) -> None:
     """Magic, version and header length, the JSON header, the float64
     blocks, each block's Adam moments in name order and the loss trace,
@@ -793,5 +793,5 @@ def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
         completed_sessions=_count(header["completed_sessions"], "completed_sessions"),
         config=config,
         counters=counters,
-        loss_trace=values["trace"].tolist(),
+        loss_trace=values["trace"],
     )

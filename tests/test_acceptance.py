@@ -402,7 +402,8 @@ def test_criterion_11_determinism_and_formats(bench, continual_runs, tmp_path) -
     assert bundle.config == config
     for w, lw in zip(replay_run.model.head.weights, bundle.model.head.weights):
         assert np.array_equal(w, lw)
-    assert bundle.loss_trace == replay_run.loss_trace
+    assert bundle.loss_trace.dtype == np.float64
+    assert np.array_equal(bundle.loss_trace, replay_run.loss_trace)
     print(
         f"criterion 11 PASS: byte-identical reports; feature/bank/checkpoint roundtrips; "
         f"bank bytes {actual} == 4*{replay_run.bank.num_floats()} + {metadata} metadata"

@@ -171,6 +171,33 @@ def test_eval_and_probe_stamp_the_checkpoints_config(bench, tmp_path) -> None:
     assert not resumed.exists()
 
 
+def test_eval_and_probe_default_to_the_checkpoints_data_options(bench, tmp_path) -> None:
+    runner, out = bench
+    manifest = str(out / "manifest.json")
+    ckpt = tmp_path / "run.ckpt"
+    result = runner.invoke(
+        main,
+        ["train", "--manifest", manifest, "--checkpoint-out", str(ckpt),
+         "--report-out", str(tmp_path / "train.json"), "--epochs", "2", "--frames", "8",
+         "--seed", "7", "--test-ratio", "0.25", "--max-train", "7", "--score-max", "6",
+         "--mse-weight", "0.1"],
+    )
+    assert result.exit_code == 0, result.output
+    trained = read_report(tmp_path / "train.json")
+    serve = ["--checkpoint", str(ckpt), "--manifest", manifest]
+    for command, mode in (("eval", "eval"), ("probe-flatness", "probe")):
+        report = tmp_path / f"{mode}.json"
+        # no data option given: every one is the checkpoint's, not a default
+        result = runner.invoke(main, [command] + serve + ["--report-out", str(report)])
+        assert result.exit_code == 0, result.output
+        served = read_report(report)
+        assert served.config["seed"] == 7 and served.config["mse_weight"] == 0.1
+        assert (served.config, served.config_hash) == (trained.config, trained.config_hash)
+        if mode == "eval":
+            # the same split as training held out, so the same scores
+            assert served.pooled == trained.pooled and served.sessions == trained.sessions
+
+
 def _train_checkpoint(runner, manifest, ckpt: Path, *extra) -> Path:
     result = runner.invoke(
         main,
@@ -544,11 +571,17 @@ def test_config_defaults_are_run_config_defaults(tmp_path) -> None:
         "eval": {"checkpoint_path", "manifest", "report_out"},
         "probe-flatness": {"checkpoint_path", "manifest", "report_out", "radii", "draws"},
     }
+    stored = RunConfig(frames=8, keyframes=2, seed=7, test_ratio=0.25, max_train_per_session=9,
+                       score_range=(0.0, 6.0), mse_weight=0.1, epochs=3)
     for name, argv in required.items():
         ctx = main.commands[name].make_context(name, argv)
         kw = {k: v for k, v in ctx.params.items() if k not in other_names[name]}
         assert set(kw) == config_names[name], name
         assert _make_config(RunConfig(), kw) == RunConfig(), name
+        if name != "train":
+            # a served checkpoint's options are unset unless given
+            assert set(kw.values()) == {None}, name
+            assert _make_config(stored, kw) == stored, name
 
 
 @pytest.mark.parametrize("option", ["--report-out", "--bank-out", "--checkpoint-out"])

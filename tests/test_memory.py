@@ -5,13 +5,17 @@ import struct
 import numpy as np
 import pytest
 
-from scorealign.data import ScoredSample
+from scorealign.data import Reader, ScoredSample
 from scorealign.memory import (
     BANK_MAGIC,
+    BANK_VERSION,
     BankError,
+    Exemplar,
     MemoryBank,
     bank_file_size,
+    encode_sessions,
     load_bank,
+    read_sessions,
     sample_replay_batch,
     save_bank,
     select_exemplars,
@@ -200,23 +204,88 @@ def test_bank_file_size_formula_matches_disk(tmp_path) -> None:
     assert metadata > 0
 
 
+def _version_one_size(bank: MemoryBank, width: int) -> int:
+    """The table size of bank file version 1, which stored each id in front
+    of its own run: the columnar layout moves bytes, it adds none."""
+    size = 4
+    for tag, exemplars in bank.sessions.items():
+        size += 4 + len(tag.encode()) + 12
+        for e in exemplars:
+            size += 4 + len(e.sample_id.encode()) + width * (1 + e.features.size)
+    return size
+
+
+def _random_table_bank(rng: np.random.Generator) -> MemoryBank:
+    """One to four sessions of mixed (K, D), one or several exemplars each,
+    with ASCII, empty and multi-byte ids and tags."""
+    names = ["", "a", "s1_000", "\u00e9t\u00e9", "\u4e2d\u6587\U0001f3b5", "x" * 40]
+    bank = MemoryBank()
+    for s in range(int(rng.integers(1, 5))):
+        k, d = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        count = 1 if rng.random() < 0.3 else int(rng.integers(2, 7))
+        bank.sessions[f"{names[int(rng.integers(0, len(names)))]}{s}"] = [
+            Exemplar(names[int(rng.integers(0, len(names)))], rng.normal(size=(k, d)), float(rng.normal()))
+            for _ in range(count)
+        ]
+    return bank
+
+
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+def test_session_table_round_trips_at_the_version_one_size(tmp_path, dtype) -> None:
+    rng = np.random.default_rng(31 if dtype == "<f4" else 32)
+    width = np.dtype(dtype).itemsize
+    shapes, ids = set(), set()
+    for case in range(150):
+        bank = _random_table_bank(rng)
+        raw = encode_sessions(bank, dtype)
+        assert len(raw) == _version_one_size(bank, width), case
+        reader = Reader(raw, BankError)
+        back = read_sessions(reader, dtype)
+        reader.end("session table")
+        assert list(back.sessions) == list(bank.sessions), case
+        for tag, exemplars in bank.sessions.items():
+            got = back.sessions[tag]
+            assert [e.sample_id for e in got] == [e.sample_id for e in exemplars], case
+            for a, b in zip(exemplars, got):
+                assert b.features.dtype == np.float64 and b.features.shape == a.features.shape
+                assert np.array_equal(b.features, a.features.astype(dtype).astype(np.float64)), case
+                assert b.score == float(np.array(a.score, dtype=dtype)), case
+            shapes.add(exemplars[0].features.shape)
+            ids.update(e.sample_id for e in exemplars)
+        if dtype == "<f4":
+            # the bank file: magic, version, then the table
+            assert bank_file_size(bank) == 8 + 4 + _version_one_size(bank, 4), case
+            save_bank(bank, tmp_path / "bank.bin")
+            assert (tmp_path / "bank.bin").stat().st_size == bank_file_size(bank), case
+    assert len(shapes) > 10 and {"", "\u4e2d\u6587\U0001f3b5"} <= ids
+
+
 def test_bank_file_rejects_nonfinite_values_with_offset(tmp_path) -> None:
     bank = MemoryBank()
     write_session(bank, _samples([1.0, 2.0, 3.0]), 2, 2, 0.5)
     path = tmp_path / "bank.bin"
     save_bank(bank, path)
     raw = path.read_bytes()
-    # magic, version, session count, tag "s1", exemplar count, K, D, then
-    # the first exemplar: id "s1_000", its score, its K x D feature rows
-    score_at = 8 + 4 + 4 + (4 + 2) + 12 + (4 + 6)
+    ids = [e.sample_id for e in bank.sessions["s1"]]
+    assert ids == ["s1_000", "s1_002"]
+    # magic, version, session count, tag "s1", exemplar count, K, D, the two
+    # id lengths and ids, then the run: per exemplar its score and K x D rows
+    score_at = 8 + 4 + 4 + (4 + 2) + 12 + 2 * 4 + 2 * 6
+    row = 4 * (1 + 2 * 4)
     assert struct.unpack_from("<f", raw, score_at)[0] == 1.0
+    assert struct.unpack_from("<f", raw, score_at + row)[0] == 3.0
+    # each exemplar's score, first and last row value
+    cells = [(score_at + row * i + 4 * col, ids[i], col) for i in (0, 1) for col in (0, 1, 8)]
     for value in (np.nan, np.inf, -np.inf):
-        for offset in (score_at, score_at + 4, score_at + 4 * 8):  # score, first and last row value
+        for offset, sample_id, col in cells:
             corrupt = bytearray(raw)
             corrupt[offset : offset + 4] = np.array(value, dtype="<f4").tobytes()
             path.write_bytes(bytes(corrupt))
-            with pytest.raises(BankError, match=f"non-finite.*s1_000.*offset {offset}") as err:
+            with pytest.raises(BankError) as err:
                 load_bank(path)
+            assert str(err.value) == (
+                f"non-finite value in exemplar '{sample_id}' at flat index {col} (byte offset {offset})"
+            )
             assert err.value.offset == offset
 
 
@@ -230,6 +299,11 @@ def test_bank_file_rejects_corruption(tmp_path) -> None:
     bad_magic.write_bytes(b"NOTABANK" + raw[8:])
     with pytest.raises(BankError, match="magic"):
         load_bank(bad_magic)
+    # version 1 held the per-exemplar session table
+    version_one = tmp_path / "version_one.bin"
+    version_one.write_bytes(raw[:8] + struct.pack("<I", 1) + raw[12:])
+    with pytest.raises(BankError, match="unsupported version 1 .byte offset 8."):
+        load_bank(version_one)
     truncated = tmp_path / "trunc.bin"
     truncated.write_bytes(raw[:-7])
     with pytest.raises(BankError, match="truncated"):
@@ -251,13 +325,12 @@ def test_bank_file_rejects_corruption(tmp_path) -> None:
 
 def _one_session_table(count: int, k: int, d: int, dtype: str) -> bytes:
     """A session table of one session 's1' that claims count exemplars of
-    shape (k, d) and holds them, each with a score and k x d values."""
+    shape (k, d) and holds them: their id lengths, their ids, then each
+    one's score and k x d values."""
     table = struct.pack("<I", 1) + struct.pack("<I", 2) + b"s1" + struct.pack("<III", count, k, d)
-    for j in range(count):
-        sample_id = f"s1_{j:03d}".encode()
-        table += struct.pack("<I", len(sample_id)) + sample_id
-        table += np.arange(1 + k * d, dtype=dtype).tobytes()
-    return table
+    ids = [f"s1_{j:03d}".encode() for j in range(count)]
+    table += b"".join(struct.pack("<I", len(sample_id)) for sample_id in ids) + b"".join(ids)
+    return table + np.tile(np.arange(1 + k * d, dtype=dtype), count).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -272,7 +345,7 @@ def test_bank_file_rejects_sessions_encode_never_writes(tmp_path, count, k, d, m
     # encode_sessions refuses an empty session, so a file holding one is corrupt;
     # loading it would leave a bank that save_bank cannot write back
     path = tmp_path / "bank.bin"
-    path.write_bytes(BANK_MAGIC + struct.pack("<I", 1) + _one_session_table(count, k, d, "<f4"))
+    path.write_bytes(BANK_MAGIC + struct.pack("<I", BANK_VERSION) + _one_session_table(count, k, d, "<f4"))
     shape_at = 8 + 4 + 4 + (4 + 2)  # magic, version, session count, tag "s1"
     with pytest.raises(BankError, match=f"{match}.*offset {shape_at}") as err:
         load_bank(path)

@@ -391,7 +391,8 @@ def test_checkpoint_roundtrip_preserves_state(tmp_path) -> None:
             assert a.sample_id == b.sample_id
             assert a.score == b.score
             assert np.array_equal(a.features, b.features)
-    assert bundle.loss_trace == result.loss_trace
+    assert bundle.loss_trace.dtype == np.float64
+    assert np.array_equal(bundle.loss_trace, result.loss_trace)
 
 
 def test_resume_matches_straight_run(tmp_path) -> None:
@@ -523,7 +524,8 @@ def test_checkpoint_rejects_version_one_and_missing_header_keys(tmp_path) -> Non
     train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
     raw, header, payload_at = _split_checkpoint(path)
     old = tmp_path / "old.ckpt"
-    for version in (1, 2, 3):
+    # version 4 held the per-exemplar session table
+    for version in (1, 2, 3, 4):
         old.write_bytes(raw[:8] + struct.pack("<I", version) + raw[12:])
         with pytest.raises(CheckpointError, match=f"unsupported version {version}"):
             load_checkpoint(old)
@@ -676,7 +678,8 @@ def test_checkpoint_rejects_nonfinite_arrays_with_offset(tmp_path) -> None:
     for i, (name, count) in enumerate(_payload_arrays(header)):
         rejects(offset + 8 * (count - 1), [np.nan, np.inf][i % 2], f"'{name}'")
         offset += 8 * count
-    # then the bank's session table, each exemplar one run of score and K x D values
+    # then the bank's session table: per session its tag, count, K and D,
+    # the id lengths, the ids, then each exemplar's score and K x D values
     (n_sessions,) = struct.unpack_from("<I", raw, offset)
     offset += 4
     exemplars = 0
@@ -684,11 +687,14 @@ def test_checkpoint_rejects_nonfinite_arrays_with_offset(tmp_path) -> None:
         offset += 4 + struct.unpack_from("<I", raw, offset)[0]
         count, k, d = struct.unpack_from("<III", raw, offset)
         offset += 12
-        for j in range(count):
-            id_len = struct.unpack_from("<I", raw, offset)[0]
-            sample_id = raw[offset + 4 : offset + 4 + id_len].decode()
-            offset += 4 + id_len
-            rejects(offset + 8 * (k * d if j % 2 else 0), np.nan, f"exemplar '{sample_id}'")
+        ids = []
+        for id_len in struct.unpack_from(f"<{count}I", raw, offset):
+            ids.append(raw[offset + 4 * count : offset + 4 * count + id_len].decode())
+            offset += id_len
+        offset += 4 * count
+        for j, sample_id in enumerate(ids):
+            col = k * d if j % 2 else 0
+            rejects(offset + 8 * col, np.nan, f"exemplar '{sample_id}' at flat index {col}")
             offset += 8 * (1 + k * d)
             exemplars += 1
     assert exemplars > 0
@@ -713,13 +719,88 @@ def test_checkpoint_rejects_sessions_encode_never_writes(tmp_path, count, k, d, 
     raw, header, payload_at = _split_checkpoint(path)
     table_at = _table_at(header, payload_at)
     table = struct.pack("<I", 1) + struct.pack("<I", 2) + b"s1" + struct.pack("<III", count, k, d)
-    for j in range(count):
-        table += struct.pack("<I", 6) + f"s1_{j:03d}".encode() + np.zeros(1 + k * d).tobytes()
+    table += struct.pack("<I", 6) * count + b"".join(f"s1_{j:03d}".encode() for j in range(count))
+    table += np.zeros(count * (1 + k * d)).tobytes()
     path.write_bytes(raw[:table_at] + table)
     shape_at = table_at + 4 + (4 + 2)  # session count, tag "s1"
     with pytest.raises(CheckpointError, match=f"{match}.*offset {shape_at}") as err:
         load_checkpoint(path)
     assert err.value.offset == shape_at
+
+
+def _table_regions(raw: bytes, at: int, width: int) -> dict[str, list[int]]:
+    """Byte positions in the session table at `at`: every byte of the id
+    length columns, of the ids and of the runs, and the start of every
+    float in the runs."""
+    regions: dict[str, list[int]] = {"lengths": [], "ids": [], "runs": [], "floats": []}
+    (n_sessions,) = struct.unpack_from("<I", raw, at)
+    at += 4
+    for _ in range(n_sessions):
+        at += 4 + struct.unpack_from("<I", raw, at)[0]
+        count, k, d = struct.unpack_from("<III", raw, at)
+        at += 12
+        id_bytes = sum(struct.unpack_from(f"<{count}I", raw, at))
+        run_bytes = width * count * (1 + k * d)
+        regions["lengths"] += range(at, at + 4 * count)
+        regions["ids"] += range(at + 4 * count, at + 4 * count + id_bytes)
+        at += 4 * count + id_bytes
+        regions["runs"] += range(at, at + run_bytes)
+        regions["floats"] += range(at, at + run_bytes, width)
+        at += run_bytes
+    assert at == len(raw)
+    return regions
+
+
+def _table_mutant(rng: np.random.Generator, raw: bytes, regions: dict, width: int) -> tuple[bytes, set]:
+    """raw with one to three faults: byte flips in the id lengths, the ids
+    or the runs, a NaN or infinity in the runs, or a cut; and their kinds."""
+    out, kinds = bytearray(raw), set()
+    for _ in range(int(rng.integers(1, 4))):
+        kind = ("cut", "lengths", "ids", "runs", "floats")[int(rng.integers(0, 5))]
+        kinds.add(kind)
+        if kind == "cut":
+            del out[int(rng.integers(0, len(out))) :]
+            break
+        at = regions[kind][int(rng.integers(0, len(regions[kind])))]
+        if kind == "floats":
+            out[at : at + width] = np.array(rng.choice([np.nan, np.inf, -np.inf]), dtype=f"<f{width}").tobytes()
+        else:
+            out[at] ^= 1 << int(rng.integers(0, 8))
+    return bytes(out), kinds
+
+
+def test_mutated_banks_and_checkpoints_load_finite_or_raise_their_error(tmp_path) -> None:
+    path = tmp_path / "run.ckpt"
+    run = train_continual(_config(), _dataset(n_sessions=2, n=12), checkpoint_path=path)
+    raw_ckpt, header, payload_at = _split_checkpoint(path)
+    memory.save_bank(run.bank, tmp_path / "bank.bin")
+    raw_bank = (tmp_path / "bank.bin").read_bytes()
+    rng = np.random.default_rng(15)
+    for raw, table_at, width, load, error in (
+        (raw_bank, 12, 4, memory.load_bank, memory.BankError),
+        (raw_ckpt, _table_at(header, payload_at), 8, load_checkpoint, CheckpointError),
+    ):
+        regions = _table_regions(raw, table_at, width)
+        loaded, rejected, kinds = 0, 0, set()
+        for case in range(200):
+            mutant, mutated = _table_mutant(rng, raw, regions, width)
+            kinds |= mutated
+            path.write_bytes(mutant)
+            try:
+                back = load(path)
+            except error:
+                rejected += 1
+                continue
+            # no other exception type escapes the loader
+            loaded += 1
+            bank = back if error is memory.BankError else back.bank
+            if error is CheckpointError:
+                assert np.isfinite(back.model.head.flat).all() and np.isfinite(back.loss_trace).all()
+            for exemplars in bank.sessions.values():
+                for e in exemplars:
+                    assert np.isfinite(e.features).all() and np.isfinite(e.score), case
+        assert kinds == {"cut", "lengths", "ids", "runs", "floats"}
+        assert loaded > 10 and rejected > 100, (loaded, rejected)
 
 
 def test_model_initialized_once_per_run(monkeypatch) -> None:

@@ -218,9 +218,9 @@ def _select_one(features: np.ndarray, k: int, diversity_weight: float) -> tuple[
 
 
 def _read_sessions_one(reader: Reader, dtype: str) -> MemoryBank:
-    """The per-exemplar session-table decode: one id, one frombuffer, one
-    cast and one finiteness check per exemplar, with the session checks
-    the block decode makes."""
+    """The per-exemplar session-table decode: one length read, one id
+    decode, one frombuffer, one cast and one finiteness check per
+    exemplar, with the session checks the block decode makes."""
     width = np.dtype(dtype).itemsize
     bank = MemoryBank()
     for _ in range(reader.unpack("I", "session count")[0]):
@@ -234,9 +234,16 @@ def _read_sessions_one(reader: Reader, dtype: str) -> MemoryBank:
             raise reader.error(f"session '{tag}' has no exemplars", shape_at)
         if k == 0 or d == 0:
             raise reader.error(f"session '{tag}' has empty exemplar shape ({k}, {d})", shape_at)
+        lengths = [reader.unpack("I", "sample id length")[0] for _ in range(count)]
+        ids = []
+        for n in lengths:
+            raw = reader.take(n, "sample id")
+            try:
+                ids.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise reader.error("sample id is not valid UTF-8", reader.pos - n) from None
         exemplars = []
-        for _ in range(count):
-            sample_id = reader.string("sample id")
+        for sample_id in ids:
             start = reader.pos
             raw = reader.take(width * (1 + k * d), f"exemplar '{sample_id}'")
             with np.errstate(invalid="ignore"):
@@ -572,12 +579,22 @@ def test_stacked_selection_matches_per_matrix_selector() -> None:
             assert _same_bytes(phi_select(matrix, k, weight), rows), case
 
 
+def _random_id(rng: np.random.Generator, s: int, j: int) -> str:
+    """An ASCII id of varying length, an empty one or a multi-byte one."""
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return ""
+    if kind == 1:
+        return f"\u00e9\u4e2d{s}_{j}\U0001f3b5"
+    return f"id{s}_{j}" + "x" * int(rng.integers(0, 4))
+
+
 def _random_bank(rng: np.random.Generator) -> MemoryBank:
     bank = MemoryBank()
     for s in range(int(rng.integers(1, 4))):
         k, d = int(rng.integers(1, 4)), int(rng.integers(1, 6))
         bank.sessions[f"sess\u00e9{s}"] = [
-            Exemplar(f"id{s}_{j}" + "x" * int(rng.integers(0, 4)), rng.normal(size=(k, d)), float(rng.normal()))
+            Exemplar(_random_id(rng, s, j), rng.normal(size=(k, d)), float(rng.normal()))
             for j in range(int(rng.integers(1, 6)))
         ]
     # encode_sessions writes what it is given: a third of the tables hold
@@ -625,7 +642,7 @@ def _mutant(rng: np.random.Generator, raw: bytes, dtype: str) -> bytes:
 @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
 def test_block_decode_matches_per_exemplar_decode(dtype) -> None:
     rng = np.random.default_rng(12 if dtype == "<f4" else 13)
-    faults = 0
+    faults, n_faults = set(), 0
     for case in range(400):
         raw = encode_sessions(_random_bank(rng), dtype)
         if case % 2:
@@ -635,7 +652,8 @@ def test_block_decode_matches_per_exemplar_decode(dtype) -> None:
         # the first fault in the file: the same type, message and byte offset
         assert got_fault == want_fault, case
         if want is None:
-            faults += 1
+            n_faults += 1
+            faults.add(want_fault[1].split(" '")[0].split(":")[0].split(" (")[0])
             continue
         assert list(got.sessions) == list(want.sessions), case
         for tag, exemplars in want.sessions.items():
@@ -646,7 +664,15 @@ def test_block_decode_matches_per_exemplar_decode(dtype) -> None:
                 assert _same_bytes(a.features, b.features), case
                 assert type(a.score) is float
                 assert np.float64(a.score).tobytes() == np.float64(b.score).tobytes(), case
-    assert faults > 100
+    assert n_faults > 100
+    # every fault of the id lengths, the ids and the rows was met
+    assert faults >= {
+        "truncated sample id length",
+        "truncated sample id",
+        "sample id is not valid UTF-8",
+        "truncated exemplar",
+        "non-finite value in exemplar",
+    }, faults
 
 
 # --- feature files ----------------------------------------------------------
