@@ -113,8 +113,8 @@ def _config_options(names=tuple(_CONFIG_OPTIONS), unset=False):
 def _make_config(base: RunConfig, kw: dict) -> RunConfig:
     """base with a command's parsed options put in its place; only renamed
     flags need mapping. An option the command lacks or was not given (None)
-    keeps base's value, except that keyframes never exceeds the frame
-    count."""
+    keeps base's value, except that where keyframes is not an option (eval,
+    probe-flatness) it is clamped to the frame count."""
     kw = {name: value for name, value in kw.items() if value is not None}
     kw["score_range"] = (kw.pop("score_min", base.score_range[0]), kw.pop("score_max", base.score_range[1]))
     if "max_train" in kw:

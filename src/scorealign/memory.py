@@ -3,10 +3,12 @@
 At the end of a session, samples are sorted by score and evenly sampled
 so the stored exemplars span the session's score range; the chosen
 samples are compressed to their K key-frame feature rows as one stack
-before storage. Replay draws uniformly without replacement across the
-union of all stored sessions. One session table encodes the stored
-exemplars: the bank file holds it at 32-bit floats, a checkpoint at
-64-bit floats. The whole table decodes as one block, and the decoder
+before storage. A stored session is columns, as in its file: an id list,
+a score vector and a (count, K, D) feature array. Replay draws uniformly
+without replacement from the stored sessions joined as one pool. One
+session table encodes the stored exemplars: the bank file holds it at
+32-bit floats, a checkpoint at 64-bit floats. The whole table decodes as
+one block, of which each session's columns are views, and the decoder
 rejects what the encoder never writes: an empty session or an empty
 exemplar shape.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,25 +34,43 @@ class BankError(CodecError):
     """Invalid bank operation or malformed bank file."""
 
 
-@dataclass(frozen=True)
-class Exemplar:
+class Exemplar(NamedTuple):  # one row of a Session, as iterating it yields
     sample_id: str
     features: np.ndarray  # (K, D) compressed key-frame rows
     score: float
 
 
+@dataclass(frozen=True)
+class Session:
+    """Stored exemplars as columns; row i of each is exemplar i."""
+
+    ids: list[str]
+    scores: np.ndarray  # (count,) float64
+    features: np.ndarray  # (count, K, D) compressed key-frame rows
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[Exemplar]:
+        return map(Exemplar, self.ids, self.features, self.scores.tolist())
+
+
 @dataclass
 class MemoryBank:
-    sessions: dict[str, list[Exemplar]] = field(default_factory=dict)
-
-    def is_empty(self) -> bool:
-        return not any(self.sessions.values())
-
-    def all_exemplars(self) -> list[Exemplar]:
-        return [e for exemplars in self.sessions.values() for e in exemplars]
+    sessions: dict[str, Session] = field(default_factory=dict)
 
     def num_floats(self) -> int:
-        return sum(e.features.size for e in self.all_exemplars())
+        return sum(s.features.size for s in self.sessions.values())
+
+    def replay_pool(self) -> Session:
+        """The stored sessions, of which there is at least one, joined in
+        session order as one copy: replay draws from it."""
+        sessions = self.sessions.values()
+        return Session(
+            [i for s in sessions for i in s.ids],
+            np.concatenate([s.scores for s in sessions]),
+            np.concatenate([s.features for s in sessions]),
+        )
 
 
 def select_exemplars(samples: list[ScoredSample], m: int) -> list[int]:
@@ -89,22 +110,17 @@ def write_session(
     if tag in bank.sessions:
         raise BankError(f"session '{tag}' already written")
     chosen = select_exemplars(samples, m)
-    compressed = phi_select(np.stack([samples[i].features for i in chosen]), k, diversity_weight)
-    bank.sessions[tag] = [
-        Exemplar(sample_id=samples[i].sample_id, features=rows, score=samples[i].score)
-        for i, rows in zip(chosen, compressed)
-    ]
+    bank.sessions[tag] = Session(
+        [samples[i].sample_id for i in chosen],
+        np.array([samples[i].score for i in chosen], dtype=np.float64),
+        phi_select(np.stack([samples[i].features for i in chosen]), k, diversity_weight),
+    )
 
 
-def sample_replay_batch(bank: MemoryBank, b2: int, rng: SeededRng) -> list[Exemplar]:
-    """Up to b2 exemplars drawn uniformly without replacement from the
-    union of stored sessions; empty list signals no-replay."""
-    pool = bank.all_exemplars()
-    if not pool:
-        return []
-    take = min(b2, len(pool))
-    idx = rng.permutation(len(pool))[:take]
-    return [pool[i] for i in idx]
+def sample_replay_batch(pool: Session, b2: int, rng: SeededRng) -> Session:
+    """Up to b2 rows of pool, drawn uniformly without replacement."""
+    idx = rng.permutation(len(pool))[:b2]
+    return Session([pool.ids[i] for i in idx], pool.scores[idx], pool.features[idx])
 
 
 # --- session table and bank file ---------------------------------------
@@ -118,17 +134,12 @@ def encode_sessions(bank: MemoryBank, dtype: str) -> bytes:
     at dtype. Counts, lengths and shapes are little-endian u32; a tag is
     its length, then its UTF-8 bytes."""
     chunks = [struct.pack("<I", len(bank.sessions))]
-    for tag, exemplars in bank.sessions.items():
-        if not exemplars:
+    for tag, session in bank.sessions.items():
+        if not session:
             raise BankError(f"session '{tag}' has no exemplars to serialize")
-        k, d = exemplars[0].features.shape
-        for e in exemplars:
-            if e.features.shape != (k, d):
-                raise BankError(
-                    f"inconsistent exemplar shape {e.features.shape} in '{tag}'"
-                )
+        count, k, d = session.features.shape
         tag_bytes = tag.encode("utf-8")
-        ids = [e.sample_id.encode("utf-8") for e in exemplars]
+        ids = [sample_id.encode("utf-8") for sample_id in session.ids]
         chunks.append(
             struct.pack(
                 f"<I{len(tag_bytes)}s{3 + len(ids)}I",
@@ -137,9 +148,9 @@ def encode_sessions(bank: MemoryBank, dtype: str) -> bytes:
         )
         chunks.append(b"".join(ids))
         # one cast per session: row i is exemplar i's score, then its K x D rows
-        runs = np.empty((len(exemplars), 1 + k * d), dtype=dtype)
-        runs[:, 0] = [e.score for e in exemplars]
-        runs[:, 1:] = np.reshape([e.features for e in exemplars], (len(exemplars), k * d))
+        runs = np.empty((count, 1 + k * d), dtype=dtype)
+        runs[:, 0] = session.scores
+        runs[:, 1:] = session.features.reshape(count, k * d)
         chunks.append(runs.tobytes())
     return b"".join(chunks)
 
@@ -174,17 +185,13 @@ def walk_sessions(reader: Reader, dtype: str, runs: list) -> SessionTable:
 
 def sessions_from(table: SessionTable, block: np.ndarray, offsets: list[int]) -> MemoryBank:
     """The bank of a walked session table, given decode_block's block and
-    run offsets: a session's exemplars' features are views of its one
+    run offsets: a session's scores and features are views of its one
     (count, 1 + K x D) run."""
     bank = MemoryBank()
     for tag, (ids, k, d, run) in table.items():
         at = offsets[run]
         rows = block[at : at + len(ids) * (1 + k * d)].reshape(len(ids), 1 + k * d)
-        features = rows[:, 1:].reshape(len(ids), k, d)
-        bank.sessions[tag] = [
-            Exemplar(sample_id, f, score)
-            for sample_id, f, score in zip(ids, features, rows[:, 0].tolist())
-        ]
+        bank.sessions[tag] = Session(ids, rows[:, 0], rows[:, 1:].reshape(len(ids), k, d))
     return bank
 
 

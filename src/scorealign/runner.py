@@ -32,6 +32,7 @@ from .keyframe import phi_select
 from .losses import DegenerateBatchError, combined_loss, combined_loss_values
 from .memory import (
     MemoryBank,
+    Session,
     bank_file_size,
     encode_sessions,
     sample_replay_batch,
@@ -93,8 +94,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mse_weight < 0 or self.replay_weight < 0 or self.reg_weight < 0:
             raise ValueError("loss weights must be >= 0")
-        if self.epochs < 1 or self.batch_size < 2 or self.replay_batch_size < 1:
-            raise ValueError("need epochs >= 1, batch_size >= 2, replay_batch_size >= 1")
+        if self.epochs < 1 or self.batch_size < 2 or self.replay_batch_size < 2:
+            raise ValueError("need epochs >= 1, batch_size >= 2, replay_batch_size >= 2")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ValueError("need learning_rate > 0 and weight_decay >= 0")
         if self.keyframes < 1 or self.frames < self.keyframes:
@@ -253,6 +254,7 @@ def _train_on_samples(
 ) -> None:
     """The shared epoch loop: one optimizer step per current-data batch,
     folding in the replay and reconstruction terms when a bank is given.
+    The bank changes only between calls, so its replay pool is built once.
 
     Head and replay gradients go to buffers allocated once per call and
     are summed in a fixed order: the head's current batch then its replay
@@ -263,9 +265,8 @@ def _train_on_samples(
     pooled = np.stack([pool(s.features) for s in samples])
     scores = np.array([s.score for s in samples], dtype=np.float64)
     n = len(samples)
-    replay_on = (
-        bank is not None and config.replay_weight > 0.0 and config.exemplars_per_session > 0
-    )
+    replay_on = bank is not None and config.replay_weight > 0.0 and config.exemplars_per_session > 0
+    replay = bank.replay_pool() if replay_on and bank.sessions else None
     reg_on = bank is not None and config.reg_weight > 0.0
     if reg_on:
         features = np.stack([s.features for s in samples])
@@ -293,12 +294,8 @@ def _train_on_samples(
             grads = {"head": head_grad}
             trace.append(value)
 
-            if (
-                replay_on
-                and not bank.is_empty()
-                and _replay_term(
-                    model, bank, config, streams, counters, replay_head_grad, adapter_grad
-                )
+            if replay is not None and _replay_term(
+                model, replay, config, streams, counters, replay_head_grad, adapter_grad
             ):
                 head_grad += replay_head_grad
                 grads["adapter"] = adapter_grad
@@ -316,7 +313,7 @@ def _train_on_samples(
 
 def _replay_term(
     model: ModelState,
-    bank: MemoryBank,
+    replay: Session,
     config: RunConfig,
     streams: _Streams,
     counters: _Counters,
@@ -327,16 +324,13 @@ def _replay_term(
     write its head gradient, scaled by replay_weight, into head_grad and
     its adapter rows, summed in sample order, into adapter_grad. Returns
     False, with both untouched, when the draw gives no usable batch."""
-    batch = sample_replay_batch(bank, config.replay_batch_size, streams.replay)
+    batch = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
     if len(batch) < 2:
         return False
-    recon, recon_tape = reconstruct_with_tape(
-        model.adapter, np.stack([e.features for e in batch])
-    )
-    truth = np.array([e.score for e in batch], dtype=np.float64)
+    recon, recon_tape = reconstruct_with_tape(model.adapter, batch.features)
     try:
         _, x_grad = _head_term(
-            model, pool(recon), truth, config.replay_weight, config, streams, head_grad
+            model, pool(recon), batch.scores, config.replay_weight, config, streams, head_grad
         )
     except DegenerateBatchError:
         counters.degenerate_replay_batches += 1
@@ -768,11 +762,10 @@ def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
     table, block, offsets = decode_block("<f8", walk)
     values = {name: block[at : at + count] for (name, count), at in zip(layout, offsets)}
     bank = sessions_from(table, block, offsets)
-    for tag, exemplars in bank.sessions.items():
-        # the table gives every exemplar of a session one shape
-        if exemplars[0].features.shape != (keyframes, feat_dim):
+    for tag, session in bank.sessions.items():
+        if session.features.shape[1:] != (keyframes, feat_dim):
             raise CheckpointError(
-                f"bank session '{tag}' stores {exemplars[0].features.shape} exemplar rows,"
+                f"bank session '{tag}' stores {session.features.shape[1:]} exemplar rows,"
                 f" the model's are {(keyframes, feat_dim)} (key frames, feature dim)"
             )
     m = {name: values[f"adam.m:{name}"] for name in t}

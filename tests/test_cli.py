@@ -5,6 +5,7 @@ import struct
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -521,10 +522,10 @@ def test_resume_with_misshapen_bank_rows_exit_code_three(bench, tmp_path) -> Non
     table_at = len(raw) - len(encode_sessions(bank, "<f8"))
     bad = tmp_path / "bad.ckpt"
     # the model keeps K=3 key frames of D=8 features
-    for rows, shape in ((slice(0, 2), "(2, 8)"), ((slice(None), slice(0, 7)), "(3, 7)")):
+    for rows, shape in ((np.s_[:, 0:2], "(2, 8)"), (np.s_[:, :, 0:7], "(3, 7)")):
         cut = MemoryBank(
-            {tag: [replace(e, features=e.features[rows]) for e in exemplars]
-             for tag, exemplars in bank.sessions.items()}
+            {tag: replace(session, features=session.features[rows])
+             for tag, session in bank.sessions.items()}
         )
         bad.write_bytes(raw[:table_at] + encode_sessions(cut, "<f8"))
         result = runner.invoke(
@@ -609,17 +610,20 @@ def test_synth_into_a_regular_file_exit_code_three(tmp_path) -> None:
 
 def test_config_errors_exit_code_two(bench, tmp_path) -> None:
     runner, out = bench
-    result = runner.invoke(
-        main,
-        [
-            "train",
-            "--manifest", str(out / "manifest.json"),
-            "--report-out", str(tmp_path / "r.json"),
-            "--mse-weight", "-1",
-        ]
-        + TRAIN_SPEED_ARGS,
-    )
-    assert result.exit_code == 2
+    # train always gives --keyframes (default 3), so it is not clamped to --frames
+    for bad, message in (
+        (["--mse-weight", "-1"], "loss weights must be >= 0"),
+        (["--replay-batch-size", "1"], "replay_batch_size >= 2"),
+        (["--frames", "2"], "need 1 <= keyframes <= frames"),
+    ):
+        result = runner.invoke(
+            main,
+            ["train", "--manifest", str(out / "manifest.json"), "--report-out", str(tmp_path / "r.json")]
+            + TRAIN_SPEED_ARGS + bad,
+        )
+        assert result.exit_code == 2, (bad, result.output)
+        assert message in result.output, bad
+        assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("cap", ["-1", "0"])

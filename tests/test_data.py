@@ -111,7 +111,7 @@ def test_signaling_nans_are_rejected_without_a_warning(tmp_path) -> None:
     bank, ckpt = tmp_path / "run.bank", tmp_path / "run.ckpt"
     run = train_continual(config, data, checkpoint_path=ckpt)
     save_bank(run.bank, bank)
-    last = run.bank.all_exemplars()[-1]
+    *_, last = run.bank.replay_pool()
     head_at = 20 + struct.unpack_from("<Q", ckpt.read_bytes(), 12)[0]
     for path, load, fmt, bits, at, what in (
         (feature, read_feature_file, "<I", 0x7FA00000, 20 + 4 * 5, "features at flat index 5"),
@@ -198,8 +198,7 @@ def test_codec_totality_random_bytes_parse_or_raise_typed(tmp_path) -> None:
 def _float_arrays(loaded: MemoryBank | CheckpointBundle) -> list[np.ndarray]:
     """Every float array a loaded bank or checkpoint holds."""
     bank = loaded if isinstance(loaded, MemoryBank) else loaded.bank
-    exemplars = bank.all_exemplars()
-    arrays = [e.features for e in exemplars] + [np.array([e.score for e in exemplars])]
+    arrays = [a for s in bank.sessions.values() for a in (s.features, s.scores)]
     if isinstance(loaded, CheckpointBundle):
         model = loaded.model
         arrays += [model.head.flat, model.adapter.flat, np.array(loaded.loss_trace)]

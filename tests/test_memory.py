@@ -10,8 +10,8 @@ from scorealign.memory import (
     BANK_MAGIC,
     BANK_VERSION,
     BankError,
-    Exemplar,
     MemoryBank,
+    Session,
     bank_file_size,
     encode_sessions,
     load_bank,
@@ -132,22 +132,35 @@ def test_stored_scores_span_session_range() -> None:
 
 
 def test_replay_empty_bank_signals_no_replay() -> None:
-    assert sample_replay_batch(MemoryBank(), 2, SeededRng(0)) == []
+    empty = Session([], np.empty(0), np.empty((0, 2, 4)))
+    batch = sample_replay_batch(empty, 2, SeededRng(0))
+    assert len(batch) == 0 and batch.features.shape == (0, 2, 4)
 
 
 def test_replay_returns_all_when_bank_is_exactly_batch_sized() -> None:
     bank = MemoryBank()
     write_session(bank, _samples([1.0, 2.0]), 2, 2, 0.5)
-    batch = sample_replay_batch(bank, 2, SeededRng(0))
+    batch = sample_replay_batch(bank.replay_pool(), 2, SeededRng(0))
     assert {e.sample_id for e in batch} == {"s1_000", "s1_001"}
 
 
 def test_replay_deterministic_for_fixed_seed() -> None:
     bank = MemoryBank()
     write_session(bank, _samples(np.linspace(1, 5, 20)), 8, 2, 0.5)
-    a = [e.sample_id for e in sample_replay_batch(bank, 3, SeededRng(11))]
-    b = [e.sample_id for e in sample_replay_batch(bank, 3, SeededRng(11))]
+    a = [e.sample_id for e in sample_replay_batch(bank.replay_pool(), 3, SeededRng(11))]
+    b = [e.sample_id for e in sample_replay_batch(bank.replay_pool(), 3, SeededRng(11))]
     assert a == b
+
+
+def test_replay_pool_joins_sessions_in_order_as_a_copy() -> None:
+    bank = MemoryBank()
+    write_session(bank, _samples([1.0, 2.0, 3.0], session="b"), 2, 2, 0.5)
+    write_session(bank, _samples([4.0, 5.0], session="a"), 2, 2, 0.5)
+    pool = bank.replay_pool()
+    assert pool.ids == ["b_000", "b_002", "a_000", "a_001"]
+    assert pool.scores.tolist() == [1.0, 3.0, 4.0, 5.0]
+    assert np.array_equal(pool.features, np.concatenate([bank.sessions["b"].features, bank.sessions["a"].features]))
+    assert not any(np.shares_memory(pool.features, s.features) for s in bank.sessions.values())
 
 
 def test_replay_frequencies_are_uniform() -> None:
@@ -155,11 +168,12 @@ def test_replay_frequencies_are_uniform() -> None:
     write_session(bank, _samples(np.linspace(1, 5, 16), session="a"), 16, 2, 0.5)
     write_session(bank, _samples(np.linspace(1, 5, 16), session="b"), 16, 2, 0.5)
     rng = SeededRng(4)
+    pool = bank.replay_pool()
     counts: dict[str, int] = {}
     draws = 10_000
     for _ in range(draws):
-        for e in sample_replay_batch(bank, 2, rng):
-            counts[e.sample_id] = counts.get(e.sample_id, 0) + 1
+        for sample_id in sample_replay_batch(pool, 2, rng).ids:
+            counts[sample_id] = counts.get(sample_id, 0) + 1
     expected = draws * 2 / 32
     sigma = np.sqrt(draws * (2 / 32) * (30 / 32))
     assert len(counts) == 32
@@ -208,9 +222,9 @@ def _version_one_size(bank: MemoryBank, width: int) -> int:
     """The table size of bank file version 1, which stored each id in front
     of its own run: the columnar layout moves bytes, it adds none."""
     size = 4
-    for tag, exemplars in bank.sessions.items():
+    for tag, session in bank.sessions.items():
         size += 4 + len(tag.encode()) + 12
-        for e in exemplars:
+        for e in session:
             size += 4 + len(e.sample_id.encode()) + width * (1 + e.features.size)
     return size
 
@@ -223,10 +237,13 @@ def _random_table_bank(rng: np.random.Generator) -> MemoryBank:
     for s in range(int(rng.integers(1, 5))):
         k, d = int(rng.integers(1, 5)), int(rng.integers(1, 7))
         count = 1 if rng.random() < 0.3 else int(rng.integers(2, 7))
-        bank.sessions[f"{names[int(rng.integers(0, len(names)))]}{s}"] = [
-            Exemplar(names[int(rng.integers(0, len(names)))], rng.normal(size=(k, d)), float(rng.normal()))
+        tag = f"{names[int(rng.integers(0, len(names)))]}{s}"
+        rows = [
+            (names[int(rng.integers(0, len(names)))], rng.normal(size=(k, d)), float(rng.normal()))
             for _ in range(count)
         ]
+        ids, features, scores = zip(*rows)
+        bank.sessions[tag] = Session(list(ids), np.array(scores), np.stack(features))
     return bank
 
 
@@ -243,15 +260,15 @@ def test_session_table_round_trips_at_the_version_one_size(tmp_path, dtype) -> N
         back = read_sessions(reader, dtype)
         reader.end("session table")
         assert list(back.sessions) == list(bank.sessions), case
-        for tag, exemplars in bank.sessions.items():
+        for tag, session in bank.sessions.items():
             got = back.sessions[tag]
-            assert [e.sample_id for e in got] == [e.sample_id for e in exemplars], case
-            for a, b in zip(exemplars, got):
-                assert b.features.dtype == np.float64 and b.features.shape == a.features.shape
-                assert np.array_equal(b.features, a.features.astype(dtype).astype(np.float64)), case
-                assert b.score == float(np.array(a.score, dtype=dtype)), case
-            shapes.add(exemplars[0].features.shape)
-            ids.update(e.sample_id for e in exemplars)
+            assert got.ids == session.ids, case
+            assert got.features.dtype == np.float64 and got.features.shape == session.features.shape
+            assert np.array_equal(got.features, session.features.astype(dtype).astype(np.float64)), case
+            assert got.scores.dtype == np.float64
+            assert np.array_equal(got.scores, session.scores.astype(dtype).astype(np.float64)), case
+            shapes.add(session.features.shape[1:])
+            ids.update(session.ids)
         if dtype == "<f4":
             # the bank file: magic, version, then the table
             assert bank_file_size(bank) == 8 + 4 + _version_one_size(bank, 4), case
@@ -352,6 +369,14 @@ def test_bank_file_rejects_sessions_encode_never_writes(tmp_path, count, k, d, m
     assert err.value.offset == shape_at
 
 
+def test_encode_refuses_a_session_without_exemplars() -> None:
+    bank = MemoryBank()
+    write_session(bank, _samples([1.0, 2.0]), 2, 2, 0.5)
+    bank.sessions["s2"] = Session([], np.empty(0), np.empty((0, 2, 4)))
+    with pytest.raises(BankError, match="^session 's2' has no exemplars to serialize$"):
+        encode_sessions(bank, "<f4")
+
+
 def test_loaded_features_are_views_of_one_block_per_session(tmp_path) -> None:
     bank = MemoryBank()
     write_session(bank, _samples(np.linspace(1, 5, 10)), 4, 2, 0.5)
@@ -359,9 +384,15 @@ def test_loaded_features_are_views_of_one_block_per_session(tmp_path) -> None:
     path = tmp_path / "bank.bin"
     save_bank(bank, path)
     loaded = load_bank(path)
-    for tag, exemplars in loaded.sessions.items():
-        block = exemplars[0].features.base
-        assert block is not None
-        assert all(e.features.base is block for e in exemplars)
-        assert all(e.features.shape == bank.sessions[tag][0].features.shape for e in exemplars)
-        assert all(type(e.score) is float for e in exemplars)
+    # the whole table decodes as one block; each session's columns view it
+    block = loaded.sessions["s1"].features.base
+    assert block is not None and block.dtype == np.float64
+    for tag, session in loaded.sessions.items():
+        assert session.features.base is block and session.scores.base is block
+        assert session.features.shape == bank.sessions[tag].features.shape
+        assert session.scores.shape == (len(session),) == (len(session.ids),)
+        # row i of the run is score i, then exemplar i's K x D values
+        scores_at = session.scores.__array_interface__["data"][0]
+        assert session.features.__array_interface__["data"][0] == scores_at + 8
+        assert session.scores.strides[0] == session.features.strides[0] == 8 * (1 + session.features[0].size)
+        assert all(type(e.score) is float for e in session)

@@ -161,8 +161,8 @@ def test_keyframes_equal_frames_keeps_phi_identity() -> None:
     data = _dataset(n_sessions=2, n=12)
     config = _config(keyframes=FRAMES, exemplars_per_session=4)
     result = train_continual(config, data)
-    for exemplar in result.bank.all_exemplars():
-        assert exemplar.features.shape == (FRAMES, FEAT_DIM)
+    for session in result.bank.sessions.values():
+        assert session.features.shape[1:] == (FRAMES, FEAT_DIM)
 
 
 # --- training behavior -------------------------------------------------------
@@ -200,7 +200,7 @@ def test_exemplars_only_come_from_training_splits() -> None:
     result = train_continual(_config(exemplars_per_session=4), data)
     train_ids = {s.sample_id for s in data.all_train()}
     test_ids = {s.sample_id for s in data.all_test()}
-    bank_ids = {e.sample_id for e in result.bank.all_exemplars()}
+    bank_ids = set(result.bank.replay_pool().ids)
     assert bank_ids <= train_ids
     assert not (bank_ids & test_ids)
 
@@ -513,6 +513,8 @@ def test_run_config_rejects_layout_sizes_below_one() -> None:
         ({"adapter_hidden": 0}, "hidden_sizes and adapter_hidden must be positive integers"),
         ({"adapter_hidden": True}, "hidden_sizes and adapter_hidden must be positive integers"),
         ({"score_range": (1.0, 3.0, 5.0)}, "score range must be a pair"),
+        # a replay batch of one defines no correlation, so it would never step
+        ({"replay_batch_size": 1}, "replay_batch_size >= 2"),
     ):
         with pytest.raises(ValueError, match=match):
             _config(**overrides)
@@ -928,7 +930,7 @@ def test_key_frames_selected_once_per_sample_per_session(monkeypatch) -> None:
     for epochs in (1, 3):
         config = _config(epochs=epochs, exemplars_per_session=4)
         counts, result = _count_selections(monkeypatch, config, data)
-        n_written = len(result.bank.all_exemplars())
+        n_written = sum(map(len, result.bank.sessions.values()))
         assert n_written > 0
         assert counts["runner"] == {"calls": n_sessions, "rows": n_train}
         assert counts["memory"] == {"calls": n_sessions, "rows": n_written}

@@ -1,7 +1,7 @@
 """Stacked adapter, head, evaluation, flat-minima probe, key-frame
-selection, session-table decode and feature-file decode against the
-per-sample, per-draw, per-matrix, per-exemplar and per-file loops they
-replaced.
+selection, columnar replay draw, session-table decode and feature-file
+decode against the per-sample, per-draw, per-matrix, per-exemplar and
+per-file loops they replaced.
 
 The reference functions below are the code that the stacked path
 replaced, kept as oracles the way test_keyframe.py keeps the
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +48,14 @@ from scorealign.losses import (
     combined_loss,
     combined_loss_values,
 )
-from scorealign.memory import Exemplar, MemoryBank, encode_sessions, read_sessions, sample_replay_batch
+from scorealign.memory import (
+    Exemplar,
+    MemoryBank,
+    Session,
+    encode_sessions,
+    read_sessions,
+    sample_replay_batch,
+)
 from scorealign.metrics import metric_entry
 from scorealign.numkit import MlpParams, SeededRng, init_mlp, mlp_backward, mlp_forward
 
@@ -148,6 +154,18 @@ def _replay_loop(model, batch, eps, config):
         else:
             adapter_grads += row
     return head_grads, adapter_grads
+
+
+def _replay_draw_one(bank: MemoryBank, b2: int, rng: SeededRng) -> list[Exemplar]:
+    """The per-exemplar replay draw: the stored sessions' exemplars joined
+    as one list, a permutation of it, and up to b2 of it taken; an empty
+    bank draws nothing."""
+    pool = [e for session in bank.sessions.values() for e in session]
+    if not pool:
+        return []
+    take = min(b2, len(pool))
+    idx = rng.permutation(len(pool))[:take]
+    return [pool[i] for i in idx]
 
 
 def _probe_loop(model, sessions, lam, radii, rng, draws) -> dict:
@@ -339,30 +357,35 @@ def _replay_model(rng: np.random.Generator, seed: int, b: int):
     model = runner.init_model(d, config)
     model.head.flat[:] += rng.normal(size=model.head.flat.size) * 0.2
     model.adapter.flat[:] = _random_adapter(rng, t, k, d, hidden).flat
+    # a third of the banks hold one exemplar, whose draw is no usable batch
+    counts = [1] if seed % 3 == 0 else rng.integers(1, 4, size=2).tolist()
     bank = MemoryBank()
-    for tag in ("s1", "s2"):
-        bank.sessions[tag] = [
-            Exemplar(f"{tag}_{i}", rng.normal(size=(k, d)), float(rng.uniform(1.0, 5.0)))
-            for i in range(int(rng.integers(1, 4)))
-        ]
+    for s, count in enumerate(counts):
+        tag = f"s{s + 1}"
+        bank.sessions[tag] = Session(
+            [f"{tag}_{i}" for i in range(count)],
+            rng.uniform(1.0, 5.0, size=count),
+            rng.normal(size=(count, k, d)),
+        )
     return model, bank, config
 
 
 def test_stacked_replay_term_matches_per_exemplar_loop() -> None:
-    replayed = 0
+    replayed = singles = 0
     for seed in range(CASES):
         rng = np.random.default_rng(20_000 + seed)
-        b = 1 + seed % 3
+        b = 2 + seed % 2
         model, bank, config = _replay_model(rng, seed, b)
         streams = runner._Streams(seed)
         oracle_streams = runner._Streams(seed)
         head_grad = np.full_like(model.head.flat, np.nan)
         adapter_grad = np.full_like(model.adapter.flat, np.nan)
         used = runner._replay_term(
-            model, bank, config, streams, runner._Counters(), head_grad, adapter_grad
+            model, bank.replay_pool(), config, streams, runner._Counters(), head_grad, adapter_grad
         )
 
-        batch = sample_replay_batch(bank, config.replay_batch_size, oracle_streams.replay)
+        batch = _replay_draw_one(bank, config.replay_batch_size, oracle_streams.replay)
+        singles += len(batch) == 1
         want = None
         if len(batch) >= 2:
             eps = oracle_streams.noise.normal(len(batch)) if config.reparam else np.zeros(len(batch))
@@ -376,7 +399,46 @@ def test_stacked_replay_term_matches_per_exemplar_loop() -> None:
         replayed += 1
         assert _same_bytes(head_grad, want[0]), f"head gradient differs, seed {seed}"
         assert _same_bytes(adapter_grad, want[1]), f"adapter gradient differs, seed {seed}"
-    assert replayed >= CASES // 2
+    assert replayed >= CASES // 2 and singles == CASES // 3
+
+
+def _random_replay_bank(rng: np.random.Generator) -> MemoryBank:
+    """One to four sessions of one (K, D), each of one exemplar about
+    half the time and of up to six otherwise."""
+    k, d = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+    bank = MemoryBank()
+    for s in range(int(rng.integers(1, 5))):
+        count = 1 if rng.random() < 0.5 else int(rng.integers(2, 7))
+        bank.sessions[f"s{s}"] = Session(
+            [_random_id(rng, s, j) for j in range(count)],
+            rng.normal(size=count) * 10.0 ** rng.integers(-3, 4, size=count),
+            rng.normal(size=(count, k, d)),
+        )
+    return bank
+
+
+def test_columnar_replay_draw_matches_per_exemplar_draw() -> None:
+    singles = several = 0
+    for seed in range(CASES):
+        rng = np.random.default_rng(25_000 + seed)
+        bank = _random_replay_bank(rng)
+        b2 = int(rng.integers(2, 6))
+        columnar, reference = SeededRng(seed), SeededRng(seed)
+        pool = bank.replay_pool()
+        singles += len(pool) == 1
+        several += len(bank.sessions) > 1
+        for draw in range(3):
+            batch = sample_replay_batch(pool, b2, columnar)
+            want = _replay_draw_one(bank, b2, reference)
+            where = f"seed {seed}, draw {draw}"
+            assert batch.ids == [e.sample_id for e in want], where
+            assert batch.scores.dtype == np.float64
+            assert batch.scores.tobytes() == np.array([e.score for e in want]).tobytes(), where
+            assert batch.features.dtype == np.float64
+            assert batch.features.shape == (len(want), *pool.features.shape[1:]), where
+            assert batch.features.tobytes() == np.stack([e.features for e in want]).tobytes(), where
+            assert columnar.get_state() == reference.get_state(), where
+    assert singles > 10 and several > CASES // 2
 
 
 def test_stacked_evaluate_matches_per_sample_predict_eval() -> None:
@@ -593,21 +655,23 @@ def _random_bank(rng: np.random.Generator) -> MemoryBank:
     bank = MemoryBank()
     for s in range(int(rng.integers(1, 4))):
         k, d = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-        bank.sessions[f"sess\u00e9{s}"] = [
-            Exemplar(_random_id(rng, s, j), rng.normal(size=(k, d)), float(rng.normal()))
+        rows = [
+            (_random_id(rng, s, j), rng.normal(size=(k, d)), float(rng.normal()))
             for j in range(int(rng.integers(1, 6)))
         ]
+        ids, features, scores = zip(*rows)
+        bank.sessions[f"sess\u00e9{s}"] = Session(list(ids), np.array(scores), np.stack(features))
     # encode_sessions writes what it is given: a third of the tables hold
     # non-finite scores or feature values for the decoders to find
     if rng.random() < 1 / 3:
         for _ in range(int(rng.integers(1, 3))):
-            exemplars = list(bank.sessions.values())[int(rng.integers(0, len(bank.sessions)))]
-            j = int(rng.integers(0, len(exemplars)))
+            session = list(bank.sessions.values())[int(rng.integers(0, len(bank.sessions)))]
+            j = int(rng.integers(0, len(session)))
             value = rng.choice([np.nan, np.inf, -np.inf])
             if rng.random() < 0.3:
-                exemplars[j] = replace(exemplars[j], score=value)
+                session.scores[j] = value
             else:
-                exemplars[j].features.flat[int(rng.integers(0, exemplars[j].features.size))] = value
+                session.features[j].flat[int(rng.integers(0, session.features[j].size))] = value
     return bank
 
 
