@@ -26,7 +26,8 @@ def pool(features: np.ndarray) -> np.ndarray:
             f"features must be a nonempty (T, D) matrix or (N, T, D) stack, "
             f"got shape {features.shape}"
         )
-    return features.mean(axis=-2)
+    # ndarray.mean's kernel without its Python wrapper
+    return np.add.reduce(features, axis=-2) / features.shape[-2]
 
 
 def pool_backward(grad_pooled: np.ndarray, frames: int) -> np.ndarray:

@@ -69,10 +69,31 @@ def mse_loss(pred: np.ndarray, truth: np.ndarray) -> tuple[float, np.ndarray]:
 def combined_loss(
     pred: np.ndarray, truth: np.ndarray, lam: float
 ) -> tuple[float, np.ndarray]:
-    """Correlation loss plus lam times the precision loss."""
-    cor_value, cor_grad = correlation_loss(pred, truth)
-    mse_value, mse_grad = mse_loss(pred, truth)
-    return cor_value + lam * mse_value, cor_grad + lam * mse_grad
+    """Correlation loss plus lam times the precision loss, with the bytes
+    correlation_loss and mse_loss give, in one pass over the inputs. Each
+    mean is np.add.reduce(x) / n, ndarray.mean's kernel without its Python
+    wrapper."""
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    _check_lengths(pred, truth)
+    n = pred.size
+    if n < 2:
+        raise DegenerateBatchError(f"correlation needs >= 2 samples, got {n}")
+    a = pred - np.add.reduce(pred) / n
+    b = truth - np.add.reduce(truth) / n
+    ssq_a = float(a @ a)
+    ssq_b = float(b @ b)
+    if ssq_a / n < VARIANCE_FLOOR or ssq_b / n < VARIANCE_FLOOR:
+        raise DegenerateBatchError(
+            f"variance below {VARIANCE_FLOOR:g} (pred {ssq_a / n:.3e}, "
+            f"truth {ssq_b / n:.3e})"
+        )
+    cross = float(a @ b)
+    denom = np.sqrt(ssq_a * ssq_b)
+    residual = pred - truth
+    mse_value = float(residual @ residual) / (2.0 * n)
+    cor_grad = -(b - (cross / ssq_a) * a) / denom
+    return (1.0 - cross / denom) + lam * mse_value, cor_grad + lam * (residual / n)
 
 
 def combined_loss_values(pred: np.ndarray, truth: np.ndarray, lam: float) -> np.ndarray:
@@ -133,8 +154,10 @@ def reg_loss(
     squares = diff * diff
     # each sample's T*D squares are summed as one run, in the order np.sum
     # of one (T, D) array sums them
-    norm = np.sqrt(np.sum(squares.reshape(len(diff), -1), axis=1))
+    norm = np.sqrt(np.add.reduce(squares.reshape(len(diff), -1), axis=1))
     small = norm < NORM_FLOOR
+    if not small.any():
+        return norm, diff / norm[:, None, None]
     norm[small] = 0.0
     grad = diff / np.where(small, 1.0, norm)[:, None, None]
     grad[small] = 0.0

@@ -122,7 +122,8 @@ def unflatten(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.nd
     return [flat[..., start:stop].reshape(lead + shape) for start, stop, shape in spans]
 
 
-def _mlp_layout(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+@functools.lru_cache(maxsize=64)
+def _mlp_layout(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     pairs = tuple(zip(sizes[:-1], sizes[1:]))
     return pairs + tuple((fan_out,) for _, fan_out in pairs)
 
@@ -166,7 +167,7 @@ def init_mlp(sizes: list[int], rng: SeededRng) -> MlpParams:
 
 def mlp_size(sizes: Sequence[int]) -> int:
     """Parameter count of an MLP with these layer sizes."""
-    return sum(math.prod(shape) for shape in _mlp_layout(sizes))
+    return sum(math.prod(shape) for shape in _mlp_layout(tuple(sizes)))
 
 
 def zeros_mlp(sizes: list[int]) -> MlpParams:

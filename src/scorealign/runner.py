@@ -32,7 +32,6 @@ from .keyframe import phi_select
 from .losses import DegenerateBatchError, combined_loss, combined_loss_values
 from .memory import (
     MemoryBank,
-    Session,
     bank_file_size,
     encode_sessions,
     sample_replay_batch,
@@ -220,29 +219,6 @@ class _Counters:
         return asdict(self)
 
 
-def _head_term(
-    model: ModelState,
-    x: np.ndarray,
-    truth: np.ndarray,
-    weight: float,
-    config: RunConfig,
-    streams: _Streams,
-    out: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """The sampled-score step of one batch of pooled (B, D) features:
-    score x with the head, sample s = mu + eps * sigma (eps = 0 without
-    reparameterization), take the combined loss against truth and backprop
-    weight times its gradient into out. Returns the loss and the gradient
-    with respect to x. A degenerate batch raises DegenerateBatchError
-    before out is touched."""
-    head_out, tape = mlp_forward(model.head, x)
-    eps = streams.noise.normal(len(x)) if config.reparam else np.zeros(len(x))
-    s_hat, sigma = batch_sample(head_out, eps)
-    value, grad_s = combined_loss(s_hat, truth, config.mse_weight)
-    grad_out = batch_sample_backward(weight * grad_s, eps, sigma)
-    return value, mlp_backward(model.head, tape, grad_out, out)
-
-
 def _train_on_samples(
     model: ModelState,
     samples: list[ScoredSample],
@@ -256,10 +232,14 @@ def _train_on_samples(
     folding in the replay and reconstruction terms when a bank is given.
     The bank changes only between calls, so its replay pool is built once.
 
-    Head and replay gradients go to buffers allocated once per call and
-    are summed in a fixed order: the head's current batch then its replay
-    batch; the adapter's replay rows, then reg_weight times the
-    reconstruction rows' sum."""
+    A step draws and decodes its replay batch first, then makes one head
+    pass over a (2, B, D) stack: the current rows, then the pooled replay
+    rows, the shorter padded to the longer's B with zero rows whose output
+    gradient is zero. A step without a usable replay batch is a stack of
+    one; a degenerate replay batch keeps its zero row. Gradients are
+    summed in a fixed order: the head's current row,
+    then += its replay row; the adapter's replay rows, then reg_weight
+    times the reconstruction rows' sum."""
     if not samples:
         raise TrainingError("cannot train on an empty split")
     pooled = np.stack([pool(s.features) for s in samples])
@@ -272,9 +252,9 @@ def _train_on_samples(
         features = np.stack([s.features for s in samples])
         # selection is a pure function of the features: once per sample
         compressed = phi_select(features, config.keyframes, config.diversity_weight)
-    head_grad = np.empty_like(model.head.flat)
-    replay_head_grad = np.empty_like(model.head.flat)
+    head_rows = np.empty((2, model.head.flat.size))
     adapter_grad = np.empty_like(model.adapter.flat)
+    noise = streams.noise.normal if config.reparam else np.zeros
 
     for _ in range(config.epochs):
         order = streams.shuffle.permutation(n)
@@ -284,20 +264,55 @@ def _train_on_samples(
                 # a single sample cannot define a batch correlation
                 counters.dropped_singletons += 1
                 continue
+            current = pooled[idx]
+            stack, n2 = current[None], 0
+            if replay is not None:
+                # a degenerate current batch takes no draw: it rewinds this one
+                replay_state = streams.replay.get_state()
+                batch = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
+                if len(batch) >= 2:
+                    recon, recon_tape = reconstruct_with_tape(model.adapter, batch.features)
+                    n2 = len(batch)
+                    stack = np.zeros((2, max(idx.size, n2), current.shape[1]))
+                    stack[0, : idx.size] = current
+                    stack[1, :n2] = pool(recon)
+            head_out, tape = mlp_forward(model.head, stack)
+            grad_out = np.zeros(head_out.shape)
+            eps = noise(idx.size)
+            s_hat, sigma = batch_sample(head_out[0, : idx.size], eps)
             try:
-                value, _ = _head_term(
-                    model, pooled[idx], scores[idx], 1.0, config, streams, head_grad
-                )
+                value, grad_s = combined_loss(s_hat, scores[idx], config.mse_weight)
             except DegenerateBatchError:
+                if replay is not None:
+                    streams.replay.set_state(replay_state)
                 counters.degenerate_batches += 1
                 continue
-            grads = {"head": head_grad}
             trace.append(value)
+            grad_out[0, : idx.size] = batch_sample_backward(grad_s, eps, sigma)
+            if n2:
+                eps = noise(n2)
+                s_hat, sigma = batch_sample(head_out[1, :n2], eps)
+                try:
+                    _, grad_s = combined_loss(s_hat, batch.scores, config.mse_weight)
+                    grad_out[1, :n2] = batch_sample_backward(
+                        config.replay_weight * grad_s, eps, sigma
+                    )
+                except DegenerateBatchError:
+                    counters.degenerate_replay_batches += 1
+                    n2 = 0
+            head_grads = head_rows[: len(stack)]
+            x_grad = mlp_backward(model.head, tape, grad_out, head_grads)
+            if len(head_grads) == 2:
+                head_grads[0] += head_grads[1]
+            grads = {"head": head_grads[0]}
 
-            if replay is not None and _replay_term(
-                model, replay, config, streams, counters, replay_head_grad, adapter_grad
-            ):
-                head_grad += replay_head_grad
+            if n2:
+                rows = adapter_backward(
+                    model.adapter, recon_tape, pool_backward(x_grad[1, :n2], model.adapter.t_frames)
+                )
+                adapter_grad[...] = rows[0]
+                for row in rows[1:]:
+                    adapter_grad += row
                 grads["adapter"] = adapter_grad
             if reg_on:
                 _, reg_grad = reg_loss_and_grads(model.adapter, features[idx], compressed[idx])
@@ -309,38 +324,6 @@ def _train_on_samples(
 
             adam_step(model.adam, model_param_dict(model), grads)
             counters.steps += 1
-
-
-def _replay_term(
-    model: ModelState,
-    replay: Session,
-    config: RunConfig,
-    streams: _Streams,
-    counters: _Counters,
-    head_grad: np.ndarray,
-    adapter_grad: np.ndarray,
-) -> bool:
-    """Draw a replay batch, decode it through the adapter as one stack and
-    write its head gradient, scaled by replay_weight, into head_grad and
-    its adapter rows, summed in sample order, into adapter_grad. Returns
-    False, with both untouched, when the draw gives no usable batch."""
-    batch = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
-    if len(batch) < 2:
-        return False
-    recon, recon_tape = reconstruct_with_tape(model.adapter, batch.features)
-    try:
-        _, x_grad = _head_term(
-            model, pool(recon), batch.scores, config.replay_weight, config, streams, head_grad
-        )
-    except DegenerateBatchError:
-        counters.degenerate_replay_batches += 1
-        return False
-    grad_recon = pool_backward(x_grad, model.adapter.t_frames)
-    rows = adapter_backward(model.adapter, recon_tape, grad_recon)
-    adapter_grad[...] = rows[0]
-    for row in rows[1:]:
-        adapter_grad += row
-    return True
 
 
 def _fit(

@@ -37,6 +37,17 @@ def test_pool_arithmetic_mean() -> None:
     assert np.array_equal(pool(np.array([[1.0, 3.0], [3.0, 5.0]])), np.array([2.0, 4.0]))
 
 
+def test_pool_has_the_bytes_of_the_frame_mean() -> None:
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        t, d = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        shape = (t, d) if seed % 2 else (int(rng.integers(1, 6)), t, d)
+        features = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        want = features.mean(axis=-2)
+        got = pool(features)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), f"seed {seed}"
+
+
 def test_pool_rejects_empty() -> None:
     with pytest.raises(ShapeMismatchError):
         pool(np.zeros((0, 4)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scorealign.losses import (
+    NORM_FLOOR,
     DegenerateBatchError,
     combined_loss,
     correlation_loss,
@@ -121,6 +122,70 @@ def test_combined_is_weighted_sum() -> None:
 def test_combined_propagates_degenerate_error() -> None:
     with pytest.raises(DegenerateBatchError):
         combined_loss(np.array([2.0, 2.0]), np.array([1.0, 3.0]), 0.05)
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_combined_loss_has_the_bytes_of_its_two_terms() -> None:
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 8
+        lam = (0.0, 0.05, 1.0)[seed // 8 % 3]
+        truth = rng.uniform(1.0, 5.0, size=n)
+        # a strided column, as a head's (n, 2) output gives it
+        pred = (rng.normal(size=(n, 2)) * rng.choice([0.01, 1.0, 100.0]))[:, 0]
+        value, grad = combined_loss(pred, truth, lam)
+        cor_value, cor_grad = correlation_loss(pred, truth)
+        mse_value, mse_grad = mse_loss(pred, truth)
+        assert _same_bytes(value, cor_value + lam * mse_value), f"value differs, seed {seed}"
+        assert _same_bytes(grad, cor_grad + lam * mse_grad), f"gradient differs, seed {seed}"
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_combined_loss_raises_what_correlation_raises_on_ties(n) -> None:
+    rng = np.random.default_rng(n)
+    spread = rng.uniform(1.0, 5.0, size=n)
+    cases = ((np.full(n, 2.5), spread), (spread, np.full(n, 3.0)), (spread[:1], spread[:1]))
+    for pred, truth in cases:
+        with pytest.raises(DegenerateBatchError) as want:
+            correlation_loss(pred, truth)
+        for lam in (0.0, 0.05, 1.0):
+            with pytest.raises(DegenerateBatchError) as got:
+                combined_loss(pred, truth, lam)
+            assert str(got.value) == str(want.value)
+
+
+def _reg_loss_unguarded(original: np.ndarray, reconstructed: np.ndarray):
+    """reg_loss as it ran before its all-above-the-floor early return."""
+    diff = reconstructed - original
+    squares = diff * diff
+    norm = np.sqrt(np.sum(squares.reshape(len(diff), -1), axis=1))
+    small = norm < NORM_FLOOR
+    norm[small] = 0.0
+    grad = diff / np.where(small, 1.0, norm)[:, None, None]
+    grad[small] = 0.0
+    return norm, grad
+
+
+def test_reg_loss_has_the_bytes_of_the_unguarded_form() -> None:
+    zero_rows = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        b, t, d = int(rng.integers(1, 5)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        original = rng.normal(size=(b, t, d)) * rng.choice([1e-3, 1.0, 1e3])
+        reconstructed = original + rng.normal(size=(b, t, d)) * rng.choice([1e-14, 1e-3, 1.0])
+        if seed % 3 == 0:
+            row = int(rng.integers(b))
+            reconstructed[row] = original[row]
+        zero_rows += int(np.sum(np.all(reconstructed == original, axis=(1, 2))))
+        norm, grad = reg_loss(original, reconstructed)
+        want_norm, want_grad = _reg_loss_unguarded(original, reconstructed)
+        assert _same_bytes(norm, want_norm), f"norm differs, seed {seed}"
+        assert _same_bytes(grad, want_grad), f"gradient differs, seed {seed}"
+    assert zero_rows >= 60
 
 
 def test_combined_monotone_in_lambda() -> None:

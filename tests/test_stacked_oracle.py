@@ -1,7 +1,7 @@
 """Stacked adapter, head, evaluation, flat-minima probe, key-frame
-selection, columnar replay draw, session-table decode and feature-file
-decode against the per-sample, per-draw, per-matrix, per-exemplar and
-per-file loops they replaced.
+selection, columnar replay draw, session-table decode, feature-file
+decode and fused training step against the per-sample, per-draw,
+per-matrix, per-exemplar, per-file and two-pass code they replaced.
 
 The reference functions below are the code that the stacked path
 replaced, kept as oracles the way test_keyframe.py keeps the
@@ -12,10 +12,19 @@ per-draw loss increases are summed in the old order, so no float
 operation is reordered. That the stacked product is computed slice by
 slice is a numpy implementation detail, so this module is also run with
 more than one BLAS thread.
+
+The one exception is the fused training step. It pads the shorter of the
+current and replay batches with zero rows, and a padded slice's product
+may take another BLAS kernel: padding a 2- or 3-row slice to 4 rows or
+more changed the bits of the (n, 32) @ (32, 2) output layer and of its
+input gradient on a 2-core x86 VM. So that oracle compares the loss
+trace, the parameters and Adam's moments to 1e-10, and the counters and
+stream states exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
@@ -39,7 +48,7 @@ from scorealign.data import (
     SessionData,
     _read_features,
 )
-from scorealign.head import batch_sample, batch_sample_backward, pool, predict_eval
+from scorealign.head import batch_sample, batch_sample_backward, pool, pool_backward, predict_eval
 from scorealign.keyframe import phi_select, salience_scores, select_key_frames
 from scorealign.losses import (
     NORM_FLOOR,
@@ -55,9 +64,10 @@ from scorealign.memory import (
     encode_sessions,
     read_sessions,
     sample_replay_batch,
+    write_session,
 )
 from scorealign.metrics import metric_entry
-from scorealign.numkit import MlpParams, SeededRng, init_mlp, mlp_backward, mlp_forward
+from scorealign.numkit import MlpParams, SeededRng, adam_step, init_mlp, mlp_backward, mlp_forward
 
 CASES = 300
 
@@ -370,20 +380,50 @@ def _replay_model(rng: np.random.Generator, seed: int, b: int):
     return model, bank, config
 
 
-def test_stacked_replay_term_matches_per_exemplar_loop() -> None:
-    replayed = singles = 0
+def test_stacked_replay_term_matches_per_exemplar_loop(monkeypatch) -> None:
+    """One training step on one current batch of b rows, with the
+    regularizer off: its head gradient is the current batch's plus the
+    replay batch's, and its adapter gradient is the replay term alone. The
+    two slices of the head stack have b rows each, so nothing is padded."""
+    steps = []
+    monkeypatch.setattr(
+        runner, "adam_step", lambda state, params, grads: steps.append(
+            {name: g.copy() for name, g in grads.items()}
+        )
+    )
+    replayed = singles = degenerate = 0
     for seed in range(CASES):
         rng = np.random.default_rng(20_000 + seed)
         b = 2 + seed % 2
         model, bank, config = _replay_model(rng, seed, b)
+        config = dataclasses.replace(config, batch_size=b, reg_weight=0.0, epochs=1)
+        t, d = config.frames, model.head.sizes[0]
+        samples = [
+            ScoredSample(f"c{i}", rng.normal(size=(t, d)), float(rng.uniform(1.0, 5.0)), "c")
+            for i in range(b)
+        ]
         streams = runner._Streams(seed)
         oracle_streams = runner._Streams(seed)
-        head_grad = np.full_like(model.head.flat, np.nan)
-        adapter_grad = np.full_like(model.adapter.flat, np.nan)
-        used = runner._replay_term(
-            model, bank.replay_pool(), config, streams, runner._Counters(), head_grad, adapter_grad
+        steps.clear()
+        runner._train_on_samples(
+            model, samples, config, streams, bank, runner._Counters(), []
         )
 
+        order = oracle_streams.shuffle.permutation(b)
+        pooled = np.stack([samples[i].features.mean(axis=0) for i in order])
+        out, tape = _mlp_forward_2d(model.head, pooled)
+        eps = oracle_streams.noise.normal(b) if config.reparam else np.zeros(b)
+        s_hat, sigma = batch_sample(out, eps)
+        try:
+            truth = np.array([samples[i].score for i in order])
+            _, grad_s = combined_loss(s_hat, truth, config.mse_weight)
+        except DegenerateBatchError:
+            # no step, and the replay stream is where a step that never drew leaves it
+            assert not steps and streams.get_state() == oracle_streams.get_state()
+            degenerate += 1
+            continue
+        assert len(steps) == 1, f"seed {seed}"
+        want_head, _ = _mlp_backward_2d(model.head, tape, batch_sample_backward(grad_s, eps, sigma))
         batch = _replay_draw_one(bank, config.replay_batch_size, oracle_streams.replay)
         singles += len(batch) == 1
         want = None
@@ -392,14 +432,220 @@ def test_stacked_replay_term_matches_per_exemplar_loop() -> None:
             want = _replay_loop(model, batch, eps, config)
         assert streams.get_state() == oracle_streams.get_state()
         if want is None:
-            assert not used
-            assert np.isnan(head_grad).all() and np.isnan(adapter_grad).all()
+            assert sorted(steps[0]) == ["head"], f"seed {seed}"
+            assert _same_bytes(steps[0]["head"], want_head), f"head gradient differs, seed {seed}"
             continue
-        assert used
         replayed += 1
-        assert _same_bytes(head_grad, want[0]), f"head gradient differs, seed {seed}"
-        assert _same_bytes(adapter_grad, want[1]), f"adapter gradient differs, seed {seed}"
-    assert replayed >= CASES // 2 and singles == CASES // 3
+        want_head += want[0]
+        assert _same_bytes(steps[0]["head"], want_head), f"head gradient differs, seed {seed}"
+        assert _same_bytes(steps[0]["adapter"], want[1]), f"adapter gradient differs, seed {seed}"
+    assert replayed >= CASES // 2 and singles >= CASES // 3 - degenerate
+
+
+# --- the fused training step against the two-pass step it replaced -----------
+
+
+def _head_term_two_pass(model, x, truth, weight, config, streams, out):
+    """One head pass of one batch, as the two-pass step ran it."""
+    head_out, tape = mlp_forward(model.head, x)
+    eps = streams.noise.normal(len(x)) if config.reparam else np.zeros(len(x))
+    s_hat, sigma = batch_sample(head_out, eps)
+    value, grad_s = combined_loss(s_hat, truth, config.mse_weight)
+    grad_out = batch_sample_backward(weight * grad_s, eps, sigma)
+    return value, mlp_backward(model.head, tape, grad_out, out)
+
+
+def _replay_term_two_pass(model, replay, config, streams, counters, head_grad, adapter_grad):
+    batch = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
+    if len(batch) < 2:
+        return False
+    recon, recon_tape = reconstruct_with_tape(model.adapter, batch.features)
+    try:
+        _, x_grad = _head_term_two_pass(
+            model, pool(recon), batch.scores, config.replay_weight, config, streams, head_grad
+        )
+    except DegenerateBatchError:
+        counters.degenerate_replay_batches += 1
+        return False
+    grad_recon = pool_backward(x_grad, model.adapter.t_frames)
+    rows = adapter_backward(model.adapter, recon_tape, grad_recon)
+    adapter_grad[...] = rows[0]
+    for row in rows[1:]:
+        adapter_grad += row
+    return True
+
+
+def _train_two_pass(model, samples, config, streams, bank, counters, trace) -> None:
+    """The training loop with one head pass for the current batch, then one
+    for the replay batch, drawn only after the current batch's loss."""
+    pooled = np.stack([pool(s.features) for s in samples])
+    scores = np.array([s.score for s in samples], dtype=np.float64)
+    n = len(samples)
+    replay_on = bank is not None and config.replay_weight > 0.0 and config.exemplars_per_session > 0
+    replay = bank.replay_pool() if replay_on and bank.sessions else None
+    reg_on = bank is not None and config.reg_weight > 0.0
+    if reg_on:
+        features = np.stack([s.features for s in samples])
+        compressed = phi_select(features, config.keyframes, config.diversity_weight)
+    head_grad = np.empty_like(model.head.flat)
+    replay_head_grad = np.empty_like(model.head.flat)
+    adapter_grad = np.empty_like(model.adapter.flat)
+    for _ in range(config.epochs):
+        order = streams.shuffle.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            if idx.size < 2:
+                counters.dropped_singletons += 1
+                continue
+            try:
+                value, _ = _head_term_two_pass(
+                    model, pooled[idx], scores[idx], 1.0, config, streams, head_grad
+                )
+            except DegenerateBatchError:
+                counters.degenerate_batches += 1
+                continue
+            grads = {"head": head_grad}
+            trace.append(value)
+            if replay is not None and _replay_term_two_pass(
+                model, replay, config, streams, counters, replay_head_grad, adapter_grad
+            ):
+                head_grad += replay_head_grad
+                grads["adapter"] = adapter_grad
+            if reg_on:
+                _, reg_grad = reg_loss_and_grads(model.adapter, features[idx], compressed[idx])
+                reg_grad *= config.reg_weight
+                if "adapter" in grads:
+                    adapter_grad += reg_grad
+                else:
+                    grads["adapter"] = reg_grad
+            adam_step(model.adam, runner.model_param_dict(model), grads)
+            counters.steps += 1
+
+
+def _stream_sessions(
+    rng: np.random.Generator, t: int, d: int, b1: int, tied: bool
+) -> list[list[ScoredSample]]:
+    """Three sessions whose sizes leave 2-row and 1-row batches at epoch
+    ends; with tied, the middle session's scores take two values, so some
+    of its batches have equal scores throughout."""
+    sessions = []
+    for s in range(3):
+        n = int(rng.integers(2, 4)) * b1 + int(rng.integers(0, b1))
+        if tied and s == 1:
+            scores = rng.choice([2.0, 4.0], size=n)
+        else:
+            scores = rng.uniform(1.0, 5.0, size=n)
+        sessions.append([
+            ScoredSample(f"s{s}_{i}", rng.normal(size=(t, d)) + s, float(scores[i]), f"s{s}")
+            for i in range(n)
+        ])
+    return sessions
+
+
+def _fused_vs_two_pass(config: runner.RunConfig, d: int, sessions) -> tuple[runner._Counters, int]:
+    """Train both loops session by session from one bank. Counters and all
+    three stream states must match exactly after every session; the loss
+    trace, the parameters and Adam's moments to 1e-10, since a padded
+    slice may change the bits of a layer's product. Returns the fused
+    counters and the degenerate current batches seen while replay drew."""
+    fused, reference = runner.init_model(d, config), runner.init_model(d, config)
+    fused_streams, reference_streams = runner._Streams(config.seed), runner._Streams(config.seed)
+    fused_counters, reference_counters = runner._Counters(), runner._Counters()
+    fused_trace, reference_trace = [], []
+    bank = MemoryBank()
+    rewound = 0
+    for samples in sessions:
+        before = fused_counters.degenerate_batches
+        runner._train_on_samples(
+            fused, samples, config, fused_streams, bank, fused_counters, fused_trace
+        )
+        _train_two_pass(
+            reference, samples, config, reference_streams, bank, reference_counters, reference_trace
+        )
+        if bank.sessions and len(bank.replay_pool()) >= 2:
+            rewound += fused_counters.degenerate_batches - before
+        where = f"seed {config.seed}, session {samples[0].session}"
+        assert fused_counters == reference_counters, where
+        for name, state in reference_streams.get_state().items():
+            assert fused_streams.get_state()[name] == state, f"{name} stream, {where}"
+        np.testing.assert_allclose(
+            fused_trace, reference_trace, rtol=1e-10, atol=1e-10, err_msg=where
+        )
+        for part in ("head", "adapter"):
+            np.testing.assert_allclose(
+                getattr(fused, part).flat, getattr(reference, part).flat, rtol=1e-10, atol=1e-10,
+                err_msg=f"{part}, {where}",
+            )
+        assert fused.adam.t == reference.adam.t, where
+        for name in reference.adam.m:
+            for moment in ("m", "v"):
+                np.testing.assert_allclose(
+                    getattr(fused.adam, moment)[name], getattr(reference.adam, moment)[name],
+                    rtol=1e-10, atol=1e-10, err_msg=f"adam {moment} {name}, {where}",
+                )
+        write_session(
+            bank, samples, config.exemplars_per_session, config.keyframes, config.diversity_weight
+        )
+    return fused_counters, rewound
+
+
+# (b1, b2): the benchmark's, equal sizes, and b2 > b1, whose current slice
+# is padded to 3, 4 or 5 rows
+BATCH_SIZES = [(3, 2), (2, 2), (3, 3), (2, 3), (2, 5), (3, 4)]
+
+
+def _fused_config(rng: np.random.Generator, seed: int, t: int, d: int) -> runner.RunConfig:
+    b1, b2 = BATCH_SIZES[seed % len(BATCH_SIZES)]
+    return runner.RunConfig(
+        epochs=2,
+        batch_size=b1,
+        replay_batch_size=b2,
+        frames=t,
+        keyframes=int(rng.integers(1, 4)),
+        hidden_sizes=(8, 4),
+        adapter_hidden=4,
+        learning_rate=0.01,
+        mse_weight=float(rng.choice([0.0, 0.05])),
+        replay_weight=[1.0, 0.5][seed // 2 % 2],
+        reg_weight=float(rng.choice([0.0, 1.0])),
+        # a one-exemplar first session leaves the second a pool of one
+        exemplars_per_session=1 if seed % 5 == 0 else int(rng.integers(2, 6)),
+        reparam=seed % 2 == 0,
+        seed=seed,
+    )
+
+
+def test_fused_step_matches_two_pass_step() -> None:
+    padded = two_row_ends = 0
+    for seed in range(36):
+        rng = np.random.default_rng(90_000 + seed)
+        t, d = int(rng.integers(4, 9)), int(rng.integers(3, 9))
+        config = _fused_config(rng, seed, t, d)
+        padded += config.replay_batch_size != config.batch_size
+        sessions = _stream_sessions(rng, t, d, config.batch_size, tied=False)
+        two_row_ends += sum(len(s) % config.batch_size == 2 for s in sessions)
+        counters, _ = _fused_vs_two_pass(config, d, sessions)
+        assert counters.steps > 0
+    assert padded >= 24 and two_row_ends >= 10
+
+
+def test_degenerate_current_batch_rewinds_the_replay_draw() -> None:
+    """A session of two score values has current batches of equal scores
+    after a replay draw: the fused step drew first, so it rewinds the
+    replay stream to where the two-pass step, which never drew, left it.
+    Stored exemplars of equal scores also give degenerate replay batches."""
+    rewound = degenerate_replay = 0
+    for seed in range(24):
+        rng = np.random.default_rng(95_000 + seed)
+        t, d = int(rng.integers(4, 9)), int(rng.integers(3, 9))
+        config = dataclasses.replace(
+            _fused_config(rng, seed, t, d), replay_weight=1.0, exemplars_per_session=4
+        )
+        sessions = _stream_sessions(rng, t, d, config.batch_size, tied=True)
+        counters, seen = _fused_vs_two_pass(config, d, sessions)
+        rewound += seen
+        degenerate_replay += counters.degenerate_replay_batches
+    assert rewound >= 10 and degenerate_replay >= 1
 
 
 def _random_replay_bank(rng: np.random.Generator) -> MemoryBank:
