@@ -57,7 +57,7 @@ class AdapterParams:
         return cls(flatten([mixing_logits, mlp.flat]), t_frames, k_frames, mlp.sizes)
 
 
-def interpolation_logits(t_frames: int, k: int, sharpness: float = DEFAULT_SHARPNESS) -> np.ndarray:
+def interpolation_logits(t_frames: int, k: int) -> np.ndarray:
     """Logits concentrating output frame t on its nearest key slot when key
     slots are spaced linearly over [0, T-1]."""
     if t_frames < 1 or k < 1:
@@ -67,7 +67,7 @@ def interpolation_logits(t_frames: int, k: int, sharpness: float = DEFAULT_SHARP
     else:
         slots = np.arange(k) * (t_frames - 1) / (k - 1)
     distance = np.abs(np.arange(t_frames)[:, None] - slots[None, :])
-    return -sharpness * distance
+    return -DEFAULT_SHARPNESS * distance
 
 
 def init_adapter(

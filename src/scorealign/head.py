@@ -1,9 +1,10 @@
 """Probabilistic regression head.
 
-Pools a frame-feature sequence to one vector, maps it through a small MLP
-to (mu, log_var), and produces either a re-parameterized sample (training)
-or mu itself (evaluation). Parameterizing the spread as log-variance keeps
-sigma positive without clamping.
+Pools each frame-feature sequence of an (N, T, D) stack to one vector,
+maps it through a small MLP to (mu, log_var), and produces either a
+re-parameterized sample (training) or mu itself (evaluation).
+Parameterizing the spread as log-variance keeps sigma positive without
+clamping.
 """
 
 from __future__ import annotations
@@ -19,15 +20,14 @@ def init_head(feat_dim: int, hidden_sizes: tuple[int, ...], rng: SeededRng) -> M
 
 
 def pool(features: np.ndarray) -> np.ndarray:
-    """Temporal mean over frames: (T, D) -> (D,), or (N, T, D) -> (N, D)."""
+    """Temporal mean over frames: an (N, T, D) stack to (N, D)."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim not in (2, 3) or features.shape[-2] < 1:
+    if features.ndim != 3 or features.shape[1] < 1:
         raise ShapeMismatchError(
-            f"features must be a nonempty (T, D) matrix or (N, T, D) stack, "
-            f"got shape {features.shape}"
+            f"features must be a nonempty (N, T, D) stack, got shape {features.shape}"
         )
     # ndarray.mean's kernel without its Python wrapper
-    return np.add.reduce(features, axis=-2) / features.shape[-2]
+    return np.add.reduce(features, axis=1) / features.shape[1]
 
 
 def pool_backward(grad_pooled: np.ndarray, frames: int) -> np.ndarray:

@@ -9,16 +9,15 @@ weighted pairwise-cosine sum) wins. Salience is normalized to max 1
 before combining so the diversity weight is scale-free. Ties always
 break toward lower frame indices, making selection fully deterministic.
 
-Selection takes an (N, T, D) stack of samples, and a (T, D) matrix is a
-stack of one. All N samples' T restarts run as one array pass: one
-stacked product gives the (N, T, T) cosines, each greedy step picks the
-next frame of every restart of every sample at once, and each restart's
-objective is summed in pick order. Every float operation is the one a
-one-matrix, one-restart-at-a-time loop makes, so the winning restart
-matches that loop bit for bit. A single fixed-start greedy pass can land
-well below 90% of the exhaustive optimum on adversarial inputs; the
-restarts close that gap while staying an approximation, not an exact
-search.
+Selection takes only an (N, T, D) stack of samples, and all N samples'
+T restarts run as one array pass: one stacked product gives the
+(N, T, T) cosines, each greedy step picks the next frame of every restart
+of every sample at once, and each restart's objective is summed in pick
+order. Every float operation is the one a loop over one sample and one
+restart at a time makes, so the winning restart matches that loop bit for
+bit. A single fixed-start greedy pass can land well below 90% of the
+exhaustive optimum on adversarial inputs; the restarts close that gap
+while staying an approximation, not an exact search.
 """
 
 from __future__ import annotations
@@ -26,24 +25,20 @@ from __future__ import annotations
 import numpy as np
 
 
-def _as_stack(features: np.ndarray) -> tuple[np.ndarray, bool]:
-    """features as a float64 (N, T, D) stack, and whether it was one
-    (T, D) matrix."""
+def _as_stack(features: np.ndarray) -> np.ndarray:
+    """features as a float64 (N, T, D) stack."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim not in (2, 3) or features.shape[-2] < 1:
-        raise ValueError(
-            f"features must be a (T, D) matrix or (N, T, D) stack with T >= 1, got {features.shape}"
-        )
-    return (features[None], True) if features.ndim == 2 else (features, False)
+    if features.ndim != 3 or features.shape[1] < 1:
+        raise ValueError(f"features must be an (N, T, D) stack with T >= 1, got {features.shape}")
+    return features
 
 
 def salience_scores(features: np.ndarray) -> np.ndarray:
     """Distance of each frame's feature vector from its sample's temporal
-    mean: (T,) for a (T, D) matrix, (N, T) for an (N, T, D) stack."""
-    stack, single = _as_stack(features)
+    mean: (N, T) for an (N, T, D) stack."""
+    stack = _as_stack(features)
     centered = stack - stack.mean(axis=1, keepdims=True)
-    salience = np.sqrt(np.sum(centered * centered, axis=2))
-    return salience[0] if single else salience
+    return np.sqrt(np.sum(centered * centered, axis=2))
 
 
 def _unit_rows(features: np.ndarray) -> np.ndarray:
@@ -59,13 +54,10 @@ def _normalized_salience(salience: np.ndarray) -> np.ndarray:
     return np.where(top > 0.0, salience / np.where(top > 0.0, top, 1.0), 0.0)
 
 
-def select_key_frames(
-    features: np.ndarray, k: int, diversity_weight: float
-) -> tuple[int, ...] | np.ndarray:
-    """The k key frames of each sample: an ascending tuple of 0-based
-    indices for a (T, D) matrix, an (N, k) array of ascending indices for
-    an (N, T, D) stack."""
-    stack, single = _as_stack(features)
+def select_key_frames(features: np.ndarray, k: int, diversity_weight: float) -> np.ndarray:
+    """The k key frames of each sample of an (N, T, D) stack: an (N, k)
+    array of ascending 0-based indices."""
+    stack = _as_stack(features)
     salience = salience_scores(stack)
     n, t = salience.shape
     if not 1 <= k <= t:
@@ -102,14 +94,12 @@ def select_key_frames(
     for a in range(k):
         for b in range(a + 1, k):
             value -= diversity_weight * cos[rows, picks[:, :, a], picks[:, :, b]]
-    chosen = np.sort(picks[np.arange(n), np.argmax(value, axis=1)], axis=1)
-    return tuple(int(i) for i in chosen[0]) if single else chosen
+    return np.sort(picks[np.arange(n), np.argmax(value, axis=1)], axis=1)
 
 
 def phi_select(features: np.ndarray, k: int, diversity_weight: float) -> np.ndarray:
-    """Compress each sample to the rows of its key frames, in temporal
-    order: (T, D) to (K, D), or an (N, T, D) stack to (N, K, D)."""
-    stack, single = _as_stack(features)
+    """Compress each sample of an (N, T, D) stack to the rows of its key
+    frames, in temporal order, as an (N, K, D) stack."""
+    stack = _as_stack(features)
     chosen = select_key_frames(stack, k, diversity_weight)
-    compressed = np.take_along_axis(stack, chosen[:, :, None], axis=1)
-    return compressed[0] if single else compressed
+    return np.take_along_axis(stack, chosen[:, :, None], axis=1)

@@ -117,10 +117,10 @@ def write_session(
     )
 
 
-def sample_replay_batch(pool: Session, b2: int, rng: SeededRng) -> Session:
-    """Up to b2 rows of pool, drawn uniformly without replacement."""
-    idx = rng.permutation(len(pool))[:b2]
-    return Session([pool.ids[i] for i in idx], pool.scores[idx], pool.features[idx])
+def sample_replay_batch(pool: Session, b2: int, rng: SeededRng) -> np.ndarray:
+    """The indices of up to b2 rows of pool, drawn uniformly without
+    replacement, in draw order."""
+    return rng.permutation(len(pool))[:b2]
 
 
 # --- session table and bank file ---------------------------------------

@@ -1,10 +1,11 @@
 """Small dense numerical kernel: MLPs with explicit backprop, Adam, seeded RNG.
 
 Everything runs on float64 numpy arrays. Matrices are row-major with one
-sample per row; a stack of B such matrices is a (B, n, D) array, and
-gradients of a stack are (B, n_params) arrays of flat rows. The MLP family
-is fixed: fully-connected layers, rectifier on hidden layers, identity on
-the output layer.
+sample per row, and the MLP kernels take only stacks of them: a stack of B
+such matrices is a (B, n, D) array, and gradients of a stack are
+(B, n_params) arrays of flat rows. The MLP family is fixed:
+fully-connected layers, rectifier on hidden layers, identity on the
+output layer.
 """
 
 from __future__ import annotations
@@ -185,32 +186,30 @@ class MlpTape:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
-    """Forward pass over a (B, n, D) stack of row batches, or one (n, D)
-    batch taken as a stack of one; rectifier on hidden layers only.
+    """Forward pass over a (B, n, D) stack of row batches; rectifier on
+    hidden layers only.
 
     Each layer is one np.matmul over the stack, which runs the same
     per-slice product as B separate (n, D) calls. Stacked params (S MLPs)
-    score one (n, D) batch with every MLP, as an (S, n, out) stack whose
+    score a (1, n, D) stack with every MLP, as an (S, n, out) stack whose
     slice s holds the bytes MLP s alone gives.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ShapeMismatchError(f"input must be 2-d or 3-d, got shape {x.shape}")
+    if x.ndim != 3:
+        raise ShapeMismatchError(f"input must be a (B, n, D) stack, got shape {x.shape}")
     fan_in = params.weights[0].shape[-2]
     if x.shape[-1] != fan_in:
         raise ShapeMismatchError(
             f"input has {x.shape[-1]} columns but first layer expects {fan_in}"
         )
-    single = x.ndim == 2 and params.flat.ndim == 1
-    a = x[None] if x.ndim == 2 else x
-    tape = MlpTape(a, [], [])
+    tape, a = MlpTape(x, [], []), x
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ w + b
         a = z if i == last else np.maximum(z, 0.0)
         tape.pre.append(z)
         tape.post.append(a)
-    return (a[0] if single else a), tape
+    return a, tape
 
 
 def mlp_backward(
@@ -220,29 +219,26 @@ def mlp_backward(
 
     A (B, n, width) grad_out writes one gradient row per stacked sample
     into `out`, a (B, n_params) array (a view works) in the params' flat
-    layout; a 2-d grad_out is a stack of one and writes one (n_params,)
-    vector. Returns the gradient with respect to the input.
+    layout. Returns the (B, n, D) gradient with respect to the input.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if len(tape.pre) != params.n_layers:
         raise ShapeMismatchError(
             f"tape has {len(tape.pre)} layers but params have {params.n_layers}"
         )
-    single = grad_out.ndim == 2
-    g = grad_out[None] if single else grad_out
-    if g.shape != tape.post[-1].shape:
+    if grad_out.shape != tape.post[-1].shape:
         raise ShapeMismatchError(
             f"output grad shape {grad_out.shape} != forward output shape "
             f"{tape.post[-1].shape}"
         )
-    rows = out[None] if single else out
-    if rows.shape != g.shape[:1] + params.flat.shape:
+    if out.shape != grad_out.shape[:1] + params.flat.shape:
         raise ShapeMismatchError(
-            f"gradient buffer shape {out.shape} does not hold {g.shape[0]} "
+            f"gradient buffer shape {out.shape} does not hold {grad_out.shape[0]} "
             f"rows of {params.flat.size}"
         )
-    views = unflatten(rows, _mlp_layout(params.sizes))
+    views = unflatten(out, _mlp_layout(params.sizes))
     last = params.n_layers - 1
+    g = grad_out
     # np.add.reduce is np.sum's kernel without its Python wrapper
     for i in range(last, -1, -1):
         d_pre = g if i == last else g * (tape.pre[i] > 0)
@@ -250,23 +246,25 @@ def mlp_backward(
         np.matmul(a_prev.transpose(0, 2, 1), d_pre, out=views[i])
         np.add.reduce(d_pre, axis=1, out=views[params.n_layers + i])
         g = d_pre @ params.weights[i].T
-    return g[0] if single else g
+    return g
+
+
+# Adam's moment decay rates and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class AdamState:
-    """Adam moments plus hyperparameters; one (m, v, t) triple per block.
-    `work` holds two scratch vectors per block, reused by every step."""
+    """Adam moments plus the two hyperparameters a run sets; one (m, v, t)
+    triple per block."""
 
     lr: float
     weight_decay: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: dict[str, int] = field(default_factory=dict)
-    work: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
 
 def adam_step(
@@ -275,10 +273,7 @@ def adam_step(
     """One Adam update, in place, over the blocks present in grads.
 
     Decoupled weight decay scales each block by (1 - lr*wd) before the
-    Adam delta is applied. Intermediates go to the block's scratch
-    vectors, in the operation order of the textbook expressions
-    m_hat = m / (1 - beta1^t), v_hat = v / (1 - beta2^t) and
-    p -= lr * m_hat / (sqrt(v_hat) + eps).
+    Adam delta is applied.
     """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -291,26 +286,13 @@ def adam_step(
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
             state.t[name] = 0
-        if name not in state.work:
-            state.work[name] = np.empty((2, *p.shape))
         state.t[name] += 1
         t = state.t[name]
-        m = state.m[name]
-        v = state.v[name]
-        step, denom = state.work[name]
-        m *= state.beta1
-        np.multiply(1.0 - state.beta1, g, out=step)
-        m += step
-        v *= state.beta2
-        np.multiply(1.0 - state.beta2, g, out=step)
-        step *= g
-        v += step
-        np.divide(v, 1.0 - state.beta2**t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        np.divide(m, 1.0 - state.beta1**t, out=step)
-        step *= state.lr
-        step /= denom
+        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        step = state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if state.weight_decay != 0.0:
             p *= 1.0 - state.lr * state.weight_decay
         p -= step

@@ -242,14 +242,14 @@ def _train_on_samples(
     times the reconstruction rows' sum."""
     if not samples:
         raise TrainingError("cannot train on an empty split")
-    pooled = np.stack([pool(s.features) for s in samples])
+    features = np.stack([s.features for s in samples])
+    pooled = pool(features)
     scores = np.array([s.score for s in samples], dtype=np.float64)
     n = len(samples)
     replay_on = bank is not None and config.replay_weight > 0.0 and config.exemplars_per_session > 0
     replay = bank.replay_pool() if replay_on and bank.sessions else None
     reg_on = bank is not None and config.reg_weight > 0.0
     if reg_on:
-        features = np.stack([s.features for s in samples])
         # selection is a pure function of the features: once per sample
         compressed = phi_select(features, config.keyframes, config.diversity_weight)
     head_rows = np.empty((2, model.head.flat.size))
@@ -269,10 +269,10 @@ def _train_on_samples(
             if replay is not None:
                 # a degenerate current batch takes no draw: it rewinds this one
                 replay_state = streams.replay.get_state()
-                batch = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
-                if len(batch) >= 2:
-                    recon, recon_tape = reconstruct_with_tape(model.adapter, batch.features)
-                    n2 = len(batch)
+                drawn = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
+                if len(drawn) >= 2:
+                    recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[drawn])
+                    n2 = len(drawn)
                     stack = np.zeros((2, max(idx.size, n2), current.shape[1]))
                     stack[0, : idx.size] = current
                     stack[1, :n2] = pool(recon)
@@ -293,7 +293,7 @@ def _train_on_samples(
                 eps = noise(n2)
                 s_hat, sigma = batch_sample(head_out[1, :n2], eps)
                 try:
-                    _, grad_s = combined_loss(s_hat, batch.scores, config.mse_weight)
+                    _, grad_s = combined_loss(s_hat, replay.scores[drawn], config.mse_weight)
                     grad_out[1, :n2] = batch_sample_backward(
                         config.replay_weight * grad_s, eps, sigma
                     )
@@ -579,16 +579,16 @@ def flat_minima_probe(
     for session in sessions:
         if not session.train:
             raise TrainingError(f"session '{session.name}' has no training samples")
-        pooled = np.stack([pool(s.features) for s in session.train])
+        pooled = pool(np.stack([s.features for s in session.train]))[None]
         scores = np.array([s.score for s in session.train])
         out, _ = mlp_forward(model.head, pooled)
         try:
-            baseline, _ = combined_loss(out[:, 0], scores, lam)
+            baseline, _ = combined_loss(out[0, :, 0], scores, lam)
         except DegenerateBatchError as exc:
             raise TrainingError(
                 f"session '{session.name}': training loss undefined at the trained head: {exc}"
             ) from exc
-        rows = max(1, _PROBE_STACK_ROWS // len(pooled))
+        rows = max(1, _PROBE_STACK_ROWS // len(scores))
         stacks = [
             MlpParams(heads[i : i + rows], model.head.sizes) for i in range(0, draws, rows)
         ]

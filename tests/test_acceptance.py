@@ -109,22 +109,22 @@ def test_criterion_1_gradient_suite() -> None:
 
     for i in range(20):  # re-parameterized head, end to end
         head = init_mlp([4, 6, 2], SeededRng(500 + i))
-        x = rng.normal(size=(3, 4))
+        x = rng.normal(size=(1, 3, 4))
         truth = rng.normal(size=3) * 1.5 + 3.0
         eps = rng.normal(size=3)
 
         def head_loss(flat: np.ndarray) -> float:
             out, _ = mlp_forward(MlpParams(flat, head.sizes), x)
-            scores, _ = batch_sample(out, eps)
+            scores, _ = batch_sample(out[0], eps)
             return combined_loss(scores, truth, 0.05)[0]
 
         out, tape = mlp_forward(head, x)
-        scores, sigma = batch_sample(out, eps)
+        scores, sigma = batch_sample(out[0], eps)
         _, grad_s = combined_loss(scores, truth, 0.05)
-        grads = np.empty_like(head.flat)
-        mlp_backward(head, tape, batch_sample_backward(grad_s, eps, sigma), grads)
+        grads = np.empty((1, head.flat.size))
+        mlp_backward(head, tape, batch_sample_backward(grad_s, eps, sigma)[None], grads)
         numeric = central_diff(head_loss, head.flat)
-        worst = max(worst, max_rel_error(grads, numeric))
+        worst = max(worst, max_rel_error(grads[0], numeric))
 
     for i in range(20):  # adapter: through softmax mixing and the refiner MLP
         t, k, d = 6, 3, 4
@@ -223,7 +223,7 @@ def test_criterion_5_keyframe_selector() -> None:
     three = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
 
     def objective(feats: np.ndarray, subset: tuple[int, ...], mu: float) -> float:
-        sal = salience_scores(feats)
+        sal = salience_scores(feats[None])[0]
         top = sal.max()
         nsal = sal / top if top > 0 else sal * 0.0
         value = sum(nsal[i] for i in subset)
@@ -235,7 +235,7 @@ def test_criterion_5_keyframe_selector() -> None:
                 value -= mu * cos
         return value
 
-    indices = select_key_frames(three, 2, 0.5)
+    indices = tuple(select_key_frames(three[None], 2, 0.5)[0].tolist())
     assert indices == (0, 1)
     best = max(
         objective(three, s, 0.5) for s in itertools.combinations(range(3), 2)
@@ -248,8 +248,8 @@ def test_criterion_5_keyframe_selector() -> None:
         t = int(rng.integers(3, 9))
         k = int(rng.integers(1, min(4, t + 1)))
         feats = rng.normal(size=(t, 5))
-        chosen = select_key_frames(feats, k, 0.5)
-        assert chosen == select_key_frames(feats, k, 0.5)
+        chosen = tuple(select_key_frames(feats[None], k, 0.5)[0].tolist())
+        assert chosen == tuple(select_key_frames(feats[None], k, 0.5)[0].tolist())
         greedy_value = objective(feats, chosen, 0.5)
         best = max(objective(feats, s, 0.5) for s in itertools.combinations(range(t), k))
         if best > 0:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scorealign.adapter import (
+    DEFAULT_SHARPNESS,
     AdapterParams,
     adapter_backward,
     init_adapter,
@@ -30,7 +31,7 @@ def _zero_refiner(dim: int, hidden: int = 8) -> MlpParams:
 
 
 def test_interpolation_logits_shape_and_peak() -> None:
-    logits = interpolation_logits(6, 3, sharpness=2.0)
+    logits = interpolation_logits(6, 3)
     assert logits.shape == (6, 3)
     # row 0 peaks on slot 0, last row on the last slot
     assert logits[0].argmax() == 0
@@ -42,7 +43,8 @@ def test_sharp_diagonal_identity_configuration_is_exact() -> None:
     t, d = 5, 4
     rng = np.random.default_rng(0)
     x = rng.normal(size=(t, d))
-    params = AdapterParams.from_parts(interpolation_logits(t, t, sharpness=1000.0), _zero_refiner(d))
+    logits = interpolation_logits(t, t) * (1000.0 / DEFAULT_SHARPNESS)
+    params = AdapterParams.from_parts(logits, _zero_refiner(d))
     assert np.array_equal(reconstruct_with_tape(params, x[None])[0][0], x)
 
 
@@ -133,14 +135,14 @@ def test_reg_loss_gradient_through_selection_matches_finite_differences() -> Non
     features = rng.normal(t * d).reshape(t, d)
     params = AdapterParams.from_parts(rng.normal(t * k).reshape(t, k), init_mlp([d, 5, d], rng))
 
-    value, flat_grads = reg_loss_and_grads(params, features[None], phi_select(features, k, 0.5)[None])
+    value, flat_grads = reg_loss_and_grads(params, features[None], phi_select(features[None], k, 0.5))
     grads = AdapterParams(flat_grads, t, k, params.mlp_sizes)
     assert value > 0
 
     def loss_of_logits(logits: np.ndarray) -> float:
         probe = AdapterParams.from_parts(logits, params.mlp)
-        compressed = phi_select(features, k, 0.5)
-        recon = reconstruct_with_tape(probe, compressed[None])[0][0]
+        compressed = phi_select(features[None], k, 0.5)
+        recon = reconstruct_with_tape(probe, compressed)[0][0]
         return float(np.sqrt(np.sum((recon - features) ** 2)))
 
     numeric = central_diff(loss_of_logits, params.mixing_logits)
@@ -153,7 +155,7 @@ def test_constant_video_with_identity_adapter_is_a_fixed_point() -> None:
     before = params.flat.copy()
     features = np.full((t, d), 2.5)
     optimizer = AdamState(lr=0.01, weight_decay=0.0)
-    value, grads = reg_loss_and_grads(params, features[None], phi_select(features, k, 0.5)[None])
+    value, grads = reg_loss_and_grads(params, features[None], phi_select(features[None], k, 0.5))
     adam_step(optimizer, {"adapter": params.flat}, {"adapter": grads})
     assert value == 0.0
     assert np.array_equal(params.flat, before)
@@ -168,10 +170,10 @@ def test_adapter_learns_sinusoidal_video() -> None:
     params = init_adapter(t, k, d, hidden=32, rng=SeededRng(8))
     optimizer = AdamState(lr=0.01, weight_decay=0.0)
     for _ in range(500):
-        _, grads = reg_loss_and_grads(params, features[None], phi_select(features, k, 0.5)[None])
+        _, grads = reg_loss_and_grads(params, features[None], phi_select(features[None], k, 0.5))
         adam_step(optimizer, {"adapter": params.flat}, {"adapter": grads})
-    compressed = phi_select(features, k, 0.5)
-    recon = reconstruct_with_tape(params, compressed[None])[0][0]
+    compressed = phi_select(features[None], k, 0.5)
+    recon = reconstruct_with_tape(params, compressed)[0][0]
     rel_error = np.linalg.norm(recon - features) / np.linalg.norm(features)
     assert rel_error < 0.2
 

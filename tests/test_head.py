@@ -18,30 +18,31 @@ from gradcheck import max_rel_error
 
 
 def _head_out(params, features: np.ndarray) -> np.ndarray:
-    """The (1, 2) head output (mu, log_var) of one sample, computed alone."""
-    out, _ = mlp_forward(params, pool(features)[None, :])
-    return out
+    """The (1, 2) head output (mu, log_var) of one (T, D) sample, computed
+    alone."""
+    out, _ = mlp_forward(params, pool(features[None])[None])
+    return out[0]
 
 
 def test_pool_single_frame_is_identity() -> None:
     frame = np.array([[1.0, -2.0, 3.0]])
-    assert np.array_equal(pool(frame), frame[0])
+    assert np.array_equal(pool(frame[None])[0], frame[0])
 
 
 def test_pool_opposite_frames_cancel() -> None:
     v = np.array([1.0, -4.0, 2.5])
-    assert np.array_equal(pool(np.stack([v, -v])), np.zeros(3))
+    assert np.array_equal(pool(np.stack([v, -v])[None])[0], np.zeros(3))
 
 
 def test_pool_arithmetic_mean() -> None:
-    assert np.array_equal(pool(np.array([[1.0, 3.0], [3.0, 5.0]])), np.array([2.0, 4.0]))
+    assert np.array_equal(pool(np.array([[[1.0, 3.0], [3.0, 5.0]]]))[0], np.array([2.0, 4.0]))
 
 
 def test_pool_has_the_bytes_of_the_frame_mean() -> None:
     for seed in range(200):
         rng = np.random.default_rng(seed)
         t, d = int(rng.integers(1, 40)), int(rng.integers(1, 40))
-        shape = (t, d) if seed % 2 else (int(rng.integers(1, 6)), t, d)
+        shape = (1, t, d) if seed % 2 else (int(rng.integers(1, 6)), t, d)
         features = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
         want = features.mean(axis=-2)
         got = pool(features)
@@ -50,7 +51,7 @@ def test_pool_has_the_bytes_of_the_frame_mean() -> None:
 
 def test_pool_rejects_empty() -> None:
     with pytest.raises(ShapeMismatchError):
-        pool(np.zeros((0, 4)))
+        pool(np.zeros((1, 0, 4)))
 
 
 def test_pool_backward_is_the_adjoint_of_pool() -> None:
@@ -139,10 +140,9 @@ def test_batch_sample_matches_per_sample_path() -> None:
     rng = SeededRng(3)
     params = init_head(5, (64, 32), rng)
     feats = [rng.normal(10).reshape(2, 5) for _ in range(4)]
-    pooled = np.stack([pool(f) for f in feats])
-    out, _ = mlp_forward(params, pooled)
+    out, _ = mlp_forward(params, pool(np.stack(feats))[None])
     eps = rng.normal(4)
-    scores, sigma = batch_sample(out, eps)
+    scores, sigma = batch_sample(out[0], eps)
     for i, f in enumerate(feats):
         one_score, one_sigma = batch_sample(_head_out(params, f), eps[i : i + 1])
         assert scores[i] == pytest.approx(one_score[0], rel=1e-14)

@@ -133,22 +133,24 @@ def test_stored_scores_span_session_range() -> None:
 
 def test_replay_empty_bank_signals_no_replay() -> None:
     empty = Session([], np.empty(0), np.empty((0, 2, 4)))
-    batch = sample_replay_batch(empty, 2, SeededRng(0))
-    assert len(batch) == 0 and batch.features.shape == (0, 2, 4)
+    drawn = sample_replay_batch(empty, 2, SeededRng(0))
+    assert len(drawn) == 0 and empty.features[drawn].shape == (0, 2, 4)
 
 
 def test_replay_returns_all_when_bank_is_exactly_batch_sized() -> None:
     bank = MemoryBank()
     write_session(bank, _samples([1.0, 2.0]), 2, 2, 0.5)
-    batch = sample_replay_batch(bank.replay_pool(), 2, SeededRng(0))
-    assert {e.sample_id for e in batch} == {"s1_000", "s1_001"}
+    pool = bank.replay_pool()
+    drawn = sample_replay_batch(pool, 2, SeededRng(0))
+    assert {pool.ids[i] for i in drawn} == {"s1_000", "s1_001"}
 
 
 def test_replay_deterministic_for_fixed_seed() -> None:
     bank = MemoryBank()
     write_session(bank, _samples(np.linspace(1, 5, 20)), 8, 2, 0.5)
-    a = [e.sample_id for e in sample_replay_batch(bank.replay_pool(), 3, SeededRng(11))]
-    b = [e.sample_id for e in sample_replay_batch(bank.replay_pool(), 3, SeededRng(11))]
+    pool = bank.replay_pool()
+    a = [pool.ids[i] for i in sample_replay_batch(pool, 3, SeededRng(11))]
+    b = [pool.ids[i] for i in sample_replay_batch(bank.replay_pool(), 3, SeededRng(11))]
     assert a == b
 
 
@@ -172,8 +174,8 @@ def test_replay_frequencies_are_uniform() -> None:
     counts: dict[str, int] = {}
     draws = 10_000
     for _ in range(draws):
-        for sample_id in sample_replay_batch(pool, 2, rng).ids:
-            counts[sample_id] = counts.get(sample_id, 0) + 1
+        for i in sample_replay_batch(pool, 2, rng):
+            counts[pool.ids[i]] = counts.get(pool.ids[i], 0) + 1
     expected = draws * 2 / 32
     sigma = np.sqrt(draws * (2 / 32) * (30 / 32))
     assert len(counts) == 32

@@ -24,13 +24,13 @@ from gradcheck import central_diff, max_rel_error
 
 def test_forward_zero_params_gives_zero_output() -> None:
     params = zeros_mlp([3, 4, 2])
-    out, _ = mlp_forward(params, np.arange(6.0).reshape(2, 3))
-    assert np.array_equal(out, np.zeros((2, 2)))
+    out, _ = mlp_forward(params, np.arange(6.0).reshape(1, 2, 3))
+    assert np.array_equal(out, np.zeros((1, 2, 2)))
 
 
 def test_forward_identity_layer_passes_input_through() -> None:
     params = MlpParams(flatten([np.eye(3), np.zeros(3)]), (3, 3))
-    x = np.array([[1.0, -2.0, 0.5], [4.0, 0.0, -1.0]])
+    x = np.array([[[1.0, -2.0, 0.5], [4.0, 0.0, -1.0]]])
     out, _ = mlp_forward(params, x)
     assert np.array_equal(out, x)
 
@@ -41,24 +41,24 @@ def test_forward_hand_example_rectifier_kills_cancelled_units() -> None:
     params = MlpParams(
         flatten([np.ones((2, 2)), np.ones((2, 1)), np.zeros(2), np.zeros(1)]), (2, 2, 1)
     )
-    out, tape = mlp_forward(params, np.array([[1.0, -1.0]]))
-    assert np.array_equal(tape.pre[0], np.zeros((1, 1, 2)))  # a stack of one
-    assert out[0, 0] == 0.0
+    out, tape = mlp_forward(params, np.array([[[1.0, -1.0]]]))
+    assert np.array_equal(tape.pre[0], np.zeros((1, 1, 2)))
+    assert out[0, 0, 0] == 0.0
 
 
 def test_forward_dimension_mismatch_reports_both_shapes() -> None:
     params = zeros_mlp([3, 2])
     with pytest.raises(ShapeMismatchError, match="4 columns.*expects.*3"):
-        mlp_forward(params, np.zeros((1, 4)))
+        mlp_forward(params, np.zeros((1, 1, 4)))
 
 
 def test_backward_zero_output_grad_gives_zero_grads() -> None:
     rng = SeededRng(0)
     params = init_mlp([3, 5, 2], rng)
-    x = rng.normal(6).reshape(2, 3)
+    x = rng.normal(6).reshape(1, 2, 3)
     out, tape = mlp_forward(params, x)
     grads = MlpParams(np.empty_like(params.flat), params.sizes)
-    x_grad = mlp_backward(params, tape, np.zeros_like(out), grads.flat)
+    x_grad = mlp_backward(params, tape, np.zeros_like(out), grads.flat[None])
     assert all(np.all(w == 0) for w in grads.weights)
     assert all(np.all(b == 0) for b in grads.biases)
     assert np.all(x_grad == 0)
@@ -67,9 +67,9 @@ def test_backward_zero_output_grad_gives_zero_grads() -> None:
 def test_backward_identity_network_quadratic_loss() -> None:
     # loss = 0.5 * ||out||^2 through an identity layer: input grad == input
     params = MlpParams(flatten([np.eye(4), np.zeros(4)]), (4, 4))
-    x = np.array([[1.0, -2.0, 3.0, 0.25]])
+    x = np.array([[[1.0, -2.0, 3.0, 0.25]]])
     out, tape = mlp_forward(params, x)
-    x_grad = mlp_backward(params, tape, out, np.empty_like(params.flat))
+    x_grad = mlp_backward(params, tape, out, np.empty((1, params.flat.size)))
     assert np.allclose(x_grad, x, atol=0, rtol=0)
 
 
@@ -100,8 +100,8 @@ def test_mlp_layout_is_all_weights_then_all_biases() -> None:
 def test_backward_matches_central_differences_on_random_net() -> None:
     rng = SeededRng(42)
     params = init_mlp([4, 6, 5, 3], rng)
-    x = rng.normal(8).reshape(2, 4)
-    direction = rng.normal(6).reshape(2, 3)  # fixed linear functional of the output
+    x = rng.normal(8).reshape(1, 2, 4)
+    direction = rng.normal(6).reshape(1, 2, 3)  # fixed linear functional of the output
 
     def loss(flat: np.ndarray) -> float:
         out, _ = mlp_forward(MlpParams(flat, params.sizes), x)
@@ -109,7 +109,7 @@ def test_backward_matches_central_differences_on_random_net() -> None:
 
     out, tape = mlp_forward(params, x)
     grads = MlpParams(np.empty_like(params.flat), params.sizes)
-    x_grad = mlp_backward(params, tape, direction, grads.flat)
+    x_grad = mlp_backward(params, tape, direction, grads.flat[None])
     assert np.array_equal(grads.flat, flatten([*grads.weights, *grads.biases]))
     numeric = central_diff(loss, params.flat)
     assert max_rel_error(grads.flat, numeric) < 1e-4
@@ -124,11 +124,11 @@ def test_backward_rejects_mismatched_tape() -> None:
     rng = SeededRng(1)
     params = init_mlp([3, 4, 2], rng)
     other = init_mlp([3, 2], rng)
-    _, tape = mlp_forward(params, np.zeros((1, 3)))
+    _, tape = mlp_forward(params, np.zeros((1, 1, 3)))
     with pytest.raises(ShapeMismatchError):
-        mlp_backward(other, tape, np.zeros((1, 2)), np.empty_like(other.flat))
+        mlp_backward(other, tape, np.zeros((1, 1, 2)), np.empty((1, other.flat.size)))
     with pytest.raises(ShapeMismatchError):
-        mlp_backward(params, tape, np.zeros((3, 2)), np.empty_like(params.flat))
+        mlp_backward(params, tape, np.zeros((1, 3, 2)), np.empty((1, params.flat.size)))
 
 
 def test_adam_zero_grad_without_decay_leaves_params() -> None:

@@ -101,7 +101,7 @@ def _literal_sequential_finetune(config: RunConfig, data: LoadedData, lam: float
     noise = SeededRng(derive_seed(config.seed, "noise"))
     trace = []
     for session in data.sessions:
-        pooled = np.stack([pool(s.features) for s in session.train])
+        pooled = pool(np.stack([s.features for s in session.train]))
         scores = np.array([s.score for s in session.train])
         n = len(session.train)
         for _ in range(config.epochs):
@@ -110,9 +110,9 @@ def _literal_sequential_finetune(config: RunConfig, data: LoadedData, lam: float
                 idx = order[start : start + config.batch_size]
                 if idx.size < 2:
                     continue
-                out, tape = mlp_forward(head, pooled[idx])
+                out, tape = mlp_forward(head, pooled[idx][None])
                 eps = noise.normal(idx.size)
-                scores_hat, sigma = batch_sample(out, eps)
+                scores_hat, sigma = batch_sample(out[0], eps)
                 if lam == 0.0:
                     value, grad_s = correlation_loss(scores_hat, scores[idx])
                 else:
@@ -120,7 +120,7 @@ def _literal_sequential_finetune(config: RunConfig, data: LoadedData, lam: float
                 trace.append(value)
                 grad_out = batch_sample_backward(grad_s, eps, sigma)
                 grads = MlpParams(np.empty_like(head.flat), head.sizes)
-                mlp_backward(head, tape, grad_out, grads.flat)
+                mlp_backward(head, tape, grad_out[None], grads.flat[None])
                 grad_dict = {}
                 for i, (gw, gb) in enumerate(zip(grads.weights, grads.biases)):
                     grad_dict[f"head.w{i}"] = gw

@@ -67,7 +67,15 @@ from scorealign.memory import (
     write_session,
 )
 from scorealign.metrics import metric_entry
-from scorealign.numkit import MlpParams, SeededRng, adam_step, init_mlp, mlp_backward, mlp_forward
+from scorealign.numkit import (
+    MlpParams,
+    SeededRng,
+    ShapeMismatchError,
+    adam_step,
+    init_mlp,
+    mlp_backward,
+    mlp_forward,
+)
 
 CASES = 300
 
@@ -182,7 +190,7 @@ def _probe_loop(model, sessions, lam, radii, rng, draws) -> dict:
     """The flat-minima probe one perturbed head at a time."""
 
     def probe_loss(head: MlpParams, pooled: np.ndarray, scores: np.ndarray) -> float:
-        out, _ = mlp_forward(head, pooled)
+        out, _ = _mlp_forward_2d(head, pooled)
         value, _ = combined_loss(out[:, 0], scores, lam)
         return value
 
@@ -195,7 +203,7 @@ def _probe_loop(model, sessions, lam, radii, rng, draws) -> dict:
     perturbed = MlpParams(flat.copy(), model.head.sizes)
     per_session = {}
     for session in sessions:
-        pooled = np.stack([pool(s.features) for s in session.train])
+        pooled = np.stack([s.features.mean(axis=0) for s in session.train])
         scores = np.array([s.score for s in session.train])
         baseline = probe_loss(model.head, pooled, scores)
         deltas = {}
@@ -447,22 +455,22 @@ def test_stacked_replay_term_matches_per_exemplar_loop(monkeypatch) -> None:
 
 def _head_term_two_pass(model, x, truth, weight, config, streams, out):
     """One head pass of one batch, as the two-pass step ran it."""
-    head_out, tape = mlp_forward(model.head, x)
+    head_out, tape = mlp_forward(model.head, x[None])
     eps = streams.noise.normal(len(x)) if config.reparam else np.zeros(len(x))
-    s_hat, sigma = batch_sample(head_out, eps)
+    s_hat, sigma = batch_sample(head_out[0], eps)
     value, grad_s = combined_loss(s_hat, truth, config.mse_weight)
     grad_out = batch_sample_backward(weight * grad_s, eps, sigma)
-    return value, mlp_backward(model.head, tape, grad_out, out)
+    return value, mlp_backward(model.head, tape, grad_out[None], out[None])[0]
 
 
 def _replay_term_two_pass(model, replay, config, streams, counters, head_grad, adapter_grad):
-    batch = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
-    if len(batch) < 2:
+    drawn = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
+    if len(drawn) < 2:
         return False
-    recon, recon_tape = reconstruct_with_tape(model.adapter, batch.features)
+    recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[drawn])
     try:
         _, x_grad = _head_term_two_pass(
-            model, pool(recon), batch.scores, config.replay_weight, config, streams, head_grad
+            model, pool(recon), replay.scores[drawn], config.replay_weight, config, streams, head_grad
         )
     except DegenerateBatchError:
         counters.degenerate_replay_batches += 1
@@ -478,14 +486,14 @@ def _replay_term_two_pass(model, replay, config, streams, counters, head_grad, a
 def _train_two_pass(model, samples, config, streams, bank, counters, trace) -> None:
     """The training loop with one head pass for the current batch, then one
     for the replay batch, drawn only after the current batch's loss."""
-    pooled = np.stack([pool(s.features) for s in samples])
+    features = np.stack([s.features for s in samples])
+    pooled = pool(features)
     scores = np.array([s.score for s in samples], dtype=np.float64)
     n = len(samples)
     replay_on = bank is not None and config.replay_weight > 0.0 and config.exemplars_per_session > 0
     replay = bank.replay_pool() if replay_on and bank.sessions else None
     reg_on = bank is not None and config.reg_weight > 0.0
     if reg_on:
-        features = np.stack([s.features for s in samples])
         compressed = phi_select(features, config.keyframes, config.diversity_weight)
     head_grad = np.empty_like(model.head.flat)
     replay_head_grad = np.empty_like(model.head.flat)
@@ -674,15 +682,16 @@ def test_columnar_replay_draw_matches_per_exemplar_draw() -> None:
         singles += len(pool) == 1
         several += len(bank.sessions) > 1
         for draw in range(3):
-            batch = sample_replay_batch(pool, b2, columnar)
+            drawn = sample_replay_batch(pool, b2, columnar)
             want = _replay_draw_one(bank, b2, reference)
             where = f"seed {seed}, draw {draw}"
-            assert batch.ids == [e.sample_id for e in want], where
-            assert batch.scores.dtype == np.float64
-            assert batch.scores.tobytes() == np.array([e.score for e in want]).tobytes(), where
-            assert batch.features.dtype == np.float64
-            assert batch.features.shape == (len(want), *pool.features.shape[1:]), where
-            assert batch.features.tobytes() == np.stack([e.features for e in want]).tobytes(), where
+            scores, features = pool.scores[drawn], pool.features[drawn]
+            assert [pool.ids[i] for i in drawn] == [e.sample_id for e in want], where
+            assert scores.dtype == np.float64
+            assert scores.tobytes() == np.array([e.score for e in want]).tobytes(), where
+            assert features.dtype == np.float64
+            assert features.shape == (len(want), *pool.features.shape[1:]), where
+            assert features.tobytes() == np.stack([e.features for e in want]).tobytes(), where
             assert columnar.get_state() == reference.get_state(), where
     assert singles > 10 and several > CASES // 2
 
@@ -716,7 +725,7 @@ def test_stacked_evaluate_matches_per_sample_predict_eval() -> None:
             assert json.dumps(entry) == json.dumps(expected), f"session {tag} differs, seed {seed}"
 
 
-def test_head_as_stack_of_one_matches_two_dimensional_path() -> None:
+def test_head_stack_of_one_matches_per_matrix_path() -> None:
     for seed in range(CASES):
         rng = np.random.default_rng(40_000 + seed)
         rows = 1 + seed % 3
@@ -730,19 +739,12 @@ def test_head_as_stack_of_one_matches_two_dimensional_path() -> None:
         want_out, want_tape = _mlp_forward_2d(head, x)
         want_grads, want_x_grad = _mlp_backward_2d(head, want_tape, grad_out)
 
-        out, tape = mlp_forward(head, x)
-        grads = np.full_like(head.flat, np.nan)
-        x_grad = mlp_backward(head, tape, grad_out, grads)
-        assert _same_bytes(out, want_out), f"forward differs, seed {seed}"
-        assert _same_bytes(grads, want_grads), f"weight gradient differs, seed {seed}"
-        assert _same_bytes(x_grad, want_x_grad), f"input gradient differs, seed {seed}"
-
         stacked_out, stacked_tape = mlp_forward(head, x[None])
         stacked_grads = np.full((1, head.flat.size), np.nan)
         stacked_x_grad = mlp_backward(head, stacked_tape, grad_out[None], stacked_grads)
-        assert _same_bytes(stacked_out[0], want_out)
-        assert _same_bytes(stacked_grads[0], want_grads)
-        assert _same_bytes(stacked_x_grad[0], want_x_grad)
+        assert _same_bytes(stacked_out[0], want_out), f"forward differs, seed {seed}"
+        assert _same_bytes(stacked_grads[0], want_grads), f"weight gradient differs, seed {seed}"
+        assert _same_bytes(stacked_x_grad[0], want_x_grad), f"input gradient differs, seed {seed}"
 
 
 def test_gradient_buffer_shape_is_checked() -> None:
@@ -750,6 +752,32 @@ def test_gradient_buffer_shape_is_checked() -> None:
     _, tape = mlp_forward(head, np.zeros((2, 2, 3)))
     with pytest.raises(ValueError, match="gradient buffer"):
         mlp_backward(head, tape, np.zeros((2, 2, 2)), np.zeros((3, head.flat.size)))
+
+
+_HEAD = init_mlp([4, 3, 2], SeededRng(0))
+_MATRIX = np.random.default_rng(0).normal(size=(5, 4))  # one (T, D) sample or (n, D) batch
+
+
+def _backward_of_one_matrix() -> None:
+    _, tape = mlp_forward(_HEAD, _MATRIX[None])
+    mlp_backward(_HEAD, tape, np.zeros((5, 2)), np.empty(_HEAD.flat.size))
+
+
+_SINGLE_MATRIX_CALLS = {
+    "mlp_forward": (ShapeMismatchError, lambda: mlp_forward(_HEAD, _MATRIX)),
+    "mlp_backward": (ShapeMismatchError, _backward_of_one_matrix),
+    "pool": (ShapeMismatchError, lambda: pool(_MATRIX)),
+    "salience_scores": (ValueError, lambda: salience_scores(_MATRIX)),
+    "select_key_frames": (ValueError, lambda: select_key_frames(_MATRIX, 2, 0.5)),
+    "phi_select": (ValueError, lambda: phi_select(_MATRIX, 2, 0.5)),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_SINGLE_MATRIX_CALLS))
+def test_stack_only_kernels_reject_a_single_matrix(kernel) -> None:
+    error, call = _SINGLE_MATRIX_CALLS[kernel]
+    with pytest.raises(error):
+        call()
 
 
 def test_stacked_forward_slices_match_one_head_forward() -> None:
@@ -762,11 +790,11 @@ def test_stacked_forward_slices_match_one_head_forward() -> None:
         sizes = [d, *hidden, 2]
         base = init_mlp(sizes, SeededRng(seed))
         rows = base.flat + rng.normal(size=(stack, base.flat.size)) * 0.3
-        x = rng.normal(size=(n, d))
+        x = rng.normal(size=(1, n, d))
         out, _ = mlp_forward(MlpParams(rows, sizes), x)
         assert out.shape == (stack, n, 2)
         for s, row in enumerate(rows):
-            want, _ = mlp_forward(MlpParams(row.copy(), sizes), x)
+            want, _ = _mlp_forward_2d(MlpParams(row.copy(), sizes), x[0])
             assert _same_bytes(out[s], want), f"head {s} differs, seed {seed}"
 
 
@@ -877,14 +905,14 @@ def test_stacked_selection_matches_per_matrix_selector() -> None:
         chosen = select_key_frames(stack, k, weight)
         compressed = phi_select(stack, k, weight)
         assert chosen.shape == (len(stack), k), case
-        assert _same_bytes(salience_scores(stack), [salience_scores(m) for m in stack]), case
+        assert _same_bytes(salience_scores(stack), [salience_scores(m[None])[0] for m in stack]), case
         for matrix, indices, rows in zip(stack, chosen, compressed):
             want = _select_one(matrix, k, weight)
             assert tuple(indices.tolist()) == want, case
-            # a (T, D) matrix is a stack of one
-            assert select_key_frames(matrix, k, weight) == want, case
+            # each sample selects alone, as a stack of one, what it selects in the stack
+            assert tuple(select_key_frames(matrix[None], k, weight)[0].tolist()) == want, case
             assert _same_bytes(rows, matrix[list(want)]), case
-            assert _same_bytes(phi_select(matrix, k, weight), rows), case
+            assert _same_bytes(phi_select(matrix[None], k, weight)[0], rows), case
 
 
 def _random_id(rng: np.random.Generator, s: int, j: int) -> str:
