@@ -228,8 +228,7 @@ def write_feature_file(path: str | Path, features: np.ndarray) -> None:
         raise ValueError(f"features must be a nonempty (T, D) matrix, got {features.shape}")
     if not np.all(np.isfinite(features)):
         raise ValueError("features contain non-finite values")
-    t, d = features.shape
-    header = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, t, d)
+    header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *features.shape)
     Path(path).write_bytes(header + features.astype("<f4").tobytes())
 
 
@@ -237,10 +236,48 @@ def read_feature_file(path: str | Path) -> np.ndarray:
     return _read_features([(path, Path(path).read_bytes())])[0]
 
 
+# magic, version, T, D
+_FEATURE_HEADER = struct.Struct("<8sIII")
+
+
 def _read_features(files: list[tuple[str | Path, bytes]]) -> list[np.ndarray]:
     """The float64 (T, D) matrices of feature files, given as (name, bytes)
-    pairs: each file's header and end are walked in turn, then all their
-    payloads decode as one block. A fault names its file."""
+    pairs, as views of one block. When every file holds a well-formed
+    header and exactly its T * D finite floats, which one header unpack
+    per file and one finiteness pass show, the payloads decode as one
+    block; otherwise _walk_features decodes them and reports the first
+    fault."""
+    header = _FEATURE_HEADER
+    shapes = []
+    for _, raw in files:
+        if len(raw) < header.size:
+            break
+        magic, version, t, d = header.unpack_from(raw)
+        if (
+            magic != FEATURE_MAGIC
+            or version != FEATURE_VERSION
+            or t < 1
+            or d < 1
+            or len(raw) != header.size + 4 * t * d
+        ):
+            break
+        shapes.append((t, d))
+    else:
+        stored = np.frombuffer(
+            b"".join([memoryview(raw)[header.size :] for _, raw in files]), dtype="<f4"
+        )
+        # checked before the cast, which would warn on a signaling NaN
+        if np.isfinite(stored).all():
+            block = stored.astype(np.float64)
+            offsets = itertools.accumulate((t * d for t, d in shapes), initial=0)
+            return [block[at : at + t * d].reshape(t, d) for at, (t, d) in zip(offsets, shapes)]
+    return _walk_features(files)
+
+
+def _walk_features(files: list[tuple[str | Path, bytes]]) -> list[np.ndarray]:
+    """_read_features by a Reader walk of each file's header and end, with
+    all payloads decoded as one block by decode_block, so that the first
+    fault in file order is reported. A fault names its file."""
 
     def walk(runs: list) -> list[tuple[int, int]]:
         shapes = []
@@ -274,21 +311,28 @@ def resample_frames(features: np.ndarray, frames: int) -> np.ndarray:
     return features[idx]
 
 
-def _read_regular_file(path: Path) -> bytes | None:
+_READ_FLAGS = os.O_RDONLY | os.O_NONBLOCK
+
+
+def _read_regular_file(path: str) -> bytes | None:
     """The bytes of path, or None when it is not a regular file. It is
     opened without blocking, so a listed FIFO is not waited on."""
     try:
-        with open(path, "rb", buffering=0, opener=_open_nonblocking) as f:
-            if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-                return None
-            return f.read()
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
+        fd = os.open(path, _READ_FLAGS)
+    except (FileNotFoundError, NotADirectoryError, ValueError):
         # ValueError: a path with a NUL byte
         return None
-
-
-def _open_nonblocking(path: str, flags: int) -> int:
-    return os.open(path, flags | os.O_NONBLOCK)
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            return None
+        # read to the end, even if the file grew since fstat
+        chunks = [os.read(fd, info.st_size + 1)]
+        while chunks[-1]:
+            chunks.append(os.read(fd, 1 << 16))
+    finally:
+        os.close(fd)
+    return chunks[0] if len(chunks) == 2 else b"".join(chunks)
 
 
 # --- manifests ---------------------------------------------------------
@@ -332,8 +376,9 @@ def load_manifest(
     records = _parse_records(path)
     lo, hi = score_range
     folder = path.parent
-    files: dict[str, tuple[Path, bytes]] = {}  # id -> (feature file, its bytes)
-    by_session: dict[str, list[dict]] = {}
+    prefix = str(folder / "x")[:-1]  # str(folder / name) is prefix + name
+    files: dict[str, tuple[str, bytes]] = {}  # id -> (feature file, its bytes)
+    by_session: dict[str, dict[str, list[dict]]] = {}  # name -> split -> records
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ManifestError(f"record {i}: expected an object, got {type(rec).__name__}")
@@ -348,7 +393,8 @@ def load_manifest(
         if rec["id"] in files:
             raise ManifestError(f"record {i}: duplicate id '{rec['id']}'")
         score = rec["score"]
-        if not _is_number(score):
+        # json.loads gives a number as exactly an int or a float
+        if type(score) is not float and type(score) is not int:
             raise ManifestError(f"record {i}: score {score!r} is not a number")
         if not lo <= score <= hi:
             raise ManifestError(
@@ -357,7 +403,11 @@ def load_manifest(
         split = rec.get("split", "unassigned")
         if split not in _SPLITS:
             raise ManifestError(f"record {i}: unknown split '{split}'")
-        feature_path = folder / rec["feature_path"]
+        name = rec["feature_path"]
+        parts = name.split("/")
+        # joined as strings unless Path would respell name: absolute, or with
+        # an empty or '.' part
+        feature_path = str(folder / name) if "" in parts or "." in parts else prefix + name
         try:
             raw = _read_regular_file(feature_path)
         except OSError as exc:
@@ -367,13 +417,14 @@ def load_manifest(
         if raw is None:
             raise ManifestError(f"record {i}: missing feature file '{feature_path}'")
         files[rec["id"]] = (feature_path, raw)
-        by_session.setdefault(rec["session"], []).append(rec)
+        parts = by_session.get(rec["session"])
+        if parts is None:
+            parts = by_session[rec["session"]] = {split: [] for split in _SPLITS}
+        parts[split].append(rec)
 
     splits: list[tuple[str, list[dict], list[dict]]] = []
-    for name, recs in by_session.items():
-        train_recs = [r for r in recs if r.get("split", "unassigned") == "train"]
-        test_recs = [r for r in recs if r.get("split", "unassigned") == "test"]
-        unassigned = [r for r in recs if r.get("split", "unassigned") == "unassigned"]
+    for name, parts in by_session.items():
+        train_recs, test_recs, unassigned = (parts[split] for split in _SPLITS)
         if unassigned:
             rng = SeededRng(derive_seed(seed, f"split:{name}"))
             order = rng.permutation(len(unassigned))
@@ -388,26 +439,22 @@ def load_manifest(
         splits.append((name, train_recs, test_recs))
 
     # only the records kept are decoded, all in one pass and in load order
-    kept = [r["id"] for _, train_recs, test_recs in splits for r in train_recs + test_recs]
-    features = dict(zip(kept, _read_features([files[k] for k in kept])))
-
-    def _load(rec: dict) -> ScoredSample:
-        return ScoredSample(
-            sample_id=rec["id"],
-            features=resample_frames(features[rec["id"]], frames),
-            score=float(rec["score"]),
-            session=rec["session"],
-            variant=rec.get("variant"),
+    kept = [r for _, train_recs, test_recs in splits for r in train_recs + test_recs]
+    loaded = [
+        ScoredSample(
+            rec["id"], resample_frames(features, frames), float(rec["score"]), rec["session"],
+            rec.get("variant"),
         )
+        for rec, features in zip(kept, _read_features([files[r["id"]] for r in kept]))
+    ]
 
     base: SessionData | None = None
     sessions: list[SessionData] = []
+    end = 0
     for name, train_recs, test_recs in splits:
-        session = SessionData(
-            name=name,
-            train=[_load(r) for r in train_recs],
-            test=[_load(r) for r in test_recs],
-        )
+        start, cut = end, end + len(train_recs)
+        end = cut + len(test_recs)
+        session = SessionData(name=name, train=loaded[start:cut], test=loaded[cut:end])
         if name == BASE_SESSION:
             base = session
         else:

@@ -35,10 +35,12 @@ def plcc(pred: np.ndarray, truth: np.ndarray) -> float | None:
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ValueError(f"length mismatch: {pred.shape} vs {truth.shape}")
-    if pred.size < 2:
+    n = pred.size
+    if n < 2:
         return None
-    a = pred - pred.mean()
-    b = truth - truth.mean()
+    # each mean is np.add.reduce(x) / n, ndarray.mean without its wrapper
+    a = pred - np.add.reduce(pred) / n
+    b = truth - np.add.reduce(truth) / n
     denom_sq = float(a @ a) * float(b @ b)
     if denom_sq <= 0.0:
         return None
@@ -67,7 +69,7 @@ def rl2e(pred: np.ndarray, truth: np.ndarray, s_max: float, s_min: float) -> flo
     if s_max <= s_min:
         raise ValueError(f"score range is empty: s_max {s_max} <= s_min {s_min}")
     rel = np.abs(truth - pred) / (s_max - s_min)
-    return float(np.mean(rel * rel))
+    return float(np.add.reduce(rel * rel) / rel.size)
 
 
 def pooled_metrics(

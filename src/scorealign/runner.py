@@ -112,14 +112,15 @@ class RunConfig:
             raise ValueError("hidden_sizes and adapter_hidden must be positive integers")
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["score_range"] = list(self.score_range)
         out["hidden_sizes"] = list(self.hidden_sizes)
         return out
 
 
-def config_hash(config: RunConfig) -> str:
-    text = json.dumps(config.to_dict(), sort_keys=True)
+def config_hash(stamp: dict) -> str:
+    """The sha256 of a RunConfig.to_dict() stamp, as reports carry it."""
+    text = json.dumps(stamp, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -412,12 +413,9 @@ def build_report(
     an evaluation when one is given, plus any other report fields."""
     if result is not None:
         fields.update(sessions=result.sessions, variants=result.variants, pooled=result.pooled)
+    stamp = config.to_dict()
     return MetricReport(
-        mode=mode,
-        seed=config.seed,
-        config_hash=config_hash(config),
-        config=config.to_dict(),
-        **fields,
+        mode=mode, seed=config.seed, config_hash=config_hash(stamp), config=stamp, **fields
     )
 
 
@@ -533,10 +531,10 @@ def train_continual(
 # --- flat-minima probe ---------------------------------------------------
 
 
-# Scored rows (draws times samples) per stacked probe forward. Wider stacks
+# Scored rows (heads times samples) per stacked probe forward. Wider stacks
 # ran slower than several narrower ones: with the benchmark's head on a
 # 2-core Xeon, a probe of 5 sessions of 50 samples (4 radii, 10 draws) took
-# 15 ms in stacks of 6 draws and 18-20 ms in stacks of 10.
+# 15 ms in stacks of 6 heads and 18-20 ms in stacks of 10.
 _PROBE_STACK_ROWS = 300
 
 
@@ -556,10 +554,12 @@ def flat_minima_probe(
     across sessions and radii so curves are comparable. Radii are keyed
     by their `:g` label, so two radii with one label are rejected.
 
-    A radius's perturbed heads are rows of one reused buffer, scored as
-    stacks; each loss is the one its head alone gives, and the increases
-    are summed in draw order. A session whose loss is undefined at the
-    trained head or at a perturbed one raises TrainingError.
+    The trained head and every perturbed head are rows of one buffer,
+    scored on each session as stacks; each loss is the one its head alone
+    gives, and the increases are summed in draw order. A session whose
+    loss is undefined at the trained head or at a perturbed one raises
+    TrainingError: every session's trained head is checked first, then
+    the perturbed heads, radius by radius.
     """
     if draws < 1:
         raise ValueError(f"probe needs draws >= 1, got {draws}")
@@ -573,45 +573,57 @@ def flat_minima_probe(
     for row in directions:
         d = rng.normal(flat.size)
         row[...] = d / np.sqrt(d @ d)
-    heads = np.empty_like(directions)
+    # row 0 is the trained head, then one row per radius and draw
+    heads = np.empty((1 + len(radii) * draws, flat.size))
+    heads[0] = flat
+    perturbed = heads[1:].reshape(len(radii), draws, flat.size)
+    np.multiply(directions, np.asarray(radii, dtype=np.float64)[:, None, None], out=perturbed)
+    perturbed += flat
     per_session: dict[str, dict] = {}
-    scored = []
+    undefined = []  # (name, scores, every head's predictions) of each session with an undefined loss
     for session in sessions:
         if not session.train:
             raise TrainingError(f"session '{session.name}' has no training samples")
         pooled = pool(np.stack([s.features for s in session.train]))[None]
         scores = np.array([s.score for s in session.train])
-        out, _ = mlp_forward(model.head, pooled)
-        try:
-            baseline, _ = combined_loss(out[0, :, 0], scores, lam)
-        except DegenerateBatchError as exc:
-            raise TrainingError(
-                f"session '{session.name}': training loss undefined at the trained head: {exc}"
-            ) from exc
         rows = max(1, _PROBE_STACK_ROWS // len(scores))
         stacks = [
-            MlpParams(heads[i : i + rows], model.head.sizes) for i in range(0, draws, rows)
+            mlp_forward(MlpParams(heads[i : i + rows], model.head.sizes), pooled)[0][:, :, 0]
+            for i in range(0, len(heads), rows)
         ]
-        entry = {"baseline_loss": baseline, "mean_delta": {}}
-        per_session[session.name] = entry
-        scored.append((session.name, pooled, scores, baseline, stacks, entry))
-    for label, radius in zip(labels, radii):
-        np.multiply(directions, radius, out=heads)
-        heads += flat
-        for name, pooled, scores, baseline, stacks, entry in scored:
+        try:
+            values = np.concatenate([combined_loss_values(p, scores, lam) for p in stacks])
+        except DegenerateBatchError:
+            preds = np.concatenate(stacks)
+            try:
+                combined_loss(preds[0], scores, lam)
+            except DegenerateBatchError as exc:
+                raise TrainingError(
+                    f"session '{session.name}': training loss undefined at the trained head: {exc}"
+                ) from exc
+            undefined.append((session.name, scores, preds))
+            continue
+        entry = {"baseline_loss": float(values[0]), "mean_delta": {}}
+        for label, deltas in zip(labels, (values[1:] - values[0]).reshape(-1, draws).tolist()):
             total = 0.0
-            for stack in stacks:
-                out, _ = mlp_forward(stack, pooled)
+            for value in deltas:
+                total += value
+            entry["mean_delta"][label] = total / draws
+        per_session[session.name] = entry
+    for r, label in enumerate(labels):
+        for name, scores, preds in undefined:
+            # stacks of up to `rows` draws of one radius, so that the error's
+            # pred variance is the least over the same draws at any stack size
+            rows = max(1, _PROBE_STACK_ROWS // len(scores))
+            for i in range(0, draws, rows):
+                at = 1 + r * draws + i
                 try:
-                    values = combined_loss_values(out[:, :, 0], scores, lam)
+                    combined_loss_values(preds[at : at + min(rows, draws - i)], scores, lam)
                 except DegenerateBatchError as exc:
                     raise TrainingError(
                         f"session '{name}': training loss undefined at a head "
                         f"perturbed by radius {label}: {exc}"
                     ) from exc
-                for value in (values - baseline).tolist():
-                    total += value
-            entry["mean_delta"][label] = total / draws
     return {
         "radii": labels,
         "draws": draws,

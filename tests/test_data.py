@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
 import struct
 import warnings
 from pathlib import Path
@@ -362,16 +364,76 @@ def test_manifest_unreadable_feature_file_rejected(tmp_path, monkeypatch) -> Non
     write_manifest(tmp_path / "manifest.json", records)
     locked = tmp_path / records[2]["feature_path"]
 
+    real_open = os.open
+
     def guarded_open(file, *args, **kwargs):
         if Path(file) == locked:
             raise PermissionError(13, "Permission denied", str(file))
-        return open(file, *args, **kwargs)
+        return real_open(file, *args, **kwargs)
 
     # chmod cannot make a file unreadable to root, so the open fails instead
-    monkeypatch.setattr("scorealign.data.open", guarded_open, raising=False)
+    monkeypatch.setattr("scorealign.data.os.open", guarded_open)
     with pytest.raises(ManifestError) as err:
         load()
     assert str(err.value) == f"record 2: cannot read feature file '{locked}': Permission denied"
+
+
+@pytest.mark.parametrize("from_folder", [False, True])
+def test_manifest_feature_paths_open_as_a_path_join_spells_them(
+    tmp_path, monkeypatch, from_folder
+) -> None:
+    (tmp_path / "features").mkdir()
+    records = _write_session_files(tmp_path, "s", 6, split="test")
+    spellings = ["./features/{}", "features//{}", ".//features/./{}", "features/{}/", "features/{}/."]
+    for rec, spelling in zip(records, spellings):
+        rec["feature_path"] = spelling.format(rec["feature_path"].split("/")[1])
+    records[5]["feature_path"] = str(tmp_path / records[5]["feature_path"])
+    write_manifest(tmp_path / "manifest.json", records)
+    manifest = tmp_path / "manifest.json"
+    if from_folder:
+        # a manifest in the working directory: Path gives its folder as '.'
+        monkeypatch.chdir(tmp_path)
+        manifest = Path("manifest.json")
+    opened = []
+    real_open = os.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("scorealign.data.os.open", recording_open)
+    load_manifest(manifest, frames=16, score_range=(1, 5), seed=0, **_SPLIT)
+    assert opened == [str(manifest.parent / r["feature_path"]) for r in records]
+    assert "//" not in "".join(opened) and "/./" not in "".join(opened)
+
+    records[5]["feature_path"] = ".//features/./nope.feat"
+    write_manifest(tmp_path / "manifest.json", records)
+    with pytest.raises(ManifestError) as err:
+        load_manifest(manifest, frames=16, score_range=(1, 5), seed=0, **_SPLIT)
+    folder = "" if from_folder else f"{tmp_path}/"
+    assert str(err.value) == f"record 5: missing feature file '{folder}features/nope.feat'"
+
+
+def test_manifest_fifo_is_not_waited_on(tmp_path) -> None:
+    (tmp_path / "features").mkdir()
+    records = _write_session_files(tmp_path, "s", 3)
+    os.mkfifo(tmp_path / "features" / "pipe.feat")
+    records[1]["feature_path"] = "features/pipe.feat"
+    write_manifest(tmp_path / "manifest.json", records)
+
+    def blocked(signum, frame):
+        raise TimeoutError("load_manifest waited on a FIFO")
+
+    # a blocking open of a FIFO with no writer would never return
+    previous = signal.signal(signal.SIGALRM, blocked)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ManifestError) as err:
+            load_manifest(tmp_path / "manifest.json", frames=16, score_range=(1, 5), seed=0, **_SPLIT)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(err.value) == f"record 1: missing feature file '{tmp_path / 'features' / 'pipe.feat'}'"
 
 
 def test_manifest_feature_faults_name_their_file(tmp_path) -> None:

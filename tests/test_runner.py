@@ -371,6 +371,65 @@ def test_probe_names_a_session_without_training_samples() -> None:
         flat_minima_probe(result.model, data.sessions, 0.05, [1.0], SeededRng(0), draws=10)
 
 
+# per case: the distances from the trained head (0 is the trained head)
+# at which a session's heads predict one score for all of its samples, the
+# session and the head of the first error
+_FLAT_PREDICTIONS = {
+    "the trained head of a later session": ({4: {2.0}, 5: {0.0}}, "n5", "the trained head"),
+    "the smaller radius of a later session": ({4: {2.0}, 5: {0.5}}, "n5", "radius 0.5"),
+    "radius by radius": ({4: {1.0}, 6: {1.0, 0.5}}, "n6", "radius 0.5"),
+    "the trained head before an empty session": ({4: {0.0, 1.0}}, "n4", "the trained head"),
+    "an empty session before any radius": ({4: {0.5}, 5: {0.5}}, "empty", None),
+}
+
+
+@pytest.mark.parametrize("case", list(_FLAT_PREDICTIONS))
+def test_probe_raises_the_first_undefined_loss_in_session_then_radius_order(case, monkeypatch) -> None:
+    """The trained heads of all sessions come first, in session order; then
+    the perturbed heads, radius by radius, each radius in session order. A
+    session without training samples is named when the loop reaches it."""
+    flat_at, name, head = _FLAT_PREDICTIONS[case]
+    rng = np.random.default_rng(5)
+    model = init_model(FEAT_DIM, _config())
+    model.head.flat[:] += rng.normal(size=model.head.flat.size) * 0.3
+    sessions = []
+    for n in (4, 5, 6):
+        samples = [
+            ScoredSample(f"n{n}_{i}", rng.normal(size=(FRAMES, FEAT_DIM)), float(rng.uniform(1, 5)), f"n{n}")
+            for i in range(n)
+        ]
+        sessions.append(SessionData(f"n{n}", samples, []))
+    if name == "empty":
+        sessions.insert(1, SessionData("empty", [], []))
+    trained = model.head.flat.copy()
+    real_forward = runner.mlp_forward
+
+    def forward(params: MlpParams, x: np.ndarray):
+        out, tape = real_forward(params, x)
+        distances = np.sqrt(((np.atleast_2d(params.flat) - trained) ** 2).sum(axis=1))
+        for row, distance in enumerate(distances):
+            if any(abs(distance - r) < 1e-9 for r in flat_at.get(x.shape[1], ())):
+                out[row, :, 0] = 3.0
+        return out, tape
+
+    monkeypatch.setattr(runner, "mlp_forward", forward)
+    # several stacks per radius
+    monkeypatch.setattr(runner, "_PROBE_STACK_ROWS", 8)
+    with pytest.raises(TrainingError) as err:
+        flat_minima_probe(model, sessions, 0.05, [0.5, 1.0, 2.0], SeededRng(3), draws=3)
+    if head is None:
+        assert str(err.value) == f"session '{name}' has no training samples"
+    else:
+        truth = np.array([s.score for s in next(x for x in sessions if x.name == name).train])
+        spread = truth - truth.mean()
+        at = "the trained head" if head == "the trained head" else f"a head perturbed by {head}"
+        assert str(err.value) == (
+            f"session '{name}': training loss undefined at {at}: variance below 1e-12 "
+            f"(pred 0.000e+00, truth {float(spread @ spread) / truth.size:.3e})"
+        )
+    assert np.array_equal(model.head.flat, trained)
+
+
 # --- checkpointing ---------------------------------------------------------------
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 import struct
 
 import numpy as np
@@ -1068,6 +1069,34 @@ def _feature_mutant(rng: np.random.Generator, raws: list[bytes]) -> list[bytes]:
     return [bytes(raw) for raw in out]
 
 
+def _same_feature_decode(raws: list[bytes], case) -> tuple | None:
+    """Assert that _read_features gives the per-file decode of each file,
+    or its first fault in file order with the same type, message and
+    offset; return that fault, or None."""
+    names = [f"features/f{i}.feat" for i in range(len(raws))]
+    want, want_fault = [], None
+    for name, raw in zip(names, raws):
+        try:
+            want.append(_read_feature_one(raw))
+        except CodecError as exc:
+            # the per-file decode does not know the file's name
+            want_fault = (type(exc), f"feature file '{name}': {exc}", exc.offset)
+            break
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got, got_fault = _read_features(list(zip(names, raws))), None
+        except CodecError as exc:
+            got, got_fault = None, (type(exc), str(exc), exc.offset)
+    assert got_fault == want_fault, case
+    if want_fault is None:
+        assert len(got) == len(want), case
+        for a, b in zip(got, want):
+            assert a.dtype == np.float64 and a.flags.c_contiguous, case
+            assert _same_bytes(a, b), case
+    return want_fault
+
+
 def test_batched_feature_decode_matches_per_file_decode() -> None:
     rng = np.random.default_rng(14)
     faults = set()
@@ -1075,29 +1104,66 @@ def test_batched_feature_decode_matches_per_file_decode() -> None:
         raws = _random_feature_files(rng)
         if case % 2:
             raws = _feature_mutant(rng, raws)
-        names = [f"features/f{i}.feat" for i in range(len(raws))]
-        want, want_fault = [], None
-        for name, raw in zip(names, raws):
-            try:
-                want.append(_read_feature_one(raw))
-            except CodecError as exc:
-                # the per-file decode does not know the file's name
-                want_fault = (type(exc), f"feature file '{name}': {exc}", exc.offset)
-                break
-        try:
-            got, got_fault = _read_features(list(zip(names, raws))), None
-        except CodecError as exc:
-            got, got_fault = None, (type(exc), str(exc), exc.offset)
-        # the first fault in file order: the same type, message and offset
-        assert got_fault == want_fault, case
-        if want_fault is not None:
-            faults.add(want_fault[1].split(": ", 1)[1].split(" ")[0])
-            continue
-        assert len(got) == len(want), case
-        for a, b in zip(got, want):
-            assert a.dtype == np.float64 and a.flags.c_contiguous, case
-            assert _same_bytes(a, b), case
+        fault = _same_feature_decode(raws, case)
+        if fault is not None:
+            faults.add(fault[1].split(": ", 1)[1].split(" ")[0])
     # every kind of fault was met: truncated, trailing, non-finite, bad
     # magic, unsupported version, empty shape
+    assert faults >= {"truncated", "non-finite", "bad", "unsupported", "empty"}, faults
+    assert any(fault.isdigit() for fault in faults), faults
+
+
+def _header_mutants(raw: bytes, t: int, d: int) -> list[bytes]:
+    """Files that fail the one-unpack header check, or the finiteness pass,
+    that a valid (t, d) file raw passes, each in its own way."""
+    header = lambda version, t, d: FEATURE_MAGIC + struct.pack("<III", version, t, d)
+    payload = raw[20:]
+    signaling = bytearray(raw)
+    struct.pack_into("<I", signaling, 20 + 4 * (t * d - 1), 0x7FA00000)
+    return [
+        *(raw[:n] for n in range(20)),  # shorter than a header
+        raw[:20],  # a header and no payload
+        raw[:-1],  # T * D claims more bytes than the file holds
+        header(1, t + 1, d) + payload,
+        header(1, t, d + 1) + payload,
+        raw + bytes(3),  # T * D claims fewer bytes than the file holds
+        raw + bytes(4),
+        raw + payload,
+        *([header(1, t - 1, d) + payload] if t > 1 else []),
+        header(1, 0, d) + payload,  # T or D zero, with and without a payload
+        header(1, t, 0) + payload,
+        header(1, 0, d),
+        header(1, t, 0),
+        header(1, 0, 0),
+        header(0, t, d) + payload,  # the right magic with a wrong version
+        header(2, t, d) + payload,
+        b"ASALFEAX" + raw[8:],
+        bytes(signaling),
+    ]
+
+
+def test_feature_header_check_matches_per_file_decode() -> None:
+    """Every way a file can fail the header check, alone, behind valid
+    files, behind a file with a signaling NaN, and ahead of one."""
+    rng = np.random.default_rng(15)
+    faults = set()
+    for case in range(12):
+        valid = _random_feature_files(rng)
+        t, d = struct.unpack_from("<II", valid[0], 12)
+        others = valid[1:] + _random_feature_files(rng)[:1]
+        signaling = bytearray(others[0])
+        struct.pack_into("<I", signaling, 20, 0x7FA00000)
+        for i, mutant in enumerate(_header_mutants(valid[0], t, d)):
+            for raws in (
+                [mutant],
+                [*others, mutant],
+                [bytes(signaling), mutant],
+                [mutant, bytes(signaling)],
+            ):
+                fault = _same_feature_decode(raws, (case, i))
+                assert fault is not None, (case, i)
+                faults.add(fault[1].split(": ", 1)[1].split(" ")[0])
+    # truncated, trailing, non-finite, bad magic, unsupported version,
+    # empty shape
     assert faults >= {"truncated", "non-finite", "bad", "unsupported", "empty"}, faults
     assert any(fault.isdigit() for fault in faults), faults
