@@ -219,8 +219,8 @@ def eval_cmd(checkpoint_path, manifest, report_out, **kw):
         config = _make_config(bundle.config, kw)
         data = _load(manifest, config)
         check_feature_dim(bundle.model, data)
-        result = evaluate(bundle.model, data.all_test(), config.score_range)
-        emit_report(build_report(config, "eval", result), report_out)
+        tables = evaluate(bundle.model, data.all_test(), config.score_range)
+        emit_report(build_report(config, "eval", **tables), report_out)
         click.echo(f"wrote {report_out}")
 
     _run(action)

@@ -17,7 +17,7 @@ import stat
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, NoReturn, TypeVar
 
 import numpy as np
 
@@ -245,8 +245,7 @@ def _read_features(files: list[tuple[str | Path, bytes]]) -> list[np.ndarray]:
     pairs, as views of one block. When every file holds a well-formed
     header and exactly its T * D finite floats, which one header unpack
     per file and one finiteness pass show, the payloads decode as one
-    block; otherwise _walk_features decodes them and reports the first
-    fault."""
+    block; otherwise _raise_feature_fault reports the first fault."""
     header = _FEATURE_HEADER
     shapes = []
     for _, raw in files:
@@ -271,16 +270,19 @@ def _read_features(files: list[tuple[str | Path, bytes]]) -> list[np.ndarray]:
             block = stored.astype(np.float64)
             offsets = itertools.accumulate((t * d for t, d in shapes), initial=0)
             return [block[at : at + t * d].reshape(t, d) for at, (t, d) in zip(offsets, shapes)]
-    return _walk_features(files)
+    _raise_feature_fault(files)
 
 
-def _walk_features(files: list[tuple[str | Path, bytes]]) -> list[np.ndarray]:
-    """_read_features by a Reader walk of each file's header and end, with
-    all payloads decoded as one block by decode_block, so that the first
-    fault in file order is reported. A fault names its file."""
+def _raise_feature_fault(files: list[tuple[str | Path, bytes]]) -> NoReturn:
+    """Raise the first fault, in file order, of feature files that
+    _read_features rejected. A Reader walk checks each file's header and
+    end and hands its payload to decode_block, so a fault names its file
+    and byte offset, and a bad header is raised only after the payloads
+    before it are found finite. The walk accepts exactly what the header
+    check accepts, so when every header passes, a payload holds the
+    non-finite value that decode_block raises for."""
 
-    def walk(runs: list) -> list[tuple[int, int]]:
-        shapes = []
+    def walk(runs: list) -> None:
         for name, raw in files:
             reader = Reader(raw, prefix=f"feature file '{name}': ")
             reader.preamble(FEATURE_MAGIC, FEATURE_VERSION)
@@ -289,11 +291,9 @@ def _walk_features(files: list[tuple[str | Path, bytes]]) -> list[np.ndarray]:
                 raise reader.fault(f"empty shape ({t}, {d}) in header", 12)
             reader.run(runs, "<f4", t * d, "features")
             reader.end("features")
-            shapes.append((t, d))
-        return shapes
 
-    shapes, block, offsets = decode_block("<f4", walk)
-    return [block[at : at + t * d].reshape(t, d) for at, (t, d) in zip(offsets, shapes)]
+    decode_block("<f4", walk)
+    raise AssertionError("feature files that pass every check reached the fault walk")
 
 
 def resample_frames(features: np.ndarray, frames: int) -> np.ndarray:

@@ -15,7 +15,14 @@ NORM_FLOOR = 1e-12
 
 
 class DegenerateBatchError(ValueError):
-    """Batch correlation is undefined (too few points or zero variance)."""
+    """Batch correlation is undefined (too few points or zero variance).
+
+    row is the first undefined row of a stacked call: 0 for a single
+    vector, for fewer than two samples or for a constant truth."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 def _check_lengths(pred: np.ndarray, truth: np.ndarray) -> None:
@@ -103,7 +110,8 @@ def combined_loss_values(pred: np.ndarray, truth: np.ndarray, lam: float) -> np.
     Each row's value has the bytes combined_loss gives for that row alone:
     the means are the same per-vector np.add.reduce, and every dot product
     is one (1, n) @ (n, 1) slice of np.matmul, which runs the same dot
-    kernel as a 1-d @. Any degenerate row raises DegenerateBatchError.
+    kernel as a 1-d @. Any degenerate row raises DegenerateBatchError,
+    naming the first one and its own pred variance.
     """
     pred = np.ascontiguousarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -121,10 +129,13 @@ def combined_loss_values(pred: np.ndarray, truth: np.ndarray, lam: float) -> np.
     ssq_a = (rows @ a[:, :, None])[:, 0, 0]
     ssq_b = float(b @ b)
     var_a = ssq_a / n
-    if (var_a < VARIANCE_FLOOR).any() or ssq_b / n < VARIANCE_FLOOR:
+    flat = var_a < VARIANCE_FLOOR
+    if flat.any() or ssq_b / n < VARIANCE_FLOOR:
+        row = 0 if ssq_b / n < VARIANCE_FLOOR else int(flat.argmax())
         raise DegenerateBatchError(
-            f"variance below {VARIANCE_FLOOR:g} (pred {var_a.min():.3e}, "
-            f"truth {ssq_b / n:.3e})"
+            f"variance below {VARIANCE_FLOOR:g} (pred {var_a[row]:.3e}, "
+            f"truth {ssq_b / n:.3e})",
+            row,
         )
     cross = (rows @ b[:, None])[:, 0, 0]
     residual = pred - truth

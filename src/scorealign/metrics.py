@@ -75,13 +75,12 @@ def rl2e(pred: np.ndarray, truth: np.ndarray, s_max: float, s_min: float) -> flo
 def pooled_metrics(
     per_session: list[tuple[np.ndarray, np.ndarray]], s_max: float, s_min: float
 ) -> tuple[float | None, float]:
-    """(srcc, rl2e) over the concatenation of all sessions' samples."""
+    """(srcc, rl2e) over the concatenation of all sessions' samples; srcc
+    is None below two samples."""
     if not per_session:
         raise ValueError("pooled metrics need at least one session")
     pred = np.concatenate([np.asarray(p, dtype=np.float64) for p, _ in per_session])
     truth = np.concatenate([np.asarray(t, dtype=np.float64) for _, t in per_session])
-    if pred.size < 2:
-        raise ValueError(f"pooled metrics need >= 2 samples total, got {pred.size}")
     return srcc(pred, truth), rl2e(pred, truth, s_max, s_min)
 
 

@@ -368,18 +368,12 @@ def check_feature_dim(model: ModelState, data: LoadedData) -> None:
 # --- evaluation ---------------------------------------------------------
 
 
-@dataclass
-class EvalResult:
-    sessions: dict[str, dict]
-    variants: dict[str, dict]
-    pooled: dict
-
-
 def evaluate(
     model: ModelState, samples: list[ScoredSample], score_range: tuple[float, float]
-) -> EvalResult:
-    """Deterministic per-sample scoring grouped by session and variant.
-    The samples share one frame count and are scored as one stack."""
+) -> dict[str, dict]:
+    """Deterministic per-sample scoring grouped by session and variant: the
+    report's sessions, variants and pooled tables, by field name. The
+    samples share one frame count and are scored as one stack."""
     if not samples:
         raise TrainingError("cannot evaluate an empty sample list")
     lo, hi = score_range
@@ -403,16 +397,12 @@ def evaluate(
         [(preds[idx], truths[idx]) for idx in by_session.values()], hi, lo
     )
     pooled = {"srcc_ove": srcc_ove, "rl2e_ove": rl2e_ove, "n": int(preds.size)}
-    return EvalResult(sessions, variants, pooled)
+    return {"sessions": sessions, "variants": variants, "pooled": pooled}
 
 
-def build_report(
-    config: RunConfig, mode: str, result: EvalResult | None = None, **fields
-) -> MetricReport:
-    """A report stamped with the run configuration, holding the tables of
-    an evaluation when one is given, plus any other report fields."""
-    if result is not None:
-        fields.update(sessions=result.sessions, variants=result.variants, pooled=result.pooled)
+def build_report(config: RunConfig, mode: str, **fields) -> MetricReport:
+    """A report stamped with the run configuration, holding the given
+    report fields."""
     stamp = config.to_dict()
     return MetricReport(
         mode=mode, seed=config.seed, config_hash=config_hash(stamp), config=stamp, **fields
@@ -435,8 +425,9 @@ def train_joint(
         save_checkpoint(
             checkpoint_path, config, model, MemoryBank(), streams, 0, counters, trace
         )
-    result = evaluate(model, test, config.score_range)
-    report = build_report(config, "joint", result, counters=counters.to_dict())
+    report = build_report(
+        config, "joint", **evaluate(model, test, config.score_range), counters=counters.to_dict()
+    )
     return RunResult(model, MemoryBank(), report, trace)
 
 
@@ -459,6 +450,9 @@ def train_continual(
     sessions' test splits."""
     if not data.sessions:
         raise TrainingError("continual training needs at least one session")
+    test = data.all_test()
+    if not test:
+        raise TrainingError("continual training needs a nonempty test split")
     notes: list[str] = []
     trace: list[float] = []
     counters = _Counters()
@@ -513,11 +507,10 @@ def train_continual(
             )
     _check_degenerate_fraction(counters)
 
-    result = evaluate(model, data.all_test(), config.score_range)
     report = build_report(
         config,
         "continual",
-        result,
+        **evaluate(model, test, config.score_range),
         counters={
             **counters.to_dict(),
             "bank_floats": bank.num_floats(),
@@ -555,11 +548,13 @@ def flat_minima_probe(
     by their `:g` label, so two radii with one label are rejected.
 
     The trained head and every perturbed head are rows of one buffer,
-    scored on each session as stacks; each loss is the one its head alone
-    gives, and the increases are summed in draw order. A session whose
-    loss is undefined at the trained head or at a perturbed one raises
-    TrainingError: every session's trained head is checked first, then
-    the perturbed heads, radius by radius.
+    run forward on each session in stacks and scored by one loss call;
+    each loss is the one its head alone gives, and the increases are
+    summed in draw order. A session whose loss is undefined at the trained
+    head or at a perturbed one raises TrainingError: every session's
+    trained head is checked first, then the perturbed heads, radius by
+    radius, each radius in session order. The message names the first
+    undefined head's own pred variance.
     """
     if draws < 1:
         raise ValueError(f"probe needs draws >= 1, got {draws}")
@@ -580,28 +575,27 @@ def flat_minima_probe(
     np.multiply(directions, np.asarray(radii, dtype=np.float64)[:, None, None], out=perturbed)
     perturbed += flat
     per_session: dict[str, dict] = {}
-    undefined = []  # (name, scores, every head's predictions) of each session with an undefined loss
+    first = None  # (radius index, session, error) of the first undefined perturbed loss
     for session in sessions:
         if not session.train:
             raise TrainingError(f"session '{session.name}' has no training samples")
         pooled = pool(np.stack([s.features for s in session.train]))[None]
         scores = np.array([s.score for s in session.train])
         rows = max(1, _PROBE_STACK_ROWS // len(scores))
-        stacks = [
+        preds = np.concatenate([
             mlp_forward(MlpParams(heads[i : i + rows], model.head.sizes), pooled)[0][:, :, 0]
             for i in range(0, len(heads), rows)
-        ]
+        ])
         try:
-            values = np.concatenate([combined_loss_values(p, scores, lam) for p in stacks])
-        except DegenerateBatchError:
-            preds = np.concatenate(stacks)
-            try:
-                combined_loss(preds[0], scores, lam)
-            except DegenerateBatchError as exc:
+            values = combined_loss_values(preds, scores, lam)
+        except DegenerateBatchError as exc:
+            if exc.row == 0:
                 raise TrainingError(
                     f"session '{session.name}': training loss undefined at the trained head: {exc}"
                 ) from exc
-            undefined.append((session.name, scores, preds))
+            r = (exc.row - 1) // draws
+            if first is None or r < first[0]:
+                first = (r, session.name, exc)
             continue
         entry = {"baseline_loss": float(values[0]), "mean_delta": {}}
         for label, deltas in zip(labels, (values[1:] - values[0]).reshape(-1, draws).tolist()):
@@ -610,20 +604,12 @@ def flat_minima_probe(
                 total += value
             entry["mean_delta"][label] = total / draws
         per_session[session.name] = entry
-    for r, label in enumerate(labels):
-        for name, scores, preds in undefined:
-            # stacks of up to `rows` draws of one radius, so that the error's
-            # pred variance is the least over the same draws at any stack size
-            rows = max(1, _PROBE_STACK_ROWS // len(scores))
-            for i in range(0, draws, rows):
-                at = 1 + r * draws + i
-                try:
-                    combined_loss_values(preds[at : at + min(rows, draws - i)], scores, lam)
-                except DegenerateBatchError as exc:
-                    raise TrainingError(
-                        f"session '{name}': training loss undefined at a head "
-                        f"perturbed by radius {label}: {exc}"
-                    ) from exc
+    if first is not None:
+        r, name, exc = first
+        raise TrainingError(
+            f"session '{name}': training loss undefined at a head "
+            f"perturbed by radius {labels[r]}: {exc}"
+        ) from exc
     return {
         "radii": labels,
         "draws": draws,

@@ -259,6 +259,29 @@ def test_probe_with_constant_session_scores_exit_code_four(bench, tmp_path) -> N
     assert not report.exists()
 
 
+def test_train_and_eval_on_one_test_sample_report_null_pooled_srcc(bench, tmp_path) -> None:
+    runner, out = bench
+    payload = json.loads((out / "manifest.json").read_text())
+    for rec in payload["records"]:
+        rec["split"] = "train"
+    next(r for r in payload["records"] if r["session"] == "session1")["split"] = "test"
+    manifest = out / "one_test.json"  # feature paths resolve against the manifest's directory
+    manifest.write_text(json.dumps(payload))
+    ckpt = _train_checkpoint(runner, manifest, tmp_path / "run.ckpt")
+    eval_report = tmp_path / "eval.json"
+    result = runner.invoke(
+        main,
+        ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+         "--report-out", str(eval_report)] + DATA_ARGS,
+    )
+    assert result.exit_code == 0, result.output
+    for path in (ckpt.with_suffix(".json"), eval_report):
+        pooled = json.loads(path.read_text())["pooled"]
+        assert pooled["n"] == 1 and pooled["srcc_ove"] is None
+        assert np.isfinite(pooled["rl2e_ove"])
+        assert read_report(path).pooled == pooled
+
+
 def test_manifest_of_another_feature_dim_exit_code_three(bench, tmp_path) -> None:
     runner, out = bench
     manifest = out / "manifest.json"

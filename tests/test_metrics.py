@@ -228,6 +228,12 @@ def test_pooled_empty_rejected() -> None:
         pooled_metrics([], 5.0, 1.0)
 
 
+def test_pooled_srcc_is_none_below_two_samples() -> None:
+    s, r = pooled_metrics([(np.array([2.0]), np.array([3.0]))], 5.0, 1.0)
+    assert s is None
+    assert r == pytest.approx(0.0625, abs=1e-15)
+
+
 # --- report plumbing ------------------------------------------------------
 
 

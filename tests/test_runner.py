@@ -9,7 +9,7 @@ import pytest
 from scorealign import keyframe, memory, runner
 from scorealign.data import LoadedData, ScoredSample, SessionData
 from scorealign.head import batch_sample, batch_sample_backward, pool
-from scorealign.losses import combined_loss, correlation_loss
+from scorealign.losses import DegenerateBatchError, combined_loss, correlation_loss
 from scorealign.numkit import (
     AdamState,
     MlpParams,
@@ -186,7 +186,7 @@ def test_base_pretraining_beats_cold_init_on_base_split() -> None:
     trained_eval = evaluate(pretrained, data.base.test, config.score_range)
     cold_eval = evaluate(cold, data.base.test, config.score_range)
     name = data.base.name
-    assert trained_eval.sessions[name]["srcc"] > cold_eval.sessions[name]["srcc"]
+    assert trained_eval["sessions"][name]["srcc"] > cold_eval["sessions"][name]["srcc"]
 
 
 def test_cold_start_without_base_is_tagged() -> None:
@@ -277,9 +277,9 @@ def test_evaluate_perfect_model_scores_one_and_zero() -> None:
             )
         )
     result = evaluate(model, samples, config.score_range)
-    assert result.sessions["s1"]["srcc"] == pytest.approx(1.0, abs=1e-12)
-    assert result.sessions["s1"]["rl2e"] == 0.0
-    assert result.pooled["srcc_ove"] == pytest.approx(1.0, abs=1e-12)
+    assert result["sessions"]["s1"]["srcc"] == pytest.approx(1.0, abs=1e-12)
+    assert result["sessions"]["s1"]["rl2e"] == 0.0
+    assert result["pooled"]["srcc_ove"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evaluate_constant_predictor_marks_undefined() -> None:
@@ -293,9 +293,9 @@ def test_evaluate_constant_predictor_marks_undefined() -> None:
         for i in range(4)
     ]
     result = evaluate(model, samples, config.score_range)
-    assert result.sessions["s1"]["srcc"] is None
+    assert result["sessions"]["s1"]["srcc"] is None
     truths = np.array([1.0, 2.0, 3.0, 4.0])
-    assert result.sessions["s1"]["rl2e"] == pytest.approx(float(np.mean((truths / 4.0) ** 2)))
+    assert result["sessions"]["s1"]["rl2e"] == pytest.approx(float(np.mean((truths / 4.0) ** 2)))
 
 
 def test_evaluate_groups_by_variant_tag() -> None:
@@ -313,8 +313,8 @@ def test_evaluate_groups_by_variant_tag() -> None:
         for i in range(8)
     ]
     result = evaluate(model, samples, config.score_range)
-    assert set(result.variants) == {"7A", "7B"}
-    assert result.variants["7A"]["n"] == 4
+    assert set(result["variants"]) == {"7A", "7B"}
+    assert result["variants"]["7A"]["n"] == 4
 
 
 # --- flat-minima probe ---------------------------------------------------------
@@ -430,6 +430,43 @@ def test_probe_raises_the_first_undefined_loss_in_session_then_radius_order(case
     assert np.array_equal(model.head.flat, trained)
 
 
+def test_probe_names_the_first_undefined_heads_own_pred_variance(monkeypatch) -> None:
+    """Two heads of one radius predict all but constant scores, the first
+    with the wider spread: the error names the first head's pred variance,
+    not the least over the radius."""
+    rng = np.random.default_rng(8)
+    model = init_model(FEAT_DIM, _config())
+    model.head.flat[:] += rng.normal(size=model.head.flat.size) * 0.3
+    samples = [
+        ScoredSample(f"a_{i}", rng.normal(size=(FRAMES, FEAT_DIM)), float(rng.uniform(1, 5)), "a")
+        for i in range(6)
+    ]
+    trained = model.head.flat.copy()
+    real_forward = runner.mlp_forward
+    flat = []  # the predictions written for each undefined head, in head order
+
+    def forward(params: MlpParams, x: np.ndarray):
+        out, tape = real_forward(params, x)
+        distances = np.sqrt(((np.atleast_2d(params.flat) - trained) ** 2).sum(axis=1))
+        for row in np.flatnonzero(np.abs(distances - 1.0) < 1e-9)[: 2 - len(flat)]:
+            out[row, :, 0] = 3.0 + np.resize([1.0, -1.0], x.shape[1]) * (1e-8 if flat else 1e-7)
+            flat.append(out[row, :, 0].copy())
+        return out, tape
+
+    monkeypatch.setattr(runner, "mlp_forward", forward)
+    with pytest.raises(TrainingError) as err:
+        # every head in one stack
+        flat_minima_probe(model, [SessionData("a", samples, [])], 0.05, [0.5, 1.0], SeededRng(3), draws=3)
+    assert len(flat) == 2
+    truth = np.array([s.score for s in samples])
+    with pytest.raises(DegenerateBatchError) as first:
+        combined_loss(flat[0], truth, 0.05)
+    assert "pred 1.000e-14" in str(first.value)
+    assert str(err.value) == (
+        f"session 'a': training loss undefined at a head perturbed by radius 1: {first.value}"
+    )
+
+
 # --- checkpointing ---------------------------------------------------------------
 
 
@@ -452,6 +489,17 @@ def test_checkpoint_roundtrip_preserves_state(tmp_path) -> None:
             assert np.array_equal(a.features, b.features)
     assert bundle.loss_trace.dtype == np.float64
     assert np.array_equal(bundle.loss_trace, result.loss_trace)
+
+
+def test_continual_run_without_test_samples_fails_before_training(tmp_path) -> None:
+    data = _dataset(n_sessions=2, n=12)
+    for session in data.sessions:
+        session.train += session.test
+        session.test = []
+    path = tmp_path / "run.ckpt"
+    with pytest.raises(TrainingError, match="nonempty test split"):
+        train_continual(_config(), data, checkpoint_path=path)
+    assert not path.exists()
 
 
 def test_resume_matches_straight_run(tmp_path) -> None:

@@ -714,13 +714,11 @@ def test_stacked_evaluate_matches_per_sample_predict_eval() -> None:
         want = np.array([_predict_eval_one(model.head, s.features) for s in samples])
         preds = predict_eval(model.head, np.stack([s.features for s in samples]))
         assert _same_bytes(preds, want), f"predictions differ, seed {seed}"
-        if n < 2:
-            continue  # pooled metrics need two samples
 
         result = runner.evaluate(model, samples, config.score_range)
         lo, hi = config.score_range
         truths = np.array([s.score for s in samples])
-        for tag, entry in result.sessions.items():
+        for tag, entry in result["sessions"].items():
             idx = [i for i, s in enumerate(samples) if s.session == tag]
             expected = metric_entry(want[idx], truths[idx], hi, lo)
             assert json.dumps(entry) == json.dumps(expected), f"session {tag} differs, seed {seed}"
@@ -825,14 +823,20 @@ def test_stacked_loss_values_raise_on_any_degenerate_row() -> None:
     for row in range(4):
         bad = pred.copy()
         bad[row] = 2.5 + rng.normal(size=6) * np.sqrt(VARIANCE_FLOOR) * 1e-3
-        with pytest.raises(DegenerateBatchError):
+        with pytest.raises(DegenerateBatchError) as alone:
             combined_loss(bad[row], truth, 0.05)
-        with pytest.raises(DegenerateBatchError):
+        assert alone.value.row == 0
+        with pytest.raises(DegenerateBatchError) as stacked:
             combined_loss_values(bad, truth, 0.05)
-    with pytest.raises(DegenerateBatchError):
+        assert stacked.value.row == row
+        # the message names the bad row's own pred variance
+        assert str(stacked.value) == str(alone.value)
+    with pytest.raises(DegenerateBatchError) as constant:
         combined_loss_values(pred, np.full(6, 3.0), 0.05)
-    with pytest.raises(DegenerateBatchError):
+    assert constant.value.row == 0
+    with pytest.raises(DegenerateBatchError) as short:
         combined_loss_values(pred[:, :1], truth[:1], 0.05)
+    assert short.value.row == 0
 
 
 @pytest.mark.parametrize("hidden", [(64, 32), (4,)])
