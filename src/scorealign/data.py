@@ -46,7 +46,7 @@ class Reader:
     rejects truncation, a bad preamble, trailing bytes and non-finite
     floats the same way: with `error` (CodecError or a subclass), its
     message after `prefix`, naming the byte offset. The walk moves past
-    float payloads with `run`, which records them for `decode_block`.
+    float payloads with `run`, which records them for `decode`.
     """
 
     def __init__(self, raw: bytes, error: type[CodecError] = CodecError, prefix: str = ""):
@@ -54,6 +54,8 @@ class Reader:
         self.pos = 0
         self.error = error
         self.prefix = prefix
+        # per recorded run: where it starts, its float count and its name(s)
+        self.runs: list[tuple[int, int, str | list[str]]] = []
 
     def fault(self, message: str, offset: int) -> CodecError:
         return self.error(self.prefix + message, offset)
@@ -76,29 +78,19 @@ class Reader:
         packed = _struct(fmt)
         return packed.unpack_from(self.raw, self.skip(packed.size, what))
 
-    def string(self, what: str) -> str:
-        raw = self.take(self.unpack("I", f"{what} length")[0], what)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise self.fault(f"{what} is not valid UTF-8", self.pos - len(raw)) from exc
-
-    def lengths(self, count: int, what: str) -> list[int]:
-        """A column of count u32 lengths. A cut column is reported at its
-        first cut value, as reading them one at a time would."""
-        start = self.pos
-        whole = min(count, (len(self.raw) - start) // 4)
+    def strings(self, count: int, what: str) -> list[str]:
+        """count UTF-8 strings: a column of count u32 byte lengths, then the
+        strings back to back, each decoded on its own so that a fault names
+        its offset. The first cut length, cut string or invalid string is
+        reported, as reading them one at a time would."""
+        raw, start = self.raw, self.pos
+        size = len(raw)
+        whole = min(count, (size - start) // 4)
         self.pos = start + 4 * whole
         if whole < count:
-            self.skip(4, what)
-        return np.frombuffer(self.raw, "<u4", count, start).tolist()
-
-    def strings(self, lengths: list[int], what: str) -> list[str]:
-        """UTF-8 strings of these byte lengths, back to back, each decoded
-        on its own so that a fault names its offset. The first cut or
-        invalid string is reported, as reading them one at a time would."""
-        raw, at, decoded = self.raw, self.pos, []
-        size = len(raw)
+            self.skip(4, f"{what} length")
+        lengths = np.frombuffer(raw, "<u4", count, start).tolist()
+        at, decoded = self.pos, []
         try:
             for n in lengths:
                 if at + n > size:
@@ -108,7 +100,7 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise self.fault(f"{what} is not valid UTF-8", at) from exc
         self.pos = at
-        if len(decoded) < len(lengths):
+        if len(decoded) < count:
             self.skip(lengths[len(decoded)], what)
         return decoded
 
@@ -121,21 +113,58 @@ class Reader:
         if found_version != version:
             raise self.fault(f"unsupported version {found_version}", len(magic))
 
-    def run(self, runs: list, dtype: str, count: int, what: str | list[str]) -> None:
-        """Move past count floats stored as dtype, appending them to runs
-        for decode_block. `what` names the run, or is a list naming each of
-        its equal rows: a fault then names its row and the index in it, and
-        a cut run records its whole rows and reports the first cut one, as
-        if each row were a run of its own."""
+    def run(self, dtype: str, count: int, what: str | list[str]) -> None:
+        """Move past count floats stored as dtype, recording them for
+        decode. `what` names the run, or is a list naming each of its equal
+        rows: a fault then names its row and the index in it, and a cut
+        run records its whole rows and reports the first cut one, as if
+        each row were a run of its own."""
         width = _itemsize(dtype)
         if isinstance(what, str):
-            runs.append((self, self.skip(width * count, what), count, what))
+            self.runs.append((self.skip(width * count, what), count, what))
             return
         row = count // len(what)
         whole = min(len(what), (len(self.raw) - self.pos) // (width * row))
-        runs.append((self, self.skip(width * row * whole, what[0]), row * whole, what[:whole]))
+        self.runs.append((self.skip(width * row * whole, what[0]), row * whole, what[:whole]))
         if whole < len(what):
             self.skip(width * row, what[whole])
+
+    def decode(self, dtype: str, walk: Callable[[], T]) -> tuple[T, list[np.ndarray]]:
+        """What walk() returns, and the float64 values of each run it
+        recorded with run, as views of one flat block.
+
+        The runs are joined, checked for finiteness and cast at once. The
+        first non-finite value is rejected naming its run's `what` (or its
+        row's name, for a run of named rows), its flat index in the run (or
+        row) and its byte offset. A CodecError the walk raises comes after
+        every run it recorded, so it is raised only when those runs are
+        finite: the first fault in the input is the one reported.
+        """
+        fault = None
+        try:
+            walked = walk()
+        except CodecError as exc:
+            fault = exc
+        runs, width = self.runs, _itemsize(dtype)
+        view = memoryview(self.raw)
+        stored = np.frombuffer(b"".join([view[s : s + width * n] for s, n, _ in runs]), dtype=dtype)
+        offsets = [0, *itertools.accumulate(n for _, n, _ in runs)]
+        # checked before the cast, which would warn on a signaling NaN
+        finite = np.isfinite(stored)
+        if not finite.all():
+            at = int(np.flatnonzero(~finite)[0])
+            i = int(np.searchsorted(offsets, at, side="right")) - 1
+            start, count, what = runs[i]
+            col = at - offsets[i]
+            byte = start + width * col
+            if not isinstance(what, str):
+                row, col = divmod(col, count // len(what))
+                what = what[row]
+            raise self.fault(f"non-finite value in {what} at flat index {col}", byte)
+        if fault is not None:
+            raise fault
+        block = stored.astype(np.float64)
+        return walked, [block[a:b] for a, b in zip(offsets, offsets[1:])]
 
     def end(self, what: str) -> None:
         if self.pos != len(self.raw):
@@ -147,47 +176,6 @@ _struct = functools.cache(lambda fmt: struct.Struct("<" + fmt))
 _itemsize = functools.cache(lambda dtype: np.dtype(dtype).itemsize)
 
 T = TypeVar("T")
-
-
-def decode_block(dtype: str, walk: Callable[[list], T]) -> tuple[T, np.ndarray, list[int]]:
-    """What walk(runs) returns, the float64 values of the runs it recorded
-    with Reader.run decoded as one flat block, and the index in the block
-    of each run's first value, then the block's size.
-
-    The runs, from one reader or several and of any lengths, are joined,
-    checked for finiteness and cast at once. The first non-finite value is
-    rejected naming its reader's prefix, its run's `what` (or its row's
-    name, for a run of named rows), its flat index in the run (or row) and
-    its byte offset. A CodecError the walk raises comes
-    after every run it recorded, so it is raised only when those runs are
-    finite: the first fault in the input is the one reported.
-    """
-    runs: list[tuple[Reader, int, int, str | list[str]]] = []
-    fault = None
-    try:
-        walked = walk(runs)
-    except CodecError as exc:
-        fault = exc
-    width = _itemsize(dtype)
-    stored = np.frombuffer(
-        b"".join([memoryview(r.raw)[s : s + width * n] for r, s, n, _ in runs]), dtype=dtype
-    )
-    offsets = [0, *itertools.accumulate(n for _, _, n, _ in runs)]
-    # checked before the cast, which would warn on a signaling NaN
-    finite = np.isfinite(stored)
-    if not finite.all():
-        at = int(np.flatnonzero(~finite)[0])
-        i = int(np.searchsorted(offsets, at, side="right")) - 1
-        reader, start, count, what = runs[i]
-        col = at - offsets[i]
-        byte = start + width * col
-        if not isinstance(what, str):
-            row, col = divmod(col, count // len(what))
-            what = what[row]
-        raise reader.fault(f"non-finite value in {what} at flat index {col}", byte)
-    if fault is not None:
-        raise fault
-    return walked, stored.astype(np.float64), offsets
 
 
 class ManifestError(ValueError):
@@ -275,24 +263,23 @@ def _read_features(files: list[tuple[str | Path, bytes]]) -> list[np.ndarray]:
 
 def _raise_feature_fault(files: list[tuple[str | Path, bytes]]) -> NoReturn:
     """Raise the first fault, in file order, of feature files that
-    _read_features rejected. A Reader walk checks each file's header and
-    end and hands its payload to decode_block, so a fault names its file
-    and byte offset, and a bad header is raised only after the payloads
-    before it are found finite. The walk accepts exactly what the header
-    check accepts, so when every header passes, a payload holds the
-    non-finite value that decode_block raises for."""
+    _read_features rejected. Each file is decoded by a Reader walk of its
+    header and end, so a fault names its file and byte offset, and a bad
+    end is raised only after the file's payload is found finite. The walk
+    accepts exactly what the header check accepts, so when every header
+    passes, a payload holds the non-finite value that decode raises for."""
+    for name, raw in files:
+        reader = Reader(raw, prefix=f"feature file '{name}': ")
 
-    def walk(runs: list) -> None:
-        for name, raw in files:
-            reader = Reader(raw, prefix=f"feature file '{name}': ")
+        def walk() -> None:
             reader.preamble(FEATURE_MAGIC, FEATURE_VERSION)
             t, d = reader.unpack("II", "shape")
             if t < 1 or d < 1:
                 raise reader.fault(f"empty shape ({t}, {d}) in header", 12)
-            reader.run(runs, "<f4", t * d, "features")
+            reader.run("<f4", t * d, "features")
             reader.end("features")
 
-    decode_block("<f4", walk)
+        reader.decode("<f4", walk)
     raise AssertionError("feature files that pass every check reached the fault walk")
 
 
@@ -348,8 +335,8 @@ def write_manifest(path: str | Path, records: list[dict]) -> None:
 def _parse_records(path: Path) -> list[dict]:
     try:
         payload = json.loads(path.read_text())
-    except ValueError as exc:
-        # undecodable text, bad JSON, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:
+        # undecodable text, bad or too deeply nested JSON, or an int past the digit limit
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     records = payload.get("records") if isinstance(payload, dict) else None
     if not isinstance(records, list) or not records:
@@ -635,8 +622,8 @@ def read_report(path: str | Path) -> MetricReport:
         data = json.loads(Path(path).read_text(), object_pairs_hook=_reject_duplicate_keys)
     except ManifestError:
         raise
-    except ValueError as exc:
-        # undecodable text, bad JSON, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:
+        # undecodable text, bad or too deeply nested JSON, or an int past the digit limit
         raise ManifestError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ManifestError(f"report must be a JSON object, got {type(data).__name__}")

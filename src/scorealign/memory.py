@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .data import CodecError, Reader, ScoredSample, decode_block
+from .data import CodecError, Reader, ScoredSample
 from .keyframe import phi_select
 from .numkit import SeededRng
 
@@ -156,19 +156,19 @@ def encode_sessions(bank: MemoryBank, dtype: str) -> bytes:
 
 
 # a walked session table: per session tag, its exemplar ids, (K, D) and the
-# index of its run among those the walk recorded
+# position of its run among those the reader recorded
 SessionTable = dict[str, tuple[list[str], int, int, int]]
 
 
-def walk_sessions(reader: Reader, dtype: str, runs: list) -> SessionTable:
+def walk_sessions(reader: Reader, dtype: str) -> SessionTable:
     """The session table at the reader's cursor, walked, with each
-    session's (count, 1 + K x D) run recorded in runs for decode_block,
-    its rows named by exemplar. Faults raise reader.error, at the offset a
-    walk one exemplar at a time would report."""
+    session's (count, 1 + K x D) run recorded for Reader.decode, its rows
+    named by exemplar. Faults raise reader.error, at the offset a walk one
+    exemplar at a time would report."""
     table: SessionTable = {}
     for _ in range(reader.unpack("I", "session count")[0]):
         tag_at = reader.pos
-        tag = reader.string("session tag")
+        (tag,) = reader.strings(1, "session tag")
         if tag in table:
             raise reader.fault(f"duplicate session '{tag}' in session table", tag_at)
         shape_at = reader.pos
@@ -177,28 +177,26 @@ def walk_sessions(reader: Reader, dtype: str, runs: list) -> SessionTable:
             raise reader.fault(f"session '{tag}' has no exemplars", shape_at)
         if k == 0 or d == 0:
             raise reader.fault(f"session '{tag}' has empty exemplar shape ({k}, {d})", shape_at)
-        ids = reader.strings(reader.lengths(count, "sample id length"), "sample id")
-        table[tag] = (ids, k, d, len(runs))
-        reader.run(runs, dtype, count * (1 + k * d), [f"exemplar '{i}'" for i in ids])
+        ids = reader.strings(count, "sample id")
+        table[tag] = (ids, k, d, len(reader.runs))
+        reader.run(dtype, count * (1 + k * d), [f"exemplar '{i}'" for i in ids])
     return table
 
 
-def sessions_from(table: SessionTable, block: np.ndarray, offsets: list[int]) -> MemoryBank:
-    """The bank of a walked session table, given decode_block's block and
-    run offsets: a session's scores and features are views of its one
-    (count, 1 + K x D) run."""
+def sessions_from(table: SessionTable, runs: list[np.ndarray]) -> MemoryBank:
+    """The bank of a walked session table, given Reader.decode's runs: a
+    session's scores and features are views of its one (count, 1 + K x D)
+    run."""
     bank = MemoryBank()
     for tag, (ids, k, d, run) in table.items():
-        at = offsets[run]
-        rows = block[at : at + len(ids) * (1 + k * d)].reshape(len(ids), 1 + k * d)
+        rows = runs[run].reshape(len(ids), 1 + k * d)
         bank.sessions[tag] = Session(ids, rows[:, 0], rows[:, 1:].reshape(len(ids), k, d))
     return bank
 
 
 def read_sessions(reader: Reader, dtype: str) -> MemoryBank:
     """The session table at the reader's cursor, decoded as one block."""
-    table, block, offsets = decode_block(dtype, lambda runs: walk_sessions(reader, dtype, runs))
-    return sessions_from(table, block, offsets)
+    return sessions_from(*reader.decode(dtype, lambda: walk_sessions(reader, dtype)))
 
 
 def _encode_bank(bank: MemoryBank) -> bytes:

@@ -26,7 +26,7 @@ from .adapter import (
     reconstruct_with_tape,
     reg_loss_and_grads,
 )
-from .data import CodecError, LoadedData, Reader, ScoredSample, SessionData, _is_int, decode_block
+from .data import CodecError, LoadedData, Reader, ScoredSample, SessionData, _is_int
 from .head import batch_sample, batch_sample_backward, init_head, pool, pool_backward, predict_eval
 from .keyframe import phi_select
 from .losses import DegenerateBatchError, combined_loss, combined_loss_values
@@ -471,22 +471,24 @@ def train_continual(
                 f"{bundle.completed_sessions} sessions, the manifest has {len(data.sessions)}"
             )
         check_feature_dim(bundle.model, data)
+        start_session = bundle.completed_sessions
+    # every session this run trains is checked before any training
+    for session in data.sessions[start_session:]:
+        if not session.train:
+            raise TrainingError(f"session '{session.name}' has no training samples")
+    if resume_from is not None:
         model = bundle.model
         bank = bundle.bank
         streams = _Streams.from_state(bundle.stream_state)
-        start_session = bundle.completed_sessions
         counters = bundle.counters
         trace = bundle.loss_trace.tolist()
         notes.append(f"resumed after {start_session} completed sessions")
     else:
-        first = data.sessions[0]
-        if not first.train:
-            raise TrainingError(f"session '{first.name}' has no training samples")
         bank = MemoryBank()
         if data.base is not None:
             model = base_pretrain(config, data.base)
         else:
-            model = init_model(first.train[0].features.shape[1], config)
+            model = init_model(data.sessions[0].train[0].features.shape[1], config)
             notes.append("cold start: no base session for pretraining")
         streams = _Streams(config.seed)
 
@@ -675,8 +677,8 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         return _decode_checkpoint(reader)
     except CheckpointError:
         raise
-    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
-        # ValueError covers undecodable text and bad JSON
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError, RecursionError) as exc:
+        # undecodable text and bad JSON (ValueError) or too deeply nested JSON
         raise CheckpointError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -733,16 +735,16 @@ def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
     layout = [*blocks.items(), *((f"adam.{x}:{name}", blocks[name]) for name in sorted(t) for x in "mv")]
     layout.append(("trace", _count(header["trace_length"], "trace_length")))
 
-    def walk(runs: list) -> dict:
+    def walk() -> dict:
         for name, count in layout:
-            reader.run(runs, "<f8", count, f"array '{name}'")
-        table = walk_sessions(reader, "<f8", runs)
+            reader.run("<f8", count, f"array '{name}'")
+        table = walk_sessions(reader, "<f8")
         reader.end("checkpoint payload")
         return table
 
-    table, block, offsets = decode_block("<f8", walk)
-    values = {name: block[at : at + count] for (name, count), at in zip(layout, offsets)}
-    bank = sessions_from(table, block, offsets)
+    table, runs = reader.decode("<f8", walk)
+    values = {name: run for (name, _), run in zip(layout, runs)}
+    bank = sessions_from(table, runs)
     for tag, session in bank.sessions.items():
         if session.features.shape[1:] != (keyframes, feat_dim):
             raise CheckpointError(

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from scorealign.cli import _make_config, main
 from scorealign.data import read_report
 from scorealign.memory import MemoryBank, encode_sessions
-from scorealign.runner import RunConfig, load_checkpoint
+from scorealign.runner import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, RunConfig, load_checkpoint
 
 SYNTH_ARGS = [
     "synth",
@@ -727,6 +727,26 @@ def test_malformed_report_exit_code_three(tmp_path) -> None:
         assert result.exit_code == 3, text
 
 
+def test_json_nested_too_deep_exits_three(bench, tmp_path) -> None:
+    runner, out = bench
+    deep = "[" * 200_000 + "]" * 200_000
+    report = tmp_path / "deep.json"
+    report.write_text(deep)
+    manifest = tmp_path / "deep_manifest.json"
+    manifest.write_text('{"records": ' + deep + "}")
+    ckpt = tmp_path / "deep.ckpt"
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(deep)) + deep.encode())
+    for args in (
+        ["report", str(report)],
+        ["train", "--manifest", str(manifest), "--report-out", str(tmp_path / "r.json")],
+        ["eval", "--checkpoint", str(ckpt), "--manifest", str(out / "manifest.json"),
+         "--report-out", str(tmp_path / "e.json")],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, (args[0], result.output)
+        assert "error:" in result.output, args[0]
+
+
 def test_malformed_report_entries_exit_code_three(tmp_path) -> None:
     runner = CliRunner()
     bad = tmp_path / "bad.json"
@@ -741,6 +761,29 @@ def test_malformed_report_entries_exit_code_three(tmp_path) -> None:
         bad.write_text(head + body + "}")
         result = runner.invoke(main, ["report", str(bad)])
         assert result.exit_code == 3, body
+
+
+def test_continual_run_with_an_empty_later_split_exits_four_before_its_checkpoint(tmp_path) -> None:
+    runner = CliRunner()
+    out = tmp_path / "three"
+    result = runner.invoke(main, SYNTH_ARGS + ["--sessions", "3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    manifest = out / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    for rec in payload["records"]:
+        if rec["session"] == "session3":
+            rec["split"] = "test"
+    manifest.write_text(json.dumps(payload))
+    ckpt = tmp_path / "run.ckpt"
+    result = runner.invoke(
+        main,
+        ["train", "--manifest", str(manifest), "--report-out", str(tmp_path / "r.json"),
+         "--checkpoint-out", str(ckpt)]
+        + TRAIN_SPEED_ARGS,
+    )
+    assert result.exit_code == 4, result.output
+    assert "error: session 'session3' has no training samples" in result.output
+    assert not ckpt.exists()
 
 
 def test_runtime_errors_exit_code_four(tmp_path) -> None:

@@ -495,6 +495,7 @@ _SCHEMA_FAULTS = {
     "payload-not-utf8": (lambda recs: b'{"records": [\xff]}', "not valid JSON"),
     "payload-not-object": (lambda recs: [1, 2], "nonempty 'records' list"),
     "score-past-int-digit-limit": (lambda recs: b'{"records": [' + b"1" * 5000 + b"]}", "not valid JSON"),
+    "nested-too-deep": (lambda recs: b'{"records": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", "not valid JSON"),
     "record-is-number": (lambda recs: {"records": [5, recs[1]]}, "record 0: expected an object"),
     "record-is-string": (lambda recs: {"records": [recs[0], "s_001"]}, "record 1: expected an object"),
     "id-is-list": (lambda recs: _replace(recs, 0, id=["s_000"]), "record 0: field 'id' is not a string"),
@@ -701,6 +702,7 @@ _MALFORMED_REPORT_BODIES = (
     ('"sessions": {}, "counters": "x"', "'counters' is not a dict"),
     ('"sessions": {}, "notes": {"a": 1}', "'notes' is not a list"),
     ('"sessions": {}, "counters": {"steps": ' + "1" * 5000 + "}", "not valid JSON"),
+    ('"sessions": {}, "notes": ' + "[" * 200_000 + "]" * 200_000, "not valid JSON"),
 )
 
 

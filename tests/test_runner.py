@@ -502,6 +502,23 @@ def test_continual_run_without_test_samples_fails_before_training(tmp_path) -> N
     assert not path.exists()
 
 
+def test_continual_run_with_an_empty_later_split_fails_before_training(tmp_path) -> None:
+    data = _dataset(n_sessions=3, n=12, base=True)
+    data.sessions[2].test += data.sessions[2].train
+    data.sessions[2].train = []
+    path = tmp_path / "run.ckpt"
+    with pytest.raises(TrainingError) as err:
+        train_continual(_config(), data, checkpoint_path=path)
+    assert str(err.value) == "session 's3' has no training samples"
+    assert not path.exists()
+    # a resumed run checks the sessions it has left to train
+    prefix = LoadedData(base=data.base, sessions=data.sessions[:2])
+    train_continual(_config(), prefix, checkpoint_path=path)
+    with pytest.raises(TrainingError, match="session 's3' has no training samples"):
+        train_continual(_config(), data, checkpoint_path=tmp_path / "resumed.ckpt", resume_from=path)
+    assert not (tmp_path / "resumed.ckpt").exists()
+
+
 def test_resume_matches_straight_run(tmp_path) -> None:
     from scorealign.data import report_text
 
@@ -547,6 +564,16 @@ def test_checkpoint_rejects_garbage(tmp_path) -> None:
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_nested_too_deep_is_rejected(tmp_path) -> None:
+    text = b"[" * 200_000 + b"]" * 200_000
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(
+        runner.CHECKPOINT_MAGIC + struct.pack("<IQ", runner.CHECKPOINT_VERSION, len(text)) + text
+    )
+    with pytest.raises(CheckpointError, match="RecursionError"):
         load_checkpoint(path)
 
 

@@ -262,7 +262,12 @@ def _read_sessions_one(reader: Reader, dtype: str) -> MemoryBank:
     bank = MemoryBank()
     for _ in range(reader.unpack("I", "session count")[0]):
         tag_at = reader.pos
-        tag = reader.string("session tag")
+        (n,) = reader.unpack("I", "session tag length")
+        raw = reader.take(n, "session tag")
+        try:
+            tag = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise reader.error("session tag is not valid UTF-8", reader.pos - n) from None
         if tag in bank.sessions:
             raise reader.error(f"duplicate session '{tag}' in session table", tag_at)
         shape_at = reader.pos
@@ -1015,6 +1020,47 @@ def test_block_decode_matches_per_exemplar_decode(dtype) -> None:
         "sample id is not valid UTF-8",
         "truncated exemplar",
         "non-finite value in exemplar",
+    }, faults
+
+
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+def test_session_tag_and_id_faults_match_per_exemplar_decode(dtype) -> None:
+    """Every cut of the first session's header and id column, and every tag
+    and id byte set to 0xFF, faults as the per-exemplar decode does."""
+    bank = MemoryBank()
+    for tag, ids in (("s\u00e9", ["a1", "b\u00e92"]), ("t2", ["c3", "d4"])):
+        bank.sessions[tag] = Session(ids, np.array([1.0, 2.0]), np.full((2, 1, 3), 0.5))
+    raw = encode_sessions(bank, dtype)
+    width = np.dtype(dtype).itemsize
+    # per session: its tag length, tag, count K D, id lengths, ids, run
+    text, at, first_end = [], 4, None
+    for tag, session in bank.sessions.items():
+        n = len(tag.encode())
+        text += range(at + 4, at + 4 + n)
+        at += 4 + n + 12 + 4 * len(session)
+        n = sum(len(i.encode()) for i in session.ids)
+        text += range(at, at + n)
+        at += n
+        first_end = first_end or at
+        at += width * session.features.size + width * len(session)
+    assert at == len(raw)
+    mutants = [raw[:cut] for cut in range(first_end)]
+    mutants += [raw[:i] + b"\xff" + raw[i + 1 :] for i in text]
+    faults = set()
+    for case, mutant in enumerate(mutants):
+        got, got_fault = _decoded(read_sessions, mutant, dtype)
+        want, want_fault = _decoded(_read_sessions_one, mutant, dtype)
+        assert want is None and got_fault == want_fault, case
+        faults.add(want_fault[1].split(":")[0].split(" (")[0])
+    assert faults == {
+        "truncated session count",
+        "truncated session tag length",
+        "truncated session tag",
+        "session tag is not valid UTF-8",
+        "truncated exemplar count and shape",
+        "truncated sample id length",
+        "truncated sample id",
+        "sample id is not valid UTF-8",
     }, faults
 
 
