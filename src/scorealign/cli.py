@@ -6,8 +6,9 @@ Exit codes: 0 success, 2 bad usage/configuration, 3 data errors
 
 from __future__ import annotations
 
+import functools
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
@@ -43,18 +44,25 @@ EXIT_RUNTIME = 4
 _DATA_ERRORS = (ManifestError, CodecError, OSError)
 
 
-def _run(action):
-    try:
-        action()
-    except _DATA_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
-    except (TrainingError, FloatingPointError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+def _exit_codes(command):
+    """Decorator around a command's body: an error it raises is printed and
+    exits with its kind's code, a ValueError of no other kind with 2."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except _DATA_ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_DATA)
+        except (TrainingError, FloatingPointError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_RUNTIME)
+        except ValueError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+
+    return run
 
 
 _RUN_DEFAULTS = RunConfig()
@@ -141,37 +149,24 @@ def main() -> None:
     """Continual perceptual-score regression engine."""
 
 
-_SYNTH_DEFAULTS = SynthSpec()
+def _spec_options(fn):
+    """Decorator adding one option per SynthSpec field but include_base, in
+    field order, with the field's default."""
+    for spec_field in reversed([f for f in fields(SynthSpec) if f.name != "include_base"]):
+        flag = "--" + spec_field.name.replace("_", "-")
+        fn = click.option(flag, default=spec_field.default, show_default=True)(fn)
+    return fn
 
 
 @main.command()
 @click.option("--out", required=True, type=click.Path(), help="output directory")
-@click.option("--sessions", default=_SYNTH_DEFAULTS.sessions, show_default=True)
-@click.option("--samples-per-session", default=_SYNTH_DEFAULTS.samples_per_session, show_default=True)
-@click.option("--frames", default=_SYNTH_DEFAULTS.frames, show_default=True)
-@click.option("--feat-dim", default=_SYNTH_DEFAULTS.feat_dim, show_default=True)
-@click.option("--drift", default=_SYNTH_DEFAULTS.drift, show_default=True)
-@click.option("--noise-std", default=_SYNTH_DEFAULTS.noise_std, show_default=True)
-@click.option("--seed", default=_SYNTH_DEFAULTS.seed, show_default=True)
+@_spec_options
 @click.option("--no-base", is_flag=True, help="skip the auxiliary base session")
-def synth(out, sessions, samples_per_session, frames, feat_dim, drift, noise_std, seed, no_base):
+@_exit_codes
+def synth(out, no_base, **spec):
     """Generate a synthetic drift benchmark with a planted scorer."""
-
-    def action():
-        spec = SynthSpec(
-            sessions=sessions,
-            samples_per_session=samples_per_session,
-            frames=frames,
-            feat_dim=feat_dim,
-            drift=drift,
-            noise_std=noise_std,
-            seed=seed,
-            include_base=not no_base,
-        )
-        manifest = generate_synthetic(spec, out)
-        click.echo(f"wrote {manifest}")
-
-    _run(action)
+    manifest = generate_synthetic(SynthSpec(**spec, include_base=not no_base), out)
+    click.echo(f"wrote {manifest}")
 
 
 @main.command()
@@ -182,28 +177,23 @@ def synth(out, sessions, samples_per_session, frames, feat_dim, drift, noise_std
 @click.option("--bank-out", type=click.Path(), default=None, help="also write the memory bank file")
 @click.option("--resume", type=click.Path(exists=True), default=None, help="resume a continual run")
 @_config_options()
+@_exit_codes
 def train(manifest, mode, report_out, checkpoint_out, bank_out, resume, **kw):
     """Train a model and write its evaluation report."""
-
-    def action():
-        if resume is not None and mode != "continual":
-            raise ValueError("--resume applies only to continual runs")
-        config = _make_config(RunConfig(mode=mode), kw)
-        data = _load(manifest, config)
-        if mode == "joint":
-            result = train_joint(config, data, checkpoint_path=checkpoint_out)
-        else:
-            result = train_continual(
-                config, data, checkpoint_path=checkpoint_out, resume_from=resume
-            )
-        emit_report(result.report, report_out)
-        if bank_out is not None:
-            save_bank(result.bank, bank_out)
-        srcc = result.report.pooled.get("srcc_ove")
-        rl2e = result.report.pooled.get("rl2e_ove")
-        click.echo(f"wrote {report_out} (pooled srcc={srcc}, rl2e={rl2e})")
-
-    _run(action)
+    if resume is not None and mode != "continual":
+        raise ValueError("--resume applies only to continual runs")
+    config = _make_config(RunConfig(mode=mode), kw)
+    data = _load(manifest, config)
+    if mode == "joint":
+        result = train_joint(config, data, checkpoint_path=checkpoint_out)
+    else:
+        result = train_continual(config, data, checkpoint_path=checkpoint_out, resume_from=resume)
+    emit_report(result.report, report_out)
+    if bank_out is not None:
+        save_bank(result.bank, bank_out)
+    srcc = result.report.pooled.get("srcc_ove")
+    rl2e = result.report.pooled.get("rl2e_ove")
+    click.echo(f"wrote {report_out} (pooled srcc={srcc}, rl2e={rl2e})")
 
 
 @main.command("eval")
@@ -211,19 +201,16 @@ def train(manifest, mode, report_out, checkpoint_out, bank_out, resume, **kw):
 @click.option("--manifest", required=True, type=click.Path(exists=True))
 @click.option("--report-out", required=True, type=click.Path())
 @_config_options(_DATA_OPTIONS, unset=True)
+@_exit_codes
 def eval_cmd(checkpoint_path, manifest, report_out, **kw):
     """Evaluate a checkpointed model on a manifest's test splits."""
-
-    def action():
-        bundle = load_checkpoint(checkpoint_path)
-        config = _make_config(bundle.config, kw)
-        data = _load(manifest, config)
-        check_feature_dim(bundle.model, data)
-        tables = evaluate(bundle.model, data.all_test(), config.score_range)
-        emit_report(build_report(config, "eval", **tables), report_out)
-        click.echo(f"wrote {report_out}")
-
-    _run(action)
+    bundle = load_checkpoint(checkpoint_path)
+    config = _make_config(bundle.config, kw)
+    data = _load(manifest, config)
+    check_feature_dim(bundle.model, data)
+    tables = evaluate(bundle.model, data.all_test(), config.score_range)
+    emit_report(build_report(config, "eval", **tables), report_out)
+    click.echo(f"wrote {report_out}")
 
 
 @main.command("probe-flatness")
@@ -233,50 +220,42 @@ def eval_cmd(checkpoint_path, manifest, report_out, **kw):
 @click.option("--radii", default="0.5,1,2,5", show_default=True, help="comma-separated radii")
 @click.option("--draws", default=10, show_default=True, help="random directions per radius")
 @_config_options(_DATA_OPTIONS + ("mse_weight",), unset=True)
+@_exit_codes
 def probe_flatness(checkpoint_path, manifest, report_out, radii, draws, **kw):
     """Probe loss-landscape flatness around a trained model."""
-
-    def action():
-        radius_list = [float(r) for r in radii.split(",") if r.strip()]
-        if not radius_list:
-            raise ValueError("at least one probe radius is required")
-        bundle = load_checkpoint(checkpoint_path)
-        config = _make_config(bundle.config, kw)
-        data = _load(manifest, config)
-        check_feature_dim(bundle.model, data)
-        rng = SeededRng(derive_seed(config.seed, "probe"))
-        table = flat_minima_probe(
-            bundle.model, data.sessions, config.mse_weight, radius_list, rng, draws=draws
-        )
-        emit_report(build_report(config, "probe", flatness=table), report_out)
-        click.echo(f"wrote {report_out}")
-
-    _run(action)
+    radius_list = [float(r) for r in radii.split(",") if r.strip()]
+    if not radius_list:
+        raise ValueError("at least one probe radius is required")
+    bundle = load_checkpoint(checkpoint_path)
+    config = _make_config(bundle.config, kw)
+    data = _load(manifest, config)
+    check_feature_dim(bundle.model, data)
+    rng = SeededRng(derive_seed(config.seed, "probe"))
+    table = flat_minima_probe(bundle.model, data.sessions, config.mse_weight, radius_list, rng, draws=draws)
+    emit_report(build_report(config, "probe", flatness=table), report_out)
+    click.echo(f"wrote {report_out}")
 
 
 @main.command()
 @click.argument("path", type=click.Path(exists=True))
+@_exit_codes
 def report(path):
     """Validate a report file and print a summary."""
-
-    def action():
-        rep = read_report(path)
-        click.echo(f"mode: {rep.mode}  seed: {rep.seed}  config: {rep.config_hash[:12]}")
-        for tag in sorted(rep.sessions):
-            entry = rep.sessions[tag]
-            click.echo(
-                f"  {tag}: n={entry['n']} plcc={_fmt(entry['plcc'])} "
-                f"srcc={_fmt(entry['srcc'])} rl2e={_fmt(entry['rl2e'])}"
-            )
-        if rep.pooled:
-            click.echo(
-                f"  pooled: srcc_ove={_fmt(rep.pooled.get('srcc_ove'))} "
-                f"rl2e_ove={_fmt(rep.pooled.get('rl2e_ove'))}"
-            )
-        if rep.flatness:
-            click.echo(f"  flatness probe over radii {rep.flatness.get('radii')}")
-
-    _run(action)
+    rep = read_report(path)
+    click.echo(f"mode: {rep.mode}  seed: {rep.seed}  config: {rep.config_hash[:12]}")
+    for tag in sorted(rep.sessions):
+        entry = rep.sessions[tag]
+        click.echo(
+            f"  {tag}: n={entry['n']} plcc={_fmt(entry['plcc'])} "
+            f"srcc={_fmt(entry['srcc'])} rl2e={_fmt(entry['rl2e'])}"
+        )
+    if rep.pooled:
+        click.echo(
+            f"  pooled: srcc_ove={_fmt(rep.pooled.get('srcc_ove'))} "
+            f"rl2e_ove={_fmt(rep.pooled.get('rl2e_ove'))}"
+        )
+    if rep.flatness:
+        click.echo(f"  flatness probe over radii {rep.flatness.get('radii')}")
 
 
 def _fmt(value) -> str:

@@ -609,6 +609,15 @@ def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
+def _finite_report_number(text: str) -> float:
+    """A report float; NaN, Infinity and a literal past the float range
+    (1e999) are not JSON numbers a report can hold."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ManifestError(f"non-finite number {text} in report")
+    return value
+
+
 def report_text(report: MetricReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
@@ -619,7 +628,12 @@ def emit_report(report: MetricReport, path: str | Path) -> None:
 
 def read_report(path: str | Path) -> MetricReport:
     try:
-        data = json.loads(Path(path).read_text(), object_pairs_hook=_reject_duplicate_keys)
+        data = json.loads(
+            Path(path).read_text(),
+            object_pairs_hook=_reject_duplicate_keys,
+            parse_float=_finite_report_number,
+            parse_constant=_finite_report_number,
+        )
     except ManifestError:
         raise
     except (ValueError, RecursionError) as exc:

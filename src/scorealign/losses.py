@@ -15,7 +15,8 @@ NORM_FLOOR = 1e-12
 
 
 class DegenerateBatchError(ValueError):
-    """Batch correlation is undefined (too few points or zero variance).
+    """Batch correlation is undefined (too few points or zero variance), or
+    a stacked row's loss is not finite.
 
     row is the first undefined row of a stacked call: 0 for a single
     vector, for fewer than two samples or for a constant truth."""
@@ -110,8 +111,10 @@ def combined_loss_values(pred: np.ndarray, truth: np.ndarray, lam: float) -> np.
     Each row's value has the bytes combined_loss gives for that row alone:
     the means are the same per-vector np.add.reduce, and every dot product
     is one (1, n) @ (n, 1) slice of np.matmul, which runs the same dot
-    kernel as a 1-d @. Any degenerate row raises DegenerateBatchError,
-    naming the first one and its own pred variance.
+    kernel as a 1-d @. Any undefined row, degenerate or with a non-finite
+    value (as huge or non-finite predictions give), raises
+    DegenerateBatchError, naming the first one and its own pred variance;
+    no floating-point warning is emitted.
     """
     pred = np.ascontiguousarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -123,24 +126,25 @@ def combined_loss_values(pred: np.ndarray, truth: np.ndarray, lam: float) -> np.
     n = truth.size
     if n < 2:
         raise DegenerateBatchError(f"correlation needs >= 2 samples, got {n}")
-    a = pred - (np.add.reduce(pred, axis=1) / n)[:, None]
-    b = truth - truth.mean()
-    rows = a[:, None, :]
-    ssq_a = (rows @ a[:, :, None])[:, 0, 0]
-    ssq_b = float(b @ b)
-    var_a = ssq_a / n
+    with np.errstate(all="ignore"):
+        a = pred - (np.add.reduce(pred, axis=1) / n)[:, None]
+        b = truth - truth.mean()
+        rows = a[:, None, :]
+        ssq_a = (rows @ a[:, :, None])[:, 0, 0]
+        ssq_b = float(b @ b)
+        var_a = ssq_a / n
+        cross = (rows @ b[:, None])[:, 0, 0]
+        residual = pred - truth
+        squares = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
+        values = (1.0 - cross / np.sqrt(ssq_a * ssq_b)) + lam * (squares / (2.0 * n))
+    flat_truth = ssq_b / n < VARIANCE_FLOOR
     flat = var_a < VARIANCE_FLOOR
-    if flat.any() or ssq_b / n < VARIANCE_FLOOR:
-        row = 0 if ssq_b / n < VARIANCE_FLOOR else int(flat.argmax())
-        raise DegenerateBatchError(
-            f"variance below {VARIANCE_FLOOR:g} (pred {var_a[row]:.3e}, "
-            f"truth {ssq_b / n:.3e})",
-            row,
-        )
-    cross = (rows @ b[:, None])[:, 0, 0]
-    residual = pred - truth
-    squares = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
-    return (1.0 - cross / np.sqrt(ssq_a * ssq_b)) + lam * (squares / (2.0 * n))
+    undefined = flat | ~np.isfinite(values)
+    if flat_truth or undefined.any():
+        row = 0 if flat_truth else int(undefined.argmax())
+        what = f"variance below {VARIANCE_FLOOR:g}" if flat_truth or flat[row] else "non-finite loss"
+        raise DegenerateBatchError(f"{what} (pred {var_a[row]:.3e}, truth {ssq_b / n:.3e})", row)
+    return values
 
 
 def reg_loss(

@@ -470,6 +470,14 @@ def train_continual(
                 f"incompatible resume request: the checkpoint completed "
                 f"{bundle.completed_sessions} sessions, the manifest has {len(data.sessions)}"
             )
+        # a bank without sessions (no exemplars kept) has no names to compare
+        banked = list(bundle.bank.sessions)
+        completed = [session.name for session in data.sessions[: bundle.completed_sessions]]
+        if banked and banked != completed:
+            raise CheckpointError(
+                f"incompatible resume request: the checkpoint's bank holds sessions "
+                f"{', '.join(banked)}, the manifest's first {len(completed)} are {', '.join(completed)}"
+            )
         check_feature_dim(bundle.model, data)
         start_session = bundle.completed_sessions
     # every session this run trains is checked before any training
@@ -552,11 +560,13 @@ def flat_minima_probe(
     The trained head and every perturbed head are rows of one buffer,
     run forward on each session in stacks and scored by one loss call;
     each loss is the one its head alone gives, and the increases are
-    summed in draw order. A session whose loss is undefined at the trained
-    head or at a perturbed one raises TrainingError: every session's
-    trained head is checked first, then the perturbed heads, radius by
-    radius, each radius in session order. The message names the first
-    undefined head's own pred variance.
+    summed in draw order. A session whose loss is undefined (degenerate or
+    not finite) at the trained head or at a perturbed one raises
+    TrainingError: every session's trained head is checked first, then the
+    perturbed heads, radius by radius, each radius in session order. The
+    message names the session, the radius and the first undefined head's
+    own pred variance. Heads are scored with floating-point warnings off,
+    as an overflowing head is an undefined loss.
     """
     if draws < 1:
         raise ValueError(f"probe needs draws >= 1, got {draws}")
@@ -584,10 +594,11 @@ def flat_minima_probe(
         pooled = pool(np.stack([s.features for s in session.train]))[None]
         scores = np.array([s.score for s in session.train])
         rows = max(1, _PROBE_STACK_ROWS // len(scores))
-        preds = np.concatenate([
-            mlp_forward(MlpParams(heads[i : i + rows], model.head.sizes), pooled)[0][:, :, 0]
-            for i in range(0, len(heads), rows)
-        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            preds = np.concatenate([
+                mlp_forward(MlpParams(heads[i : i + rows], model.head.sizes), pooled)[0][:, :, 0]
+                for i in range(0, len(heads), rows)
+            ])
         try:
             values = combined_loss_values(preds, scores, lam)
         except DegenerateBatchError as exc:
@@ -604,7 +615,8 @@ def flat_minima_probe(
             total = 0.0
             for value in deltas:
                 total += value
-            entry["mean_delta"][label] = total / draws
+            # the sum of finite increases can overflow where their mean cannot
+            entry["mean_delta"][label] = total / draws if np.isfinite(total) else sum(v / draws for v in deltas)
         per_session[session.name] = entry
     if first is not None:
         r, name, exc = first

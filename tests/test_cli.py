@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from scorealign.cli import _make_config, main
-from scorealign.data import read_report
+from scorealign.data import SynthSpec, read_report
 from scorealign.memory import MemoryBank, encode_sessions
 from scorealign.runner import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, RunConfig, load_checkpoint
 
@@ -256,6 +256,22 @@ def test_probe_with_constant_session_scores_exit_code_four(bench, tmp_path) -> N
     )
     assert result.exit_code == 4, result.output
     assert "session 'session1': training loss undefined at the trained head" in result.output
+    assert not report.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_probe_at_an_overflowing_radius_exit_code_four(bench, tmp_path) -> None:
+    runner, out = bench
+    manifest = out / "manifest.json"
+    ckpt = _train_checkpoint(runner, manifest, tmp_path / "run.ckpt")
+    report = tmp_path / "probe.json"
+    result = runner.invoke(
+        main,
+        ["probe-flatness", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+         "--report-out", str(report), "--radii", "1e300", "--draws", "2"] + DATA_ARGS,
+    )
+    assert result.exit_code == 4, result.output
+    assert "session 'session1': training loss undefined at a head perturbed by radius 1e+300" in result.output
     assert not report.exists()
 
 
@@ -525,6 +541,38 @@ def test_resume_past_the_manifest_end_exit_code_three(bench, tmp_path) -> None:
     assert read_report(report).pooled == read_report(tmp_path / "r.json").pooled
 
 
+@pytest.mark.parametrize("edit", ["renamed", "reordered"])
+def test_resume_on_other_first_sessions_exit_code_three(tmp_path, edit) -> None:
+    runner = CliRunner()
+    out = tmp_path / "three"
+    result = runner.invoke(main, SYNTH_ARGS + ["--sessions", "3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    records = json.loads((out / "manifest.json").read_text())["records"]
+    prefix = out / "prefix.json"
+    prefix.write_text(json.dumps({"records": [r for r in records if r["session"] != "session3"]}))
+    if edit == "renamed":
+        records = [dict(r, session="sessionX") if r["session"] == "session2" else r for r in records]
+    else:
+        records = sorted(records, key=lambda r: r["session"] == "session2")
+    manifest = out / f"{edit}.json"
+    manifest.write_text(json.dumps({"records": records}))
+    train = ["train", "--report-out", str(tmp_path / "r.json")] + TRAIN_SPEED_ARGS
+    ckpt = tmp_path / "prefix.ckpt"
+    result = runner.invoke(main, train + ["--manifest", str(prefix), "--checkpoint-out", str(ckpt)])
+    assert result.exit_code == 0, result.output
+    resumed = tmp_path / "resumed.ckpt"
+    result = runner.invoke(
+        main, train + ["--manifest", str(manifest), "--resume", str(ckpt), "--checkpoint-out", str(resumed)]
+    )
+    assert result.exit_code == 3, result.output
+    second = "sessionX" if edit == "renamed" else "session3"
+    assert (
+        "error: incompatible resume request: the checkpoint's bank holds sessions session1, session2, "
+        f"the manifest's first 2 are session1, {second}"
+    ) in result.output
+    assert not resumed.exists()
+
+
 def test_resume_with_misshapen_bank_rows_exit_code_three(bench, tmp_path) -> None:
     runner, out = bench
     ckpt = tmp_path / "run.ckpt"
@@ -606,6 +654,17 @@ def test_config_defaults_are_run_config_defaults(tmp_path) -> None:
             # a served checkpoint's options are unset unless given
             assert set(kw.values()) == {None}, name
             assert _make_config(stored, kw) == stored, name
+
+
+def test_synth_options_are_synth_spec_fields() -> None:
+    """Every SynthSpec field but include_base is a synth option of its name
+    and default, so a new field cannot go without one."""
+    params = {p.name: p for p in main.commands["synth"].params}
+    spec = {f.name: f.default for f in fields(SynthSpec) if f.name != "include_base"}
+    assert list(params) == ["out", *spec, "no_base"]
+    for name, default in spec.items():
+        assert params[name].opts == ["--" + name.replace("_", "-")], name
+        assert params[name].default == default and params[name].show_default, name
 
 
 @pytest.mark.parametrize("option", ["--report-out", "--bank-out", "--checkpoint-out"])
@@ -757,6 +816,8 @@ def test_malformed_report_entries_exit_code_three(tmp_path) -> None:
         '"pooled": {}, "sessions": {"s1": {"n": 2, "plcc": "x", "srcc": null, "rl2e": null}}',
         '"pooled": {"srcc_ove": "x"}, "sessions": {}',
         '"pooled": {}, "sessions": {}, "config_hash": 7',
+        '"pooled": {"srcc_ove": NaN}, "sessions": {}',
+        '"pooled": {}, "sessions": {}, "counters": {"steps": 1e999}',
     ):
         bad.write_text(head + body + "}")
         result = runner.invoke(main, ["report", str(bad)])

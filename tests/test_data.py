@@ -703,6 +703,10 @@ _MALFORMED_REPORT_BODIES = (
     ('"sessions": {}, "notes": {"a": 1}', "'notes' is not a list"),
     ('"sessions": {}, "counters": {"steps": ' + "1" * 5000 + "}", "not valid JSON"),
     ('"sessions": {}, "notes": ' + "[" * 200_000 + "]" * 200_000, "not valid JSON"),
+    ('"sessions": {"s1": {"n": 3, "plcc": NaN, "srcc": null, "rl2e": null}}', "non-finite number NaN"),
+    ('"sessions": {}, "pooled": {"rl2e_ove": Infinity}', "non-finite number Infinity"),
+    ('"sessions": {}, "pooled": {"srcc_ove": -Infinity}', "non-finite number -Infinity"),
+    ('"sessions": {}, "flatness": {"sessions": {"s1": {"mean_delta": {"1": 1e999}}}}', "non-finite number 1e999"),
 )
 
 

@@ -467,6 +467,29 @@ def test_probe_names_the_first_undefined_heads_own_pred_variance(monkeypatch) ->
     )
 
 
+@pytest.mark.filterwarnings("error")
+def test_probe_treats_a_non_finite_loss_as_undefined() -> None:
+    data = _dataset(n_sessions=2, n=12)
+    result = train_continual(_config(), data)
+    with pytest.raises(TrainingError) as err:
+        flat_minima_probe(result.model, data.sessions, 0.05, [1.0, 1e300], SeededRng(0), draws=10)
+    assert str(err.value).startswith(
+        "session 's1': training loss undefined at a head perturbed by radius 1e+300: "
+    )
+
+
+def test_probe_mean_increase_is_finite_where_its_sum_overflows(monkeypatch) -> None:
+    data = _dataset(n_sessions=1, n=12)
+    model = init_model(FEAT_DIM, _config())
+    monkeypatch.setattr(
+        runner, "combined_loss_values", lambda preds, scores, lam: np.r_[1.0, np.full(len(preds) - 1, 1e308)]
+    )
+    table = flat_minima_probe(model, data.sessions, 0.05, [1.0], SeededRng(0), draws=4)
+    # four increases of 1e308 - 1.0 sum past the float range
+    assert table["sessions"]["s1"]["mean_delta"] == {"1": 1e308 - 1.0}
+    json.dumps(table, allow_nan=False)
+
+
 # --- checkpointing ---------------------------------------------------------------
 
 

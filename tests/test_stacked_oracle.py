@@ -844,6 +844,27 @@ def test_stacked_loss_values_raise_on_any_degenerate_row() -> None:
     assert short.value.row == 0
 
 
+@pytest.mark.filterwarnings("error")
+def test_stacked_loss_values_raise_on_the_first_non_finite_or_degenerate_row() -> None:
+    rng = np.random.default_rng(9)
+    truth = rng.uniform(1.0, 5.0, size=6)
+    big = 1e200 * rng.normal(size=6)  # finite predictions whose squares overflow
+    nan = np.where(np.arange(6) == 3, np.nan, rng.normal(size=6))
+    flat = np.full(6, 2.5)
+    for rows, first, message in (
+        ({1: big, 3: flat}, 1, "non-finite loss (pred inf"),
+        ({1: flat, 3: nan}, 1, "variance below"),
+        ({2: nan}, 2, "non-finite loss (pred nan"),
+    ):
+        pred = rng.normal(size=(5, 6))
+        for row, values in rows.items():
+            pred[row] = values
+        with pytest.raises(DegenerateBatchError) as err:
+            combined_loss_values(pred, truth, 0.05)
+        assert err.value.row == first
+        assert str(err.value).startswith(message)
+
+
 @pytest.mark.parametrize("hidden", [(64, 32), (4,)])
 @pytest.mark.parametrize("draws", [1, 10])
 @pytest.mark.parametrize("n", [2, 3, 10, 50])
