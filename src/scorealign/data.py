@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 import stat
 import struct
@@ -328,16 +329,11 @@ _SPLITS = ("train", "test", "unassigned")
 
 
 def write_manifest(path: str | Path, records: list[dict]) -> None:
-    text = json.dumps({"records": records}, sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text)
+    Path(path).write_text(_json_text({"records": records}, "manifest"))
 
 
 def _parse_records(path: Path) -> list[dict]:
-    try:
-        payload = json.loads(path.read_text())
-    except (ValueError, RecursionError) as exc:
-        # undecodable text, bad or too deeply nested JSON, or an int past the digit limit
-        raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+    payload = _parse_json(path.read_bytes(), ManifestError, "manifest")
     records = payload.get("records") if isinstance(payload, dict) else None
     if not isinstance(records, list) or not records:
         raise ManifestError("manifest must contain a nonempty 'records' list")
@@ -380,7 +376,7 @@ def load_manifest(
         if rec["id"] in files:
             raise ManifestError(f"record {i}: duplicate id '{rec['id']}'")
         score = rec["score"]
-        # json.loads gives a number as exactly an int or a float
+        # the JSON reader gives a number as exactly an int or a float
         if type(score) is not float and type(score) is not int:
             raise ManifestError(f"record {i}: score {score!r} is not a number")
         if not lo <= score <= hi:
@@ -479,8 +475,9 @@ class SynthSpec:
             raise ValueError(f"degenerate synthetic spec: {self}")
         if self.frames < 2 or self.feat_dim < 2:
             raise ValueError(f"frames and feat_dim must be >= 2, got {self}")
-        if self.drift < 0 or self.noise_std < 0:
-            raise ValueError(f"drift and noise_std must be >= 0, got {self}")
+        # NaN passes a `< 0` check
+        if not (0 <= self.drift < math.inf and 0 <= self.noise_std < math.inf):
+            raise ValueError(f"drift and noise_std must be finite and >= 0, got {self}")
         if self.drift > 2.0:
             raise ValueError("drift > 2.0 cannot keep unit planted weights")
 
@@ -593,33 +590,57 @@ def generate_synthetic(spec: SynthSpec, out_dir: str | Path) -> Path:
         "spec": asdict(spec),
         "sessions": truth_sessions,
     }
-    (out_dir / "truth.json").write_text(json.dumps(truth, sort_keys=True, indent=2) + "\n")
+    (out_dir / "truth.json").write_text(_json_text(truth, "truth"))
     return manifest_path
+
+
+# --- JSON: manifests, truth.json, reports, checkpoint headers -----------
+
+
+def _json_text(document: object, what: str) -> str:
+    """The indented, key-sorted text of a document, in ASCII: json escapes
+    every other character. A non-finite number, which JSON cannot hold
+    (RFC 8259), raises FloatingPointError."""
+    try:
+        return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FloatingPointError(f"{what} holds a non-finite number: {exc}") from exc
+
+
+def _parse_json(raw: bytes, error: type[ValueError], what: str) -> object:
+    """The document raw holds. Bytes that are not UTF-8, bad JSON, a
+    duplicate key, NaN, Infinity, a number past the float range (1e999),
+    an int past the digit limit and nesting too deep raise error, one of
+    the package's own, as `malformed <what>: ...`."""
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        out = dict(pairs)
+        if len(out) < len(pairs):
+            key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+            raise error(f"malformed {what}: duplicate key '{key}'")
+        return out
+
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise error(f"malformed {what}: non-finite number {text}")
+        return value
+
+    try:
+        return json.loads(
+            raw.decode("utf-8"), object_pairs_hook=unique, parse_float=finite, parse_constant=finite
+        )
+    except error:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise error(f"malformed {what}: not valid JSON: {type(exc).__name__}: {exc}") from exc
 
 
 # --- reports -----------------------------------------------------------
 
 
-def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise ManifestError(f"duplicate key '{key}' in report")
-        out[key] = value
-    return out
-
-
-def _finite_report_number(text: str) -> float:
-    """A report float; NaN, Infinity and a literal past the float range
-    (1e999) are not JSON numbers a report can hold."""
-    value = float(text)
-    if not np.isfinite(value):
-        raise ManifestError(f"non-finite number {text} in report")
-    return value
-
-
 def report_text(report: MetricReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    return _json_text(report.to_dict(), "report")
 
 
 def emit_report(report: MetricReport, path: str | Path) -> None:
@@ -627,18 +648,7 @@ def emit_report(report: MetricReport, path: str | Path) -> None:
 
 
 def read_report(path: str | Path) -> MetricReport:
-    try:
-        data = json.loads(
-            Path(path).read_text(),
-            object_pairs_hook=_reject_duplicate_keys,
-            parse_float=_finite_report_number,
-            parse_constant=_finite_report_number,
-        )
-    except ManifestError:
-        raise
-    except (ValueError, RecursionError) as exc:
-        # undecodable text, bad or too deeply nested JSON, or an int past the digit limit
-        raise ManifestError(f"report is not valid JSON: {exc}") from exc
+    data = _parse_json(Path(path).read_bytes(), ManifestError, "report")
     if not isinstance(data, dict):
         raise ManifestError(f"report must be a JSON object, got {type(data).__name__}")
     for key, kind in (("mode", str), ("seed", int), ("pooled", dict), ("sessions", dict)):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -26,7 +27,7 @@ from .adapter import (
     reconstruct_with_tape,
     reg_loss_and_grads,
 )
-from .data import CodecError, LoadedData, Reader, ScoredSample, SessionData, _is_int
+from .data import CodecError, LoadedData, Reader, ScoredSample, SessionData, _is_int, _parse_json
 from .head import batch_sample, batch_sample_backward, init_head, pool, pool_backward, predict_eval
 from .keyframe import phi_select
 from .losses import DegenerateBatchError, combined_loss, combined_loss_values
@@ -52,7 +53,7 @@ from .numkit import (
 )
 
 CHECKPOINT_MAGIC = b"ASALCKPT"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 MAX_DEGENERATE_FRACTION = 0.05
 
@@ -91,6 +92,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # NaN passes every `< 0` check below, and an infinity most of them
+        numbers = [getattr(self, f.name) for f in fields(self) if type(f.default) is float]
+        if not all(map(math.isfinite, [*numbers, *self.score_range])):
+            raise ValueError(f"float fields must be finite, got {self}")
         if self.mse_weight < 0 or self.replay_weight < 0 or self.reg_weight < 0:
             raise ValueError("loss weights must be >= 0")
         if self.epochs < 1 or self.batch_size < 2 or self.replay_batch_size < 2:
@@ -265,63 +270,65 @@ def _train_on_samples(
                 # a single sample cannot define a batch correlation
                 counters.dropped_singletons += 1
                 continue
-            current = pooled[idx]
-            stack, n2 = current[None], 0
-            if replay is not None:
-                # a degenerate current batch takes no draw: it rewinds this one
-                replay_state = streams.replay.get_state()
-                drawn = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
-                if len(drawn) >= 2:
-                    recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[drawn])
-                    n2 = len(drawn)
-                    stack = np.zeros((2, max(idx.size, n2), current.shape[1]))
-                    stack[0, : idx.size] = current
-                    stack[1, :n2] = pool(recon)
-            head_out, tape = mlp_forward(model.head, stack)
-            grad_out = np.zeros(head_out.shape)
-            eps = noise(idx.size)
-            s_hat, sigma = batch_sample(head_out[0, : idx.size], eps)
-            try:
-                value, grad_s = combined_loss(s_hat, scores[idx], config.mse_weight)
-            except DegenerateBatchError:
+            # an overflow gives a non-finite gradient, which adam_step refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                current = pooled[idx]
+                stack, n2 = current[None], 0
                 if replay is not None:
-                    streams.replay.set_state(replay_state)
-                counters.degenerate_batches += 1
-                continue
-            trace.append(value)
-            grad_out[0, : idx.size] = batch_sample_backward(grad_s, eps, sigma)
-            if n2:
-                eps = noise(n2)
-                s_hat, sigma = batch_sample(head_out[1, :n2], eps)
+                    # a degenerate current batch takes no draw: it rewinds this one
+                    replay_state = streams.replay.get_state()
+                    drawn = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
+                    if len(drawn) >= 2:
+                        recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[drawn])
+                        n2 = len(drawn)
+                        stack = np.zeros((2, max(idx.size, n2), current.shape[1]))
+                        stack[0, : idx.size] = current
+                        stack[1, :n2] = pool(recon)
+                head_out, tape = mlp_forward(model.head, stack)
+                grad_out = np.zeros(head_out.shape)
+                eps = noise(idx.size)
+                s_hat, sigma = batch_sample(head_out[0, : idx.size], eps)
                 try:
-                    _, grad_s = combined_loss(s_hat, replay.scores[drawn], config.mse_weight)
-                    grad_out[1, :n2] = batch_sample_backward(
-                        config.replay_weight * grad_s, eps, sigma
-                    )
+                    value, grad_s = combined_loss(s_hat, scores[idx], config.mse_weight)
                 except DegenerateBatchError:
-                    counters.degenerate_replay_batches += 1
-                    n2 = 0
-            head_grads = head_rows[: len(stack)]
-            x_grad = mlp_backward(model.head, tape, grad_out, head_grads)
-            if len(head_grads) == 2:
-                head_grads[0] += head_grads[1]
-            grads = {"head": head_grads[0]}
+                    if replay is not None:
+                        streams.replay.set_state(replay_state)
+                    counters.degenerate_batches += 1
+                    continue
+                trace.append(value)
+                grad_out[0, : idx.size] = batch_sample_backward(grad_s, eps, sigma)
+                if n2:
+                    eps = noise(n2)
+                    s_hat, sigma = batch_sample(head_out[1, :n2], eps)
+                    try:
+                        _, grad_s = combined_loss(s_hat, replay.scores[drawn], config.mse_weight)
+                        grad_out[1, :n2] = batch_sample_backward(
+                            config.replay_weight * grad_s, eps, sigma
+                        )
+                    except DegenerateBatchError:
+                        counters.degenerate_replay_batches += 1
+                        n2 = 0
+                head_grads = head_rows[: len(stack)]
+                x_grad = mlp_backward(model.head, tape, grad_out, head_grads)
+                if len(head_grads) == 2:
+                    head_grads[0] += head_grads[1]
+                grads = {"head": head_grads[0]}
 
-            if n2:
-                rows = adapter_backward(
-                    model.adapter, recon_tape, pool_backward(x_grad[1, :n2], model.adapter.t_frames)
-                )
-                adapter_grad[...] = rows[0]
-                for row in rows[1:]:
-                    adapter_grad += row
-                grads["adapter"] = adapter_grad
-            if reg_on:
-                _, reg_grad = reg_loss_and_grads(model.adapter, features[idx], compressed[idx])
-                reg_grad *= config.reg_weight
-                if "adapter" in grads:
-                    adapter_grad += reg_grad
-                else:
-                    grads["adapter"] = reg_grad
+                if n2:
+                    rows = adapter_backward(
+                        model.adapter, recon_tape, pool_backward(x_grad[1, :n2], model.adapter.t_frames)
+                    )
+                    adapter_grad[...] = rows[0]
+                    for row in rows[1:]:
+                        adapter_grad += row
+                    grads["adapter"] = adapter_grad
+                if reg_on:
+                    _, reg_grad = reg_loss_and_grads(model.adapter, features[idx], compressed[idx])
+                    reg_grad *= config.reg_weight
+                    if "adapter" in grads:
+                        adapter_grad += reg_grad
+                    else:
+                        grads["adapter"] = reg_grad
 
             adam_step(model.adam, model_param_dict(model), grads)
             counters.steps += 1
@@ -377,25 +384,19 @@ def evaluate(
     if not samples:
         raise TrainingError("cannot evaluate an empty sample list")
     lo, hi = score_range
-    preds = predict_eval(model.head, np.stack([s.features for s in samples]))
-    truths = np.array([s.score for s in samples])
     by_session: dict[str, list[int]] = {}
     by_variant: dict[str, list[int]] = {}
     for i, s in enumerate(samples):
         by_session.setdefault(s.session, []).append(i)
         if s.variant is not None:
             by_variant.setdefault(s.variant, []).append(i)
-    sessions = {
-        tag: metric_entry(preds[idx], truths[idx], hi, lo)
-        for tag, idx in by_session.items()
-    }
-    variants = {
-        tag: metric_entry(preds[idx], truths[idx], hi, lo)
-        for tag, idx in by_variant.items()
-    }
-    srcc_ove, rl2e_ove = pooled_metrics(
-        [(preds[idx], truths[idx]) for idx in by_session.values()], hi, lo
-    )
+    # an overflowing head gives non-finite metrics, which the report writer refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = predict_eval(model.head, np.stack([s.features for s in samples]))
+        truths = np.array([s.score for s in samples])
+        sessions = {tag: metric_entry(preds[idx], truths[idx], hi, lo) for tag, idx in by_session.items()}
+        variants = {tag: metric_entry(preds[idx], truths[idx], hi, lo) for tag, idx in by_variant.items()}
+        srcc_ove, rl2e_ove = pooled_metrics([(preds[idx], truths[idx]) for idx in by_session.values()], hi, lo)
     pooled = {"srcc_ove": srcc_ove, "rl2e_ove": rl2e_ove, "n": int(preds.size)}
     return {"sessions": sessions, "variants": variants, "pooled": pooled}
 
@@ -423,7 +424,7 @@ def train_joint(
     model, streams, counters, trace = _fit(config, train, config.seed)
     if checkpoint_path is not None:
         save_checkpoint(
-            checkpoint_path, config, model, MemoryBank(), streams, 0, counters, trace
+            checkpoint_path, config, model, MemoryBank(), streams, [], counters, trace
         )
     report = build_report(
         config, "joint", **evaluate(model, test, config.score_range), counters=counters.to_dict()
@@ -465,21 +466,18 @@ def train_continual(
             raise CheckpointError(
                 f"checkpoint was written under a different configuration: {', '.join(differ)} differ"
             )
-        if bundle.completed_sessions > len(data.sessions):
+        start_session = len(bundle.completed_sessions)
+        first = [session.name for session in data.sessions[:start_session]]
+        if first != bundle.completed_sessions:
             raise CheckpointError(
-                f"incompatible resume request: the checkpoint completed "
-                f"{bundle.completed_sessions} sessions, the manifest has {len(data.sessions)}"
+                f"incompatible resume request: the checkpoint completed sessions "
+                f"{', '.join(bundle.completed_sessions)}, the manifest begins with {', '.join(first)}"
             )
-        # a bank without sessions (no exemplars kept) has no names to compare
-        banked = list(bundle.bank.sessions)
-        completed = [session.name for session in data.sessions[: bundle.completed_sessions]]
-        if banked and banked != completed:
+        if bundle.bank.sessions and list(bundle.bank.sessions) != first:
             raise CheckpointError(
-                f"incompatible resume request: the checkpoint's bank holds sessions "
-                f"{', '.join(banked)}, the manifest's first {len(completed)} are {', '.join(completed)}"
+                f"the checkpoint's bank holds sessions {', '.join(bundle.bank.sessions)}, not those it completed"
             )
         check_feature_dim(bundle.model, data)
-        start_session = bundle.completed_sessions
     # every session this run trains is checked before any training
     for session in data.sessions[start_session:]:
         if not session.train:
@@ -512,9 +510,8 @@ def train_continual(
                 config.diversity_weight,
             )
         if checkpoint_path is not None:
-            save_checkpoint(
-                checkpoint_path, config, model, bank, streams, index + 1, counters, trace
-            )
+            done = [s.name for s in data.sessions[: index + 1]]
+            save_checkpoint(checkpoint_path, config, model, bank, streams, done, counters, trace)
     _check_degenerate_fraction(counters)
 
     report = build_report(
@@ -639,7 +636,7 @@ class CheckpointBundle:
     model: ModelState
     bank: MemoryBank
     stream_state: dict
-    completed_sessions: int
+    completed_sessions: list[str]  # their names, in training order
     config: RunConfig
     counters: _Counters
     loss_trace: np.ndarray  # float64
@@ -651,7 +648,7 @@ def save_checkpoint(
     model: ModelState,
     bank: MemoryBank,
     streams: _Streams,
-    completed_sessions: int,
+    completed_sessions: list[str],
     counters: _Counters,
     loss_trace: list[float] | np.ndarray,
 ) -> None:
@@ -689,16 +686,8 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         return _decode_checkpoint(reader)
     except CheckpointError:
         raise
-    except (KeyError, TypeError, AttributeError, ValueError, OverflowError, RecursionError) as exc:
-        # undecodable text and bad JSON (ValueError) or too deeply nested JSON
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise CheckpointError(f"non-finite number {text} in checkpoint header")
-    return value
 
 
 def _count(value: object, what: str) -> int:
@@ -734,8 +723,7 @@ def _stored_config(stored: dict) -> RunConfig:
 
 def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
     (header_len,) = reader.unpack("Q", "header length")
-    text = reader.take(header_len, "header").decode("utf-8")
-    header = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+    header = _parse_json(reader.take(header_len, "header"), CheckpointError, "checkpoint header")
     config = _stored_config(header["config"])
     feat_dim = _count(header["feat_dim"], "feat_dim")
     if feat_dim < 1:
@@ -774,11 +762,14 @@ def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
     if not isinstance(header["counters"], dict) or set(header["counters"]) != set(names):
         raise CheckpointError(f"checkpoint counters must be exactly {names}")
     counters = _Counters(**{n: _count(header["counters"][n], f"counter '{n}'") for n in names})
+    completed = header["completed_sessions"]
+    if not isinstance(completed, list) or not all(isinstance(name, str) for name in completed):
+        raise CheckpointError(f"completed_sessions must be a list of session names, got {completed!r}")
     return CheckpointBundle(
         model=ModelState(head, adapter, adam),
         bank=bank,
         stream_state=stream_state,
-        completed_sessions=_count(header["completed_sessions"], "completed_sessions"),
+        completed_sessions=completed,
         config=config,
         counters=counters,
         loss_trace=values["trace"],

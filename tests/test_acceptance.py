@@ -389,7 +389,8 @@ def test_criterion_11_determinism_and_formats(bench, continual_runs, tmp_path) -
 
     c = replay_run.report.counters
     save_checkpoint(
-        ckpt, config, replay_run.model, replay_run.bank, _Streams(config.seed), 5,
+        ckpt, config, replay_run.model, replay_run.bank, _Streams(config.seed),
+        list(replay_run.bank.sessions),
         _Counters(
             steps=c["steps"],
             degenerate_batches=c["degenerate_batches"],

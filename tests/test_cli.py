@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 import struct
+import subprocess
+import sys
+import types
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -10,9 +15,17 @@ import pytest
 from click.testing import CliRunner
 
 from scorealign.cli import _make_config, main
-from scorealign.data import SynthSpec, read_report
+import scorealign
+from scorealign.data import ManifestError, SynthSpec, load_manifest, read_report
 from scorealign.memory import MemoryBank, encode_sessions
-from scorealign.runner import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, RunConfig, load_checkpoint
+from scorealign.runner import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    CheckpointError,
+    RunConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 SYNTH_ARGS = [
     "synth",
@@ -272,6 +285,41 @@ def test_probe_at_an_overflowing_radius_exit_code_four(bench, tmp_path) -> None:
     )
     assert result.exit_code == 4, result.output
     assert "session 'session1': training loss undefined at a head perturbed by radius 1e+300" in result.output
+    assert not report.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_of_an_overflowing_head_exit_code_four(bench, tmp_path) -> None:
+    runner, out = bench
+    manifest = out / "manifest.json"
+    bundle = load_checkpoint(_train_checkpoint(runner, manifest, tmp_path / "run.ckpt"))
+    bundle.model.head.flat[...] *= 1e120
+    ckpt = tmp_path / "huge.ckpt"
+    streams = types.SimpleNamespace(get_state=lambda: bundle.stream_state)
+    save_checkpoint(
+        ckpt, bundle.config, bundle.model, bundle.bank, streams, bundle.completed_sessions,
+        bundle.counters, bundle.loss_trace,
+    )
+    report = tmp_path / "eval.json"
+    result = runner.invoke(
+        main, ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest), "--report-out", str(report)]
+    )
+    assert result.exit_code == 4, result.output
+    assert "error: report holds a non-finite number" in result.output
+    assert not report.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_that_overflows_exit_code_four(bench, tmp_path) -> None:
+    runner, out = bench
+    report = tmp_path / "r.json"
+    result = runner.invoke(
+        main,
+        ["train", "--manifest", str(out / "manifest.json"), "--report-out", str(report),
+         "--learning-rate", "10", "--epochs", "3"] + DATA_ARGS,
+    )
+    assert result.exit_code == 4, result.output
+    assert "error: non-finite gradient" in result.output
     assert not report.exists()
 
 
@@ -541,8 +589,9 @@ def test_resume_past_the_manifest_end_exit_code_three(bench, tmp_path) -> None:
     assert read_report(report).pooled == read_report(tmp_path / "r.json").pooled
 
 
-@pytest.mark.parametrize("edit", ["renamed", "reordered"])
-def test_resume_on_other_first_sessions_exit_code_three(tmp_path, edit) -> None:
+def _resume_on_other_first_sessions(tmp_path, edit: str, *extra: str) -> None:
+    """Resume a two-session checkpoint on a manifest whose second session
+    is renamed or moved after a third; it must exit 3, writing nothing."""
     runner = CliRunner()
     out = tmp_path / "three"
     result = runner.invoke(main, SYNTH_ARGS + ["--sessions", "3", "--out", str(out)])
@@ -556,7 +605,7 @@ def test_resume_on_other_first_sessions_exit_code_three(tmp_path, edit) -> None:
         records = sorted(records, key=lambda r: r["session"] == "session2")
     manifest = out / f"{edit}.json"
     manifest.write_text(json.dumps({"records": records}))
-    train = ["train", "--report-out", str(tmp_path / "r.json")] + TRAIN_SPEED_ARGS
+    train = ["train", "--report-out", str(tmp_path / "r.json")] + TRAIN_SPEED_ARGS + list(extra)
     ckpt = tmp_path / "prefix.ckpt"
     result = runner.invoke(main, train + ["--manifest", str(prefix), "--checkpoint-out", str(ckpt)])
     assert result.exit_code == 0, result.output
@@ -567,10 +616,21 @@ def test_resume_on_other_first_sessions_exit_code_three(tmp_path, edit) -> None:
     assert result.exit_code == 3, result.output
     second = "sessionX" if edit == "renamed" else "session3"
     assert (
-        "error: incompatible resume request: the checkpoint's bank holds sessions session1, session2, "
-        f"the manifest's first 2 are session1, {second}"
+        "error: incompatible resume request: the checkpoint completed sessions session1, session2, "
+        f"the manifest begins with session1, {second}"
     ) in result.output
     assert not resumed.exists()
+
+
+@pytest.mark.parametrize("edit", ["renamed", "reordered"])
+def test_resume_on_other_first_sessions_exit_code_three(tmp_path, edit) -> None:
+    _resume_on_other_first_sessions(tmp_path, edit)
+
+
+@pytest.mark.parametrize("edit", ["renamed", "reordered"])
+def test_resume_without_exemplars_on_other_first_sessions_exit_code_three(tmp_path, edit) -> None:
+    # the bank holds no sessions, so only the stored names can tell
+    _resume_on_other_first_sessions(tmp_path, edit, "--exemplars-per-session", "0")
 
 
 def test_resume_with_misshapen_bank_rows_exit_code_three(bench, tmp_path) -> None:
@@ -708,6 +768,23 @@ def test_config_errors_exit_code_two(bench, tmp_path) -> None:
         assert not (tmp_path / "r.json").exists()
 
 
+def test_non_finite_float_options_exit_code_two(bench, tmp_path) -> None:
+    runner, out = bench
+    report = tmp_path / "r.json"
+    train = ["train", "--manifest", str(out / "manifest.json"), "--report-out", str(report)]
+    run_floats = [f.name for f in fields(RunConfig) if type(f.default) is float]
+    synth_floats = [f.name for f in fields(SynthSpec) if type(f.default) is float]
+    assert run_floats and synth_floats
+    for command, names in ((train + TRAIN_SPEED_ARGS, run_floats + ["score_min", "score_max"]),
+                           (SYNTH_ARGS + ["--out", str(tmp_path / "synth")], synth_floats)):
+        for name in names:
+            for value in ("nan", "inf", "-inf"):
+                result = runner.invoke(main, command + ["--" + name.replace("_", "-"), value])
+                assert result.exit_code == 2, (name, value, result.output)
+                assert "must be finite" in result.output, (name, value)
+    assert not report.exists() and not (tmp_path / "synth").exists()
+
+
 @pytest.mark.parametrize("cap", ["-1", "0"])
 def test_train_cap_below_one_exit_code_two(bench, tmp_path, cap) -> None:
     runner, out = bench
@@ -786,24 +863,64 @@ def test_malformed_report_exit_code_three(tmp_path) -> None:
         assert result.exit_code == 3, text
 
 
-def test_json_nested_too_deep_exits_three(bench, tmp_path) -> None:
+# a body per fault that every JSON document refuses, and what its message says
+_FAULTY_JSON = {
+    "duplicate key": (b'{"records": [{"score": 1, "score": 4.99}]}', "duplicate key 'score'"),
+    "NaN": (b'{"records": [{"score": NaN}]}', "non-finite number NaN"),
+    "Infinity": (b'{"records": [{"score": Infinity}]}', "non-finite number Infinity"),
+    "past the float range": (b'{"records": [{"score": 1e999}]}', "non-finite number 1e999"),
+    "not UTF-8": (b'{"records": [{"id": "\xff"}]}', "not valid JSON: UnicodeDecodeError"),
+    "nested too deep": (b"[" * 200_000 + b"]" * 200_000, "not valid JSON: RecursionError"),
+}
+
+
+def test_every_json_document_refuses_the_same_faults(bench, tmp_path) -> None:
     runner, out = bench
-    deep = "[" * 200_000 + "]" * 200_000
-    report = tmp_path / "deep.json"
-    report.write_text(deep)
-    manifest = tmp_path / "deep_manifest.json"
-    manifest.write_text('{"records": ' + deep + "}")
-    ckpt = tmp_path / "deep.ckpt"
-    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(deep)) + deep.encode())
-    for args in (
-        ["report", str(report)],
-        ["train", "--manifest", str(manifest), "--report-out", str(tmp_path / "r.json")],
-        ["eval", "--checkpoint", str(ckpt), "--manifest", str(out / "manifest.json"),
-         "--report-out", str(tmp_path / "e.json")],
-    ):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 3, (args[0], result.output)
-        assert "error:" in result.output, args[0]
+    manifest, report, ckpt = tmp_path / "manifest.json", tmp_path / "report.json", tmp_path / "run.ckpt"
+    outputs = ["--report-out", str(tmp_path / "out.json")]
+    for fault, (body, message) in _FAULTY_JSON.items():
+        manifest.write_bytes(body)
+        report.write_bytes(body)
+        ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(body)) + body)
+        for read, error, what in (
+            (lambda: load_manifest(manifest, 8, (1.0, 5.0), 3, 0.2, 50), ManifestError, "manifest"),
+            (lambda: read_report(report), ManifestError, "report"),
+            (lambda: load_checkpoint(ckpt), CheckpointError, "checkpoint header"),
+        ):
+            with pytest.raises(error, match=re.escape(f"malformed {what}: {message}")):
+                read()
+        for args in (
+            ["train", "--manifest", str(manifest)] + outputs,
+            ["report", str(report)],
+            ["eval", "--checkpoint", str(ckpt), "--manifest", str(out / "manifest.json")] + outputs,
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 3, (fault, args[0], result.output)
+            assert message in result.output, (fault, args[0])
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_train_under_a_c_locale_reads_and_writes_utf8(bench, tmp_path) -> None:
+    _, out = bench
+    payload = json.loads((out / "manifest.json").read_text())
+    for rec in payload["records"]:
+        rec["id"] = "é-" + rec["id"]
+        if rec["session"] != "Others":  # the base session, by its name
+            rec["session"] += "-ß"
+    manifest = out / "utf8.json"
+    manifest.write_bytes(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+    report, ckpt, bank = tmp_path / "report.json", tmp_path / "run.ckpt", tmp_path / "bank.bin"
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(scorealign.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "scorealign.cli", "train", "--manifest", str(manifest),
+         "--report-out", str(report), "--checkpoint-out", str(ckpt), "--bank-out", str(bank)]
+        + TRAIN_SPEED_ARGS,
+        env=env, capture_output=True,
+    )
+    assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+    assert set(read_report(report).sessions) == {"session1-ß", "session2-ß"}
+    assert load_checkpoint(ckpt).completed_sessions == ["session1-ß", "session2-ß"]
 
 
 def test_malformed_report_entries_exit_code_three(tmp_path) -> None:

@@ -660,6 +660,17 @@ def test_report_none_serializes_as_null_not_zero(tmp_path) -> None:
     assert read_report(path).sessions["s1"]["srcc"] is None
 
 
+def test_json_writers_refuse_non_finite_numbers(tmp_path) -> None:
+    report = _report()
+    report.sessions["s1"]["plcc"] = float("nan")
+    path = tmp_path / "report.json"
+    with pytest.raises(FloatingPointError, match="report holds a non-finite number"):
+        emit_report(report, path)
+    with pytest.raises(FloatingPointError, match="manifest holds a non-finite number"):
+        write_manifest(tmp_path / "manifest.json", [{"score": float("inf")}])
+    assert not path.exists() and not (tmp_path / "manifest.json").exists()
+
+
 def test_report_duplicate_keys_rejected(tmp_path) -> None:
     path = tmp_path / "dup.json"
     path.write_text('{"mode": "joint", "mode": "joint", "seed": 1, "pooled": {}, "sessions": {}}')

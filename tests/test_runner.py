@@ -499,7 +499,7 @@ def test_checkpoint_roundtrip_preserves_state(tmp_path) -> None:
     path = tmp_path / "run.ckpt"
     result = train_continual(config, data, checkpoint_path=path)
     bundle = load_checkpoint(path)
-    assert bundle.completed_sessions == 2
+    assert bundle.completed_sessions == ["s1", "s2"]
     assert bundle.config == config
     for w, lw in zip(result.model.head.weights, bundle.model.head.weights):
         assert np.array_equal(w, lw)
@@ -568,6 +568,17 @@ def test_resume_rejects_mismatched_config(tmp_path) -> None:
         train_continual(_config(seed=6), data, resume_from=path)
     with pytest.raises(CheckpointError, match="different configuration: epochs, learning_rate differ"):
         train_continual(_config(epochs=3, learning_rate=0.02), data, resume_from=path)
+
+
+def test_resume_rejects_a_bank_of_other_sessions_than_it_completed(tmp_path) -> None:
+    data = _dataset(n_sessions=2, n=14)
+    path = tmp_path / "run.ckpt"
+    run = train_continual(_config(), data)
+    runner.save_checkpoint(
+        path, _config(), run.model, run.bank, runner._Streams(0), ["s1"], runner._Counters(), run.loss_trace
+    )
+    with pytest.raises(CheckpointError, match="the checkpoint's bank holds sessions s1, s2, not those it completed"):
+        train_continual(_config(), data, resume_from=path)
 
 
 def test_resume_past_the_manifest_end_is_rejected(tmp_path) -> None:
@@ -683,8 +694,9 @@ def test_checkpoint_rejects_version_one_and_missing_header_keys(tmp_path) -> Non
     train_continual(_config(), _dataset(n_sessions=1, n=12), checkpoint_path=path)
     raw, header, payload_at = _split_checkpoint(path)
     old = tmp_path / "old.ckpt"
-    # version 4 held the per-exemplar session table
-    for version in (1, 2, 3, 4):
+    # version 4 held the per-exemplar session table, version 5 a count of
+    # completed sessions
+    for version in (1, 2, 3, 4, 5):
         old.write_bytes(raw[:8] + struct.pack("<I", version) + raw[12:])
         with pytest.raises(CheckpointError, match=f"unsupported version {version}"):
             load_checkpoint(old)
@@ -721,9 +733,10 @@ def test_checkpoint_rejects_mistyped_header_scalars(tmp_path) -> None:
     raw, header, payload_at = _split_checkpoint(path)
     missing = object()
     for keys, value, match in (
-        (("completed_sessions",), 1.5, "completed_sessions must be a non-negative integer"),
-        (("completed_sessions",), -1, "completed_sessions must be a non-negative integer"),
-        (("completed_sessions",), True, "completed_sessions must be a non-negative integer"),
+        (("completed_sessions",), 1, "completed_sessions must be a list of session names, got 1"),
+        (("completed_sessions",), "s1", "completed_sessions must be a list of session names"),
+        (("completed_sessions",), ["s1", 2], "completed_sessions must be a list of session names"),
+        (("completed_sessions",), [None], "completed_sessions must be a list of session names"),
         (("counters", "steps"), "x", "counter 'steps' must be a non-negative integer"),
         (("counters", "dropped_singletons"), -2, "counter 'dropped_singletons'"),
         (("counters", "steps"), missing, "counters must be exactly"),
