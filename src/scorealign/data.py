@@ -18,7 +18,7 @@ import stat
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, NoReturn, TypeVar
+from typing import NoReturn
 
 import numpy as np
 
@@ -46,8 +46,9 @@ class Reader:
     Feature, bank and checkpoint files all decode through it, so each
     rejects truncation, a bad preamble, trailing bytes and non-finite
     floats the same way: with `error` (CodecError or a subclass), its
-    message after `prefix`, naming the byte offset. The walk moves past
-    float payloads with `run`, which records them for `decode`.
+    message after `prefix`, naming the byte offset. A walk decodes each
+    float run with `floats` where it meets it, so the first fault in the
+    file is the one raised.
     """
 
     def __init__(self, raw: bytes, error: type[CodecError] = CodecError, prefix: str = ""):
@@ -55,8 +56,6 @@ class Reader:
         self.pos = 0
         self.error = error
         self.prefix = prefix
-        # per recorded run: where it starts, its float count and its name(s)
-        self.runs: list[tuple[int, int, str | list[str]]] = []
 
     def fault(self, message: str, offset: int) -> CodecError:
         return self.error(self.prefix + message, offset)
@@ -114,58 +113,30 @@ class Reader:
         if found_version != version:
             raise self.fault(f"unsupported version {found_version}", len(magic))
 
-    def run(self, dtype: str, count: int, what: str | list[str]) -> None:
-        """Move past count floats stored as dtype, recording them for
-        decode. `what` names the run, or is a list naming each of its equal
-        rows: a fault then names its row and the index in it, and a cut
-        run records its whole rows and reports the first cut one, as if
-        each row were a run of its own."""
+    def floats(self, dtype: str, count: int, what: str | list[str]) -> np.ndarray:
+        """Move past count floats stored as dtype; their values as a new
+        float64 array. The first non-finite value is rejected naming `what`,
+        its flat index and its byte offset. `what` names the run, or is a
+        list naming each of its equal rows: a fault then names its row and
+        the index in it, and a cut run decodes its whole rows before it
+        reports the first cut one, as if each row were a run of its own."""
         width = _itemsize(dtype)
-        if isinstance(what, str):
-            self.runs.append((self.skip(width * count, what), count, what))
-            return
-        row = count // len(what)
-        whole = min(len(what), (len(self.raw) - self.pos) // (width * row))
-        self.runs.append((self.skip(width * row * whole, what[0]), row * whole, what[:whole]))
-        if whole < len(what):
-            self.skip(width * row, what[whole])
-
-    def decode(self, dtype: str, walk: Callable[[], T]) -> tuple[T, list[np.ndarray]]:
-        """What walk() returns, and the float64 values of each run it
-        recorded with run, as views of one flat block.
-
-        The runs are joined, checked for finiteness and cast at once. The
-        first non-finite value is rejected naming its run's `what` (or its
-        row's name, for a run of named rows), its flat index in the run (or
-        row) and its byte offset. A CodecError the walk raises comes after
-        every run it recorded, so it is raised only when those runs are
-        finite: the first fault in the input is the one reported.
-        """
-        fault = None
-        try:
-            walked = walk()
-        except CodecError as exc:
-            fault = exc
-        runs, width = self.runs, _itemsize(dtype)
-        view = memoryview(self.raw)
-        stored = np.frombuffer(b"".join([view[s : s + width * n] for s, n, _ in runs]), dtype=dtype)
-        offsets = [0, *itertools.accumulate(n for _, n, _ in runs)]
+        names = [what] if isinstance(what, str) else what
+        row = count // len(names)
+        start = self.pos
+        whole = min(len(names), (len(self.raw) - start) // (width * row)) if row else len(names)
+        stored = np.frombuffer(self.raw, dtype, row * whole, start)
         # checked before the cast, which would warn on a signaling NaN
         finite = np.isfinite(stored)
         if not finite.all():
             at = int(np.flatnonzero(~finite)[0])
-            i = int(np.searchsorted(offsets, at, side="right")) - 1
-            start, count, what = runs[i]
-            col = at - offsets[i]
-            byte = start + width * col
-            if not isinstance(what, str):
-                row, col = divmod(col, count // len(what))
-                what = what[row]
-            raise self.fault(f"non-finite value in {what} at flat index {col}", byte)
-        if fault is not None:
-            raise fault
-        block = stored.astype(np.float64)
-        return walked, [block[a:b] for a, b in zip(offsets, offsets[1:])]
+            raise self.fault(
+                f"non-finite value in {names[at // row]} at flat index {at % row}", start + width * at
+            )
+        self.pos += width * row * whole
+        if whole < len(names):
+            self.skip(width * row, names[whole])
+        return stored.astype(np.float64)
 
     def end(self, what: str) -> None:
         if self.pos != len(self.raw):
@@ -175,8 +146,6 @@ class Reader:
 # looked up for every field and run of every file a Reader walks, so built once
 _struct = functools.cache(lambda fmt: struct.Struct("<" + fmt))
 _itemsize = functools.cache(lambda dtype: np.dtype(dtype).itemsize)
-
-T = TypeVar("T")
 
 
 class ManifestError(ValueError):
@@ -264,23 +233,20 @@ def _read_features(files: list[tuple[str | Path, bytes]]) -> list[np.ndarray]:
 
 def _raise_feature_fault(files: list[tuple[str | Path, bytes]]) -> NoReturn:
     """Raise the first fault, in file order, of feature files that
-    _read_features rejected. Each file is decoded by a Reader walk of its
-    header and end, so a fault names its file and byte offset, and a bad
-    end is raised only after the file's payload is found finite. The walk
-    accepts exactly what the header check accepts, so when every header
-    passes, a payload holds the non-finite value that decode raises for."""
+    _read_features rejected. Each file is walked straight through by a
+    Reader, its payload decoded where the walk meets it, so a fault names
+    its file and byte offset, and a bad end is raised only after the
+    file's payload is found finite. The walk accepts exactly what the
+    header check accepts, so when every header passes, a payload holds the
+    non-finite value that the walk raises for."""
     for name, raw in files:
         reader = Reader(raw, prefix=f"feature file '{name}': ")
-
-        def walk() -> None:
-            reader.preamble(FEATURE_MAGIC, FEATURE_VERSION)
-            t, d = reader.unpack("II", "shape")
-            if t < 1 or d < 1:
-                raise reader.fault(f"empty shape ({t}, {d}) in header", 12)
-            reader.run("<f4", t * d, "features")
-            reader.end("features")
-
-        reader.decode("<f4", walk)
+        reader.preamble(FEATURE_MAGIC, FEATURE_VERSION)
+        t, d = reader.unpack("II", "shape")
+        if t < 1 or d < 1:
+            raise reader.fault(f"empty shape ({t}, {d}) in header", 12)
+        reader.floats("<f4", t * d, "features")
+        reader.end("features")
     raise AssertionError("feature files that pass every check reached the fault walk")
 
 

@@ -7,10 +7,10 @@ before storage. A stored session is columns, as in its file: an id list,
 a score vector and a (count, K, D) feature array. Replay draws uniformly
 without replacement from the stored sessions joined as one pool. One
 session table encodes the stored exemplars: the bank file holds it at
-32-bit floats, a checkpoint at 64-bit floats. The whole table decodes as
-one block, of which each session's columns are views, and the decoder
-rejects what the encoder never writes: an empty session or an empty
-exemplar shape.
+32-bit floats, a checkpoint at 64-bit floats. Each session's run decodes
+where the reader meets it, and its columns are views of that run; the
+decoder rejects what the encoder never writes: an empty session or an
+empty exemplar shape.
 """
 
 from __future__ import annotations
@@ -155,21 +155,16 @@ def encode_sessions(bank: MemoryBank, dtype: str) -> bytes:
     return b"".join(chunks)
 
 
-# a walked session table: per session tag, its exemplar ids, (K, D) and the
-# position of its run among those the reader recorded
-SessionTable = dict[str, tuple[list[str], int, int, int]]
-
-
-def walk_sessions(reader: Reader, dtype: str) -> SessionTable:
-    """The session table at the reader's cursor, walked, with each
-    session's (count, 1 + K x D) run recorded for Reader.decode, its rows
-    named by exemplar. Faults raise reader.error, at the offset a walk one
-    exemplar at a time would report."""
-    table: SessionTable = {}
+def read_sessions(reader: Reader, dtype: str) -> MemoryBank:
+    """The session table at the reader's cursor: a session's scores and
+    features are views of its one decoded (count, 1 + K x D) run, whose
+    rows are named by exemplar. Faults raise reader.error, at the offset a
+    walk one exemplar at a time would report."""
+    bank = MemoryBank()
     for _ in range(reader.unpack("I", "session count")[0]):
         tag_at = reader.pos
         (tag,) = reader.strings(1, "session tag")
-        if tag in table:
+        if tag in bank.sessions:
             raise reader.fault(f"duplicate session '{tag}' in session table", tag_at)
         shape_at = reader.pos
         count, k, d = reader.unpack("III", "exemplar count and shape")
@@ -178,25 +173,10 @@ def walk_sessions(reader: Reader, dtype: str) -> SessionTable:
         if k == 0 or d == 0:
             raise reader.fault(f"session '{tag}' has empty exemplar shape ({k}, {d})", shape_at)
         ids = reader.strings(count, "sample id")
-        table[tag] = (ids, k, d, len(reader.runs))
-        reader.run(dtype, count * (1 + k * d), [f"exemplar '{i}'" for i in ids])
-    return table
-
-
-def sessions_from(table: SessionTable, runs: list[np.ndarray]) -> MemoryBank:
-    """The bank of a walked session table, given Reader.decode's runs: a
-    session's scores and features are views of its one (count, 1 + K x D)
-    run."""
-    bank = MemoryBank()
-    for tag, (ids, k, d, run) in table.items():
-        rows = runs[run].reshape(len(ids), 1 + k * d)
-        bank.sessions[tag] = Session(ids, rows[:, 0], rows[:, 1:].reshape(len(ids), k, d))
+        rows = reader.floats(dtype, count * (1 + k * d), [f"exemplar '{i}'" for i in ids])
+        rows = rows.reshape(count, 1 + k * d)
+        bank.sessions[tag] = Session(ids, rows[:, 0], rows[:, 1:].reshape(count, k, d))
     return bank
-
-
-def read_sessions(reader: Reader, dtype: str) -> MemoryBank:
-    """The session table at the reader's cursor, decoded as one block."""
-    return sessions_from(*reader.decode(dtype, lambda: walk_sessions(reader, dtype)))
 
 
 def _encode_bank(bank: MemoryBank) -> bytes:

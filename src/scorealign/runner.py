@@ -35,9 +35,8 @@ from .memory import (
     MemoryBank,
     bank_file_size,
     encode_sessions,
+    read_sessions,
     sample_replay_batch,
-    sessions_from,
-    walk_sessions,
     write_session,
 )
 from .metrics import MetricReport, metric_entry, pooled_metrics
@@ -666,7 +665,7 @@ def save_checkpoint(
     header = {
         "config": config.to_dict(),
         "feat_dim": model.head.sizes[0],
-        "completed_sessions": completed_sessions,
+        "completed_sessions": _session_names(completed_sessions),
         "adam_steps": model.adam.t,
         "counters": counters.to_dict(),
         "rng": streams.get_state(),
@@ -688,6 +687,13 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         raise
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _session_names(value: object) -> list[str]:
+    """value, when it is a list of names, as completed_sessions must be."""
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise CheckpointError(f"completed_sessions must be a list of session names, got {value!r}")
+    return value
 
 
 def _count(value: object, what: str) -> int:
@@ -734,17 +740,9 @@ def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
     t = {name: _count(steps, f"adam step count '{name}'") for name, steps in header["adam_steps"].items()}
     layout = [*blocks.items(), *((f"adam.{x}:{name}", blocks[name]) for name in sorted(t) for x in "mv")]
     layout.append(("trace", _count(header["trace_length"], "trace_length")))
-
-    def walk() -> dict:
-        for name, count in layout:
-            reader.run("<f8", count, f"array '{name}'")
-        table = walk_sessions(reader, "<f8")
-        reader.end("checkpoint payload")
-        return table
-
-    table, runs = reader.decode("<f8", walk)
-    values = {name: run for (name, _), run in zip(layout, runs)}
-    bank = sessions_from(table, runs)
+    values = {name: reader.floats("<f8", count, f"array '{name}'") for name, count in layout}
+    bank = read_sessions(reader, "<f8")
+    reader.end("checkpoint payload")
     for tag, session in bank.sessions.items():
         if session.features.shape[1:] != (keyframes, feat_dim):
             raise CheckpointError(
@@ -762,14 +760,11 @@ def _decode_checkpoint(reader: Reader) -> CheckpointBundle:
     if not isinstance(header["counters"], dict) or set(header["counters"]) != set(names):
         raise CheckpointError(f"checkpoint counters must be exactly {names}")
     counters = _Counters(**{n: _count(header["counters"][n], f"counter '{n}'") for n in names})
-    completed = header["completed_sessions"]
-    if not isinstance(completed, list) or not all(isinstance(name, str) for name in completed):
-        raise CheckpointError(f"completed_sessions must be a list of session names, got {completed!r}")
     return CheckpointBundle(
         model=ModelState(head, adapter, adam),
         bank=bank,
         stream_state=stream_state,
-        completed_sessions=completed,
+        completed_sessions=_session_names(header["completed_sessions"]),
         config=config,
         counters=counters,
         loss_trace=values["trace"],

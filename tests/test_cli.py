@@ -683,6 +683,120 @@ def test_resume_of_a_joint_run_exit_code_two(bench, tmp_path) -> None:
     assert not report.exists()
 
 
+def test_joint_checkpoint_serves_eval_and_probe_but_no_continual_resume(bench, tmp_path) -> None:
+    runner, out = bench
+    manifest = str(out / "manifest.json")
+    ckpt = tmp_path / "joint.ckpt"
+    result = runner.invoke(
+        main,
+        ["train", "--manifest", manifest, "--mode", "joint", "--checkpoint-out", str(ckpt),
+         "--report-out", str(tmp_path / "train.json")] + TRAIN_SPEED_ARGS,
+    )
+    assert result.exit_code == 0, result.output
+    bundle = load_checkpoint(ckpt)
+    assert bundle.completed_sessions == [] and bundle.bank.sessions == {}
+    adam = bundle.model.adam
+    assert set(adam.t) == set(adam.m) == set(adam.v) == {"head"}
+    trained = read_report(tmp_path / "train.json")
+    serve = ["--checkpoint", str(ckpt), "--manifest", manifest]
+    for command, mode in (("eval", "eval"), ("probe-flatness", "probe")):
+        report = tmp_path / f"{mode}.json"
+        result = runner.invoke(main, [command] + serve + ["--report-out", str(report)])
+        assert result.exit_code == 0, result.output
+        served = read_report(report)
+        assert served.mode == mode and served.config["mode"] == "joint"
+        assert (served.config, served.config_hash) == (trained.config, trained.config_hash)
+    resumed = tmp_path / "resumed.json"
+    result = runner.invoke(
+        main,
+        ["train", "--manifest", manifest, "--resume", str(ckpt), "--report-out", str(resumed)]
+        + TRAIN_SPEED_ARGS,
+    )
+    assert result.exit_code == 3, result.output
+    assert "different configuration: mode differ" in result.output
+    assert not resumed.exists()
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """A stream, a continual checkpoint trained on it, and a probe report
+    of that checkpoint."""
+    runner, tmp = CliRunner(), tmp_path_factory.mktemp("served")
+    out, ckpt, probe = tmp / "bench", tmp / "run.ckpt", tmp / "probe.json"
+    for argv in (
+        SYNTH_ARGS + ["--out", str(out)],
+        ["train", "--manifest", str(out / "manifest.json"), "--report-out", str(tmp / "train.json"),
+         "--checkpoint-out", str(ckpt)] + TRAIN_SPEED_ARGS,
+        ["probe-flatness", "--checkpoint", str(ckpt), "--manifest", str(out / "manifest.json"),
+         "--report-out", str(probe), "--radii", "0.5,1"],
+    ):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+    return out, ckpt, probe
+
+
+def _splits(split: str, session: str | None = None):
+    """An edit of a manifest's records: those of session, or all, get split."""
+    return lambda records: [
+        {**r, "split": split} if session in (None, r["session"]) else r for r in records
+    ]
+
+
+_TRAIN = ["train", "--manifest", "{manifest}", "--report-out", "{report}"] + TRAIN_SPEED_ARGS
+_SERVE = ["--checkpoint", "{ckpt}", "--manifest", "{manifest}", "--report-out", "{report}"]
+
+# per case: an edit of the stream's manifest records, the command line
+# ({names} filled in by the test), its exit code and what its output says
+CLI_PATHS = {
+    "probe-without-radii": (
+        None,
+        ["probe-flatness", "--checkpoint", "{unread}", "--manifest", "{manifest}",
+         "--report-out", "{report}", "--radii", ","],
+        2, "at least one probe radius is required",
+    ),
+    "eval-without-test-split": (
+        _splits("train"), ["eval"] + _SERVE, 4, "cannot evaluate an empty sample list",
+    ),
+    "joint-without-test-split": (
+        _splits("train"), _TRAIN + ["--mode", "joint"], 4,
+        "joint training needs nonempty train and test splits",
+    ),
+    "continual-on-the-base-session-only": (
+        lambda records: [r for r in records if r["session"] == "Others"], _TRAIN, 4,
+        "continual training needs at least one session",
+    ),
+    "base-session-all-test": (
+        _splits("test", "Others"), _TRAIN, 4, "base session has no training samples",
+    ),
+    "one-sample-per-session": (
+        None, _TRAIN + ["--max-train", "1"], 4,
+        "no trainable batches: every batch was degenerate or dropped",
+    ),
+    "report-of-a-probe": (None, ["report", "{probe}"], 0, "flatness probe over radii ['0.5', '1']"),
+}
+
+
+@pytest.mark.parametrize("case", list(CLI_PATHS))
+def test_cli_paths_exit_codes_and_messages(served, tmp_path, case) -> None:
+    out, ckpt, probe = served
+    edit, argv, code, message = CLI_PATHS[case]
+    manifest = out / "manifest.json"
+    if edit is not None:
+        records = edit(json.loads(manifest.read_text())["records"])
+        manifest = out / f"{case}.json"
+        manifest.write_text(json.dumps({"records": records}))
+    # an empty file: the command refuses its options before reading it
+    unread = tmp_path / "unread.ckpt"
+    unread.write_bytes(b"")
+    report = tmp_path / "report.json"
+    names = {"manifest": manifest, "ckpt": ckpt, "probe": probe, "unread": unread, "report": report}
+    result = CliRunner().invoke(main, [arg.format(**names) for arg in argv])
+    assert result.exit_code == code, result.output
+    assert message in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not report.exists()
+
+
 def test_config_defaults_are_run_config_defaults(tmp_path) -> None:
     manifest = tmp_path / "manifest.json"
     manifest.write_text("{}")

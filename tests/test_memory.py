@@ -386,11 +386,11 @@ def test_loaded_features_are_views_of_one_block_per_session(tmp_path) -> None:
     path = tmp_path / "bank.bin"
     save_bank(bank, path)
     loaded = load_bank(path)
-    # the whole table decodes as one block; each session's columns view it
-    block = loaded.sessions["s1"].features.base
-    assert block is not None and block.dtype == np.float64
+    # each session's run decodes as one block; its two columns view it
     for tag, session in loaded.sessions.items():
-        assert session.features.base is block and session.scores.base is block
+        block = session.features.base
+        assert block is not None and block.dtype == np.float64
+        assert session.scores.base is block
         assert session.features.shape == bank.sessions[tag].features.shape
         assert session.scores.shape == (len(session),) == (len(session.ids),)
         # row i of the run is score i, then exemplar i's K x D values

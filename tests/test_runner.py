@@ -673,6 +673,30 @@ def test_save_checkpoint_rejects_a_model_its_config_does_not_give(tmp_path) -> N
     assert not path.exists()
 
 
+def test_save_checkpoint_refuses_completed_sessions_its_loader_refuses(tmp_path) -> None:
+    result = train_continual(_config(), _dataset(n_sessions=1, n=12))
+    path = tmp_path / "run.ckpt"
+
+    def save(completed) -> None:
+        runner.save_checkpoint(
+            path, _config(), result.model, result.bank, runner._Streams(5), completed,
+            runner._Counters(), result.loss_trace,
+        )
+
+    bad = (5, "session1", [1, 2], None)
+    for completed in bad:
+        with pytest.raises(CheckpointError, match="completed_sessions must be a list of session names"):
+            save(completed)
+        assert not path.exists()
+    save(["s1"])
+    written = path.read_bytes()
+    for completed in bad:
+        with pytest.raises(CheckpointError, match="completed_sessions must be a list of session names"):
+            save(completed)
+        assert path.read_bytes() == written
+    assert load_checkpoint(path).completed_sessions == ["s1"]
+
+
 def test_run_config_rejects_layout_sizes_below_one() -> None:
     for overrides, match in (
         ({"hidden_sizes": (0,)}, "hidden_sizes and adapter_hidden must be positive integers"),
