@@ -74,7 +74,7 @@ _CONFIG_OPTIONS = {
     "batch_size": ("--batch-size", _RUN_DEFAULTS.batch_size, "current-data batch size b1"),
     "replay_batch_size": ("--replay-batch-size", _RUN_DEFAULTS.replay_batch_size, "replay mini-batch size b2"),
     "mse_weight": ("--mse-weight", _RUN_DEFAULTS.mse_weight, "precision-loss weight (lambda)"),
-    "replay_weight": ("--replay-weight", _RUN_DEFAULTS.replay_weight, "replay-loss weight (alpha)"),
+    "replay_weight": ("--replay-weight", _RUN_DEFAULTS.replay_weight, "scale on the replay rows' loss gradient (alpha)"),
     "reg_weight": ("--reg-weight", _RUN_DEFAULTS.reg_weight, "reconstruction-loss weight (beta)"),
     "exemplars_per_session": ("--exemplars-per-session", _RUN_DEFAULTS.exemplars_per_session, "memory quota m per session"),
     "keyframes": ("--keyframes", _RUN_DEFAULTS.keyframes, "key frames K kept per stored sample"),

@@ -1,8 +1,9 @@
 """Training and evaluation orchestration.
 
 Implements joint training, base pretraining, the continual session loop
-with alternating current/replay batches plus the adapter regularizer,
-deterministic evaluation, the flat-minima probe, and checkpointing.
+(each step one correlation batch of current and replayed rows, plus the
+adapter regularizer), deterministic evaluation, the flat-minima probe, and
+checkpointing.
 
 All randomness flows through three independent derived streams (shuffle,
 noise, replay), so ablations that drop one consumer, such as the
@@ -52,7 +53,7 @@ from .numkit import (
 )
 
 CHECKPOINT_MAGIC = b"ASALCKPT"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 MAX_DEGENERATE_FRACTION = 0.05
 
@@ -74,7 +75,7 @@ class RunConfig:
     batch_size: int = 3  # b1
     replay_batch_size: int = 2  # b2
     mse_weight: float = 0.05  # lambda
-    replay_weight: float = 1.0  # alpha
+    replay_weight: float = 1.0  # alpha: scales the replay rows' gradient in the joint loss
     reg_weight: float = 1.0  # beta
     exemplars_per_session: int = 16  # m
     keyframes: int = 3  # K
@@ -217,7 +218,6 @@ def model_param_dict(model: ModelState) -> dict[str, np.ndarray]:
 class _Counters:
     steps: int = 0
     degenerate_batches: int = 0
-    degenerate_replay_batches: int = 0
     dropped_singletons: int = 0
 
     def to_dict(self) -> dict:
@@ -241,10 +241,13 @@ def _train_on_samples(
     pass over a (2, B, D) stack: the current rows, then the pooled replay
     rows, the shorter padded to the longer's B with zero rows whose output
     gradient is zero. A step without a usable replay batch is a stack of
-    one; a degenerate replay batch keeps its zero row. Gradients are
-    summed in a fixed order: the head's current row,
-    then += its replay row; the adapter's replay rows, then reg_weight
-    times the reconstruction rows' sum."""
+    one. The sampled scores of both slices, noise drawn for the current
+    rows then the replay rows, are one batch of combined_loss: its value
+    is the trace entry, and the replay rows' share of its gradient is
+    scaled by replay_weight. A degenerate batch is counted and skipped; its
+    replay draw stays drawn. Gradients are summed in a fixed order: the
+    head's current row, then += its replay row; the adapter's replay rows,
+    then reg_weight times the reconstruction rows' sum."""
     if not samples:
         raise TrainingError("cannot train on an empty split")
     features = np.stack([s.features for s in samples])
@@ -271,49 +274,40 @@ def _train_on_samples(
                 continue
             # an overflow gives a non-finite gradient, which adam_step refuses
             with np.errstate(over="ignore", invalid="ignore"):
-                current = pooled[idx]
-                stack, n2 = current[None], 0
+                m, current = idx.size, pooled[idx]
+                stack, truth, n2 = current[None], scores[idx], 0
                 if replay is not None:
-                    # a degenerate current batch takes no draw: it rewinds this one
-                    replay_state = streams.replay.get_state()
                     drawn = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
                     if len(drawn) >= 2:
                         recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[drawn])
                         n2 = len(drawn)
-                        stack = np.zeros((2, max(idx.size, n2), current.shape[1]))
-                        stack[0, : idx.size] = current
+                        stack = np.zeros((2, max(m, n2), current.shape[1]))
+                        stack[0, :m] = current
                         stack[1, :n2] = pool(recon)
+                        truth = np.concatenate([truth, replay.scores[drawn]])
                 head_out, tape = mlp_forward(model.head, stack)
-                grad_out = np.zeros(head_out.shape)
-                eps = noise(idx.size)
-                s_hat, sigma = batch_sample(head_out[0, : idx.size], eps)
+                out, eps = head_out[0, :m], noise(m)
+                if n2:
+                    out = np.concatenate([out, head_out[1, :n2]])
+                    eps = np.concatenate([eps, noise(n2)])
+                s_hat, sigma = batch_sample(out, eps)
                 try:
-                    value, grad_s = combined_loss(s_hat, scores[idx], config.mse_weight)
+                    value, grad_s = combined_loss(s_hat, truth, config.mse_weight)
                 except DegenerateBatchError:
-                    if replay is not None:
-                        streams.replay.set_state(replay_state)
                     counters.degenerate_batches += 1
                     continue
                 trace.append(value)
-                grad_out[0, : idx.size] = batch_sample_backward(grad_s, eps, sigma)
-                if n2:
-                    eps = noise(n2)
-                    s_hat, sigma = batch_sample(head_out[1, :n2], eps)
-                    try:
-                        _, grad_s = combined_loss(s_hat, replay.scores[drawn], config.mse_weight)
-                        grad_out[1, :n2] = batch_sample_backward(
-                            config.replay_weight * grad_s, eps, sigma
-                        )
-                    except DegenerateBatchError:
-                        counters.degenerate_replay_batches += 1
-                        n2 = 0
+                grad_s[m:] *= config.replay_weight
+                grad_rows = batch_sample_backward(grad_s, eps, sigma)
+                grad_out = np.zeros(head_out.shape)
+                grad_out[0, :m] = grad_rows[:m]
+                grad_out[-1, :n2] = grad_rows[m:]  # the replay slice, empty in a stack of one
                 head_grads = head_rows[: len(stack)]
                 x_grad = mlp_backward(model.head, tape, grad_out, head_grads)
-                if len(head_grads) == 2:
-                    head_grads[0] += head_grads[1]
                 grads = {"head": head_grads[0]}
 
                 if n2:
+                    head_grads[0] += head_grads[1]
                     rows = adapter_backward(
                         model.adapter, recon_tape, pool_backward(x_grad[1, :n2], model.adapter.t_frames)
                     )

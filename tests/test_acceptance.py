@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -391,12 +392,7 @@ def test_criterion_11_determinism_and_formats(bench, continual_runs, tmp_path) -
     save_checkpoint(
         ckpt, config, replay_run.model, replay_run.bank, _Streams(config.seed),
         list(replay_run.bank.sessions),
-        _Counters(
-            steps=c["steps"],
-            degenerate_batches=c["degenerate_batches"],
-            degenerate_replay_batches=c["degenerate_replay_batches"],
-            dropped_singletons=c["dropped_singletons"],
-        ),
+        _Counters(**{f.name: c[f.name] for f in fields(_Counters)}),
         replay_run.loss_trace,
     )
     bundle = load_checkpoint(ckpt)

@@ -250,7 +250,7 @@ def test_replay_counters_and_bank_accounting_in_report() -> None:
     data = _dataset(n_sessions=3, n=15)
     result = train_continual(_config(), data)
     counters = result.report.counters
-    assert set(counters) >= {"steps", "degenerate_batches", "degenerate_replay_batches", "dropped_singletons"}
+    assert set(counters) >= {"steps", "degenerate_batches", "dropped_singletons"}
     assert counters["steps"] > 0
     assert counters["bank_floats"] == result.bank.num_floats()
     assert counters["bank_bytes"] == bank_file_size(result.bank)
@@ -719,8 +719,8 @@ def test_checkpoint_rejects_version_one_and_missing_header_keys(tmp_path) -> Non
     raw, header, payload_at = _split_checkpoint(path)
     old = tmp_path / "old.ckpt"
     # version 4 held the per-exemplar session table, version 5 a count of
-    # completed sessions
-    for version in (1, 2, 3, 4, 5):
+    # completed sessions, version 6 a run trained with a separate replay loss
+    for version in (1, 2, 3, 4, 5, 6):
         old.write_bytes(raw[:8] + struct.pack("<I", version) + raw[12:])
         with pytest.raises(CheckpointError, match=f"unsupported version {version}"):
             load_checkpoint(old)
@@ -1092,6 +1092,25 @@ def test_adam_step_contract_one_call_per_step_on_two_blocks(monkeypatch) -> None
     assert all(blocks == {"head"} for _, _, blocks in calls[:base_steps])
     adapter_steps = sum("adapter" in blocks for _, _, blocks in calls)
     assert 0 < adapter_steps == result.model.adam.t["adapter"]
+
+
+def test_two_replay_rows_train_the_adapter_through_the_correlation(monkeypatch) -> None:
+    # a 2-row correlation is always +-1, so scored as its own batch it
+    # gives the replay rows, and the adapter behind them, a zero gradient
+    steps = []
+    monkeypatch.setattr(runner, "adam_step", lambda state, params, grads: steps.append(grads))
+    config = _config(epochs=1, replay_batch_size=2, mse_weight=0.0, reg_weight=0.0)
+    session = _session("s2", 5, seed=3)
+    model = init_model(FEAT_DIM, config)
+    rng = np.random.default_rng(4)
+    bank = memory.MemoryBank()
+    bank.sessions["s1"] = memory.Session(
+        ["a", "b", "c"], np.array([1.5, 3.0, 4.5]), rng.normal(size=(3, config.keyframes, FEAT_DIM))
+    )
+    samples = session.train[: config.batch_size]
+    runner._train_on_samples(model, samples, config, runner._Streams(0), bank, runner._Counters(), [])
+    assert len(steps) == 1
+    assert np.abs(steps[0]["adapter"]).max() > 1e-6
 
 
 def _count_selections(monkeypatch, config: RunConfig, data: LoadedData):

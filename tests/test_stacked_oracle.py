@@ -146,23 +146,35 @@ def _reg_loop(params: AdapterParams, features_batch, compressed_batch):
     return total, grads
 
 
-def _replay_loop(model, batch, eps, config):
-    """The replay term one exemplar at a time: (head, adapter) gradients,
-    or None for a degenerate batch."""
+def _replay_loop(model, current, truth, eps, batch, replay_eps, config):
+    """One step's loss with the replay rows one exemplar at a time: the
+    current rows' pooled features, truths and noise, then the replay batch
+    and its noise, scored as one correlation batch. Returns the (head,
+    adapter) gradients, the adapter's None without replay rows, or None
+    for a degenerate batch."""
+    out, tape = _mlp_forward_2d(model.head, current)
+    s_hat, sigma = batch_sample(out, eps)
     recon_tapes, pooled_rows = [], []
     for exemplar in batch:
-        recon, tape = _reconstruct_one(model.adapter, exemplar.features)
-        recon_tapes.append(tape)
+        recon, recon_tape = _reconstruct_one(model.adapter, exemplar.features)
+        recon_tapes.append(recon_tape)
         pooled_rows.append(recon.mean(axis=0))
-    out, tape = _mlp_forward_2d(model.head, np.stack(pooled_rows))
-    s_hat, sigma = batch_sample(out, eps)
-    truth = np.array([e.score for e in batch], dtype=np.float64)
+    if batch:
+        replay_out, replay_tape = _mlp_forward_2d(model.head, np.stack(pooled_rows))
+        replay_s, replay_sigma = batch_sample(replay_out, replay_eps)
+        s_hat = np.concatenate([s_hat, replay_s])
+        truth = np.concatenate([truth, [e.score for e in batch]])
     try:
         _, grad_s = combined_loss(s_hat, truth, config.mse_weight)
     except DegenerateBatchError:
         return None
-    grad_out = batch_sample_backward(config.replay_weight * grad_s, eps, sigma)
-    head_grads, x_grad = _mlp_backward_2d(model.head, tape, grad_out)
+    m = len(current)
+    head_grads, _ = _mlp_backward_2d(model.head, tape, batch_sample_backward(grad_s[:m], eps, sigma))
+    if not batch:
+        return head_grads, None
+    grad_out = batch_sample_backward(config.replay_weight * grad_s[m:], replay_eps, replay_sigma)
+    replay_head_grads, x_grad = _mlp_backward_2d(model.head, replay_tape, grad_out)
+    head_grads += replay_head_grads
     t_frames = model.adapter.t_frames
     adapter_grads = None
     for i, tape_i in enumerate(recon_tapes):
@@ -396,9 +408,10 @@ def _replay_model(rng: np.random.Generator, seed: int, b: int):
 
 def test_stacked_replay_term_matches_per_exemplar_loop(monkeypatch) -> None:
     """One training step on one current batch of b rows, with the
-    regularizer off: its head gradient is the current batch's plus the
-    replay batch's, and its adapter gradient is the replay term alone. The
-    two slices of the head stack have b rows each, so nothing is padded."""
+    regularizer off: its head gradient is the current rows' plus the
+    replay rows', both from one loss over the two, and its adapter
+    gradient is the replay rows' alone. The two slices of the head stack
+    have b rows each, so nothing is padded."""
     steps = []
     monkeypatch.setattr(
         runner, "adam_step", lambda state, params, grads: steps.append(
@@ -423,35 +436,27 @@ def test_stacked_replay_term_matches_per_exemplar_loop(monkeypatch) -> None:
             model, samples, config, streams, bank, runner._Counters(), []
         )
 
+        noise = oracle_streams.noise.normal if config.reparam else np.zeros
         order = oracle_streams.shuffle.permutation(b)
         pooled = np.stack([samples[i].features.mean(axis=0) for i in order])
-        out, tape = _mlp_forward_2d(model.head, pooled)
-        eps = oracle_streams.noise.normal(b) if config.reparam else np.zeros(b)
-        s_hat, sigma = batch_sample(out, eps)
-        try:
-            truth = np.array([samples[i].score for i in order])
-            _, grad_s = combined_loss(s_hat, truth, config.mse_weight)
-        except DegenerateBatchError:
-            # no step, and the replay stream is where a step that never drew leaves it
-            assert not steps and streams.get_state() == oracle_streams.get_state()
+        truth = np.array([samples[i].score for i in order])
+        eps = noise(b)
+        batch = _replay_draw_one(bank, config.replay_batch_size, oracle_streams.replay)
+        singles += len(batch) == 1
+        batch = batch if len(batch) >= 2 else []
+        want = _replay_loop(model, pooled, truth, eps, batch, noise(len(batch)), config)
+        # a degenerate batch's replay draw stays drawn
+        assert streams.get_state() == oracle_streams.get_state()
+        if want is None:
+            assert not steps
             degenerate += 1
             continue
         assert len(steps) == 1, f"seed {seed}"
-        want_head, _ = _mlp_backward_2d(model.head, tape, batch_sample_backward(grad_s, eps, sigma))
-        batch = _replay_draw_one(bank, config.replay_batch_size, oracle_streams.replay)
-        singles += len(batch) == 1
-        want = None
-        if len(batch) >= 2:
-            eps = oracle_streams.noise.normal(len(batch)) if config.reparam else np.zeros(len(batch))
-            want = _replay_loop(model, batch, eps, config)
-        assert streams.get_state() == oracle_streams.get_state()
-        if want is None:
+        assert _same_bytes(steps[0]["head"], want[0]), f"head gradient differs, seed {seed}"
+        if not batch:
             assert sorted(steps[0]) == ["head"], f"seed {seed}"
-            assert _same_bytes(steps[0]["head"], want_head), f"head gradient differs, seed {seed}"
             continue
         replayed += 1
-        want_head += want[0]
-        assert _same_bytes(steps[0]["head"], want_head), f"head gradient differs, seed {seed}"
         assert _same_bytes(steps[0]["adapter"], want[1]), f"adapter gradient differs, seed {seed}"
     assert replayed >= CASES // 2 and singles >= CASES // 3 - degenerate
 
@@ -459,39 +464,24 @@ def test_stacked_replay_term_matches_per_exemplar_loop(monkeypatch) -> None:
 # --- the fused training step against the two-pass step it replaced -----------
 
 
-def _head_term_two_pass(model, x, truth, weight, config, streams, out):
-    """One head pass of one batch, as the two-pass step ran it."""
+def _head_pass_two_pass(model, x, config, streams):
+    """One unpadded head pass of one batch, as the two-pass step ran it:
+    its tape, noise, sampled scores and sigma."""
     head_out, tape = mlp_forward(model.head, x[None])
     eps = streams.noise.normal(len(x)) if config.reparam else np.zeros(len(x))
-    s_hat, sigma = batch_sample(head_out[0], eps)
-    value, grad_s = combined_loss(s_hat, truth, config.mse_weight)
-    grad_out = batch_sample_backward(weight * grad_s, eps, sigma)
-    return value, mlp_backward(model.head, tape, grad_out[None], out[None])[0]
+    return (tape, eps, *batch_sample(head_out[0], eps))
 
 
-def _replay_term_two_pass(model, replay, config, streams, counters, head_grad, adapter_grad):
-    drawn = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
-    if len(drawn) < 2:
-        return False
-    recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[drawn])
-    try:
-        _, x_grad = _head_term_two_pass(
-            model, pool(recon), replay.scores[drawn], config.replay_weight, config, streams, head_grad
-        )
-    except DegenerateBatchError:
-        counters.degenerate_replay_batches += 1
-        return False
-    grad_recon = pool_backward(x_grad, model.adapter.t_frames)
-    rows = adapter_backward(model.adapter, recon_tape, grad_recon)
-    adapter_grad[...] = rows[0]
-    for row in rows[1:]:
-        adapter_grad += row
-    return True
+def _head_backward_two_pass(model, head_pass, grad_s, out):
+    """The head gradient of one pass into out; returns its input gradient."""
+    tape, eps, _, sigma = head_pass
+    grad_out = batch_sample_backward(grad_s, eps, sigma)
+    return mlp_backward(model.head, tape, grad_out[None], out[None])[0]
 
 
 def _train_two_pass(model, samples, config, streams, bank, counters, trace) -> None:
     """The training loop with one head pass for the current batch, then one
-    for the replay batch, drawn only after the current batch's loss."""
+    for the replay batch, their sampled scores joined into one loss."""
     features = np.stack([s.features for s in samples])
     pooled = pool(features)
     scores = np.array([s.score for s in samples], dtype=np.float64)
@@ -511,19 +501,34 @@ def _train_two_pass(model, samples, config, streams, bank, counters, trace) -> N
             if idx.size < 2:
                 counters.dropped_singletons += 1
                 continue
+            current = _head_pass_two_pass(model, pooled[idx], config, streams)
+            s_hat, truth, replayed = current[2], scores[idx], None
+            if replay is not None:
+                drawn = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
+                if len(drawn) >= 2:
+                    recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[drawn])
+                    replayed = _head_pass_two_pass(model, pool(recon), config, streams)
+                    s_hat = np.concatenate([s_hat, replayed[2]])
+                    truth = np.concatenate([truth, replay.scores[drawn]])
             try:
-                value, _ = _head_term_two_pass(
-                    model, pooled[idx], scores[idx], 1.0, config, streams, head_grad
-                )
+                value, grad_s = combined_loss(s_hat, truth, config.mse_weight)
             except DegenerateBatchError:
                 counters.degenerate_batches += 1
                 continue
-            grads = {"head": head_grad}
             trace.append(value)
-            if replay is not None and _replay_term_two_pass(
-                model, replay, config, streams, counters, replay_head_grad, adapter_grad
-            ):
+            _head_backward_two_pass(model, current, grad_s[: idx.size], head_grad)
+            grads = {"head": head_grad}
+            if replayed is not None:
+                x_grad = _head_backward_two_pass(
+                    model, replayed, config.replay_weight * grad_s[idx.size :], replay_head_grad
+                )
                 head_grad += replay_head_grad
+                rows = adapter_backward(
+                    model.adapter, recon_tape, pool_backward(x_grad, model.adapter.t_frames)
+                )
+                adapter_grad[...] = rows[0]
+                for row in rows[1:]:
+                    adapter_grad += row
                 grads["adapter"] = adapter_grad
             if reg_on:
                 _, reg_grad = reg_loss_and_grads(model.adapter, features[idx], compressed[idx])
@@ -536,19 +541,13 @@ def _train_two_pass(model, samples, config, streams, bank, counters, trace) -> N
             counters.steps += 1
 
 
-def _stream_sessions(
-    rng: np.random.Generator, t: int, d: int, b1: int, tied: bool
-) -> list[list[ScoredSample]]:
+def _stream_sessions(rng: np.random.Generator, t: int, d: int, b1: int) -> list[list[ScoredSample]]:
     """Three sessions whose sizes leave 2-row and 1-row batches at epoch
-    ends; with tied, the middle session's scores take two values, so some
-    of its batches have equal scores throughout."""
+    ends."""
     sessions = []
     for s in range(3):
         n = int(rng.integers(2, 4)) * b1 + int(rng.integers(0, b1))
-        if tied and s == 1:
-            scores = rng.choice([2.0, 4.0], size=n)
-        else:
-            scores = rng.uniform(1.0, 5.0, size=n)
+        scores = rng.uniform(1.0, 5.0, size=n)
         sessions.append([
             ScoredSample(f"s{s}_{i}", rng.normal(size=(t, d)) + s, float(scores[i]), f"s{s}")
             for i in range(n)
@@ -556,28 +555,24 @@ def _stream_sessions(
     return sessions
 
 
-def _fused_vs_two_pass(config: runner.RunConfig, d: int, sessions) -> tuple[runner._Counters, int]:
+def _fused_vs_two_pass(config: runner.RunConfig, d: int, sessions) -> runner._Counters:
     """Train both loops session by session from one bank. Counters and all
     three stream states must match exactly after every session; the loss
     trace, the parameters and Adam's moments to 1e-10, since a padded
     slice may change the bits of a layer's product. Returns the fused
-    counters and the degenerate current batches seen while replay drew."""
+    counters."""
     fused, reference = runner.init_model(d, config), runner.init_model(d, config)
     fused_streams, reference_streams = runner._Streams(config.seed), runner._Streams(config.seed)
     fused_counters, reference_counters = runner._Counters(), runner._Counters()
     fused_trace, reference_trace = [], []
     bank = MemoryBank()
-    rewound = 0
     for samples in sessions:
-        before = fused_counters.degenerate_batches
         runner._train_on_samples(
             fused, samples, config, fused_streams, bank, fused_counters, fused_trace
         )
         _train_two_pass(
             reference, samples, config, reference_streams, bank, reference_counters, reference_trace
         )
-        if bank.sessions and len(bank.replay_pool()) >= 2:
-            rewound += fused_counters.degenerate_batches - before
         where = f"seed {config.seed}, session {samples[0].session}"
         assert fused_counters == reference_counters, where
         for name, state in reference_streams.get_state().items():
@@ -600,7 +595,7 @@ def _fused_vs_two_pass(config: runner.RunConfig, d: int, sessions) -> tuple[runn
         write_session(
             bank, samples, config.exemplars_per_session, config.keyframes, config.diversity_weight
         )
-    return fused_counters, rewound
+    return fused_counters
 
 
 # (b1, b2): the benchmark's, equal sizes, and b2 > b1, whose current slice
@@ -636,30 +631,38 @@ def test_fused_step_matches_two_pass_step() -> None:
         t, d = int(rng.integers(4, 9)), int(rng.integers(3, 9))
         config = _fused_config(rng, seed, t, d)
         padded += config.replay_batch_size != config.batch_size
-        sessions = _stream_sessions(rng, t, d, config.batch_size, tied=False)
+        sessions = _stream_sessions(rng, t, d, config.batch_size)
         two_row_ends += sum(len(s) % config.batch_size == 2 for s in sessions)
-        counters, _ = _fused_vs_two_pass(config, d, sessions)
+        counters = _fused_vs_two_pass(config, d, sessions)
         assert counters.steps > 0
     assert padded >= 24 and two_row_ends >= 10
 
 
-def test_degenerate_current_batch_rewinds_the_replay_draw() -> None:
-    """A session of two score values has current batches of equal scores
-    after a replay draw: the fused step drew first, so it rewinds the
-    replay stream to where the two-pass step, which never drew, left it.
-    Stored exemplars of equal scores also give degenerate replay batches."""
-    rewound = degenerate_replay = 0
+def _batches(sessions, b1: int, epochs: int) -> int:
+    """The batches of two rows or more the sessions give over the epochs."""
+    return epochs * sum(len(s) // b1 + (len(s) % b1 >= 2) for s in sessions)
+
+
+def test_a_batch_is_degenerate_only_when_its_joint_batch_is() -> None:
+    """A session of one score value after a session of many: its every
+    current batch is tied, and the replay rows break the tie, so every
+    batch trains. After a session of the same one score value every joint
+    batch has one score value: it is skipped and counted, and its replay
+    draw stays drawn, as the reference, which draws before it scores,
+    leaves it."""
     for seed in range(24):
         rng = np.random.default_rng(95_000 + seed)
         t, d = int(rng.integers(4, 9)), int(rng.integers(3, 9))
-        config = dataclasses.replace(
-            _fused_config(rng, seed, t, d), replay_weight=1.0, exemplars_per_session=4
-        )
-        sessions = _stream_sessions(rng, t, d, config.batch_size, tied=True)
-        counters, seen = _fused_vs_two_pass(config, d, sessions)
-        rewound += seen
-        degenerate_replay += counters.degenerate_replay_batches
-    assert rewound >= 10 and degenerate_replay >= 1
+        config = dataclasses.replace(_fused_config(rng, seed, t, d), exemplars_per_session=4)
+        sessions = _stream_sessions(rng, t, d, config.batch_size)[:2]
+        tied = [[dataclasses.replace(s, score=3.0) for s in session] for session in sessions]
+        batches = _batches(sessions, config.batch_size, config.epochs)
+
+        counters = _fused_vs_two_pass(config, d, [sessions[0], tied[1]])
+        assert (counters.steps, counters.degenerate_batches) == (batches, 0), f"seed {seed}"
+
+        counters = _fused_vs_two_pass(config, d, tied)
+        assert (counters.steps, counters.degenerate_batches) == (0, batches), f"seed {seed}"
 
 
 def _random_replay_bank(rng: np.random.Generator) -> MemoryBank:
