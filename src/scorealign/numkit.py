@@ -46,6 +46,14 @@ class _NoSeed(ISeedSequence):
         return np.zeros(n_words, dtype=dtype)
 
 
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine and sine standard normals of pairs of U[0, 1) draws: u1
+    gives the radius, mapped to (0, 1] so its log is finite, u2 the angle."""
+    radius = np.sqrt(-2.0 * np.log(1.0 - u1))
+    angle = 2.0 * np.pi * u2
+    return radius * np.cos(angle), radius * np.sin(angle)
+
+
 class SeededRng:
     """Deterministic random source backed by PCG64.
 
@@ -76,12 +84,29 @@ class SeededRng:
         if n == 0:
             return np.zeros(0)
         pairs = (n + 1) // 2
-        u1 = 1.0 - self._gen.random(pairs)  # (0, 1]: keeps log finite
-        u2 = self._gen.random(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-        return z[:n]
+        cos, sin = _box_muller(self._gen.random(pairs), self._gen.random(pairs))
+        return np.concatenate([cos, sin])[:n]
+
+    def normal_block(self, sizes: Sequence[int]) -> np.ndarray:
+        """The draws of normal(n) for each n in sizes, called in turn,
+        joined as one vector: the same bits, and the same stream state
+        after, from one uniform block.
+
+        normal(n) takes (n + 1) // 2 uniforms for the radii, then as many
+        for the angles, and keeps the cosine half, then the sine half, up
+        to n values; the block holds each call's two runs where its own
+        draw would put them."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if sizes.size and sizes.min() < 0:
+            raise ValueError(f"draw counts must be >= 0, got {int(sizes.min())}")
+        pairs = (sizes + 1) // 2
+        u = self._gen.random(2 * int(pairs.sum()))
+        radius = np.repeat(np.tile([True, False], pairs.size), np.repeat(pairs, 2))
+        cos, sin = _box_muller(u[radius], u[~radius])
+        z = np.empty_like(u)
+        z[radius], z[~radius] = cos, sin
+        # an odd n drops the last sine of its call
+        return np.delete(z, np.cumsum(2 * pairs)[sizes % 2 == 1] - 1)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
@@ -273,10 +298,14 @@ def adam_step(
     """One Adam update, in place, over the blocks present in grads.
 
     Decoupled weight decay scales each block by (1 - lr*wd) before the
-    Adam delta is applied.
+    Adam delta is applied. Every block is checked before any moves, so a
+    refused step leaves params, moments and step counts as they were. The
+    moments update in place and the delta is built in two work vectors,
+    with the operands of the textbook formula in its order: m = b1*m +
+    (1-b1)*g, v = b2*v + ((1-b2)*g)*g, then lr*m_hat / (sqrt(v_hat) + eps).
     """
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteGradientError(f"non-finite gradient in block '{name}'")
         if name not in params:
             raise ShapeMismatchError(f"gradient for unknown parameter block '{name}'")
@@ -288,11 +317,21 @@ def adam_step(
             state.t[name] = 0
         state.t[name] += 1
         t = state.t[name]
-        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        step = state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = state.m[name], state.v[name]
+        step, denom = np.empty_like(p), np.empty_like(p)
+        m *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, g, out=step)
+        m += step
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=step)
+        step *= g
+        v += step
+        np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
+        np.multiply(state.lr, step, out=step)
+        step /= denom
         if state.weight_decay != 0.0:
             p *= 1.0 - state.lr * state.weight_decay
         p -= step

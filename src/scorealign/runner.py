@@ -98,8 +98,8 @@ class RunConfig:
             raise ValueError(f"float fields must be finite, got {self}")
         if self.mse_weight < 0 or self.replay_weight < 0 or self.reg_weight < 0:
             raise ValueError("loss weights must be >= 0")
-        if self.epochs < 1 or self.batch_size < 2 or self.replay_batch_size < 2:
-            raise ValueError("need epochs >= 1, batch_size >= 2, replay_batch_size >= 2")
+        if self.epochs < 1 or self.batch_size < 2 or self.replay_batch_size < 1:
+            raise ValueError("need epochs >= 1, batch_size >= 2, replay_batch_size >= 1")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ValueError("need learning_rate > 0 and weight_decay >= 0")
         if self.keyframes < 1 or self.frames < self.keyframes:
@@ -237,17 +237,19 @@ def _train_on_samples(
     folding in the replay and reconstruction terms when a bank is given.
     The bank changes only between calls, so its replay pool is built once.
 
-    A step draws and decodes its replay batch first, then makes one head
-    pass over a (2, B, D) stack: the current rows, then the pooled replay
-    rows, the shorter padded to the longer's B with zero rows whose output
-    gradient is zero. A step without a usable replay batch is a stack of
-    one. The sampled scores of both slices, noise drawn for the current
-    rows then the replay rows, are one batch of combined_loss: its value
-    is the trace entry, and the replay rows' share of its gradient is
-    scaled by replay_weight. A degenerate batch is counted and skipped; its
-    replay draw stays drawn. Gradients are summed in a fixed order: the
-    head's current row, then += its replay row; the adapter's replay rows,
-    then reg_weight times the reconstruction rows' sum."""
+    Every step's noise is drawn before the first step as one block, in
+    step order: each step's current rows' noise, then its replay rows'.
+    A step draws its min(b2, pool size) replay rows, then makes one head
+    pass over a (2, B, D) stack: the current rows, then the pooled
+    reconstructions of its replay rows, the shorter padded to the longer's
+    B with zero rows whose output gradient is zero. A step without a
+    replay pool is a stack of one. The sampled scores of both slices are
+    one batch of combined_loss: its value is the trace entry, and the
+    replay rows' share of its gradient is scaled by replay_weight. A
+    degenerate batch is counted and skipped; its draws stay drawn.
+    Gradients are summed in a fixed order: the head's current row, then
+    += its replay row; the adapter's replay rows, then reg_weight times the
+    reconstruction rows' sum."""
     if not samples:
         raise TrainingError("cannot train on an empty split")
     features = np.stack([s.features for s in samples])
@@ -262,34 +264,40 @@ def _train_on_samples(
         compressed = phi_select(features, config.keyframes, config.diversity_weight)
     head_rows = np.empty((2, model.head.flat.size))
     adapter_grad = np.empty_like(model.adapter.flat)
-    noise = streams.noise.normal if config.reparam else np.zeros
+
+    # a batch of one sample cannot define a batch correlation: no step
+    batches = [min(config.batch_size, n - start) for start in range(0, n, config.batch_size)]
+    batches = [m for m in batches if m >= 2]
+    n2 = 0 if replay is None else min(config.replay_batch_size, len(replay))
+    sizes = [size for m in batches for size in (m, n2)] * config.epochs
+    noise = streams.noise.normal_block(sizes) if config.reparam else np.zeros(sum(sizes))
+    at = 0
 
     for _ in range(config.epochs):
         order = streams.shuffle.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             if idx.size < 2:
-                # a single sample cannot define a batch correlation
                 counters.dropped_singletons += 1
                 continue
+            m = idx.size
+            eps = noise[at : at + m + n2]
+            at += m + n2
             # an overflow gives a non-finite gradient, which adam_step refuses
             with np.errstate(over="ignore", invalid="ignore"):
-                m, current = idx.size, pooled[idx]
-                stack, truth, n2 = current[None], scores[idx], 0
-                if replay is not None:
-                    drawn = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
-                    if len(drawn) >= 2:
-                        recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[drawn])
-                        n2 = len(drawn)
-                        stack = np.zeros((2, max(m, n2), current.shape[1]))
-                        stack[0, :m] = current
-                        stack[1, :n2] = pool(recon)
-                        truth = np.concatenate([truth, replay.scores[drawn]])
+                current = pooled[idx]
+                stack, truth = current[None], scores[idx]
+                if n2:
+                    replayed = sample_replay_batch(replay, n2, streams.replay)
+                    recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[replayed])
+                    stack = np.zeros((2, max(m, n2), current.shape[1]))
+                    stack[0, :m] = current
+                    stack[1, :n2] = pool(recon)
+                    truth = np.concatenate([truth, replay.scores[replayed]])
                 head_out, tape = mlp_forward(model.head, stack)
-                out, eps = head_out[0, :m], noise(m)
+                out = head_out[0, :m]
                 if n2:
                     out = np.concatenate([out, head_out[1, :n2]])
-                    eps = np.concatenate([eps, noise(n2)])
                 s_hat, sigma = batch_sample(out, eps)
                 try:
                     value, grad_s = combined_loss(s_hat, truth, config.mse_weight)

@@ -869,7 +869,7 @@ def test_config_errors_exit_code_two(bench, tmp_path) -> None:
     # train always gives --keyframes (default 3), so it is not clamped to --frames
     for bad, message in (
         (["--mse-weight", "-1"], "loss weights must be >= 0"),
-        (["--replay-batch-size", "1"], "replay_batch_size >= 2"),
+        (["--replay-batch-size", "0"], "replay_batch_size >= 1"),
         (["--frames", "2"], "need 1 <= keyframes <= frames"),
     ):
         result = runner.invoke(

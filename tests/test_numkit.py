@@ -162,6 +162,69 @@ def test_adam_aborts_on_nonfinite_gradient_naming_block() -> None:
         adam_step(state, params, grads)
 
 
+def _adam_reference(state: dict, params: dict, grads: dict, lr: float, wd: float) -> None:
+    """The out-of-place Adam update adam_step ran before it updated in
+    place, literally: the formula whose bits the in-place one must keep."""
+    for name, g in grads.items():
+        p = params[name]
+        if name not in state["m"]:
+            state["m"][name] = np.zeros_like(p)
+            state["v"][name] = np.zeros_like(p)
+            state["t"][name] = 0
+        state["t"][name] += 1
+        t = state["t"][name]
+        m = state["m"][name] = 0.9 * state["m"][name] + (1.0 - 0.9) * g
+        v = state["v"][name] = 0.999 * state["v"][name] + (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9**t)
+        v_hat = v / (1.0 - 0.999**t)
+        step = lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        if wd != 0.0:
+            p *= 1.0 - lr * wd
+        p -= step
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_in_place_adam_keeps_the_out_of_place_bits(weight_decay) -> None:
+    # two blocks at different step counts: the second joins at step 40 and
+    # skips every third step after, as the adapter does without replay
+    rng = np.random.default_rng(17)
+    lr = 7.5e-3
+    params = {"head": rng.normal(size=4258), "adapter": rng.normal(size=2160)}
+    want = {name: p.copy() for name, p in params.items()}
+    state = AdamState(lr=lr, weight_decay=weight_decay)
+    reference = {"m": {}, "v": {}, "t": {}}
+    for step in range(200):
+        grads = {"head": rng.normal(size=4258) * 10.0 ** rng.integers(-6, 2)}
+        if step >= 40 and step % 3:
+            grads["adapter"] = rng.normal(size=2160) * 10.0 ** rng.integers(-6, 2)
+        adam_step(state, params, grads)
+        _adam_reference(reference, want, grads, lr, weight_decay)
+        for name in grads:
+            assert params[name].tobytes() == want[name].tobytes(), (step, name)
+            assert state.m[name].tobytes() == reference["m"][name].tobytes(), (step, name)
+            assert state.v[name].tobytes() == reference["v"][name].tobytes(), (step, name)
+    assert state.t == reference["t"] and state.t["head"] > state.t["adapter"] > 0
+
+
+def test_adam_refuses_a_step_before_moving_any_block() -> None:
+    rng = np.random.default_rng(5)
+    state = AdamState(lr=1e-2, weight_decay=5e-4)
+    params = {"head": rng.normal(size=6), "adapter": rng.normal(size=4)}
+    for _ in range(3):
+        adam_step(state, params, {"head": rng.normal(size=6), "adapter": rng.normal(size=4)})
+    before = [
+        {name: x.copy() for name, x in block.items()} for block in (params, state.m, state.v)
+    ]
+    t_before = dict(state.t)
+    bad = rng.normal(size=4)
+    bad[2] = np.inf
+    with pytest.raises(NonFiniteGradientError, match="adapter"):
+        adam_step(state, params, {"head": rng.normal(size=6), "adapter": bad})
+    for block, saved in zip((params, state.m, state.v), before):
+        assert all(np.array_equal(block[name], saved[name]) for name in saved)
+    assert state.t == t_before
+
+
 def test_adam_second_step_matches_manual_update() -> None:
     state = AdamState(lr=1e-2, weight_decay=0.0)
     params = {"p": np.array([0.5])}
@@ -183,6 +246,42 @@ def test_gaussian_sample_deterministic_across_fresh_states() -> None:
     a = SeededRng(123).normal(17)
     b = SeededRng(123).normal(17)
     assert np.array_equal(a, b)
+
+
+def _normal_reference(gen: np.random.Generator, n: int) -> np.ndarray:
+    """Box-Muller as SeededRng.normal has always drawn it, literally."""
+    if n == 0:
+        return np.zeros(0)
+    pairs = (n + 1) // 2
+    u1 = 1.0 - gen.random(pairs)
+    u2 = gen.random(pairs)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+
+
+def test_normal_block_is_the_successive_normal_draws() -> None:
+    # a training call draws its steps' noise as one block: each call's
+    # values, and the stream state after, must be those of normal(n) per
+    # call, and those of the formula behind it
+    rng = np.random.default_rng(8)
+    for seed in range(40):
+        sizes = rng.integers(0, 8, size=int(rng.integers(0, 60))).tolist()
+        if seed % 10 == 0:
+            sizes.insert(int(rng.integers(0, len(sizes) + 1)), int(rng.integers(4000, 4100)))
+        block, one_at_a_time = SeededRng(seed), SeededRng(seed)
+        reference = np.random.Generator(np.random.PCG64(seed))
+        drawn = block.normal_block(sizes)
+        assert drawn.shape == (sum(sizes),)
+        at = 0
+        for n in sizes:
+            want = one_at_a_time.normal(n)
+            assert want.tobytes() == _normal_reference(reference, n).tobytes(), (seed, n)
+            assert drawn[at : at + n].tobytes() == want.tobytes(), (seed, n, at)
+            at += n
+        assert block.get_state() == one_at_a_time.get_state() == reference.bit_generator.state, seed
+    with pytest.raises(ValueError):
+        SeededRng(0).normal_block([3, -1])
 
 
 def test_gaussian_sample_moments() -> None:

@@ -705,8 +705,8 @@ def test_run_config_rejects_layout_sizes_below_one() -> None:
         ({"adapter_hidden": 0}, "hidden_sizes and adapter_hidden must be positive integers"),
         ({"adapter_hidden": True}, "hidden_sizes and adapter_hidden must be positive integers"),
         ({"score_range": (1.0, 3.0, 5.0)}, "score range must be a pair"),
-        # a replay batch of one defines no correlation, so it would never step
-        ({"replay_batch_size": 1}, "replay_batch_size >= 2"),
+        # a lone replay row joins the current rows' correlation; no row replays nothing
+        ({"replay_batch_size": 0}, "replay_batch_size >= 1"),
     ):
         with pytest.raises(ValueError, match=match):
             _config(**overrides)
@@ -1094,23 +1094,37 @@ def test_adam_step_contract_one_call_per_step_on_two_blocks(monkeypatch) -> None
     assert 0 < adapter_steps == result.model.adam.t["adapter"]
 
 
-def test_two_replay_rows_train_the_adapter_through_the_correlation(monkeypatch) -> None:
-    # a 2-row correlation is always +-1, so scored as its own batch it
-    # gives the replay rows, and the adapter behind them, a zero gradient
+def _replay_step_adapter_gradient(monkeypatch, bank_scores: list[float]) -> np.ndarray:
+    """The adapter gradient one step with replay reaches adam_step with,
+    its loss a correlation only (no MSE term, no regularizer), replaying
+    from one stored session of the given scores."""
     steps = []
     monkeypatch.setattr(runner, "adam_step", lambda state, params, grads: steps.append(grads))
     config = _config(epochs=1, replay_batch_size=2, mse_weight=0.0, reg_weight=0.0)
     session = _session("s2", 5, seed=3)
     model = init_model(FEAT_DIM, config)
     rng = np.random.default_rng(4)
+    count = len(bank_scores)
     bank = memory.MemoryBank()
     bank.sessions["s1"] = memory.Session(
-        ["a", "b", "c"], np.array([1.5, 3.0, 4.5]), rng.normal(size=(3, config.keyframes, FEAT_DIM))
+        [f"e{i}" for i in range(count)], np.array(bank_scores), rng.normal(size=(count, config.keyframes, FEAT_DIM))
     )
     samples = session.train[: config.batch_size]
     runner._train_on_samples(model, samples, config, runner._Streams(0), bank, runner._Counters(), [])
     assert len(steps) == 1
-    assert np.abs(steps[0]["adapter"]).max() > 1e-6
+    return steps[0]["adapter"]
+
+
+def test_two_replay_rows_train_the_adapter_through_the_correlation(monkeypatch) -> None:
+    # a 2-row correlation is always +-1, so scored as its own batch it
+    # gives the replay rows, and the adapter behind them, a zero gradient
+    assert np.abs(_replay_step_adapter_gradient(monkeypatch, [1.5, 3.0, 4.5])).max() > 1e-6
+
+
+def test_a_lone_replay_row_trains_the_adapter(monkeypatch) -> None:
+    # a pool of one exemplar replays one row, which joins the current rows'
+    # correlation batch like any other
+    assert np.abs(_replay_step_adapter_gradient(monkeypatch, [3.0])).max() > 1e-6
 
 
 def _count_selections(monkeypatch, config: RunConfig, data: LoadedData):

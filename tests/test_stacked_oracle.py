@@ -159,9 +159,15 @@ def _replay_loop(model, current, truth, eps, batch, replay_eps, config):
         recon, recon_tape = _reconstruct_one(model.adapter, exemplar.features)
         recon_tapes.append(recon_tape)
         pooled_rows.append(recon.mean(axis=0))
+    n2 = len(batch)
     if batch:
-        replay_out, replay_tape = _mlp_forward_2d(model.head, np.stack(pooled_rows))
-        replay_s, replay_sigma = batch_sample(replay_out, replay_eps)
+        # a replay batch shorter than the current one runs padded with zero
+        # rows to its length, as the stack's replay slice does, so a lone
+        # row takes the matrix kernel and not numpy's matrix-vector one
+        replay_in = np.zeros((max(len(current), n2), current.shape[1]))
+        replay_in[:n2] = pooled_rows
+        replay_out, replay_tape = _mlp_forward_2d(model.head, replay_in)
+        replay_s, replay_sigma = batch_sample(replay_out[:n2], replay_eps)
         s_hat = np.concatenate([s_hat, replay_s])
         truth = np.concatenate([truth, [e.score for e in batch]])
     try:
@@ -172,7 +178,8 @@ def _replay_loop(model, current, truth, eps, batch, replay_eps, config):
     head_grads, _ = _mlp_backward_2d(model.head, tape, batch_sample_backward(grad_s[:m], eps, sigma))
     if not batch:
         return head_grads, None
-    grad_out = batch_sample_backward(config.replay_weight * grad_s[m:], replay_eps, replay_sigma)
+    grad_out = np.zeros(replay_out.shape)
+    grad_out[:n2] = batch_sample_backward(config.replay_weight * grad_s[m:], replay_eps, replay_sigma)
     replay_head_grads, x_grad = _mlp_backward_2d(model.head, replay_tape, grad_out)
     head_grads += replay_head_grads
     t_frames = model.adapter.t_frames
@@ -393,7 +400,7 @@ def _replay_model(rng: np.random.Generator, seed: int, b: int):
     model = runner.init_model(d, config)
     model.head.flat[:] += rng.normal(size=model.head.flat.size) * 0.2
     model.adapter.flat[:] = _random_adapter(rng, t, k, d, hidden).flat
-    # a third of the banks hold one exemplar, whose draw is no usable batch
+    # a third of the banks hold one exemplar, which replays as one row
     counts = [1] if seed % 3 == 0 else rng.integers(1, 4, size=2).tolist()
     bank = MemoryBank()
     for s, count in enumerate(counts):
@@ -410,8 +417,8 @@ def test_stacked_replay_term_matches_per_exemplar_loop(monkeypatch) -> None:
     """One training step on one current batch of b rows, with the
     regularizer off: its head gradient is the current rows' plus the
     replay rows', both from one loss over the two, and its adapter
-    gradient is the replay rows' alone. The two slices of the head stack
-    have b rows each, so nothing is padded."""
+    gradient is the replay rows' alone. The current slice has b rows; a
+    replay slice of fewer rows is padded to b."""
     steps = []
     monkeypatch.setattr(
         runner, "adam_step", lambda state, params, grads: steps.append(
@@ -442,8 +449,6 @@ def test_stacked_replay_term_matches_per_exemplar_loop(monkeypatch) -> None:
         truth = np.array([samples[i].score for i in order])
         eps = noise(b)
         batch = _replay_draw_one(bank, config.replay_batch_size, oracle_streams.replay)
-        singles += len(batch) == 1
-        batch = batch if len(batch) >= 2 else []
         want = _replay_loop(model, pooled, truth, eps, batch, noise(len(batch)), config)
         # a degenerate batch's replay draw stays drawn
         assert streams.get_state() == oracle_streams.get_state()
@@ -452,36 +457,42 @@ def test_stacked_replay_term_matches_per_exemplar_loop(monkeypatch) -> None:
             degenerate += 1
             continue
         assert len(steps) == 1, f"seed {seed}"
-        assert _same_bytes(steps[0]["head"], want[0]), f"head gradient differs, seed {seed}"
-        if not batch:
-            assert sorted(steps[0]) == ["head"], f"seed {seed}"
-            continue
         replayed += 1
+        singles += len(batch) == 1
+        assert _same_bytes(steps[0]["head"], want[0]), f"head gradient differs, seed {seed}"
         assert _same_bytes(steps[0]["adapter"], want[1]), f"adapter gradient differs, seed {seed}"
-    assert replayed >= CASES // 2 and singles >= CASES // 3 - degenerate
+    # a lone replay row joins the joint batch as any other
+    assert replayed == CASES - degenerate and singles >= CASES // 3 - degenerate
 
 
 # --- the fused training step against the two-pass step it replaced -----------
 
 
-def _head_pass_two_pass(model, x, config, streams):
-    """One unpadded head pass of one batch, as the two-pass step ran it:
-    its tape, noise, sampled scores and sigma."""
-    head_out, tape = mlp_forward(model.head, x[None])
-    eps = streams.noise.normal(len(x)) if config.reparam else np.zeros(len(x))
-    return (tape, eps, *batch_sample(head_out[0], eps))
+def _head_pass_two_pass(model, x, config, streams, rows):
+    """One head pass of one batch, as the two-pass step ran it, padded
+    with zero rows to `rows` rows if it has fewer: its tape, noise,
+    sampled scores and sigma."""
+    n = len(x)
+    padded = np.zeros((1, max(n, rows), x.shape[1]))
+    padded[0, :n] = x
+    head_out, tape = mlp_forward(model.head, padded)
+    eps = streams.noise.normal(n) if config.reparam else np.zeros(n)
+    return (tape, eps, *batch_sample(head_out[0, :n], eps))
 
 
 def _head_backward_two_pass(model, head_pass, grad_s, out):
-    """The head gradient of one pass into out; returns its input gradient."""
+    """The head gradient of one pass into out, its padding rows' output
+    gradient zero; returns the input gradient of its unpadded rows."""
     tape, eps, _, sigma = head_pass
-    grad_out = batch_sample_backward(grad_s, eps, sigma)
-    return mlp_backward(model.head, tape, grad_out[None], out[None])[0]
+    grad_out = np.zeros(tape.post[-1].shape)
+    grad_out[0, : grad_s.size] = batch_sample_backward(grad_s, eps, sigma)
+    return mlp_backward(model.head, tape, grad_out, out[None])[0, : grad_s.size]
 
 
 def _train_two_pass(model, samples, config, streams, bank, counters, trace) -> None:
     """The training loop with one head pass for the current batch, then one
-    for the replay batch, their sampled scores joined into one loss."""
+    for the replay batch, their sampled scores joined into one loss. Each
+    step draws its own noise, one call at a time."""
     features = np.stack([s.features for s in samples])
     pooled = pool(features)
     scores = np.array([s.score for s in samples], dtype=np.float64)
@@ -501,15 +512,17 @@ def _train_two_pass(model, samples, config, streams, bank, counters, trace) -> N
             if idx.size < 2:
                 counters.dropped_singletons += 1
                 continue
-            current = _head_pass_two_pass(model, pooled[idx], config, streams)
+            current = _head_pass_two_pass(model, pooled[idx], config, streams, idx.size)
             s_hat, truth, replayed = current[2], scores[idx], None
             if replay is not None:
                 drawn = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
-                if len(drawn) >= 2:
-                    recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[drawn])
-                    replayed = _head_pass_two_pass(model, pool(recon), config, streams)
-                    s_hat = np.concatenate([s_hat, replayed[2]])
-                    truth = np.concatenate([truth, replay.scores[drawn]])
+                recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[drawn])
+                # a replay batch shorter than the current one runs padded to
+                # its rows, as the fused stack's replay slice does, so a lone
+                # row takes the matrix kernel, not numpy's matrix-vector one
+                replayed = _head_pass_two_pass(model, pool(recon), config, streams, idx.size)
+                s_hat = np.concatenate([s_hat, replayed[2]])
+                truth = np.concatenate([truth, replay.scores[drawn]])
             try:
                 value, grad_s = combined_loss(s_hat, truth, config.mse_weight)
             except DegenerateBatchError:
