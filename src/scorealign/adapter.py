@@ -154,8 +154,8 @@ def reg_loss_and_grads(
     stack from its (K, D) key-frame rows in a (B, K, D) stack (the
     selection is a constant, no gradient through it).
 
-    The value and the gradient are the per-sample terms summed into zero
-    in sample order (np.sum may sum pairwise, in another order).
+    The value and the gradient are the per-sample terms summed in sample
+    order (np.sum of a vector may sum pairwise, in another order).
     """
     features = np.asarray(features, dtype=np.float64)
     if len(features) == 0:
@@ -170,7 +170,5 @@ def reg_loss_and_grads(
     total = 0.0
     for value in values.tolist():
         total += value
-    grads = np.zeros_like(params.flat)
-    for row in rows:
-        grads += row
-    return total, grads
+    # an axis-0 reduction adds the rows one after another, in sample order
+    return total, np.add.reduce(rows, axis=0)

@@ -43,9 +43,6 @@ def predict_eval(params: MlpParams, features: np.ndarray) -> np.ndarray:
     Each pooled sample is its own one-row slice of an (N, 1, D) stack, so
     its score is the one a forward pass of that sample alone gives.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 3:
-        raise ShapeMismatchError(f"features must be an (N, T, D) stack, got {features.shape}")
     out, _ = mlp_forward(params, pool(features)[:, None, :])
     return out[:, 0, 0]
 

@@ -37,7 +37,9 @@ def _check_lengths(pred: np.ndarray, truth: np.ndarray) -> None:
 def correlation_loss(pred: np.ndarray, truth: np.ndarray) -> tuple[float, np.ndarray]:
     """1 - PLCC(pred, truth), with gradient w.r.t. pred.
 
-    Invariant under positive affine maps of pred; value in [0, 2].
+    Invariant under positive affine maps of pred; value in [0, 2]. Each
+    mean is np.add.reduce(x) / n, ndarray.mean's kernel without its Python
+    wrapper.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -45,8 +47,8 @@ def correlation_loss(pred: np.ndarray, truth: np.ndarray) -> tuple[float, np.nda
     n = pred.size
     if n < 2:
         raise DegenerateBatchError(f"correlation needs >= 2 samples, got {n}")
-    a = pred - pred.mean()
-    b = truth - truth.mean()
+    a = pred - np.add.reduce(pred) / n
+    b = truth - np.add.reduce(truth) / n
     ssq_a = float(a @ a)
     ssq_b = float(b @ b)
     if ssq_a / n < VARIANCE_FLOOR or ssq_b / n < VARIANCE_FLOOR:
@@ -77,31 +79,10 @@ def mse_loss(pred: np.ndarray, truth: np.ndarray) -> tuple[float, np.ndarray]:
 def combined_loss(
     pred: np.ndarray, truth: np.ndarray, lam: float
 ) -> tuple[float, np.ndarray]:
-    """Correlation loss plus lam times the precision loss, with the bytes
-    correlation_loss and mse_loss give, in one pass over the inputs. Each
-    mean is np.add.reduce(x) / n, ndarray.mean's kernel without its Python
-    wrapper."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    _check_lengths(pred, truth)
-    n = pred.size
-    if n < 2:
-        raise DegenerateBatchError(f"correlation needs >= 2 samples, got {n}")
-    a = pred - np.add.reduce(pred) / n
-    b = truth - np.add.reduce(truth) / n
-    ssq_a = float(a @ a)
-    ssq_b = float(b @ b)
-    if ssq_a / n < VARIANCE_FLOOR or ssq_b / n < VARIANCE_FLOOR:
-        raise DegenerateBatchError(
-            f"variance below {VARIANCE_FLOOR:g} (pred {ssq_a / n:.3e}, "
-            f"truth {ssq_b / n:.3e})"
-        )
-    cross = float(a @ b)
-    denom = np.sqrt(ssq_a * ssq_b)
-    residual = pred - truth
-    mse_value = float(residual @ residual) / (2.0 * n)
-    cor_grad = -(b - (cross / ssq_a) * a) / denom
-    return (1.0 - cross / denom) + lam * mse_value, cor_grad + lam * (residual / n)
+    """Correlation loss plus lam times the precision loss."""
+    cor_value, cor_grad = correlation_loss(pred, truth)
+    mse_value, mse_grad = mse_loss(pred, truth)
+    return cor_value + lam * mse_value, cor_grad + lam * mse_grad
 
 
 def combined_loss_values(pred: np.ndarray, truth: np.ndarray, lam: float) -> np.ndarray:

@@ -96,6 +96,8 @@ class RunConfig:
         numbers = [getattr(self, f.name) for f in fields(self) if type(f.default) is float]
         if not all(map(math.isfinite, [*numbers, *self.score_range])):
             raise ValueError(f"float fields must be finite, got {self}")
+        if self.mode not in ("continual", "joint"):
+            raise ValueError(f"mode must be 'continual' or 'joint', got {self.mode!r}")
         if self.mse_weight < 0 or self.replay_weight < 0 or self.reg_weight < 0:
             raise ValueError("loss weights must be >= 0")
         if self.epochs < 1 or self.batch_size < 2 or self.replay_batch_size < 1:
@@ -115,6 +117,10 @@ class RunConfig:
         # the model's layout, and so a checkpoint's, derives from these
         if not all(_is_int(n) and n >= 1 for n in (*self.hidden_sizes, self.adapter_hidden)):
             raise ValueError("hidden_sizes and adapter_hidden must be positive integers")
+        # a float count would fail later with a raw TypeError
+        integers = {f.name: getattr(self, f.name) for f in fields(self) if type(f.default) is int}
+        if wrong := [f"{name}={value!r}" for name, value in integers.items() if not _is_int(value)]:
+            raise ValueError(f"integer fields must be ints, got {', '.join(wrong)}")
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -246,10 +252,12 @@ def _train_on_samples(
     replay pool is a stack of one. The sampled scores of both slices are
     one batch of combined_loss: its value is the trace entry, and the
     replay rows' share of its gradient is scaled by replay_weight. A
-    degenerate batch is counted and skipped; its draws stay drawn.
+    batch is a step when it and its replay rows hold two rows or more, so
+    a lone current row is dropped, and counted, only without a replay
+    pool. A degenerate batch is counted and skipped; its draws stay drawn.
     Gradients are summed in a fixed order: the head's current row, then
-    += its replay row; the adapter's replay rows, then reg_weight times the
-    reconstruction rows' sum."""
+    += its replay row; the adapter's replay rows in draw order, then
+    reg_weight times the reconstruction rows' sum."""
     if not samples:
         raise TrainingError("cannot train on an empty split")
     features = np.stack([s.features for s in samples])
@@ -265,11 +273,10 @@ def _train_on_samples(
     head_rows = np.empty((2, model.head.flat.size))
     adapter_grad = np.empty_like(model.adapter.flat)
 
-    # a batch of one sample cannot define a batch correlation: no step
-    batches = [min(config.batch_size, n - start) for start in range(0, n, config.batch_size)]
-    batches = [m for m in batches if m >= 2]
+    # a joint batch of one row cannot define a correlation: no step
     n2 = 0 if replay is None else min(config.replay_batch_size, len(replay))
-    sizes = [size for m in batches for size in (m, n2)] * config.epochs
+    batches = [min(config.batch_size, n - start) for start in range(0, n, config.batch_size)]
+    sizes = [size for m in batches if m + n2 >= 2 for size in (m, n2)] * config.epochs
     noise = streams.noise.normal_block(sizes) if config.reparam else np.zeros(sum(sizes))
     at = 0
 
@@ -277,10 +284,10 @@ def _train_on_samples(
         order = streams.shuffle.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            if idx.size < 2:
+            m = idx.size
+            if m + n2 < 2:
                 counters.dropped_singletons += 1
                 continue
-            m = idx.size
             eps = noise[at : at + m + n2]
             at += m + n2
             # an overflow gives a non-finite gradient, which adam_step refuses
@@ -319,10 +326,7 @@ def _train_on_samples(
                     rows = adapter_backward(
                         model.adapter, recon_tape, pool_backward(x_grad[1, :n2], model.adapter.t_frames)
                     )
-                    adapter_grad[...] = rows[0]
-                    for row in rows[1:]:
-                        adapter_grad += row
-                    grads["adapter"] = adapter_grad
+                    grads["adapter"] = np.add.reduce(rows, axis=0, out=adapter_grad)
                 if reg_on:
                     _, reg_grad = reg_loss_and_grads(model.adapter, features[idx], compressed[idx])
                     reg_grad *= config.reg_weight
@@ -418,6 +422,8 @@ def train_joint(
     config: RunConfig, data: LoadedData, checkpoint_path: str | Path | None = None
 ) -> RunResult:
     """Minimize the combined loss over all sessions' training data at once."""
+    if config.mode != "joint":
+        raise ValueError(f"train_joint needs a joint config, got mode {config.mode!r}")
     train = data.all_train()
     test = data.all_test()
     if not train or not test:
@@ -450,6 +456,8 @@ def train_continual(
     replay from the memory bank and the adapter regularizer, write the
     session's exemplars at session end, then evaluate on the union of all
     sessions' test splits."""
+    if config.mode != "continual":
+        raise ValueError(f"train_continual needs a continual config, got mode {config.mode!r}")
     if not data.sessions:
         raise TrainingError("continual training needs at least one session")
     test = data.all_test()

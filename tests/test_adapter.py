@@ -178,6 +178,26 @@ def test_adapter_learns_sinusoidal_video() -> None:
     assert rel_error < 0.2
 
 
+@pytest.mark.parametrize("width", [2, 3, 17, 2160, 4258])
+def test_axis_zero_reduction_adds_gradient_rows_in_order(width) -> None:
+    """Gradient rows are summed with np.add.reduce(rows, axis=0), bitwise
+    the in-order loop acc = rows[0]; acc += rows[1]; ..., with and without
+    out=. A single column is excluded: it reduces as a vector, pairwise.
+    Widths run up to the benchmark's 4258-float head block."""
+    rng = np.random.default_rng(width)
+    out = np.empty(width)
+    for b in range(1, 65):
+        # magnitudes over 16 decades, so any other order rounds differently
+        rows = rng.normal(size=(b, width)) * 10.0 ** rng.integers(-8, 9, size=(b, width))
+        want = rows[0].copy()
+        for row in rows[1:]:
+            want += row
+        out[...] = np.nan
+        assert np.add.reduce(rows, axis=0).tobytes() == want.tobytes(), f"{b} rows"
+        assert np.add.reduce(rows, axis=0, out=out) is out
+        assert out.tobytes() == want.tobytes(), f"{b} rows, out="
+
+
 def test_reg_loss_empty_batch_rejected() -> None:
     params = init_adapter(8, 3, 4, hidden=6, rng=SeededRng(10))
     with pytest.raises(ValueError):

@@ -244,6 +244,19 @@ def test_trailing_singleton_batches_are_dropped_not_fatal() -> None:
     assert result.report.counters["steps"] == _config().epochs * 3
 
 
+def test_a_lone_current_row_trains_with_its_replay_rows() -> None:
+    # 9 and 10 train samples with b1 = 3: the second session ends on a lone
+    # row, which joins the replay rows drawn from the first session's bank
+    first, second = _session("s1", 11, seed=3), _session("s2", 12, seed=4)
+    assert (len(first.train), len(second.train)) == (9, 10)
+    epochs = _config().epochs
+    counters = train_continual(_config(), LoadedData(base=None, sessions=[first, second])).report.counters
+    assert (counters["steps"], counters["dropped_singletons"]) == (epochs * (3 + 4), 0)
+    # without a bank the same session drops its lone row every epoch
+    counters = train_continual(_config(), LoadedData(base=None, sessions=[second])).report.counters
+    assert (counters["steps"], counters["dropped_singletons"]) == (epochs * 3, epochs)
+
+
 def test_replay_counters_and_bank_accounting_in_report() -> None:
     from scorealign.memory import bank_file_size
 
@@ -711,6 +724,31 @@ def test_run_config_rejects_layout_sizes_below_one() -> None:
         with pytest.raises(ValueError, match=match):
             _config(**overrides)
     assert _config(hidden_sizes=(), adapter_hidden=1).hidden_sizes == ()
+
+
+@pytest.mark.parametrize("mode", ["Continual", "sequential", "", None])
+def test_run_config_rejects_an_unknown_mode(mode) -> None:
+    with pytest.raises(ValueError, match="mode must be 'continual' or 'joint'"):
+        _config(mode=mode)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epochs", 2.5), ("epochs", 2.0), ("exemplars_per_session", 2.0), ("batch_size", 3.0),
+     ("replay_batch_size", True), ("keyframes", np.int64(3)), ("frames", 8.0),
+     ("max_train_per_session", 50.0), ("seed", 5.0)],
+)
+def test_run_config_rejects_a_count_that_is_not_an_int(field, value) -> None:
+    with pytest.raises(ValueError, match=f"integer fields must be ints, got {field}="):
+        _config(**{field: value})
+
+
+def test_each_training_mode_refuses_a_config_of_the_other() -> None:
+    data = _dataset(n_sessions=1, n=12)
+    with pytest.raises(ValueError, match="train_continual needs a continual config, got mode 'joint'"):
+        train_continual(_config(mode="joint"), data)
+    with pytest.raises(ValueError, match="train_joint needs a joint config, got mode 'continual'"):
+        train_joint(_config(mode="continual"), data)
 
 
 def test_checkpoint_rejects_version_one_and_missing_header_keys(tmp_path) -> None:

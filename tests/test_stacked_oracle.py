@@ -505,22 +505,25 @@ def _train_two_pass(model, samples, config, streams, bank, counters, trace) -> N
     head_grad = np.empty_like(model.head.flat)
     replay_head_grad = np.empty_like(model.head.flat)
     adapter_grad = np.empty_like(model.adapter.flat)
+    n2 = 0 if replay is None else min(config.replay_batch_size, len(replay))
     for _ in range(config.epochs):
         order = streams.shuffle.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            if idx.size < 2:
+            # a lone current row trains with its replay rows
+            if idx.size + n2 < 2:
                 counters.dropped_singletons += 1
                 continue
-            current = _head_pass_two_pass(model, pooled[idx], config, streams, idx.size)
+            # each pass runs padded to the longer batch's rows, as the fused
+            # stack's slices do, so a lone row takes the matrix kernel, not
+            # numpy's matrix-vector one
+            rows = max(idx.size, n2)
+            current = _head_pass_two_pass(model, pooled[idx], config, streams, rows)
             s_hat, truth, replayed = current[2], scores[idx], None
             if replay is not None:
                 drawn = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
                 recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[drawn])
-                # a replay batch shorter than the current one runs padded to
-                # its rows, as the fused stack's replay slice does, so a lone
-                # row takes the matrix kernel, not numpy's matrix-vector one
-                replayed = _head_pass_two_pass(model, pool(recon), config, streams, idx.size)
+                replayed = _head_pass_two_pass(model, pool(recon), config, streams, rows)
                 s_hat = np.concatenate([s_hat, replayed[2]])
                 truth = np.concatenate([truth, replay.scores[drawn]])
             try:
@@ -638,7 +641,7 @@ def _fused_config(rng: np.random.Generator, seed: int, t: int, d: int) -> runner
 
 
 def test_fused_step_matches_two_pass_step() -> None:
-    padded = two_row_ends = 0
+    padded = two_row_ends = lone_replayed = 0
     for seed in range(36):
         rng = np.random.default_rng(90_000 + seed)
         t, d = int(rng.integers(4, 9)), int(rng.integers(3, 9))
@@ -646,14 +649,19 @@ def test_fused_step_matches_two_pass_step() -> None:
         padded += config.replay_batch_size != config.batch_size
         sessions = _stream_sessions(rng, t, d, config.batch_size)
         two_row_ends += sum(len(s) % config.batch_size == 2 for s in sessions)
+        # a lone row after the first session trains with its replay rows
+        lone_replayed += sum(len(s) % config.batch_size == 1 for s in sessions[1:])
         counters = _fused_vs_two_pass(config, d, sessions)
         assert counters.steps > 0
-    assert padded >= 24 and two_row_ends >= 10
+    assert padded >= 24 and two_row_ends >= 10 and lone_replayed >= 20
 
 
 def _batches(sessions, b1: int, epochs: int) -> int:
-    """The batches of two rows or more the sessions give over the epochs."""
-    return epochs * sum(len(s) // b1 + (len(s) % b1 >= 2) for s in sessions)
+    """The steps the sessions give over the epochs when every session after
+    the first replays: the first session's batches of two rows or more,
+    then every batch, a lone row joining its replay rows."""
+    first, *rest = sessions
+    return epochs * (len(first) // b1 + (len(first) % b1 >= 2) + sum(-(-len(s) // b1) for s in rest))
 
 
 def test_a_batch_is_degenerate_only_when_its_joint_batch_is() -> None:
