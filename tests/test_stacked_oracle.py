@@ -514,16 +514,20 @@ def _train_two_pass(model, samples, config, streams, bank, counters, trace) -> N
             if idx.size + n2 < 2:
                 counters.dropped_singletons += 1
                 continue
-            # each pass runs padded to the longer batch's rows, as the fused
-            # stack's slices do, so a lone row takes the matrix kernel, not
-            # numpy's matrix-vector one
-            rows = max(idx.size, n2)
-            current = _head_pass_two_pass(model, pooled[idx], config, streams, rows)
+            # a lone current row runs padded to the replay rows, as the fused
+            # stack's current slice does; a batch of two rows or more runs
+            # unpadded, against the fused stack's padded current slice
+            current = _head_pass_two_pass(
+                model, pooled[idx], config, streams, n2 if idx.size == 1 else idx.size
+            )
             s_hat, truth, replayed = current[2], scores[idx], None
             if replay is not None:
                 drawn = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
                 recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[drawn])
-                replayed = _head_pass_two_pass(model, pool(recon), config, streams, rows)
+                # a replay batch shorter than the current one runs padded to
+                # its rows, as the fused stack's replay slice does, so a lone
+                # row takes the matrix kernel, not numpy's matrix-vector one
+                replayed = _head_pass_two_pass(model, pool(recon), config, streams, idx.size)
                 s_hat = np.concatenate([s_hat, replayed[2]])
                 truth = np.concatenate([truth, replay.scores[drawn]])
             try:
