@@ -109,7 +109,7 @@ def combined_loss_values(pred: np.ndarray, truth: np.ndarray, lam: float) -> np.
         raise DegenerateBatchError(f"correlation needs >= 2 samples, got {n}")
     with np.errstate(all="ignore"):
         a = pred - (np.add.reduce(pred, axis=1) / n)[:, None]
-        b = truth - truth.mean()
+        b = truth - np.add.reduce(truth) / n
         rows = a[:, None, :]
         ssq_a = (rows @ a[:, :, None])[:, 0, 0]
         ssq_b = float(b @ b)

@@ -246,18 +246,15 @@ def _train_on_samples(
     Every step's noise is drawn before the first step as one block, in
     step order: each step's current rows' noise, then its replay rows'.
     A step draws its min(b2, pool size) replay rows, then makes one head
-    pass over a (2, B, D) stack: the current rows, then the pooled
-    reconstructions of its replay rows, the shorter padded to the longer's
-    B with zero rows whose output gradient is zero. A step without a
-    replay pool is a stack of one. The sampled scores of both slices are
-    one batch of combined_loss: its value is the trace entry, and the
-    replay rows' share of its gradient is scaled by replay_weight. A
-    batch is a step when it and its replay rows hold two rows or more, so
-    a lone current row is dropped, and counted, only without a replay
-    pool. A degenerate batch is counted and skipped; its draws stay drawn.
-    Gradients are summed in a fixed order: the head's current row, then
-    += its replay row; the adapter's replay rows in draw order, then
-    reg_weight times the reconstruction rows' sum."""
+    pass and one backward pass over one batch: the current rows, then the
+    pooled reconstructions of its replay rows. Its sampled scores are one
+    batch of combined_loss: its value is the trace entry, and the replay
+    rows' share of its gradient is scaled by replay_weight. A batch is a
+    step when it and its replay rows hold two rows or more, so a lone
+    current row is dropped, and counted, only without a replay pool. A
+    degenerate batch is counted and skipped; its draws stay drawn.
+    Gradients are summed in a fixed order: the adapter's replay rows in
+    draw order, then reg_weight times the reconstruction rows' sum."""
     if not samples:
         raise TrainingError("cannot train on an empty split")
     features = np.stack([s.features for s in samples])
@@ -270,7 +267,7 @@ def _train_on_samples(
     if reg_on:
         # selection is a pure function of the features: once per sample
         compressed = phi_select(features, config.keyframes, config.diversity_weight)
-    head_rows = np.empty((2, model.head.flat.size))
+    head_grad = np.empty((1, model.head.flat.size))
     adapter_grad = np.empty_like(model.adapter.flat)
 
     # a joint batch of one row cannot define a correlation: no step
@@ -292,20 +289,14 @@ def _train_on_samples(
             at += m + n2
             # an overflow gives a non-finite gradient, which adam_step refuses
             with np.errstate(over="ignore", invalid="ignore"):
-                current = pooled[idx]
-                stack, truth = current[None], scores[idx]
+                batch, truth = pooled[idx], scores[idx]
                 if n2:
                     replayed = sample_replay_batch(replay, n2, streams.replay)
                     recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[replayed])
-                    stack = np.zeros((2, max(m, n2), current.shape[1]))
-                    stack[0, :m] = current
-                    stack[1, :n2] = pool(recon)
+                    batch = np.concatenate([batch, pool(recon)])
                     truth = np.concatenate([truth, replay.scores[replayed]])
-                head_out, tape = mlp_forward(model.head, stack)
-                out = head_out[0, :m]
-                if n2:
-                    out = np.concatenate([out, head_out[1, :n2]])
-                s_hat, sigma = batch_sample(out, eps)
+                head_out, tape = mlp_forward(model.head, batch[None])
+                s_hat, sigma = batch_sample(head_out[0], eps)
                 try:
                     value, grad_s = combined_loss(s_hat, truth, config.mse_weight)
                 except DegenerateBatchError:
@@ -313,18 +304,13 @@ def _train_on_samples(
                     continue
                 trace.append(value)
                 grad_s[m:] *= config.replay_weight
-                grad_rows = batch_sample_backward(grad_s, eps, sigma)
-                grad_out = np.zeros(head_out.shape)
-                grad_out[0, :m] = grad_rows[:m]
-                grad_out[-1, :n2] = grad_rows[m:]  # the replay slice, empty in a stack of one
-                head_grads = head_rows[: len(stack)]
-                x_grad = mlp_backward(model.head, tape, grad_out, head_grads)
-                grads = {"head": head_grads[0]}
+                grad_out = batch_sample_backward(grad_s, eps, sigma)
+                x_grad = mlp_backward(model.head, tape, grad_out[None], head_grad)
+                grads = {"head": head_grad[0]}
 
                 if n2:
-                    head_grads[0] += head_grads[1]
                     rows = adapter_backward(
-                        model.adapter, recon_tape, pool_backward(x_grad[1, :n2], model.adapter.t_frames)
+                        model.adapter, recon_tape, pool_backward(x_grad[0, m:], model.adapter.t_frames)
                     )
                     grads["adapter"] = np.add.reduce(rows, axis=0, out=adapter_grad)
                 if reg_on:

@@ -1,7 +1,7 @@
 """Stacked adapter, head, evaluation, flat-minima probe, key-frame
 selection, columnar replay draw, session-table decode, feature-file
 decode and fused training step against the per-sample, per-draw,
-per-matrix, per-exemplar, per-file and two-pass code they replaced.
+per-matrix, per-exemplar, per-file and per-call code they replaced.
 
 The reference functions below are the code that the stacked path
 replaced, kept as oracles the way test_keyframe.py keeps the
@@ -12,14 +12,6 @@ per-draw loss increases are summed in the old order, so no float
 operation is reordered. That the stacked product is computed slice by
 slice is a numpy implementation detail, so this module is also run with
 more than one BLAS thread.
-
-The one exception is the fused training step. It pads the shorter of the
-current and replay batches with zero rows, and a padded slice's product
-may take another BLAS kernel: padding a 2- or 3-row slice to 4 rows or
-more changed the bits of the (n, 32) @ (32, 2) output layer and of its
-input gradient on a 2-core x86 VM. So that oracle compares the loss
-trace, the parameters and Adam's moments to 1e-10, and the counters and
-stream states exactly.
 """
 
 from __future__ import annotations
@@ -148,44 +140,32 @@ def _reg_loop(params: AdapterParams, features_batch, compressed_batch):
 
 def _replay_loop(model, current, truth, eps, batch, replay_eps, config):
     """One step's loss with the replay rows one exemplar at a time: the
-    current rows' pooled features, truths and noise, then the replay batch
-    and its noise, scored as one correlation batch. Returns the (head,
-    adapter) gradients, the adapter's None without replay rows, or None
-    for a degenerate batch."""
-    out, tape = _mlp_forward_2d(model.head, current)
-    s_hat, sigma = batch_sample(out, eps)
-    recon_tapes, pooled_rows = [], []
+    current rows' pooled features, truths and noise, then each exemplar's
+    pooled reconstruction, truth and noise, scored as one head batch and
+    one correlation batch. Returns the (head, adapter) gradients, the
+    adapter's None without replay rows, or None for a degenerate batch."""
+    rows, recon_tapes = [current], []
     for exemplar in batch:
         recon, recon_tape = _reconstruct_one(model.adapter, exemplar.features)
         recon_tapes.append(recon_tape)
-        pooled_rows.append(recon.mean(axis=0))
-    n2 = len(batch)
-    if batch:
-        # a replay batch shorter than the current one runs padded with zero
-        # rows to its length, as the stack's replay slice does, so a lone
-        # row takes the matrix kernel and not numpy's matrix-vector one
-        replay_in = np.zeros((max(len(current), n2), current.shape[1]))
-        replay_in[:n2] = pooled_rows
-        replay_out, replay_tape = _mlp_forward_2d(model.head, replay_in)
-        replay_s, replay_sigma = batch_sample(replay_out[:n2], replay_eps)
-        s_hat = np.concatenate([s_hat, replay_s])
-        truth = np.concatenate([truth, [e.score for e in batch]])
+        rows.append(recon.mean(axis=0)[None])
+    out, tape = _mlp_forward_2d(model.head, np.concatenate(rows))
+    eps = np.concatenate([eps, replay_eps])
+    s_hat, sigma = batch_sample(out, eps)
+    truth = np.concatenate([truth, [e.score for e in batch]])
     try:
         _, grad_s = combined_loss(s_hat, truth, config.mse_weight)
     except DegenerateBatchError:
         return None
     m = len(current)
-    head_grads, _ = _mlp_backward_2d(model.head, tape, batch_sample_backward(grad_s[:m], eps, sigma))
+    grad_s[m:] *= config.replay_weight
+    head_grads, x_grad = _mlp_backward_2d(model.head, tape, batch_sample_backward(grad_s, eps, sigma))
     if not batch:
         return head_grads, None
-    grad_out = np.zeros(replay_out.shape)
-    grad_out[:n2] = batch_sample_backward(config.replay_weight * grad_s[m:], replay_eps, replay_sigma)
-    replay_head_grads, x_grad = _mlp_backward_2d(model.head, replay_tape, grad_out)
-    head_grads += replay_head_grads
     t_frames = model.adapter.t_frames
     adapter_grads = None
     for i, tape_i in enumerate(recon_tapes):
-        grad_recon = np.tile(x_grad[i] / t_frames, (t_frames, 1))
+        grad_recon = np.tile(x_grad[m + i] / t_frames, (t_frames, 1))
         row = _adapter_backward_one(model.adapter, tape_i, grad_recon)
         if adapter_grads is None:
             adapter_grads = row
@@ -415,10 +395,9 @@ def _replay_model(rng: np.random.Generator, seed: int, b: int):
 
 def test_stacked_replay_term_matches_per_exemplar_loop(monkeypatch) -> None:
     """One training step on one current batch of b rows, with the
-    regularizer off: its head gradient is the current rows' plus the
-    replay rows', both from one loss over the two, and its adapter
-    gradient is the replay rows' alone. The current slice has b rows; a
-    replay slice of fewer rows is padded to b."""
+    regularizer off: its head gradient is one backward pass over the
+    current and replay rows, scored as one head batch and one loss, and
+    its adapter gradient is the replay rows' alone."""
     steps = []
     monkeypatch.setattr(
         runner, "adam_step", lambda state, params, grads: steps.append(
@@ -465,34 +444,13 @@ def test_stacked_replay_term_matches_per_exemplar_loop(monkeypatch) -> None:
     assert replayed == CASES - degenerate and singles >= CASES // 3 - degenerate
 
 
-# --- the fused training step against the two-pass step it replaced -----------
+# --- the fused training step against the per-call step it replaced ----------
 
 
-def _head_pass_two_pass(model, x, config, streams, rows):
-    """One head pass of one batch, as the two-pass step ran it, padded
-    with zero rows to `rows` rows if it has fewer: its tape, noise,
-    sampled scores and sigma."""
-    n = len(x)
-    padded = np.zeros((1, max(n, rows), x.shape[1]))
-    padded[0, :n] = x
-    head_out, tape = mlp_forward(model.head, padded)
-    eps = streams.noise.normal(n) if config.reparam else np.zeros(n)
-    return (tape, eps, *batch_sample(head_out[0, :n], eps))
-
-
-def _head_backward_two_pass(model, head_pass, grad_s, out):
-    """The head gradient of one pass into out, its padding rows' output
-    gradient zero; returns the input gradient of its unpadded rows."""
-    tape, eps, _, sigma = head_pass
-    grad_out = np.zeros(tape.post[-1].shape)
-    grad_out[0, : grad_s.size] = batch_sample_backward(grad_s, eps, sigma)
-    return mlp_backward(model.head, tape, grad_out, out[None])[0, : grad_s.size]
-
-
-def _train_two_pass(model, samples, config, streams, bank, counters, trace) -> None:
-    """The training loop with one head pass for the current batch, then one
-    for the replay batch, their sampled scores joined into one loss. Each
-    step draws its own noise, one call at a time."""
+def _train_per_call(model, samples, config, streams, bank, counters, trace) -> None:
+    """The training loop with each step's noise and replay rows drawn one
+    call at a time, its current and replay rows scored as one 2-D head
+    batch, and the adapter's replay rows summed one by one."""
     features = np.stack([s.features for s in samples])
     pooled = pool(features)
     scores = np.array([s.score for s in samples], dtype=np.float64)
@@ -502,49 +460,39 @@ def _train_two_pass(model, samples, config, streams, bank, counters, trace) -> N
     reg_on = bank is not None and config.reg_weight > 0.0
     if reg_on:
         compressed = phi_select(features, config.keyframes, config.diversity_weight)
-    head_grad = np.empty_like(model.head.flat)
-    replay_head_grad = np.empty_like(model.head.flat)
     adapter_grad = np.empty_like(model.adapter.flat)
+    noise = streams.noise.normal if config.reparam else np.zeros
     n2 = 0 if replay is None else min(config.replay_batch_size, len(replay))
     for _ in range(config.epochs):
         order = streams.shuffle.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
+            m = idx.size
             # a lone current row trains with its replay rows
-            if idx.size + n2 < 2:
+            if m + n2 < 2:
                 counters.dropped_singletons += 1
                 continue
-            # a lone current row runs padded to the replay rows, as the fused
-            # stack's current slice does; a batch of two rows or more runs
-            # unpadded, against the fused stack's padded current slice
-            current = _head_pass_two_pass(
-                model, pooled[idx], config, streams, n2 if idx.size == 1 else idx.size
-            )
-            s_hat, truth, replayed = current[2], scores[idx], None
+            x, truth, eps = pooled[idx], scores[idx], noise(m)
             if replay is not None:
                 drawn = sample_replay_batch(replay, config.replay_batch_size, streams.replay)
                 recon, recon_tape = reconstruct_with_tape(model.adapter, replay.features[drawn])
-                # a replay batch shorter than the current one runs padded to
-                # its rows, as the fused stack's replay slice does, so a lone
-                # row takes the matrix kernel, not numpy's matrix-vector one
-                replayed = _head_pass_two_pass(model, pool(recon), config, streams, idx.size)
-                s_hat = np.concatenate([s_hat, replayed[2]])
+                x = np.concatenate([x, pool(recon)])
                 truth = np.concatenate([truth, replay.scores[drawn]])
+                eps = np.concatenate([eps, noise(n2)])
+            out, tape = _mlp_forward_2d(model.head, x)
+            s_hat, sigma = batch_sample(out, eps)
             try:
                 value, grad_s = combined_loss(s_hat, truth, config.mse_weight)
             except DegenerateBatchError:
                 counters.degenerate_batches += 1
                 continue
             trace.append(value)
-            _head_backward_two_pass(model, current, grad_s[: idx.size], head_grad)
+            grad_s[m:] *= config.replay_weight
+            head_grad, x_grad = _mlp_backward_2d(model.head, tape, batch_sample_backward(grad_s, eps, sigma))
             grads = {"head": head_grad}
-            if replayed is not None:
-                x_grad = _head_backward_two_pass(
-                    model, replayed, config.replay_weight * grad_s[idx.size :], replay_head_grad
-                )
-                head_grad += replay_head_grad
+            if replay is not None:
                 rows = adapter_backward(
-                    model.adapter, recon_tape, pool_backward(x_grad, model.adapter.t_frames)
+                    model.adapter, recon_tape, pool_backward(x_grad[m:], model.adapter.t_frames)
                 )
                 adapter_grad[...] = rows[0]
                 for row in rows[1:]:
@@ -575,12 +523,10 @@ def _stream_sessions(rng: np.random.Generator, t: int, d: int, b1: int) -> list[
     return sessions
 
 
-def _fused_vs_two_pass(config: runner.RunConfig, d: int, sessions) -> runner._Counters:
-    """Train both loops session by session from one bank. Counters and all
-    three stream states must match exactly after every session; the loss
-    trace, the parameters and Adam's moments to 1e-10, since a padded
-    slice may change the bits of a layer's product. Returns the fused
-    counters."""
+def _fused_vs_per_call(config: runner.RunConfig, d: int, sessions) -> runner._Counters:
+    """Train both loops session by session from one bank. The counters, all
+    three stream states, the loss trace, the parameters and Adam's moments
+    must match exactly after every session. Returns the fused counters."""
     fused, reference = runner.init_model(d, config), runner.init_model(d, config)
     fused_streams, reference_streams = runner._Streams(config.seed), runner._Streams(config.seed)
     fused_counters, reference_counters = runner._Counters(), runner._Counters()
@@ -590,36 +536,30 @@ def _fused_vs_two_pass(config: runner.RunConfig, d: int, sessions) -> runner._Co
         runner._train_on_samples(
             fused, samples, config, fused_streams, bank, fused_counters, fused_trace
         )
-        _train_two_pass(
+        _train_per_call(
             reference, samples, config, reference_streams, bank, reference_counters, reference_trace
         )
         where = f"seed {config.seed}, session {samples[0].session}"
         assert fused_counters == reference_counters, where
         for name, state in reference_streams.get_state().items():
             assert fused_streams.get_state()[name] == state, f"{name} stream, {where}"
-        np.testing.assert_allclose(
-            fused_trace, reference_trace, rtol=1e-10, atol=1e-10, err_msg=where
-        )
+        assert _same_bytes(fused_trace, reference_trace), where
         for part in ("head", "adapter"):
-            np.testing.assert_allclose(
-                getattr(fused, part).flat, getattr(reference, part).flat, rtol=1e-10, atol=1e-10,
-                err_msg=f"{part}, {where}",
-            )
+            assert _same_bytes(getattr(fused, part).flat, getattr(reference, part).flat), f"{part}, {where}"
         assert fused.adam.t == reference.adam.t, where
         for name in reference.adam.m:
             for moment in ("m", "v"):
-                np.testing.assert_allclose(
-                    getattr(fused.adam, moment)[name], getattr(reference.adam, moment)[name],
-                    rtol=1e-10, atol=1e-10, err_msg=f"adam {moment} {name}, {where}",
-                )
+                assert _same_bytes(
+                    getattr(fused.adam, moment)[name], getattr(reference.adam, moment)[name]
+                ), f"adam {moment} {name}, {where}"
         write_session(
             bank, samples, config.exemplars_per_session, config.keyframes, config.diversity_weight
         )
     return fused_counters
 
 
-# (b1, b2): the benchmark's, equal sizes, and b2 > b1, whose current slice
-# is padded to 3, 4 or 5 rows
+# (b1, b2): the benchmark's, with fewer replay rows than current rows;
+# equal sizes; and more replay rows than current rows
 BATCH_SIZES = [(3, 2), (2, 2), (3, 3), (2, 3), (2, 5), (3, 4)]
 
 
@@ -644,20 +584,20 @@ def _fused_config(rng: np.random.Generator, seed: int, t: int, d: int) -> runner
     )
 
 
-def test_fused_step_matches_two_pass_step() -> None:
-    padded = two_row_ends = lone_replayed = 0
+def test_fused_step_matches_per_call_step() -> None:
+    unequal = two_row_ends = lone_replayed = 0
     for seed in range(36):
         rng = np.random.default_rng(90_000 + seed)
         t, d = int(rng.integers(4, 9)), int(rng.integers(3, 9))
         config = _fused_config(rng, seed, t, d)
-        padded += config.replay_batch_size != config.batch_size
+        unequal += config.replay_batch_size != config.batch_size
         sessions = _stream_sessions(rng, t, d, config.batch_size)
         two_row_ends += sum(len(s) % config.batch_size == 2 for s in sessions)
         # a lone row after the first session trains with its replay rows
         lone_replayed += sum(len(s) % config.batch_size == 1 for s in sessions[1:])
-        counters = _fused_vs_two_pass(config, d, sessions)
+        counters = _fused_vs_per_call(config, d, sessions)
         assert counters.steps > 0
-    assert padded >= 24 and two_row_ends >= 10 and lone_replayed >= 20
+    assert unequal >= 24 and two_row_ends >= 10 and lone_replayed >= 20
 
 
 def _batches(sessions, b1: int, epochs: int) -> int:
@@ -683,10 +623,10 @@ def test_a_batch_is_degenerate_only_when_its_joint_batch_is() -> None:
         tied = [[dataclasses.replace(s, score=3.0) for s in session] for session in sessions]
         batches = _batches(sessions, config.batch_size, config.epochs)
 
-        counters = _fused_vs_two_pass(config, d, [sessions[0], tied[1]])
+        counters = _fused_vs_per_call(config, d, [sessions[0], tied[1]])
         assert (counters.steps, counters.degenerate_batches) == (batches, 0), f"seed {seed}"
 
-        counters = _fused_vs_two_pass(config, d, tied)
+        counters = _fused_vs_per_call(config, d, tied)
         assert (counters.steps, counters.degenerate_batches) == (0, batches), f"seed {seed}"
 
 
