@@ -124,24 +124,23 @@ def adapter_backward(
     params: AdapterParams, tape: AdapterTape, grad_out: np.ndarray
 ) -> np.ndarray:
     """Backprop a (B, T, D) output gradient to the mixing logits and the
-    MLP. Returns one gradient row per sample, a (B, n) array in the
-    parameters' flat layout; the logit and MLP parts are written straight
-    into their column slices."""
+    MLP. Returns the gradient summed over the stack, one vector in the
+    parameters' flat layout: the per-sample mixing products are summed in
+    sample order, then go through one softmax backward."""
     if grad_out.shape != tape.mlp_tape.x.shape:
         raise ShapeMismatchError(
             f"output grad shape {grad_out.shape} != {tape.mlp_tape.x.shape}"
         )
-    n_samples = grad_out.shape[0]
     n_logits = params.mixing_logits.size
-    rows = np.empty((n_samples, params.flat.size))
-    grad_into_mlp_input = mlp_backward(params.mlp, tape.mlp_tape, grad_out, rows[:, n_logits:])
+    grad = np.empty(params.flat.size)
+    grad_into_mlp_input = mlp_backward(params.mlp, tape.mlp_tape, grad_out, grad[n_logits:])
     grad_base = grad_out + grad_into_mlp_input  # residual path + refiner path
-    grad_mix = grad_base @ tape.compressed.transpose(0, 2, 1)  # (B, T, K)
+    # an axis-0 reduction adds the samples' (T, K) products in sample order
+    grad_mix = np.add.reduce(grad_base @ tape.compressed.transpose(0, 2, 1), axis=0)
     # softmax backward per row: s * (g - <g, s>)
-    inner = np.add.reduce(grad_mix * tape.mix, axis=2, keepdims=True)
-    grad_logits = rows[:, :n_logits].reshape(grad_mix.shape)
-    np.multiply(tape.mix, grad_mix - inner, out=grad_logits)
-    return rows
+    inner = np.add.reduce(grad_mix * tape.mix, axis=1, keepdims=True)
+    np.multiply(tape.mix, grad_mix - inner, out=grad[:n_logits].reshape(grad_mix.shape))
+    return grad
 
 
 def reg_loss_and_grads(
@@ -154,8 +153,8 @@ def reg_loss_and_grads(
     stack from its (K, D) key-frame rows in a (B, K, D) stack (the
     selection is a constant, no gradient through it).
 
-    The value and the gradient are the per-sample terms summed in sample
-    order (np.sum of a vector may sum pairwise, in another order).
+    The value is the per-sample terms summed in sample order (np.sum of a
+    vector may sum pairwise, in another order), the gradient their sum.
     """
     features = np.asarray(features, dtype=np.float64)
     if len(features) == 0:
@@ -166,9 +165,7 @@ def reg_loss_and_grads(
         )
     recon, tape = reconstruct_with_tape(params, compressed)
     values, grad_recon = reg_loss(features, recon)
-    rows = adapter_backward(params, tape, grad_recon)
     total = 0.0
     for value in values.tolist():
         total += value
-    # an axis-0 reduction adds the rows one after another, in sample order
-    return total, np.add.reduce(rows, axis=0)
+    return total, adapter_backward(params, tape, grad_recon)

@@ -16,7 +16,7 @@ import math
 import os
 import stat
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NoReturn
 
@@ -437,6 +437,12 @@ class SynthSpec:
     include_base: bool = True
 
     def __post_init__(self) -> None:
+        # a float count would fail later, inside generate_synthetic, with a raw TypeError
+        counts = {f.name: getattr(self, f.name) for f in fields(self) if type(f.default) is int}
+        if wrong := [f"{name}={value!r}" for name, value in counts.items() if not _is_int(value)]:
+            raise ValueError(f"integer fields must be ints, got {', '.join(wrong)}")
+        if type(self.include_base) is not bool:
+            raise ValueError(f"include_base must be a bool, got {self.include_base!r}")
         if self.sessions < 1 or self.samples_per_session < 2:
             raise ValueError(f"degenerate synthetic spec: {self}")
         if self.frames < 2 or self.feat_dim < 2:

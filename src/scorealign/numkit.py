@@ -2,8 +2,8 @@
 
 Everything runs on float64 numpy arrays. Matrices are row-major with one
 sample per row, and the MLP kernels take only stacks of them: a stack of B
-such matrices is a (B, n, D) array, and gradients of a stack are
-(B, n_params) arrays of flat rows. The MLP family is fixed:
+such matrices is a (B, n, D) array, and the gradient of a stack is one
+flat vector, summed over the stack. The MLP family is fixed:
 fully-connected layers, rectifier on hidden layers, identity on the
 output layer.
 """
@@ -136,8 +136,8 @@ def _spans(shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, tuple[i
 
 def unflatten(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
     """Views into a flat vector, one per shape, in order: the inverse of
-    flatten. Writing through a view writes the vector. A (B, n) array of
-    flat rows gives (B, *shape) views, one row per stacked sample."""
+    flatten. Writing through a view writes the vector. An (S, n) array of
+    flat rows gives (S, *shape) views, one per row."""
     spans = _spans(tuple(map(tuple, shapes)))
     total = spans[-1][1] if spans else 0
     if flat.ndim not in (1, 2) or flat.shape[-1] != total:
@@ -240,11 +240,10 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
 def mlp_backward(
     params: MlpParams, tape: MlpTape, grad_out: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Backprop through a taped forward pass.
-
-    A (B, n, width) grad_out writes one gradient row per stacked sample
-    into `out`, a (B, n_params) array (a view works) in the params' flat
-    layout. Returns the (B, n, D) gradient with respect to the input.
+    """Backprop through a taped forward pass, on the stack's B * n rows
+    as one matrix: `out`, one vector in the params' flat layout (a view
+    works), gets the parameter gradient summed over the stack. Returns the
+    (B, n, D) gradient with respect to the input.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if len(tape.pre) != params.n_layers:
@@ -256,22 +255,21 @@ def mlp_backward(
             f"output grad shape {grad_out.shape} != forward output shape "
             f"{tape.post[-1].shape}"
         )
-    if out.shape != grad_out.shape[:1] + params.flat.shape:
+    if params.flat.ndim != 1 or out.shape != params.flat.shape:
         raise ShapeMismatchError(
-            f"gradient buffer shape {out.shape} does not hold {grad_out.shape[0]} "
-            f"rows of {params.flat.size}"
+            f"gradient buffer shape {out.shape} does not hold the {params.flat.shape} parameters"
         )
     views = unflatten(out, _mlp_layout(params.sizes))
     last = params.n_layers - 1
-    g = grad_out
+    g = grad_out.reshape(-1, grad_out.shape[-1])
     # np.add.reduce is np.sum's kernel without its Python wrapper
     for i in range(last, -1, -1):
-        d_pre = g if i == last else g * (tape.pre[i] > 0)
+        d_pre = g if i == last else g * (tape.pre[i].reshape(g.shape) > 0)
         a_prev = tape.x if i == 0 else tape.post[i - 1]
-        np.matmul(a_prev.transpose(0, 2, 1), d_pre, out=views[i])
-        np.add.reduce(d_pre, axis=1, out=views[params.n_layers + i])
+        np.matmul(a_prev.reshape(len(g), -1).T, d_pre, out=views[i])
+        np.add.reduce(d_pre, axis=0, out=views[params.n_layers + i])
         g = d_pre @ params.weights[i].T
-    return g
+    return g.reshape(tape.x.shape)
 
 
 # Adam's moment decay rates and denominator floor

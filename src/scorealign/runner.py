@@ -92,9 +92,15 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        floats = [(f.name, getattr(self, f.name)) for f in fields(self) if type(f.default) is float]
+        floats += [("score_range", value) for value in self.score_range]
+        # a bool trains as a number, but no checkpoint loads one
+        if wrong := [f"{name}={value!r}" for name, value in floats if isinstance(value, bool)]:
+            raise ValueError(f"float fields must be numbers, not bools, got {', '.join(wrong)}")
+        if type(self.reparam) is not bool:
+            raise ValueError(f"reparam must be a bool, got {self.reparam!r}")
         # NaN passes every `< 0` check below, and an infinity most of them
-        numbers = [getattr(self, f.name) for f in fields(self) if type(f.default) is float]
-        if not all(map(math.isfinite, [*numbers, *self.score_range])):
+        if not all(math.isfinite(value) for _, value in floats):
             raise ValueError(f"float fields must be finite, got {self}")
         if self.mode not in ("continual", "joint"):
             raise ValueError(f"mode must be 'continual' or 'joint', got {self.mode!r}")
@@ -253,8 +259,8 @@ def _train_on_samples(
     step when it and its replay rows hold two rows or more, so a lone
     current row is dropped, and counted, only without a replay pool. A
     degenerate batch is counted and skipped; its draws stay drawn.
-    Gradients are summed in a fixed order: the adapter's replay rows in
-    draw order, then reg_weight times the reconstruction rows' sum."""
+    The adapter's gradient is summed in a fixed order: the replay term,
+    then reg_weight times the reconstruction term."""
     if not samples:
         raise TrainingError("cannot train on an empty split")
     features = np.stack([s.features for s in samples])
@@ -267,8 +273,7 @@ def _train_on_samples(
     if reg_on:
         # selection is a pure function of the features: once per sample
         compressed = phi_select(features, config.keyframes, config.diversity_weight)
-    head_grad = np.empty((1, model.head.flat.size))
-    adapter_grad = np.empty_like(model.adapter.flat)
+    head_grad = np.empty_like(model.head.flat)
 
     # a joint batch of one row cannot define a correlation: no step
     n2 = 0 if replay is None else min(config.replay_batch_size, len(replay))
@@ -306,18 +311,17 @@ def _train_on_samples(
                 grad_s[m:] *= config.replay_weight
                 grad_out = batch_sample_backward(grad_s, eps, sigma)
                 x_grad = mlp_backward(model.head, tape, grad_out[None], head_grad)
-                grads = {"head": head_grad[0]}
+                grads = {"head": head_grad}
 
                 if n2:
-                    rows = adapter_backward(
+                    grads["adapter"] = adapter_backward(
                         model.adapter, recon_tape, pool_backward(x_grad[0, m:], model.adapter.t_frames)
                     )
-                    grads["adapter"] = np.add.reduce(rows, axis=0, out=adapter_grad)
                 if reg_on:
                     _, reg_grad = reg_loss_and_grads(model.adapter, features[idx], compressed[idx])
                     reg_grad *= config.reg_weight
                     if "adapter" in grads:
-                        adapter_grad += reg_grad
+                        grads["adapter"] += reg_grad
                     else:
                         grads["adapter"] = reg_grad
 

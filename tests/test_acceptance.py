@@ -122,10 +122,10 @@ def test_criterion_1_gradient_suite() -> None:
         out, tape = mlp_forward(head, x)
         scores, sigma = batch_sample(out[0], eps)
         _, grad_s = combined_loss(scores, truth, 0.05)
-        grads = np.empty((1, head.flat.size))
+        grads = np.empty_like(head.flat)
         mlp_backward(head, tape, batch_sample_backward(grad_s, eps, sigma)[None], grads)
         numeric = central_diff(head_loss, head.flat)
-        worst = max(worst, max_rel_error(grads[0], numeric))
+        worst = max(worst, max_rel_error(grads, numeric))
 
     for i in range(20):  # adapter: through softmax mixing and the refiner MLP
         t, k, d = 6, 3, 4
@@ -137,8 +137,7 @@ def test_criterion_1_gradient_suite() -> None:
 
         out, tape = reconstruct_with_tape(adapter, compressed)
         _, grad_recon = reg_loss(original, out)
-        (row,) = adapter_backward(adapter, tape, grad_recon)
-        grads = AdapterParams(row, t, k, adapter.mlp_sizes)
+        grads = AdapterParams(adapter_backward(adapter, tape, grad_recon), t, k, adapter.mlp_sizes)
 
         def adapter_loss(logits: np.ndarray) -> float:
             recon = reconstruct_with_tape(AdapterParams.from_parts(logits, adapter.mlp), compressed)[0]

@@ -109,8 +109,7 @@ def test_gradients_through_mixing_and_refiner_match_finite_differences() -> None
     direction = rng.normal(t * d).reshape(t, d)
 
     out, tape = reconstruct_with_tape(params, compressed[None])
-    (row,) = adapter_backward(params, tape, direction[None])
-    grads = AdapterParams(row, t, k, params.mlp_sizes)
+    grads = AdapterParams(adapter_backward(params, tape, direction[None]), t, k, params.mlp_sizes)
 
     def loss_of_logits(logits: np.ndarray) -> float:
         probe = AdapterParams.from_parts(logits, params.mlp)
@@ -127,6 +126,26 @@ def test_gradients_through_mixing_and_refiner_match_finite_differences() -> None
 
     numeric_w0 = central_diff(loss_of_w0, params.mlp.weights[0])
     assert max_rel_error(grads.mlp.weights[0], numeric_w0) < 1e-4
+
+
+def test_summed_gradient_of_a_stack_matches_finite_differences() -> None:
+    """adapter_backward of a B = 3 stack is the gradient of the sum of the
+    three samples' losses, through the mixing logits and the refiner."""
+    rng = SeededRng(11)
+    b, t, k, d = 3, 6, 3, 4
+    params = AdapterParams.from_parts(rng.normal(t * k).reshape(t, k), init_mlp([d, 5, d], rng))
+    compressed = rng.normal(b * k * d).reshape(b, k, d)
+    direction = rng.normal(b * t * d).reshape(b, t, d)
+
+    _, tape = reconstruct_with_tape(params, compressed)
+    grad = adapter_backward(params, tape, direction)
+    assert grad.shape == params.flat.shape
+
+    def loss(flat: np.ndarray) -> float:
+        probe = AdapterParams(flat, t, k, params.mlp_sizes)
+        return float(np.sum(reconstruct_with_tape(probe, compressed)[0] * direction))
+
+    assert max_rel_error(grad, central_diff(loss, params.flat)) < 1e-4
 
 
 def test_reg_loss_gradient_through_selection_matches_finite_differences() -> None:
@@ -180,10 +199,12 @@ def test_adapter_learns_sinusoidal_video() -> None:
 
 @pytest.mark.parametrize("width", [2, 3, 17, 2160, 4258])
 def test_axis_zero_reduction_adds_gradient_rows_in_order(width) -> None:
-    """Gradient rows are summed with np.add.reduce(rows, axis=0), bitwise
-    the in-order loop acc = rows[0]; acc += rows[1]; ..., with and without
-    out=. A single column is excluded: it reduces as a vector, pairwise.
-    Widths run up to the benchmark's 4258-float head block."""
+    """The axis-0 sums of the gradient kernels (the bias gradient over a
+    stack's rows, the adapter's mixing products over its samples) use
+    np.add.reduce(rows, axis=0), bitwise the in-order loop acc = rows[0];
+    acc += rows[1]; ..., with and without out=. A single column is
+    excluded: it reduces as a vector, pairwise. Widths run up to 4258
+    floats."""
     rng = np.random.default_rng(width)
     out = np.empty(width)
     for b in range(1, 65):

@@ -614,6 +614,24 @@ def test_synth_spec_validation() -> None:
         SynthSpec(samples_per_session=1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("sessions", 2.5), ("frames", 16.0), ("feat_dim", 8.0), ("samples_per_session", 3.0),
+     ("seed", 7.5), ("sessions", True), ("seed", np.int64(7))],
+)
+def test_synth_spec_refuses_a_count_that_is_not_an_int(field, value) -> None:
+    """A float count would construct, then fail inside generate_synthetic
+    with a raw TypeError."""
+    with pytest.raises(ValueError, match=f"integer fields must be ints, got {field}="):
+        SynthSpec(**{field: value})
+
+
+@pytest.mark.parametrize("value", [1, "no", None])
+def test_synth_spec_refuses_an_include_base_that_is_not_a_bool(value) -> None:
+    with pytest.raises(ValueError, match="include_base must be a bool"):
+        SynthSpec(include_base=value)
+
+
 # --- reports -----------------------------------------------------------------
 
 

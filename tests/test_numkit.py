@@ -6,6 +6,7 @@ import pytest
 from scorealign.numkit import (
     AdamState,
     MlpParams,
+    MlpTape,
     NonFiniteGradientError,
     SeededRng,
     ShapeMismatchError,
@@ -58,7 +59,7 @@ def test_backward_zero_output_grad_gives_zero_grads() -> None:
     x = rng.normal(6).reshape(1, 2, 3)
     out, tape = mlp_forward(params, x)
     grads = MlpParams(np.empty_like(params.flat), params.sizes)
-    x_grad = mlp_backward(params, tape, np.zeros_like(out), grads.flat[None])
+    x_grad = mlp_backward(params, tape, np.zeros_like(out), grads.flat)
     assert all(np.all(w == 0) for w in grads.weights)
     assert all(np.all(b == 0) for b in grads.biases)
     assert np.all(x_grad == 0)
@@ -69,7 +70,7 @@ def test_backward_identity_network_quadratic_loss() -> None:
     params = MlpParams(flatten([np.eye(4), np.zeros(4)]), (4, 4))
     x = np.array([[[1.0, -2.0, 3.0, 0.25]]])
     out, tape = mlp_forward(params, x)
-    x_grad = mlp_backward(params, tape, out, np.empty((1, params.flat.size)))
+    x_grad = mlp_backward(params, tape, out, np.empty(params.flat.size))
     assert np.allclose(x_grad, x, atol=0, rtol=0)
 
 
@@ -109,7 +110,7 @@ def test_backward_matches_central_differences_on_random_net() -> None:
 
     out, tape = mlp_forward(params, x)
     grads = MlpParams(np.empty_like(params.flat), params.sizes)
-    x_grad = mlp_backward(params, tape, direction, grads.flat[None])
+    x_grad = mlp_backward(params, tape, direction, grads.flat)
     assert np.array_equal(grads.flat, flatten([*grads.weights, *grads.biases]))
     numeric = central_diff(loss, params.flat)
     assert max_rel_error(grads.flat, numeric) < 1e-4
@@ -126,9 +127,35 @@ def test_backward_rejects_mismatched_tape() -> None:
     other = init_mlp([3, 2], rng)
     _, tape = mlp_forward(params, np.zeros((1, 1, 3)))
     with pytest.raises(ShapeMismatchError):
-        mlp_backward(other, tape, np.zeros((1, 1, 2)), np.empty((1, other.flat.size)))
+        mlp_backward(other, tape, np.zeros((1, 1, 2)), np.empty(other.flat.size))
     with pytest.raises(ShapeMismatchError):
-        mlp_backward(params, tape, np.zeros((1, 3, 2)), np.empty((1, params.flat.size)))
+        mlp_backward(params, tape, np.zeros((1, 3, 2)), np.empty(params.flat.size))
+
+
+def test_backward_of_a_stack_is_the_backward_of_its_rows() -> None:
+    """mlp_backward of a (B, n, D) stack gives the bytes of the same rows
+    run as one (1, B*n, D) stack: the summed parameter gradient and the
+    input gradient. Both passes take one forward pass's tape, the second
+    reshaped to rows: a (B, n, D) forward runs B products of n rows, which
+    need not round as one product of B*n rows."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        b, n, d = (int(v) for v in rng.integers(1, [6, 21, 41]))
+        sizes = [d, *rng.integers(1, 70, size=int(rng.integers(0, 3))).tolist(), 2]
+        params = init_mlp(sizes, SeededRng(seed))
+        params.flat[:] += rng.normal(size=params.flat.size) * 0.2
+        grad_out = rng.normal(size=(b, n, 2))
+        _, tape = mlp_forward(params, rng.normal(size=(b, n, d)))
+
+        def as_rows(a: np.ndarray) -> np.ndarray:
+            return a.reshape(1, b * n, a.shape[-1])
+
+        rows_tape = MlpTape(as_rows(tape.x), list(map(as_rows, tape.pre)), list(map(as_rows, tape.post)))
+        grads, rows_grads = np.full((2, params.flat.size), np.nan)
+        x_grad = mlp_backward(params, tape, grad_out, grads)
+        rows_x_grad = mlp_backward(params, rows_tape, as_rows(grad_out), rows_grads)
+        assert grads.tobytes() == rows_grads.tobytes(), f"seed {seed}"
+        assert as_rows(x_grad).tobytes() == rows_x_grad.tobytes(), f"seed {seed}"
 
 
 def test_adam_zero_grad_without_decay_leaves_params() -> None:

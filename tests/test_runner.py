@@ -120,7 +120,7 @@ def _literal_sequential_finetune(config: RunConfig, data: LoadedData, lam: float
                 trace.append(value)
                 grad_out = batch_sample_backward(grad_s, eps, sigma)
                 grads = MlpParams(np.empty_like(head.flat), head.sizes)
-                mlp_backward(head, tape, grad_out[None], grads.flat[None])
+                mlp_backward(head, tape, grad_out[None], grads.flat)
                 grad_dict = {}
                 for i, (gw, gb) in enumerate(zip(grads.weights, grads.biases)):
                     grad_dict[f"head.w{i}"] = gw
@@ -741,6 +741,31 @@ def test_run_config_rejects_an_unknown_mode(mode) -> None:
 def test_run_config_rejects_a_count_that_is_not_an_int(field, value) -> None:
     with pytest.raises(ValueError, match=f"integer fields must be ints, got {field}="):
         _config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [({"mse_weight": True}, "float fields must be numbers, not bools, got mse_weight=True"),
+     ({"learning_rate": True}, "float fields must be numbers, not bools, got learning_rate=True"),
+     ({"score_range": (True, 5.0)}, "float fields must be numbers, not bools, got score_range=True"),
+     ({"reparam": "no"}, "reparam must be a bool, got 'no'"),
+     ({"reparam": 0}, "reparam must be a bool, got 0"),
+     ({"reparam": np.True_}, "reparam must be a bool, got ")],
+)
+def test_run_config_refuses_a_value_no_checkpoint_loads(overrides, match) -> None:
+    """Each of these would train and save a checkpoint that load_checkpoint
+    refuses; "no" would also train with reparameterization."""
+    with pytest.raises(ValueError, match=match):
+        _config(**overrides)
+
+
+def test_run_config_of_numpy_floats_round_trips_through_a_checkpoint(tmp_path) -> None:
+    path = tmp_path / "run.ckpt"
+    config = _config(
+        mse_weight=np.float64(0.05), learning_rate=np.float64(0.01), score_range=(np.float64(1.0), 5.0)
+    )
+    train_continual(config, _dataset(n_sessions=1, n=12), checkpoint_path=path)
+    assert load_checkpoint(path).config == config
 
 
 def test_each_training_mode_refuses_a_config_of_the_other() -> None:

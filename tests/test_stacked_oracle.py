@@ -7,11 +7,14 @@ The reference functions below are the code that the stacked path
 replaced, kept as oracles the way test_keyframe.py keeps the
 one-restart-at-a-time selector. Every comparison is on bytes, not within
 a tolerance: one np.matmul over a (B, n, D) stack runs the same per-slice
-product as B separate (n, D) calls, and the per-sample gradient rows and
-per-draw loss increases are summed in the old order, so no float
-operation is reordered. That the stacked product is computed slice by
-slice is a numpy implementation detail, so this module is also run with
-more than one BLAS thread.
+product as B separate (n, D) calls, and per-draw loss increases are summed
+in the old order, so no float operation is reordered. A backward pass
+runs on a stack's rows as one matrix, and its reference does the same: the
+adapter's summed gradient is restated with the refiner run as one
+(B*T, D) matrix through the 2-D backward pass, and the per-sample mixing
+products added in sample order before one softmax backward. That the
+stacked product is computed slice by slice is a numpy implementation
+detail, so this module is also run with more than one BLAS thread.
 """
 
 from __future__ import annotations
@@ -109,11 +112,25 @@ def _reconstruct_one(params: AdapterParams, compressed: np.ndarray):
     return base + refined, (compressed, mix, mlp_tape)
 
 
-def _adapter_backward_one(params: AdapterParams, tape, grad_out: np.ndarray) -> np.ndarray:
-    compressed, mix, mlp_tape = tape
-    mlp_grads, grad_into_mlp_input = _mlp_backward_2d(params.mlp, mlp_tape, grad_out)
-    grad_base = grad_out + grad_into_mlp_input
-    grad_mix = grad_base @ compressed.T
+def _adapter_backward_sum(params: AdapterParams, tapes, grad_outs) -> np.ndarray:
+    """The gradient of per-sample reconstructions, summed: the refiner's
+    part from one backward pass over every sample's frames as one
+    (B*T, D) matrix, the mixing part from the samples' (T, K) products
+    added in sample order, then one softmax backward."""
+    mlp_tapes = [tape[2] for tape in tapes]
+    mlp_tape = (
+        np.concatenate([x for x, _, _ in mlp_tapes]),
+        [np.concatenate(layer) for layer in zip(*(pre for _, pre, _ in mlp_tapes))],
+        [np.concatenate(layer) for layer in zip(*(post for _, _, post in mlp_tapes))],
+    )
+    mlp_grads, grad_into_mlp_input = _mlp_backward_2d(params.mlp, mlp_tape, np.concatenate(grad_outs))
+    grad_mix = None
+    for (compressed, _, _), grad_out, grad_in in zip(
+        tapes, grad_outs, np.split(grad_into_mlp_input, len(tapes))
+    ):
+        product = (grad_out + grad_in) @ compressed.T
+        grad_mix = product if grad_mix is None else grad_mix + product
+    mix = tapes[0][1]
     inner = np.sum(grad_mix * mix, axis=1, keepdims=True)
     grad_logits = mix * (grad_mix - inner)
     return np.concatenate([grad_logits.ravel(), mlp_grads])
@@ -129,13 +146,14 @@ def _reg_loss_one(original: np.ndarray, reconstructed: np.ndarray):
 
 def _reg_loop(params: AdapterParams, features_batch, compressed_batch):
     total = 0.0
-    grads = np.zeros_like(params.flat)
+    tapes, grad_recons = [], []
     for features, compressed in zip(features_batch, compressed_batch):
         recon, tape = _reconstruct_one(params, compressed)
         value, grad_recon = _reg_loss_one(features, recon)
         total += value
-        grads += _adapter_backward_one(params, tape, grad_recon)
-    return total, grads
+        tapes.append(tape)
+        grad_recons.append(grad_recon)
+    return total, _adapter_backward_sum(params, tapes, grad_recons)
 
 
 def _replay_loop(model, current, truth, eps, batch, replay_eps, config):
@@ -163,15 +181,8 @@ def _replay_loop(model, current, truth, eps, batch, replay_eps, config):
     if not batch:
         return head_grads, None
     t_frames = model.adapter.t_frames
-    adapter_grads = None
-    for i, tape_i in enumerate(recon_tapes):
-        grad_recon = np.tile(x_grad[m + i] / t_frames, (t_frames, 1))
-        row = _adapter_backward_one(model.adapter, tape_i, grad_recon)
-        if adapter_grads is None:
-            adapter_grads = row
-        else:
-            adapter_grads += row
-    return head_grads, adapter_grads
+    grad_recons = [np.tile(x_grad[m + i] / t_frames, (t_frames, 1)) for i in range(len(batch))]
+    return head_grads, _adapter_backward_sum(model.adapter, recon_tapes, grad_recons)
 
 
 def _replay_draw_one(bank: MemoryBank, b2: int, rng: SeededRng) -> list[Exemplar]:
@@ -346,7 +357,7 @@ def test_stacked_reg_loss_and_grads_matches_per_sample_loop() -> None:
     assert zero_norm_cases == CASES // 10
 
 
-def test_adapter_backward_rows_match_per_sample_backward() -> None:
+def test_adapter_backward_matches_summed_per_sample_reference() -> None:
     for seed in range(CASES):
         rng = np.random.default_rng(10_000 + seed)
         b = 1 + seed % 3
@@ -355,13 +366,13 @@ def test_adapter_backward_rows_match_per_sample_backward() -> None:
         compressed = rng.normal(size=(b, k, d))
         grad_out = rng.normal(size=(b, t, d))
         recon, tape = reconstruct_with_tape(params, compressed)
-        rows = adapter_backward(params, tape, grad_out)
-        assert rows.shape == (b, params.flat.size)
+        tapes = []
         for i in range(b):
             want_recon, tape_i = _reconstruct_one(params, compressed[i])
             assert _same_bytes(recon[i], want_recon), f"reconstruction differs, seed {seed}"
-            want_row = _adapter_backward_one(params, tape_i, grad_out[i])
-            assert _same_bytes(rows[i], want_row), f"gradient row differs, seed {seed}"
+            tapes.append(tape_i)
+        want = _adapter_backward_sum(params, tapes, list(grad_out))
+        assert _same_bytes(adapter_backward(params, tape, grad_out), want), f"gradient differs, seed {seed}"
 
 
 def _replay_model(rng: np.random.Generator, seed: int, b: int):
@@ -449,8 +460,8 @@ def test_stacked_replay_term_matches_per_exemplar_loop(monkeypatch) -> None:
 
 def _train_per_call(model, samples, config, streams, bank, counters, trace) -> None:
     """The training loop with each step's noise and replay rows drawn one
-    call at a time, its current and replay rows scored as one 2-D head
-    batch, and the adapter's replay rows summed one by one."""
+    call at a time, and its current and replay rows scored as one 2-D head
+    batch."""
     features = np.stack([s.features for s in samples])
     pooled = pool(features)
     scores = np.array([s.score for s in samples], dtype=np.float64)
@@ -460,7 +471,6 @@ def _train_per_call(model, samples, config, streams, bank, counters, trace) -> N
     reg_on = bank is not None and config.reg_weight > 0.0
     if reg_on:
         compressed = phi_select(features, config.keyframes, config.diversity_weight)
-    adapter_grad = np.empty_like(model.adapter.flat)
     noise = streams.noise.normal if config.reparam else np.zeros
     n2 = 0 if replay is None else min(config.replay_batch_size, len(replay))
     for _ in range(config.epochs):
@@ -491,18 +501,14 @@ def _train_per_call(model, samples, config, streams, bank, counters, trace) -> N
             head_grad, x_grad = _mlp_backward_2d(model.head, tape, batch_sample_backward(grad_s, eps, sigma))
             grads = {"head": head_grad}
             if replay is not None:
-                rows = adapter_backward(
+                grads["adapter"] = adapter_backward(
                     model.adapter, recon_tape, pool_backward(x_grad[m:], model.adapter.t_frames)
                 )
-                adapter_grad[...] = rows[0]
-                for row in rows[1:]:
-                    adapter_grad += row
-                grads["adapter"] = adapter_grad
             if reg_on:
                 _, reg_grad = reg_loss_and_grads(model.adapter, features[idx], compressed[idx])
                 reg_grad *= config.reg_weight
                 if "adapter" in grads:
-                    adapter_grad += reg_grad
+                    grads["adapter"] += reg_grad
                 else:
                     grads["adapter"] = reg_grad
             adam_step(model.adam, runner.model_param_dict(model), grads)
@@ -712,18 +718,24 @@ def test_head_stack_of_one_matches_per_matrix_path() -> None:
         want_grads, want_x_grad = _mlp_backward_2d(head, want_tape, grad_out)
 
         stacked_out, stacked_tape = mlp_forward(head, x[None])
-        stacked_grads = np.full((1, head.flat.size), np.nan)
+        stacked_grads = np.full(head.flat.size, np.nan)
         stacked_x_grad = mlp_backward(head, stacked_tape, grad_out[None], stacked_grads)
         assert _same_bytes(stacked_out[0], want_out), f"forward differs, seed {seed}"
-        assert _same_bytes(stacked_grads[0], want_grads), f"weight gradient differs, seed {seed}"
+        assert _same_bytes(stacked_grads, want_grads), f"weight gradient differs, seed {seed}"
         assert _same_bytes(stacked_x_grad[0], want_x_grad), f"input gradient differs, seed {seed}"
 
 
 def test_gradient_buffer_shape_is_checked() -> None:
     head = init_mlp([3, 4, 2], SeededRng(0))
     _, tape = mlp_forward(head, np.zeros((2, 2, 3)))
-    with pytest.raises(ValueError, match="gradient buffer"):
-        mlp_backward(head, tape, np.zeros((2, 2, 2)), np.zeros((3, head.flat.size)))
+    for rows in (1, 2, 3):
+        with pytest.raises(ValueError, match="gradient buffer"):
+            mlp_backward(head, tape, np.zeros((2, 2, 2)), np.zeros((rows, head.flat.size)))
+    # a stack of MLPs, as the probe scores them, only runs forward
+    stacked = MlpParams(np.stack([head.flat, head.flat]), head.sizes)
+    _, tape = mlp_forward(stacked, np.zeros((1, 2, 3)))
+    with pytest.raises(ShapeMismatchError, match="gradient buffer"):
+        mlp_backward(stacked, tape, np.zeros((2, 2, 2)), np.zeros(stacked.flat.size))
 
 
 _HEAD = init_mlp([4, 3, 2], SeededRng(0))
